@@ -69,7 +69,10 @@ fn bench_machine_run(c: &mut Criterion) {
                 ..SimulatorConfig::paper("Thrifty")
             };
             let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
-            black_box(Simulator::new(cfg, trace.clone(), algo).run().wall_time)
+            let (report, _) = Simulator::new(cfg, trace.clone(), algo)
+                .run(None)
+                .expect("run completes");
+            black_box(report.wall_time)
         });
     });
 }

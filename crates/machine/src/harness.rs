@@ -23,17 +23,17 @@
 //! # Supervision
 //!
 //! Long fault sweeps must survive individual cells misbehaving, so cells
-//! run under a [`SupervisionPolicy`] (see DESIGN.md §11):
+//! run under the harness's [`SupervisionPolicy`] (see DESIGN.md §11):
 //!
 //! * a **panicking** cell is caught (`catch_unwind`) and reported as
 //!   [`CellError::Panic`] with its message preserved;
 //! * a **livelocked** simulation is stopped by the simulator's own
 //!   progress watchdog and reported as [`CellError::Livelock`] with
 //!   queue/episode diagnostics;
-//! * a cell that exceeds the policy's **wall-clock deadline** has its
-//!   worker slot abandoned (the thread is left to finish harmlessly — all
-//!   shared state is content-keyed and exactly-once) and is reported as
-//!   [`CellError::Timeout`];
+//! * a cell that exceeds the policy's **wall-clock deadline** is stopped
+//!   by the simulator itself, which polls the [`Deadline`] every 1024
+//!   events, and reported as [`CellError::Timeout`] — the attempt's work
+//!   ends there, so a retry never competes with its own predecessor;
 //! * **transient** failures (panic, timeout) are re-run up to
 //!   `policy.retries` times with deterministic, seed-derived exponential
 //!   backoff ([`retry_backoff`]); the full failure history lands in
@@ -44,13 +44,13 @@
 
 use crate::report::{AggregateReport, RunReport};
 use crate::run::oracle_from_baseline;
-use crate::sim::{simulate, try_simulate_faulted, LivelockDiagnostics, SimulatorConfig};
+pub use crate::sim::CellError;
+use crate::sim::{try_simulate_faulted, Deadline, SimulatorConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::time::Duration;
 use tb_core::{FaultPlan, QuarantineConfig, RecordedBitOracle, SystemConfig};
 use tb_faults::FaultSummary;
 use tb_sim::{Cycles, SimRng};
@@ -90,71 +90,32 @@ impl Cell {
         self.faults = Some(plan);
         self
     }
-}
 
-/// Why a supervised cell failed to produce a report.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum CellError {
-    /// The simulation panicked; the payload is the panic message.
-    Panic(String),
-    /// The simulator's progress watchdog declared the run livelocked.
-    Livelock(LivelockDiagnostics),
-    /// The cell exceeded the supervisor's wall-clock deadline and its
-    /// worker slot was abandoned.
-    Timeout {
-        /// The deadline that was exceeded, in milliseconds.
-        limit_ms: u64,
-    },
-    /// The cell killed `strikes` worker processes in a row and was
-    /// quarantined as poison by the multi-process sweep coordinator
-    /// (`tb-serve`): it is recorded in coverage and never dispatched
-    /// again. Only the coordinator produces this variant — an in-process
-    /// harness has no worker processes to lose.
-    Poisoned {
-        /// Consecutive worker deaths that condemned the cell.
-        strikes: u32,
-    },
-}
-
-impl CellError {
-    /// Whether a retry could plausibly succeed. Panics and timeouts are
-    /// treated as transient (OOM, scheduling jitter, host interference);
-    /// livelocks are deterministic — the same seed wedges the same guard
-    /// timers — so retrying one only wastes the budget. A poisoned cell
-    /// already exhausted its worker-death strikes, so it is final by
-    /// definition.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, CellError::Panic(_) | CellError::Timeout { .. })
-    }
-
-    /// Short machine-readable class name ("panic" / "livelock" /
-    /// "timeout" / "poisoned").
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CellError::Panic(_) => "panic",
-            CellError::Livelock(_) => "livelock",
-            CellError::Timeout { .. } => "timeout",
-            CellError::Poisoned { .. } => "poisoned",
-        }
-    }
-}
-
-impl std::fmt::Display for CellError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CellError::Panic(msg) => write!(f, "panic: {msg}"),
-            CellError::Livelock(d) => write!(f, "livelock: {d}"),
-            CellError::Timeout { limit_ms } => write!(f, "timeout after {limit_ms} ms"),
-            CellError::Poisoned { strikes } => {
-                write!(f, "poisoned after {strikes} worker deaths")
-            }
-        }
+    /// The fault-free cells of an `apps × configs × seeds` matrix,
+    /// app-major, then config, then seed — the layout
+    /// [`Harness::run_matrix`] runs and [`AppMatrix::from_flat_reports`]
+    /// reshapes.
+    pub fn matrix(
+        apps: &[AppSpec],
+        configs: &[SystemConfig],
+        nodes: u16,
+        seeds: &[u64],
+    ) -> Vec<Cell> {
+        apps.iter()
+            .flat_map(|app| {
+                configs.iter().flat_map(move |&config| {
+                    seeds
+                        .iter()
+                        .map(move |&seed| Cell::new(app.clone(), nodes, seed, config))
+                })
+            })
+            .collect()
     }
 }
 
 /// The result of one supervised cell: the report (or the typed error that
 /// ended the final attempt) together with its injected-fault/recovery
-/// tallies and the errors of every abandoned earlier attempt.
+/// tallies and the errors of every failed earlier attempt.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
     /// The run report, or the error of the last attempt.
@@ -185,16 +146,16 @@ impl CellOutcome {
     }
 }
 
-/// How [`Harness::run_cells_supervised`] handles misbehaving cells.
+/// How a [`Harness`] handles misbehaving cells (see
+/// [`Harness::with_policy`]).
 #[derive(Debug, Clone, Default)]
 pub struct SupervisionPolicy {
     /// How many times a transiently failed cell (panic, timeout) is re-run
     /// before its error becomes final. `0` (the default) fails fast.
     pub retries: u32,
     /// Per-attempt wall-clock deadline. `None` (the default) waits
-    /// indefinitely; `Some` routes execution through the deadline
-    /// supervisor, which abandons the worker slot of an attempt that
-    /// overruns and records [`CellError::Timeout`].
+    /// indefinitely; `Some` makes the simulator stop an attempt that
+    /// overruns and record [`CellError::Timeout`].
     pub timeout: Option<Duration>,
     /// Where [`TraceEventKind::CellRetry`] events are emitted. Disabled by
     /// default.
@@ -263,43 +224,54 @@ pub struct BaselineBundle {
 /// under one name would already be ambiguous everywhere else.
 type Key = (String, u16, u64);
 
-/// A content-keyed exactly-once cache. Each key holds a [`OnceLock`] cell;
-/// the first looker-up computes, concurrent ones block on the lock and
-/// then share the value, later ones hit.
+/// One cache entry: empty until a fill succeeds.
+type Slot<T> = Mutex<Option<Arc<T>>>;
+
+/// A content-keyed cache that fills each key at most once *successfully*.
+/// Each key holds its own slot lock: the first looker-up computes while
+/// concurrent ones for the same key wait, and later ones hit. A fill that
+/// fails (or panics) leaves the slot empty, so the next lookup recomputes.
 struct Cache<T> {
-    cells: Mutex<HashMap<Key, Arc<OnceLock<Arc<T>>>>>,
-    lookups: AtomicU64,
+    slots: Mutex<HashMap<Key, Arc<Slot<T>>>>,
+    hits: AtomicU64,
     computes: AtomicU64,
 }
 
 impl<T> Default for Cache<T> {
     fn default() -> Self {
         Cache {
-            cells: Mutex::new(HashMap::new()),
-            lookups: AtomicU64::new(0),
+            slots: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
             computes: AtomicU64::new(0),
         }
     }
 }
 
 impl<T> Cache<T> {
-    fn get_or_compute(&self, key: Key, compute: impl FnOnce() -> T) -> Arc<T> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let cell = {
-            // A worker that panicked while holding the lock poisons it, but
-            // the map itself is never left mid-update (entry insertion is
-            // atomic from the map's point of view), so recover the guard
-            // instead of cascading the panic into every later lookup.
-            let mut map = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
+    fn get_or_try_compute<E>(
+        &self,
+        key: Key,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        // A panicking fill poisons its lock, but never leaves a half-written
+        // value behind (the slot is only assigned after `compute` returns),
+        // so recover the guard instead of cascading the panic.
+        let slot = {
+            let mut map = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key).or_default())
         };
         // The map lock is released before computing, so a slow fill never
-        // blocks lookups of other keys; `get_or_init` serializes fills of
+        // blocks lookups of other keys; the slot lock serializes fills of
         // the *same* key, which is exactly the exactly-once guarantee.
-        Arc::clone(cell.get_or_init(|| {
-            self.computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(compute())
-        }))
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = slot.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(value));
+        }
+        let value = Arc::new(compute()?);
+        self.computes.fetch_add(1, Ordering::Relaxed);
+        *slot = Some(Arc::clone(&value));
+        Ok(value)
     }
 
     fn computes(&self) -> u64 {
@@ -307,95 +279,8 @@ impl<T> Cache<T> {
     }
 
     fn hits(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed) - self.computes()
+        self.hits.load(Ordering::Relaxed)
     }
-}
-
-/// The cache-backed cell runner shared by every worker. Lives behind an
-/// `Arc` so the deadline supervisor can hand it to detached (`'static`)
-/// attempt threads whose slots may be abandoned.
-struct HarnessShared {
-    traces: Cache<AppTrace>,
-    baselines: Cache<BaselineBundle>,
-}
-
-impl HarnessShared {
-    fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        self.traces
-            .get_or_compute((app.name.clone(), nodes, seed), || {
-                app.generate(nodes as usize, seed)
-            })
-    }
-
-    fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
-        let trace = self.trace(app, nodes, seed);
-        self.baselines
-            .get_or_compute((app.name.clone(), nodes, seed), || {
-                let cfg = SimulatorConfig::paper_with_nodes(SystemConfig::Baseline.name(), nodes);
-                let report = simulate(cfg, &trace, SystemConfig::Baseline.algorithm_config(), None);
-                let oracle = oracle_from_baseline(&report);
-                BaselineBundle { report, oracle }
-            })
-    }
-
-    fn try_run_cell_faulted(
-        &self,
-        cell: &Cell,
-    ) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
-        let plan = cell.faults.clone().filter(FaultPlan::enabled);
-        if plan.is_none() && cell.config == SystemConfig::Baseline {
-            let report = self
-                .baseline(&cell.app, cell.nodes, cell.seed)
-                .report
-                .clone();
-            return Ok((report, FaultSummary::default()));
-        }
-        let trace = self.trace(&cell.app, cell.nodes, cell.seed);
-        let oracle = cell.config.needs_oracle().then(|| {
-            self.baseline(&cell.app, cell.nodes, cell.seed)
-                .oracle
-                .clone()
-        });
-        let mut cfg = SimulatorConfig::paper_with_nodes(cell.config.name(), cell.nodes);
-        let mut algo = cell.config.algorithm_config();
-        if plan.is_some() {
-            // Under injected faults the predictor needs its misprediction
-            // backstop; quarantine is part of the hardened configuration.
-            algo = algo.with_quarantine(Some(QuarantineConfig::default()));
-        }
-        cfg.faults = plan;
-        try_simulate_faulted(cfg, &trace, algo, oracle)
-    }
-
-    fn run_cell_faulted(&self, cell: &Cell) -> (RunReport, FaultSummary) {
-        match self.try_run_cell_faulted(cell) {
-            Ok(pair) => pair,
-            Err(diag) => panic!("simulation livelocked: {diag}"),
-        }
-    }
-
-    /// Runs one attempt of a cell with panic isolation, classifying every
-    /// failure mode into a [`CellError`].
-    fn run_cell_attempt(&self, cell: &Cell) -> Result<(RunReport, FaultSummary), CellError> {
-        match catch_unwind(AssertUnwindSafe(|| self.try_run_cell_faulted(cell))) {
-            Ok(Ok(pair)) => Ok(pair),
-            Ok(Err(diag)) => Err(CellError::Livelock(diag)),
-            Err(payload) => Err(CellError::Panic(panic_message(payload))),
-        }
-    }
-}
-
-fn emit_retry(policy: &SupervisionPolicy, index: usize, attempt: u32, timed_out: bool) {
-    policy.trace.emit(TraceEvent::new(
-        Cycles::ZERO,
-        index,
-        TraceEventKind::CellRetry {
-            episode: index as u64,
-            pc: 0,
-            attempt,
-            timed_out,
-        },
-    ));
 }
 
 /// Parallel experiment runner with shared trace and Baseline/oracle caches.
@@ -426,13 +311,16 @@ fn emit_retry(policy: &SupervisionPolicy, index: usize, attempt: u32, timed_out:
 /// ```
 pub struct Harness {
     jobs: usize,
-    shared: Arc<HarnessShared>,
+    policy: SupervisionPolicy,
+    traces: Cache<AppTrace>,
+    baselines: Cache<BaselineBundle>,
 }
 
 impl std::fmt::Debug for Harness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Harness")
             .field("jobs", &self.jobs)
+            .field("policy", &self.policy)
             .field("trace_generations", &self.trace_generations())
             .field("baseline_runs", &self.baseline_runs())
             .field("cache_hits", &self.cache_hits())
@@ -442,7 +330,8 @@ impl std::fmt::Debug for Harness {
 
 impl Harness {
     /// Creates a harness running up to `jobs` cells concurrently; `0`
-    /// means one worker per available hardware thread.
+    /// means one worker per available hardware thread. Cells run under the
+    /// default [`SupervisionPolicy`]: no retries, no deadline.
     pub fn new(jobs: usize) -> Self {
         let jobs = if jobs == 0 {
             std::thread::available_parallelism()
@@ -453,49 +342,72 @@ impl Harness {
         };
         Harness {
             jobs,
-            shared: Arc::new(HarnessShared {
-                traces: Cache::default(),
-                baselines: Cache::default(),
-            }),
+            policy: SupervisionPolicy::default(),
+            traces: Cache::default(),
+            baselines: Cache::default(),
         }
     }
 
-    /// A single-worker harness: runs cells inline in caller order, still
-    /// with the shared caches.
+    /// A single-worker harness: runs cells one at a time in caller order,
+    /// still with the shared caches.
     pub fn serial() -> Self {
         Harness::new(1)
     }
 
-    /// The worker-pool size.
-    pub fn jobs(&self) -> usize {
-        self.jobs
+    /// Sets the policy every cell of this harness runs under.
+    pub fn with_policy(mut self, policy: SupervisionPolicy) -> Self {
+        self.policy = policy;
+        self
     }
 
     /// The interned trace of (app, nodes, seed), generating it on first
-    /// use.
+    /// use. Generation is never interrupted by a deadline.
     pub fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        self.shared.trace(app, nodes, seed)
+        let generated = self
+            .traces
+            .get_or_try_compute((app.name.clone(), nodes, seed), || {
+                Ok::<_, std::convert::Infallible>(app.generate(nodes as usize, seed))
+            });
+        let Ok(trace) = generated;
+        trace
     }
 
     /// The interned Baseline run (and derived oracle) of (app, nodes,
-    /// seed), simulating it on first use. This is the *only* place the
-    /// harness runs Baseline, so each triple runs it exactly once.
-    pub fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
-        self.shared.baseline(app, nodes, seed)
-    }
-
-    /// Runs one cell, reusing the cached trace and (for Baseline and the
-    /// oracle configurations) the cached Baseline run.
+    /// seed), simulating it on first use without a deadline.
     ///
     /// # Panics
     ///
-    /// Panics if the simulation livelocks; use
-    /// [`Harness::try_run_cell_faulted`] for the typed error.
-    pub fn run_cell(&self, cell: &Cell) -> RunReport {
-        self.shared.run_cell_faulted(cell).0
+    /// Panics if the Baseline simulation livelocks.
+    pub fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
+        self.try_baseline(app, nodes, seed, None)
+            .unwrap_or_else(|e| panic!("Baseline simulation failed: {e}"))
     }
 
-    /// Runs one cell and also returns its fault tallies.
+    /// The one place the harness runs Baseline, so each triple runs it
+    /// exactly once — unless an attempt fails (a `deadline` expires), which
+    /// leaves the cache empty for the next one.
+    fn try_baseline(
+        &self,
+        app: &AppSpec,
+        nodes: u16,
+        seed: u64,
+        deadline: Option<Deadline>,
+    ) -> Result<Arc<BaselineBundle>, CellError> {
+        let trace = self.trace(app, nodes, seed);
+        self.baselines
+            .get_or_try_compute((app.name.clone(), nodes, seed), || {
+                let cfg = SimulatorConfig::paper_with_nodes(SystemConfig::Baseline.name(), nodes);
+                let algo = SystemConfig::Baseline.algorithm_config();
+                let (report, _) = try_simulate_faulted(cfg, &trace, algo, None, deadline)?;
+                let oracle = oracle_from_baseline(&report);
+                Ok(BaselineBundle { report, oracle })
+            })
+    }
+
+    /// Runs one attempt of a cell under the harness policy's deadline,
+    /// reusing the cached trace and (for Baseline and the oracle
+    /// configurations) the cached Baseline run. Panics are caught, so every
+    /// way the attempt can fail comes back as a [`CellError`].
     ///
     /// A cell whose plan is absent or disabled takes exactly the clean
     /// path (including the shared-Baseline cache shortcut) and reports an
@@ -504,31 +416,73 @@ impl Harness {
     /// definition — though it still shares the trace cache and, for oracle
     /// configurations, consumes the clean Baseline's oracle (the oracle
     /// models *prediction* knowledge, not fault knowledge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation livelocks; use
-    /// [`Harness::try_run_cell_faulted`] for the typed error.
-    pub fn run_cell_faulted(&self, cell: &Cell) -> (RunReport, FaultSummary) {
-        self.shared.run_cell_faulted(cell)
-    }
-
-    /// Like [`Harness::run_cell_faulted`], but a livelocked simulation
-    /// returns its [`LivelockDiagnostics`] instead of panicking.
     pub fn try_run_cell_faulted(
         &self,
         cell: &Cell,
-    ) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
-        self.shared.try_run_cell_faulted(cell)
+    ) -> Result<(RunReport, FaultSummary), CellError> {
+        let deadline = self.policy.timeout.map(Deadline::after);
+        let attempt = || {
+            let plan = cell.faults.clone().filter(FaultPlan::enabled);
+            let baseline = || self.try_baseline(&cell.app, cell.nodes, cell.seed, deadline);
+            if plan.is_none() && cell.config == SystemConfig::Baseline {
+                return Ok((baseline()?.report.clone(), FaultSummary::default()));
+            }
+            let oracle = if cell.config.needs_oracle() {
+                Some(baseline()?.oracle.clone())
+            } else {
+                None
+            };
+            let trace = self.trace(&cell.app, cell.nodes, cell.seed);
+            let mut cfg = SimulatorConfig::paper_with_nodes(cell.config.name(), cell.nodes);
+            let mut algo = cell.config.algorithm_config();
+            if plan.is_some() {
+                // Under injected faults the predictor needs its misprediction
+                // backstop; quarantine is part of the hardened configuration.
+                algo = algo.with_quarantine(Some(QuarantineConfig::default()));
+            }
+            cfg.faults = plan;
+            try_simulate_faulted(cfg, &trace, algo, oracle, deadline)
+        };
+        catch_unwind(AssertUnwindSafe(attempt))
+            .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload))))
+    }
+
+    /// One cell's attempts under the policy: transient failures are
+    /// retried inline after their backoff, until one succeeds or the
+    /// budget runs out.
+    fn run_supervised(&self, index: usize, cell: &Cell) -> CellOutcome {
+        let mut retries = Vec::new();
+        let (report, faults) = loop {
+            match self.try_run_cell_faulted(cell) {
+                Ok((report, faults)) => break (Ok(report), faults),
+                Err(err) if err.is_transient() && (retries.len() as u32) < self.policy.retries => {
+                    let timed_out = matches!(err, CellError::Timeout { .. });
+                    retries.push(err);
+                    let attempt = retries.len() as u32;
+                    let retry = TraceEventKind::CellRetry {
+                        episode: index as u64,
+                        pc: 0,
+                        attempt,
+                        timed_out,
+                    };
+                    self.policy
+                        .trace
+                        .emit(TraceEvent::new(Cycles::ZERO, index, retry));
+                    std::thread::sleep(retry_backoff(cell.seed, attempt));
+                }
+                Err(err) => break (Err(err), FaultSummary::default()),
+            }
+        };
+        CellOutcome {
+            report,
+            faults,
+            retries,
+            reassigned: 0,
+        }
     }
 
     /// Runs every cell and returns the reports **in `cells` order**, or
     /// the error of the first (in cell order) cell that failed.
-    ///
-    /// Workers pull the next unclaimed index from a shared counter (cheap
-    /// work stealing: a long cell never blocks the queue behind it) and
-    /// write into that index's slot, so the result layout — and therefore
-    /// any output rendered from it — is identical at every `jobs` level.
     pub fn run_cells(&self, cells: &[Cell]) -> Result<Vec<RunReport>, CellError> {
         self.run_cells_isolated(cells)
             .into_iter()
@@ -538,257 +492,64 @@ impl Harness {
 
     /// Runs every cell with per-cell panic isolation and returns the
     /// outcomes **in `cells` order**, regardless of completion order.
-    ///
-    /// Equivalent to [`Harness::run_cells_supervised`] with the default
-    /// policy: no retries, no deadline.
     pub fn run_cells_isolated(&self, cells: &[Cell]) -> Vec<CellOutcome> {
-        self.run_cells_supervised(cells, &SupervisionPolicy::default())
+        self.run_cells_with(cells, |_, _| {})
     }
 
-    /// Runs every cell under `policy` and returns the outcomes **in
-    /// `cells` order**, regardless of completion order.
-    pub fn run_cells_supervised(
+    /// The harness's one executor: a scoped pool of `jobs` workers — the
+    /// calling thread plus `jobs - 1` helpers, so a serial harness spawns
+    /// no thread at all. Each worker pulls the next unclaimed index from a
+    /// shared counter (cheap work stealing: a long cell never blocks the
+    /// queue behind it) and runs that cell with its retries. `on_complete`
+    /// is called on the calling thread with each cell's index and final
+    /// outcome as soon as that thread is between cells — the checkpointing
+    /// hook a sweep journal uses to persist every completed cell without
+    /// waiting for the whole batch. Completion order is nondeterministic;
+    /// the returned vector is always in `cells` order, so output rendered
+    /// from it is identical at every `jobs` level.
+    pub fn run_cells_with(
         &self,
         cells: &[Cell],
-        policy: &SupervisionPolicy,
+        mut on_complete: impl FnMut(usize, &CellOutcome),
     ) -> Vec<CellOutcome> {
-        self.run_cells_supervised_with(cells, policy, |_, _| {})
-    }
-
-    /// Like [`Harness::run_cells_supervised`], but invokes `on_complete`
-    /// with each cell's index and final outcome *as soon as that cell
-    /// finishes* (from whichever worker finished it — the callback must be
-    /// `Sync`). This is the checkpointing hook: a sweep journal can
-    /// persist every completed cell without waiting for the whole batch.
-    /// Completion order is nondeterministic; the returned vector is always
-    /// in `cells` order.
-    pub fn run_cells_supervised_with<F>(
-        &self,
-        cells: &[Cell],
-        policy: &SupervisionPolicy,
-        on_complete: F,
-    ) -> Vec<CellOutcome>
-    where
-        F: Fn(usize, &CellOutcome) + Sync,
-    {
-        if policy.timeout.is_some() {
-            return self.run_cells_deadline(cells, policy, &on_complete);
-        }
-        let workers = self.jobs.min(cells.len());
-        if workers <= 1 {
-            return cells
-                .iter()
-                .enumerate()
-                .map(|(i, cell)| {
-                    let outcome = self.run_cell_supervised(i, cell, policy);
-                    on_complete(i, &outcome);
-                    outcome
-                })
-                .collect();
-        }
         let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<CellOutcome>> = cells.iter().map(|_| OnceLock::new()).collect();
-        let on_complete = &on_complete;
+        let claim = || {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            cells.get(i).map(|cell| (i, cell))
+        };
+        let mut slots: Vec<Option<CellOutcome>> = cells.iter().map(|_| None).collect();
+        let mut finish = |i: usize, outcome: CellOutcome| {
+            on_complete(i, &outcome);
+            slots[i] = Some(outcome);
+        };
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let outcome = self.run_cell_supervised(i, cell, policy);
-                    on_complete(i, &outcome);
-                    slots[i].set(outcome).expect("each index is claimed once");
+            let (tx, rx) = mpsc::channel();
+            for _ in 1..self.jobs.min(cells.len()) {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    while let Some((i, cell)) = claim() {
+                        if tx.send((i, self.run_supervised(i, cell))).is_err() {
+                            break;
+                        }
+                    }
                 });
             }
+            drop(tx);
+            while let Some((i, cell)) = claim() {
+                finish(i, self.run_supervised(i, cell));
+                rx.try_iter().for_each(|(i, outcome)| finish(i, outcome));
+            }
+            rx.iter().for_each(|(i, outcome)| finish(i, outcome));
         });
         slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("worker filled every slot"))
-            .collect()
-    }
-
-    /// One cell's retry loop for the deadline-free paths: attempts run
-    /// inline on the calling worker, sleeping the backoff between retries.
-    fn run_cell_supervised(
-        &self,
-        index: usize,
-        cell: &Cell,
-        policy: &SupervisionPolicy,
-    ) -> CellOutcome {
-        let mut retries = Vec::new();
-        loop {
-            match self.shared.run_cell_attempt(cell) {
-                Ok((report, faults)) => {
-                    return CellOutcome {
-                        report: Ok(report),
-                        faults,
-                        retries,
-                        reassigned: 0,
-                    }
-                }
-                Err(err) => {
-                    if err.is_transient() && (retries.len() as u32) < policy.retries {
-                        let timed_out = matches!(err, CellError::Timeout { .. });
-                        retries.push(err);
-                        let attempt = retries.len() as u32;
-                        emit_retry(policy, index, attempt, timed_out);
-                        std::thread::sleep(retry_backoff(cell.seed, attempt));
-                    } else {
-                        return CellOutcome {
-                            report: Err(err),
-                            faults: FaultSummary::default(),
-                            retries,
-                            reassigned: 0,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    /// The deadline supervisor: attempts run on detached threads that
-    /// report back over a channel, so an attempt that overruns its
-    /// deadline can have its worker *slot* reclaimed immediately — the
-    /// thread itself is left to finish naturally (every shared structure
-    /// is content-keyed and exactly-once, so a late writer is harmless)
-    /// and its eventual result is discarded by the attempt-number filter.
-    fn run_cells_deadline<F>(
-        &self,
-        cells: &[Cell],
-        policy: &SupervisionPolicy,
-        on_complete: &F,
-    ) -> Vec<CellOutcome>
-    where
-        F: Fn(usize, &CellOutcome) + Sync,
-    {
-        let limit = policy.timeout.expect("deadline path requires a timeout");
-        let limit_ms = limit.as_millis() as u64;
-        let n = cells.len();
-        let workers = self.jobs.min(n).max(1);
-        type AttemptResult = Result<(RunReport, FaultSummary), CellError>;
-        // `tx` stays alive in this frame, so Disconnected can never fire.
-        let (tx, rx) = mpsc::channel::<(usize, u32, AttemptResult)>();
-
-        // Every incomplete cell is in exactly one of `pending` (waiting
-        // for a slot, possibly serving a backoff) or `inflight` (running,
-        // with a deadline). Entries are (index, attempt, instant).
-        let start = Instant::now();
-        let mut pending: Vec<(usize, u32, Instant)> = (0..n).map(|i| (i, 0, start)).collect();
-        let mut inflight: Vec<(usize, u32, Instant)> = Vec::new();
-        let mut attempt_of = vec![0u32; n];
-        let mut retries: Vec<Vec<CellError>> = vec![Vec::new(); n];
-        let mut results: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
-        let mut completed = 0usize;
-
-        while completed < n {
-            // Fill free worker slots with the lowest-indexed ready cells.
-            let now = Instant::now();
-            while inflight.len() < workers {
-                let mut best: Option<usize> = None;
-                for (p, &(i, _, ready)) in pending.iter().enumerate() {
-                    if ready <= now && best.is_none_or(|b| pending[b].0 > i) {
-                        best = Some(p);
-                    }
-                }
-                let Some(p) = best else { break };
-                let (index, attempt, _) = pending.remove(p);
-                attempt_of[index] = attempt;
-                inflight.push((index, attempt, now + limit));
-                let shared = Arc::clone(&self.shared);
-                let cell = cells[index].clone();
-                let tx = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("tb-cell-{index}"))
-                    .spawn(move || {
-                        let result = shared.run_cell_attempt(&cell);
-                        let _ = tx.send((index, attempt, result));
-                    })
-                    .expect("spawn supervised cell worker");
-            }
-
-            // Sleep until the next thing that can happen: an inflight
-            // deadline, or (if a slot is free) a backoff expiring.
-            let mut wake = inflight.iter().map(|&(_, _, deadline)| deadline).min();
-            if inflight.len() < workers {
-                if let Some(ready) = pending.iter().map(|&(_, _, r)| r).min() {
-                    wake = Some(wake.map_or(ready, |w| w.min(ready)));
-                }
-            }
-            let wake = wake.expect("supervisor has work while cells are incomplete");
-
-            match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-                Ok((index, attempt, result)) => {
-                    // An abandoned attempt finishing after its deadline is
-                    // no longer inflight — drop its result.
-                    let Some(pos) = inflight
-                        .iter()
-                        .position(|&(i, a, _)| i == index && a == attempt)
-                    else {
-                        continue;
-                    };
-                    inflight.remove(pos);
-                    match result {
-                        Ok((report, faults)) => {
-                            let outcome = CellOutcome {
-                                report: Ok(report),
-                                faults,
-                                retries: std::mem::take(&mut retries[index]),
-                                reassigned: 0,
-                            };
-                            on_complete(index, &outcome);
-                            results[index] = Some(outcome);
-                            completed += 1;
-                        }
-                        Err(err) => supervise_failure(
-                            index,
-                            err,
-                            policy,
-                            cells,
-                            &mut attempt_of,
-                            &mut retries,
-                            &mut pending,
-                            &mut results,
-                            &mut completed,
-                            on_complete,
-                        ),
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    let mut k = 0;
-                    while k < inflight.len() {
-                        if inflight[k].2 <= now {
-                            let (index, _, _) = inflight.remove(k);
-                            supervise_failure(
-                                index,
-                                CellError::Timeout { limit_ms },
-                                policy,
-                                cells,
-                                &mut attempt_of,
-                                &mut retries,
-                                &mut pending,
-                                &mut results,
-                                &mut completed,
-                                on_complete,
-                            );
-                        } else {
-                            k += 1;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("supervisor keeps a live sender")
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every cell completed"))
+            .map(|slot| slot.expect("worker filled every slot"))
             .collect()
     }
 
     /// Runs the full `apps × configs × seeds` matrix and reshapes the
     /// reports per application (see [`AppMatrix`]). Cells are flattened
-    /// app-major, then config, then seed, and the whole flat list is
+    /// as [`Cell::matrix`] lays them out, and the whole flat list is
     /// scheduled at once so parallelism spans applications.
     pub fn run_matrix(
         &self,
@@ -797,81 +558,26 @@ impl Harness {
         nodes: u16,
         seeds: &[u64],
     ) -> Result<Vec<AppMatrix>, CellError> {
-        let cells: Vec<Cell> = apps
-            .iter()
-            .flat_map(|app| {
-                configs.iter().flat_map(move |&config| {
-                    seeds
-                        .iter()
-                        .map(move |&seed| Cell::new(app.clone(), nodes, seed, config))
-                })
-            })
-            .collect();
-        let mut reports = self.run_cells(&cells)?.into_iter();
-        Ok(apps
-            .iter()
-            .map(|app| AppMatrix {
-                app: app.clone(),
-                configs: configs.to_vec(),
-                seeds: seeds.to_vec(),
-                reports: configs
-                    .iter()
-                    .map(|_| (&mut reports).take(seeds.len()).collect())
-                    .collect(),
-            })
-            .collect())
+        let reports = self.run_cells(&Cell::matrix(apps, configs, nodes, seeds))?;
+        Ok(AppMatrix::from_flat_reports(apps, configs, seeds, reports))
     }
 
     /// Traces generated so far (one per distinct (app, nodes, seed)).
     pub fn trace_generations(&self) -> u64 {
-        self.shared.traces.computes()
+        self.traces.computes()
     }
 
-    /// Baseline simulations performed so far (one per distinct triple —
-    /// the exactly-once guarantee the caches exist for).
+    /// Baseline simulations completed so far (one per distinct triple —
+    /// the exactly-once guarantee the caches exist for). Attempts stopped
+    /// by a deadline do not count.
     pub fn baseline_runs(&self) -> u64 {
-        self.shared.baselines.computes()
+        self.baselines.computes()
     }
 
     /// Lookups served from a cache instead of recomputed, across both
     /// caches.
     pub fn cache_hits(&self) -> u64 {
-        self.shared.traces.hits() + self.shared.baselines.hits()
-    }
-}
-
-/// The deadline supervisor's shared failure path: schedule a retry (with
-/// backoff) if the policy allows, otherwise finalize the cell's outcome.
-#[allow(clippy::too_many_arguments)]
-fn supervise_failure<F: Fn(usize, &CellOutcome)>(
-    index: usize,
-    err: CellError,
-    policy: &SupervisionPolicy,
-    cells: &[Cell],
-    attempt_of: &mut [u32],
-    retries: &mut [Vec<CellError>],
-    pending: &mut Vec<(usize, u32, Instant)>,
-    results: &mut [Option<CellOutcome>],
-    completed: &mut usize,
-    on_complete: &F,
-) {
-    if err.is_transient() && (retries[index].len() as u32) < policy.retries {
-        let timed_out = matches!(err, CellError::Timeout { .. });
-        retries[index].push(err);
-        let attempt = retries[index].len() as u32;
-        emit_retry(policy, index, attempt, timed_out);
-        let backoff = retry_backoff(cells[index].seed, attempt);
-        pending.push((index, attempt_of[index] + 1, Instant::now() + backoff));
-    } else {
-        let outcome = CellOutcome {
-            report: Err(err),
-            faults: FaultSummary::default(),
-            retries: std::mem::take(&mut retries[index]),
-            reassigned: 0,
-        };
-        on_complete(index, &outcome);
-        results[index] = Some(outcome);
-        *completed += 1;
+        self.traces.hits() + self.baselines.hits()
     }
 }
 
@@ -889,6 +595,38 @@ pub struct AppMatrix {
 }
 
 impl AppMatrix {
+    /// Reshapes reports laid out as [`Cell::matrix`] orders its cells
+    /// (app-major, then config, then seed) into one matrix per
+    /// application.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one report per matrix cell.
+    pub fn from_flat_reports(
+        apps: &[AppSpec],
+        configs: &[SystemConfig],
+        seeds: &[u64],
+        reports: Vec<RunReport>,
+    ) -> Vec<AppMatrix> {
+        assert_eq!(
+            reports.len(),
+            apps.len() * configs.len() * seeds.len(),
+            "one report per matrix cell"
+        );
+        let mut reports = reports.into_iter();
+        apps.iter()
+            .map(|app| AppMatrix {
+                app: app.clone(),
+                configs: configs.to_vec(),
+                seeds: seeds.to_vec(),
+                reports: configs
+                    .iter()
+                    .map(|_| (&mut reports).take(seeds.len()).collect())
+                    .collect(),
+            })
+            .collect()
+    }
+
     /// The reports of one configuration across all seeds.
     ///
     /// # Panics
@@ -944,12 +682,16 @@ mod tests {
         AppSpec::by_name("FMM").unwrap()
     }
 
+    fn run(harness: &Harness, cell: &Cell) -> (RunReport, FaultSummary) {
+        harness.try_run_cell_faulted(cell).expect("cell runs")
+    }
+
     #[test]
     fn faulted_cells_bypass_the_baseline_cache() {
         let harness = Harness::serial();
         let plan = FaultPlan::by_name("storm", 9).unwrap();
         let cell = Cell::new(app(), 8, 1, SystemConfig::Baseline).with_faults(plan);
-        let (faulted, summary) = harness.run_cell_faulted(&cell);
+        let (faulted, summary) = run(&harness, &cell);
         assert!(summary.injected() > 0, "storm plan injects faults");
         assert_eq!(
             harness.baseline_runs(),
@@ -958,7 +700,7 @@ mod tests {
         );
         // The clean cell afterwards runs (and caches) the real Baseline,
         // and differs from the faulted run.
-        let clean = harness.run_cell(&Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        let clean = run(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline)).0;
         assert_eq!(harness.baseline_runs(), 1);
         assert!(faulted.wall_time >= clean.wall_time);
     }
@@ -966,9 +708,9 @@ mod tests {
     #[test]
     fn disabled_plan_takes_the_clean_cached_path() {
         let harness = Harness::serial();
-        let clean = harness.run_cell(&Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        let clean = run(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline)).0;
         let cell = Cell::new(app(), 8, 1, SystemConfig::Baseline).with_faults(FaultPlan::none());
-        let (report, summary) = harness.run_cell_faulted(&cell);
+        let (report, summary) = run(&harness, &cell);
         assert_eq!(summary, FaultSummary::default());
         assert_eq!(report.wall_time, clean.wall_time);
         assert_eq!(
@@ -1004,7 +746,7 @@ mod tests {
         let back: CellError = serde::json::from_str(&serde::json::to_string(err)).unwrap();
         assert_eq!(&back, err);
         // The caches survive the panic: later cells still run normally.
-        let after = harness.run_cell(&Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        let after = run(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline)).0;
         assert_eq!(after.config, "Baseline");
     }
 
@@ -1027,15 +769,15 @@ mod tests {
 
     #[test]
     fn retry_history_records_each_attempt() {
-        let harness = Harness::serial();
         let sink = Arc::new(MemorySink::new(1, 16));
         let policy = SupervisionPolicy::default()
             .with_retries(2)
             .with_trace(SinkHandle::new(sink.clone()));
+        let harness = Harness::serial().with_policy(policy);
         // Deterministic panic: every retry fails the same way, exhausting
         // the budget.
         let cells = vec![Cell::new(app(), 3, 1, SystemConfig::Thrifty)];
-        let outcomes = harness.run_cells_supervised(&cells, &policy);
+        let outcomes = harness.run_cells_isolated(&cells);
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].is_failed());
         assert_eq!(outcomes[0].attempts(), 3, "1 attempt + 2 retries");
@@ -1059,20 +801,22 @@ mod tests {
         assert_eq!(attempts, vec![1, 2]);
     }
 
+    fn deadline_policy(ms: u64) -> SupervisionPolicy {
+        SupervisionPolicy::default().with_timeout(Some(Duration::from_millis(ms)))
+    }
+
     #[test]
-    fn deadline_supervisor_times_out_stuck_cells() {
-        let harness = Harness::new(2);
-        // Ocean at 64 nodes takes far longer than 1 ms: the deadline
-        // fires, the slot is reclaimed, and the abandoned thread finishes
-        // (or dies with the process) on its own.
+    fn deadline_times_out_stuck_cells() {
+        // Ocean at 64 nodes takes far longer than 1 ms: the simulator
+        // notices the expired deadline and stops the attempt.
+        let harness = Harness::new(2).with_policy(deadline_policy(1));
         let cells = vec![Cell::new(
             AppSpec::by_name("Ocean").unwrap(),
             64,
             1,
             SystemConfig::Baseline,
         )];
-        let policy = SupervisionPolicy::default().with_timeout(Some(Duration::from_millis(1)));
-        let outcomes = harness.run_cells_supervised(&cells, &policy);
+        let outcomes = harness.run_cells_isolated(&cells);
         assert_eq!(outcomes.len(), 1);
         let err = outcomes[0].report.as_ref().unwrap_err();
         assert_eq!(err, &CellError::Timeout { limit_ms: 1 });
@@ -1081,18 +825,16 @@ mod tests {
     }
 
     #[test]
-    fn deadline_supervisor_completes_fast_cells_and_retries_slow_ones() {
-        let harness = Harness::new(2);
+    fn deadline_completes_fast_cells_and_retries_slow_ones() {
+        let policy = deadline_policy(1).with_retries(1);
+        let harness = Harness::new(2).with_policy(policy);
         let cells = vec![Cell::new(
             AppSpec::by_name("Ocean").unwrap(),
             64,
             2,
             SystemConfig::Baseline,
         )];
-        let policy = SupervisionPolicy::default()
-            .with_retries(1)
-            .with_timeout(Some(Duration::from_millis(1)));
-        let outcomes = harness.run_cells_supervised(&cells, &policy);
+        let outcomes = harness.run_cells_isolated(&cells);
         assert_eq!(outcomes[0].attempts(), 2, "one timeout retry was burned");
         assert_eq!(
             outcomes[0].retries,
@@ -1102,17 +844,48 @@ mod tests {
 
         // A roomy deadline lets a normal matrix complete with no retries,
         // identical to the plain path.
-        let roomy = SupervisionPolicy::default().with_timeout(Some(Duration::from_secs(600)));
+        let roomy = Harness::new(2).with_policy(deadline_policy(600_000));
         let cells: Vec<Cell> = SystemConfig::ALL
             .into_iter()
             .map(|c| Cell::new(app(), 8, 1, c))
             .collect();
-        let supervised = harness.run_cells_supervised(&cells, &roomy);
-        let plain = harness.run_cells(&cells).unwrap();
+        let supervised = roomy.run_cells_isolated(&cells);
+        let plain = Harness::new(2).run_cells(&cells).unwrap();
         for (outcome, report) in supervised.iter().zip(&plain) {
             assert_eq!(outcome.attempts(), 1);
             assert_eq!(outcome.report.as_ref().unwrap().wall_time, report.wall_time);
         }
+    }
+
+    #[test]
+    fn timed_out_attempt_stops_and_leaves_the_baseline_uncached() {
+        let ocean = AppSpec::by_name("Ocean").unwrap();
+        let start = std::time::Instant::now();
+        Harness::serial().baseline(&ocean, 64, 1);
+        let untimed = start.elapsed();
+
+        let harness = Harness::serial().with_policy(deadline_policy(1));
+        let cells = vec![Cell::new(ocean.clone(), 64, 1, SystemConfig::Baseline)];
+        let outcomes = harness.run_cells_isolated(&cells);
+        assert_eq!(
+            outcomes[0].report.as_ref().unwrap_err(),
+            &CellError::Timeout { limit_ms: 1 }
+        );
+        // An attempt still running in the background would have finished
+        // its Baseline fill well within twice the untimed run time.
+        std::thread::sleep(2 * untimed);
+        assert_eq!(
+            harness.baseline_runs(),
+            0,
+            "the timed-out fill stopped and left its key empty"
+        );
+        harness.baseline(&ocean, 64, 1);
+        harness.baseline(&ocean, 64, 1);
+        assert_eq!(
+            harness.baseline_runs(),
+            1,
+            "the next fill runs exactly once"
+        );
     }
 
     #[test]

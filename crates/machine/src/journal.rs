@@ -31,7 +31,7 @@ use serde::{json, Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tb_core::FaultPlan;
 use tb_faults::FaultSummary;
 
@@ -212,7 +212,6 @@ impl From<std::io::Error> for JournalError {
 #[derive(Debug)]
 pub struct SweepJournal {
     file: File,
-    path: PathBuf,
     next_seq: u64,
 }
 
@@ -220,8 +219,7 @@ impl SweepJournal {
     /// Creates a fresh journal at `path` (truncating any existing file)
     /// and durably writes the header.
     pub fn create(path: impl AsRef<Path>, params: &str) -> Result<SweepJournal, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::create(&path)?;
+        let mut file = File::create(path)?;
         let header = JournalHeader {
             magic: JOURNAL_MAGIC.to_string(),
             version: code_version(),
@@ -231,11 +229,7 @@ impl SweepJournal {
         line.push('\n');
         file.write_all(line.as_bytes())?;
         file.sync_data()?;
-        Ok(SweepJournal {
-            file,
-            path,
-            next_seq: 1,
-        })
+        Ok(SweepJournal { file, next_seq: 1 })
     }
 
     /// Opens an existing journal for resumption: validates the header
@@ -254,8 +248,7 @@ impl SweepJournal {
         path: impl AsRef<Path>,
         params: &str,
     ) -> Result<(SweepJournal, HashMap<String, StoredOutcome>), JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
@@ -369,7 +362,6 @@ impl SweepJournal {
         Ok((
             SweepJournal {
                 file,
-                path,
                 next_seq: last_seq + 1,
             },
             completed,
@@ -392,11 +384,6 @@ impl SweepJournal {
         self.file.sync_data()?;
         Ok(())
     }
-
-    /// Where the journal lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 // A parsed journal line, alive only for the duration of one `resume`
@@ -412,13 +399,18 @@ enum Line {
 mod tests {
     use super::*;
     use crate::harness::{Cell, Harness};
+    use std::path::PathBuf;
     use tb_core::SystemConfig;
     use tb_workloads::AppSpec;
 
+    /// A journal path no other call (in this or any other test process)
+    /// shares: tests run in parallel and delete their files.
     fn tmp(name: &str) -> PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("tb-journal-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{}-{name}.jsonl", std::process::id()))
+        dir.join(format!("{}-{n}-{name}.jsonl", std::process::id()))
     }
 
     fn outcome() -> CellOutcome {

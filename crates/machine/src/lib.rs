@@ -54,14 +54,13 @@ pub mod run;
 pub mod sim;
 
 pub use harness::{
-    retry_backoff, AppMatrix, BaselineBundle, Cell, CellError, CellOutcome, Harness,
-    SupervisionPolicy,
+    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Harness, SupervisionPolicy,
 };
 pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{
     AggregateReport, BarrierEventCounts, CellCoverage, InstanceRecord, RunReport, SiteSummary,
 };
 pub use sim::{
-    simulate, simulate_faulted, try_simulate_faulted, LivelockDiagnostics, Simulator,
+    simulate, try_simulate_faulted, CellError, Deadline, LivelockDiagnostics, Simulator,
     SimulatorConfig, TimeSharing, DEFAULT_PROGRESS_BUDGET,
 };

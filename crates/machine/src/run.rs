@@ -32,14 +32,17 @@ pub fn oracle_from_baseline(baseline: &RunReport) -> RecordedBitOracle {
 /// pre-run when the configuration needs an oracle.
 pub fn run_trace(trace: &AppTrace, threads_nodes: u16, sys: SystemConfig) -> RunReport {
     let cfg = SimulatorConfig::paper_with_nodes(sys.name(), threads_nodes);
-    let oracle = if sys.needs_oracle() {
-        let base_cfg = SimulatorConfig::paper_with_nodes("Baseline", threads_nodes);
-        let baseline = simulate(base_cfg, trace, AlgorithmConfig::baseline(), None);
-        Some(oracle_from_baseline(&baseline))
-    } else {
-        None
-    };
+    let oracle = baseline_oracle(trace, threads_nodes, sys);
     simulate(cfg, trace, sys.algorithm_config(), oracle)
+}
+
+/// The oracle `sys` needs, recorded from an untraced Baseline pre-run of
+/// `trace` — or `None` for configurations that predict on their own.
+fn baseline_oracle(trace: &AppTrace, nodes: u16, sys: SystemConfig) -> Option<RecordedBitOracle> {
+    sys.needs_oracle().then(|| {
+        let cfg = SimulatorConfig::paper_with_nodes("Baseline", nodes);
+        oracle_from_baseline(&simulate(cfg, trace, AlgorithmConfig::baseline(), None))
+    })
 }
 
 /// Runs `trace` under an explicit algorithm configuration (ablations),
@@ -80,13 +83,7 @@ pub fn run_trace_recording(
     let mut cfg = SimulatorConfig::paper_with_nodes(sys.name(), threads_nodes);
     let sink = Arc::new(MemorySink::new(threads_nodes as usize, capacity_per_thread));
     cfg.trace = SinkHandle::new(sink.clone());
-    let oracle = if sys.needs_oracle() {
-        let base_cfg = SimulatorConfig::paper_with_nodes("Baseline", threads_nodes);
-        let baseline = simulate(base_cfg, trace, AlgorithmConfig::baseline(), None);
-        Some(oracle_from_baseline(&baseline))
-    } else {
-        None
-    };
+    let oracle = baseline_oracle(trace, threads_nodes, sys);
     let mut report = simulate(cfg, trace, sys.algorithm_config(), oracle);
     let events = sink.drain_sorted();
     report.trace = Some(TraceSummary::from_events(&events, sink.dropped()));
@@ -113,12 +110,13 @@ pub fn run_app(app: &AppSpec, threads: u16, seed: u64, sys: SystemConfig) -> Run
 /// matrices in parallel or to keep the trace/Baseline caches across calls.
 pub fn run_config_matrix(app: &AppSpec, threads: u16, seed: u64) -> Vec<RunReport> {
     use crate::harness::{Cell, Harness};
-    let harness = Harness::serial();
-    let cells: Vec<Cell> = SystemConfig::ALL
-        .into_iter()
-        .map(|sys| Cell::new(app.clone(), threads, seed, sys))
-        .collect();
-    harness
+    let cells = Cell::matrix(
+        std::slice::from_ref(app),
+        &SystemConfig::ALL,
+        threads,
+        &[seed],
+    );
+    Harness::serial()
         .run_cells(&cells)
         .expect("serial convenience wrapper runs fault-free cells")
 }

@@ -18,6 +18,7 @@
 //!   sleeps pay real flush time and real upgrade misses afterwards.
 
 use crate::report::{BarrierEventCounts, InstanceRecord, RunReport};
+use std::time::{Duration, Instant};
 use tb_core::{AlgorithmConfig, BarrierAlgorithm, BarrierPc, FaultPlan, SleepChoice, ThreadId};
 use tb_energy::{EnergyCategory, MachineLedger, PowerModel, SleepStateId};
 use tb_faults::{FaultInjector, FaultSummary};
@@ -92,8 +93,8 @@ pub struct SimulatorConfig {
     /// the same handle.
     pub trace: SinkHandle,
     /// Livelock watchdog: the maximum number of events processed since the
-    /// last barrier departure before [`Simulator::try_run_with_faults`]
-    /// gives up with [`LivelockDiagnostics`]. `None` disables the
+    /// last barrier departure before [`Simulator::run`] gives up with
+    /// [`CellError::Livelock`]. `None` disables the
     /// watchdog. Counting events does not alter the schedule, so the
     /// default budget is active even on fault-free runs.
     pub progress_budget: Option<u64>,
@@ -137,6 +138,91 @@ impl std::fmt::Display for LivelockDiagnostics {
                 self.episode,
                 self.queue_len
             )
+        }
+    }
+}
+
+/// Why a cell (one simulation attempt) failed to produce a report.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub enum CellError {
+    /// The simulation panicked; the payload is the panic message.
+    Panic(String),
+    /// The simulator's progress watchdog declared the run livelocked.
+    Livelock(LivelockDiagnostics),
+    /// The attempt ran past its wall-clock [`Deadline`]; the simulator
+    /// noticed at its next deadline poll and stopped.
+    Timeout {
+        /// The deadline that was exceeded, in milliseconds.
+        limit_ms: u64,
+    },
+    /// The cell killed `strikes` worker processes in a row and was
+    /// quarantined as poison by the multi-process sweep coordinator
+    /// (`tb-serve`): it is recorded in coverage and never dispatched
+    /// again. Only the coordinator produces this variant — an in-process
+    /// harness has no worker processes to lose.
+    Poisoned {
+        /// Consecutive worker deaths that condemned the cell.
+        strikes: u32,
+    },
+}
+
+impl CellError {
+    /// Whether a retry could plausibly succeed. Panics and timeouts are
+    /// treated as transient (OOM, scheduling jitter, host interference);
+    /// livelocks are deterministic — the same seed wedges the same guard
+    /// timers — so retrying one only wastes the budget. A poisoned cell
+    /// already exhausted its worker-death strikes, so it is final by
+    /// definition.
+    pub fn is_transient(&self) -> bool {
+        matches!(self, CellError::Panic(_) | CellError::Timeout { .. })
+    }
+
+    /// Short machine-readable class name ("panic" / "livelock" /
+    /// "timeout" / "poisoned").
+    pub fn kind(&self) -> &'static str {
+        match self {
+            CellError::Panic(_) => "panic",
+            CellError::Livelock(_) => "livelock",
+            CellError::Timeout { .. } => "timeout",
+            CellError::Poisoned { .. } => "poisoned",
+        }
+    }
+}
+
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CellError::Panic(msg) => write!(f, "panic: {msg}"),
+            CellError::Livelock(d) => write!(f, "livelock: {d}"),
+            CellError::Timeout { limit_ms } => write!(f, "timeout after {limit_ms} ms"),
+            CellError::Poisoned { strikes } => {
+                write!(f, "poisoned after {strikes} worker deaths")
+            }
+        }
+    }
+}
+
+/// How many events the simulator processes between two looks at the
+/// wall clock when a [`Deadline`] is set: rare enough that the clock read
+/// is noise, frequent enough that an expired run stops within about a
+/// millisecond of host time.
+const DEADLINE_POLL_EVENTS: u64 = 1024;
+
+/// A wall-clock bound on one simulation attempt, checked cooperatively by
+/// the event loop every 1024 events. An expired run returns
+/// [`CellError::Timeout`] instead of finishing.
+#[derive(Debug, Clone, Copy)]
+pub struct Deadline {
+    at: Instant,
+    limit_ms: u64,
+}
+
+impl Deadline {
+    /// A deadline `limit` from now.
+    pub fn after(limit: Duration) -> Self {
+        Deadline {
+            at: Instant::now() + limit,
+            limit_ms: limit.as_millis() as u64,
         }
     }
 }
@@ -404,45 +490,47 @@ impl Simulator {
         }
     }
 
-    /// Runs the simulation to completion and returns the report.
-    pub fn run(self) -> RunReport {
-        self.run_with_faults().0
-    }
-
-    /// Like [`run`](Self::run), but also returns the injected-fault and
-    /// recovery tallies. The summary rides next to the report rather than
-    /// inside it because the serialized `RunReport` shape is frozen by
-    /// golden fixtures; in fault-free runs it is all zeros.
+    /// Runs the simulation to completion and returns the report together
+    /// with the injected-fault and recovery tallies. The summary rides next
+    /// to the report rather than inside it because the serialized
+    /// `RunReport` shape is frozen by golden fixtures; in fault-free runs
+    /// it is all zeros.
     ///
-    /// # Panics
+    /// The run stops early with a typed error when
     ///
-    /// Panics if the livelock watchdog trips (see
-    /// [`try_run_with_faults`](Self::try_run_with_faults) for the
-    /// non-panicking form).
-    pub fn run_with_faults(self) -> (RunReport, FaultSummary) {
-        match self.try_run_with_faults() {
-            Ok(out) => out,
-            Err(d) => panic!("simulation livelocked: {d}"),
-        }
-    }
-
-    /// Runs to completion, or returns [`LivelockDiagnostics`] if the
-    /// watchdog trips: either no barrier departure happened within the
-    /// configured event budget, or the event queue drained with threads
-    /// still waiting (a lost wake-up whose every recovery path — including
-    /// the guard timer — is dead). Fault plans with `wedge_guard` provoke
-    /// exactly this; the budget check itself never alters the schedule.
-    pub fn try_run_with_faults(mut self) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
+    /// * the livelock watchdog trips ([`CellError::Livelock`]): either no
+    ///   barrier departure happened within the configured event budget, or
+    ///   the event queue drained with threads still waiting (a lost wake-up
+    ///   whose every recovery path — including the guard timer — is dead).
+    ///   Fault plans with `wedge_guard` provoke exactly this;
+    /// * `deadline` passes ([`CellError::Timeout`]), noticed at the next
+    ///   poll of the wall clock (every 1024 events).
+    ///
+    /// Neither check alters the event schedule, so a run that completes
+    /// is identical with or without them.
+    pub fn run(
+        mut self,
+        deadline: Option<Deadline>,
+    ) -> Result<(RunReport, FaultSummary), CellError> {
         for tid in 0..self.trace.threads {
             let dur = self.trace.steps[0].compute[tid];
             self.queue.schedule(dur, Event::ComputeDone { tid });
         }
+        let mut events = 0u64;
         while let Some((now, ev)) = self.queue.pop() {
             self.events_since_progress += 1;
             if let Some(budget) = self.cfg.progress_budget {
                 if self.events_since_progress > budget {
-                    return Err(self.livelock_diagnostics(budget));
+                    return Err(CellError::Livelock(self.livelock_diagnostics(budget)));
                 }
+            }
+            if let Some(d) = &deadline {
+                if events.is_multiple_of(DEADLINE_POLL_EVENTS) && Instant::now() >= d.at {
+                    return Err(CellError::Timeout {
+                        limit_ms: d.limit_ms,
+                    });
+                }
+                events += 1;
             }
             match ev {
                 Event::ComputeDone { tid } => self.on_compute_done(tid, now),
@@ -458,7 +546,7 @@ impl Simulator {
         // recovery path failed to rescue drains the queue with a thread
         // still waiting.
         if !self.procs.iter().all(|p| p.state == ProcState::Done) {
-            return Err(self.livelock_diagnostics(0));
+            return Err(CellError::Livelock(self.livelock_diagnostics(0)));
         }
         let wall_time = self
             .procs
@@ -497,12 +585,6 @@ impl Simulator {
             queue_len: self.queue.len() as u64,
             live_threads: live.len() as u64,
         }
-    }
-
-    /// The memory system's statistics (after `run`, use the report; this
-    /// accessor serves tests that inspect coherence behavior mid-build).
-    pub fn mem_stats(&self) -> &tb_mem::MemStats {
-        self.mem.stats()
     }
 
     fn node(&self, tid: usize) -> NodeId {
@@ -1216,45 +1298,40 @@ impl Simulator {
 }
 
 /// Builds a [`BarrierAlgorithm`] and runs `trace` under it in one call.
+///
+/// # Panics
+///
+/// Panics if the livelock watchdog trips; use [`try_simulate_faulted`]
+/// for the typed error and the fault tallies.
 pub fn simulate(
     cfg: SimulatorConfig,
     trace: &AppTrace,
     algo_cfg: AlgorithmConfig,
     oracle: Option<tb_core::RecordedBitOracle>,
 ) -> RunReport {
-    simulate_faulted(cfg, trace, algo_cfg, oracle).0
-}
-
-/// Like [`simulate`], but also returns the run's [`FaultSummary`] — the
-/// injected-fault/recovery side-channel for fault-matrix sweeps. With no
-/// (or a disabled) fault plan the summary is all zeros and the report is
-/// byte-identical to [`simulate`]'s.
-pub fn simulate_faulted(
-    cfg: SimulatorConfig,
-    trace: &AppTrace,
-    algo_cfg: AlgorithmConfig,
-    oracle: Option<tb_core::RecordedBitOracle>,
-) -> (RunReport, FaultSummary) {
-    match try_simulate_faulted(cfg, trace, algo_cfg, oracle) {
-        Ok(out) => out,
-        Err(d) => panic!("simulation livelocked: {d}"),
+    match try_simulate_faulted(cfg, trace, algo_cfg, oracle, None) {
+        Ok((report, _)) => report,
+        Err(e) => panic!("simulation failed: {e}"),
     }
 }
 
-/// Like [`simulate_faulted`], but a tripped livelock watchdog returns
-/// [`LivelockDiagnostics`] instead of panicking — the form the harness's
-/// supervision layer consumes to report a cell as livelocked.
+/// Like [`simulate`], but also returns the run's [`FaultSummary`] — the
+/// injected-fault/recovery side-channel for fault-matrix sweeps — and
+/// reports a tripped watchdog or an expired `deadline` as a [`CellError`]
+/// instead of panicking. With no (or a disabled) fault plan the summary is
+/// all zeros and the report is byte-identical to [`simulate`]'s.
 pub fn try_simulate_faulted(
     cfg: SimulatorConfig,
     trace: &AppTrace,
     algo_cfg: AlgorithmConfig,
     oracle: Option<tb_core::RecordedBitOracle>,
-) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
+    deadline: Option<Deadline>,
+) -> Result<(RunReport, FaultSummary), CellError> {
     let mut algo = BarrierAlgorithm::new(algo_cfg, trace.threads);
     if let Some(oracle) = oracle {
         algo.install_oracle(oracle);
     }
-    Simulator::new(cfg, trace.clone(), algo).try_run_with_faults()
+    Simulator::new(cfg, trace.clone(), algo).run(deadline)
 }
 
 #[cfg(test)]
@@ -1293,6 +1370,47 @@ mod tests {
             trace: SinkHandle::disabled(),
             progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
         }
+    }
+
+    fn run_faulted(
+        cfg: SimulatorConfig,
+        trace: &AppTrace,
+        algo_cfg: AlgorithmConfig,
+        oracle: Option<tb_core::RecordedBitOracle>,
+    ) -> (RunReport, FaultSummary) {
+        try_simulate_faulted(cfg, trace, algo_cfg, oracle, None).expect("run completes")
+    }
+
+    #[test]
+    fn deadline_stops_the_run_and_never_alters_a_completed_one() {
+        // 200 episodes × 16 threads is several thousand events, so an
+        // hour-away deadline is polled several times before the run ends.
+        let trace = tiny_app(200, 2000, 0.25).generate(16, 66);
+        let expired = try_simulate_faulted(
+            cfg("Thrifty"),
+            &trace,
+            AlgorithmConfig::thrifty(),
+            None,
+            Some(Deadline::after(Duration::ZERO)),
+        );
+        assert_eq!(expired.unwrap_err(), CellError::Timeout { limit_ms: 0 });
+
+        let (free, _) = run_faulted(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let (timed, _) = try_simulate_faulted(
+            cfg("Thrifty"),
+            &trace,
+            AlgorithmConfig::thrifty(),
+            None,
+            Some(Deadline::after(Duration::from_secs(3600))),
+        )
+        .expect("an hour is ample");
+        assert!(timed.counts.episodes * 16 > 2 * DEADLINE_POLL_EVENTS);
+        assert_eq!(timed.wall_time, free.wall_time);
+        assert_eq!(timed.counts, free.counts);
+        assert_eq!(
+            serde::json::to_string(&timed.ledger),
+            serde::json::to_string(&free.ledger)
+        );
     }
 
     #[test]
@@ -1630,7 +1748,7 @@ mod tests {
         let clean = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
         let mut c = cfg("Thrifty");
         c.faults = Some(tb_core::FaultPlan::none());
-        let (gated, summary) = simulate_faulted(c, &trace, AlgorithmConfig::thrifty(), None);
+        let (gated, summary) = run_faulted(c, &trace, AlgorithmConfig::thrifty(), None);
         assert_eq!(
             serde::json::to_string(&clean),
             serde::json::to_string(&gated)
@@ -1653,7 +1771,7 @@ mod tests {
                 if *scenario == "hang" {
                     continue; // covered by hang_scenario_trips_the_watchdog
                 }
-                let (r, _) = simulate_faulted(c, &trace, algo, None);
+                let (r, _) = run_faulted(c, &trace, algo, None);
                 assert_eq!(r.counts.episodes, 20, "{scenario} seed {seed} completes");
             }
         }
@@ -1667,8 +1785,11 @@ mod tests {
         let trace = tiny_app(20, 3000, 0.30).generate(16, 62);
         let algo = AlgorithmConfig::thrifty().with_wakeup(tb_core::WakeupMode::ExternalOnly);
         let c = fault_cfg("Thrifty", "hang", 7);
-        let d = try_simulate_faulted(c, &trace, algo, None)
+        let err = try_simulate_faulted(c, &trace, algo, None, None)
             .expect_err("wedged guards must livelock this run");
+        let CellError::Livelock(d) = err else {
+            panic!("expected a livelock, got {err}");
+        };
         assert!(d.live_threads > 0, "someone is stuck: {d}");
         assert!(
             (d.episode as usize) < trace.steps.len(),
@@ -1688,9 +1809,12 @@ mod tests {
         let mut c = cfg("Thrifty");
         c.progress_budget = Some(4);
         let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
-        let d = Simulator::new(c, trace.clone(), algo)
-            .try_run_with_faults()
+        let err = Simulator::new(c, trace.clone(), algo)
+            .run(None)
             .expect_err("budget of 4 events cannot reach a departure");
+        let CellError::Livelock(d) = err else {
+            panic!("expected a livelock, got {err}");
+        };
         assert!(d.budget == 4 && d.events_since_progress > 4);
         // … while the default budget never interferes with clean runs
         // (every other test in this module exercises that) and disabling
@@ -1699,7 +1823,7 @@ mod tests {
         c.progress_budget = None;
         let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
         let (r, _) = Simulator::new(c, trace, algo)
-            .try_run_with_faults()
+            .run(None)
             .expect("clean run completes without a watchdog");
         assert_eq!(r.counts.episodes, 8);
     }
@@ -1710,8 +1834,7 @@ mod tests {
         // External-only wake-ups + lost invalidations: without the guard,
         // sleepers would hang forever.
         let algo = AlgorithmConfig::thrifty().with_wakeup(tb_core::WakeupMode::ExternalOnly);
-        let (r, summary) =
-            simulate_faulted(fault_cfg("Thrifty", "lost-wakeup", 7), &trace, algo, None);
+        let (r, summary) = run_faulted(fault_cfg("Thrifty", "lost-wakeup", 7), &trace, algo, None);
         assert_eq!(r.counts.episodes, 20);
         assert!(summary.lost_wakeups > 0, "faults actually injected");
         assert!(
@@ -1736,7 +1859,7 @@ mod tests {
         c.trace = SinkHandle::new(sink.clone());
         let algo =
             AlgorithmConfig::thrifty().with_quarantine(Some(tb_core::QuarantineConfig::default()));
-        let (r, summary) = simulate_faulted(c, &trace, algo, None);
+        let (r, summary) = run_faulted(c, &trace, algo, None);
         assert_eq!(r.counts.episodes, 20);
         assert!(summary.injected() > 0, "storm injects across classes");
         assert!(
@@ -1753,12 +1876,11 @@ mod tests {
     fn fault_runs_are_deterministic() {
         let trace = tiny_app(15, 3000, 0.30).generate(16, 64);
         let algo = AlgorithmConfig::thrifty();
-        let (a, sa) =
-            simulate_faulted(fault_cfg("Thrifty", "storm", 5), &trace, algo.clone(), None);
-        let (b, sb) = simulate_faulted(fault_cfg("Thrifty", "storm", 5), &trace, algo, None);
+        let (a, sa) = run_faulted(fault_cfg("Thrifty", "storm", 5), &trace, algo.clone(), None);
+        let (b, sb) = run_faulted(fault_cfg("Thrifty", "storm", 5), &trace, algo, None);
         assert_eq!(a.wall_time, b.wall_time);
         assert_eq!(sa, sb);
-        let (c, sc) = simulate_faulted(
+        let (c, sc) = run_faulted(
             fault_cfg("Thrifty", "storm", 6),
             &trace,
             AlgorithmConfig::thrifty(),

@@ -125,11 +125,14 @@ pub fn worker_main() -> i32 {
 
     // One harness for the worker's whole life: its content-keyed caches
     // amortize trace generation and Baseline runs across assignments,
-    // exactly as the in-process sweep's shared harness does.
-    let harness = Harness::serial();
-    let policy = SupervisionPolicy::default()
-        .with_retries(hello.retries)
-        .with_timeout((hello.timeout_ms > 0).then(|| Duration::from_millis(hello.timeout_ms)));
+    // exactly as the in-process sweep's shared harness does. A timed-out
+    // attempt stops inside the simulator, so its retry never shares the
+    // worker's CPU with it.
+    let harness = Harness::serial().with_policy(
+        SupervisionPolicy::default()
+            .with_retries(hello.retries)
+            .with_timeout((hello.timeout_ms > 0).then(|| Duration::from_millis(hello.timeout_ms))),
+    );
 
     loop {
         let msg = match read_frame(&mut input) {
@@ -155,7 +158,7 @@ pub fn worker_main() -> i32 {
                     );
                     return 2;
                 };
-                let outcome = harness.run_cells_supervised(&[cell], &policy).remove(0);
+                let outcome = harness.run_cells_isolated(&[cell]).remove(0);
                 let done = FromWorker::Done {
                     worker: hello.worker,
                     lease: work.lease,

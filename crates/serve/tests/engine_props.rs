@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use serde::json;
 use std::collections::{HashMap, VecDeque};
 use tb_core::SystemConfig;
-use tb_machine::harness::{Cell, CellOutcome, Harness, SupervisionPolicy};
+use tb_machine::harness::{Cell, CellOutcome, Harness};
 use tb_machine::AggregateReport;
 use tb_serve::{Action, Engine, EngineConfig, WorkerId};
 use tb_workloads::AppSpec;
@@ -63,7 +63,7 @@ fn aggregate_bytes(outcomes: &[CellOutcome]) -> String {
 /// The uninterrupted reference at a given harness parallelism.
 fn reference_bytes(jobs: usize) -> String {
     let harness = Harness::new(jobs);
-    let outcomes = harness.run_cells_supervised(&cells(), &SupervisionPolicy::default());
+    let outcomes = harness.run_cells_isolated(&cells());
     aggregate_bytes(&outcomes)
 }
 
@@ -75,7 +75,6 @@ fn reference_bytes(jobs: usize) -> String {
 fn run_with_deaths(workers: usize, deaths: &[bool]) -> Vec<CellOutcome> {
     let cells = cells();
     let harness = Harness::serial();
-    let policy = SupervisionPolicy::default();
     // Strike/respawn budgets far above anything the schedule can spend,
     // so no cell poisons and no Abort fires — every cell must complete.
     let cfg = EngineConfig {
@@ -146,9 +145,7 @@ fn run_with_deaths(workers: usize, deaths: &[bool]) -> Vec<CellOutcome> {
             pump(actions, &mut engine, &mut leases, &mut busy, &mut next_id);
             continue;
         }
-        let mut outcome = harness
-            .run_cells_supervised(&cells[cell..=cell], &policy)
-            .remove(0);
+        let mut outcome = harness.run_cells_isolated(&cells[cell..=cell]).remove(0);
         assert!(
             engine.done(worker, lease, cell),
             "a live worker's Done under its own lease must be accepted"

@@ -31,7 +31,6 @@
 //! (`cargo bench`); this binary is the interactive entry point.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::Duration;
 use thrifty_barrier::cli::{
     app_by_name, config_by_name, parse_options, Options, DEFAULT_SERVE_WORKERS,
@@ -56,15 +55,13 @@ fn short_label(config: SystemConfig) -> &'static str {
     }
 }
 
-fn print_report(r: &RunReport, base: Option<&RunReport>) {
+fn print_report(r: &RunReport, base: &RunReport) {
     println!("{r}");
-    if let Some(base) = base {
-        println!(
-            "  vs baseline: energy {:+.1}%, time {:+.2}%",
-            -r.energy_savings_vs(base) * 100.0,
-            r.slowdown_vs(base) * 100.0
-        );
-    }
+    println!(
+        "  vs baseline: energy {:+.1}%, time {:+.2}%",
+        -r.energy_savings_vs(base) * 100.0,
+        r.slowdown_vs(base) * 100.0
+    );
     let c = &r.counts;
     println!(
         "  {} episodes, {} sleeps ({} int / {} ext wake-ups, {} early), {} spins, \
@@ -123,10 +120,7 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
     match &opts.config {
         Some(name) => {
             let sys = config_by_name(name)?;
-            let cells: Vec<Cell> = seeds
-                .iter()
-                .map(|&s| Cell::new(app.clone(), opts.nodes, s, sys))
-                .collect();
+            let cells = Cell::matrix(std::slice::from_ref(&app), &[sys], opts.nodes, &seeds);
             // One pass: the harness caches the Baseline run each oracle
             // configuration needs, and the comparison row below reuses
             // that same cached run instead of simulating Baseline again.
@@ -141,7 +135,7 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
                 }
             } else if seeds.len() == 1 {
                 let base = harness.baseline(&app, opts.nodes, seeds[0]);
-                print_report(&reports[0], Some(&base.report));
+                print_report(&reports[0], &base.report);
             } else {
                 let mut agg = AggregateReport::new(&app.name, sys.name(), opts.nodes as usize);
                 for (r, &s) in reports.iter().zip(&seeds) {
@@ -160,7 +154,7 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
             } else if seeds.len() == 1 {
                 let base = &matrix.config_reports(SystemConfig::Baseline)[0];
                 for row in &matrix.reports {
-                    print_report(&row[0], Some(base));
+                    print_report(&row[0], base);
                 }
             } else {
                 for agg in matrix.aggregates() {
@@ -172,39 +166,170 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// The sweep: every (app × config × seed) cell runs as an isolated
+/// [`CellOutcome`], optionally under a named fault scenario, a retry
+/// budget, a wall-clock deadline, and a crash-consistent journal, on the
+/// in-process harness or (`--workers`) a process fleet. A disabled scenario
+/// ("none") — or no scenario at all — renders the ordinary sweep table,
+/// byte-for-byte, so the zero-cost-when-disabled guarantee is directly
+/// observable.
 fn cmd_sweep(opts: &Options) -> Result<(), String> {
-    // Supervision (fault scenarios, retries, deadlines, journaling) all
-    // flows through the outcome-per-cell path; the plain matrix path stays
-    // the fast default and the two must render byte-identical tables.
-    let supervised = opts.faults.is_some()
-        || opts.journal.is_some()
-        || opts.resume.is_some()
-        || opts.retries > 0
-        || opts.timeout_ms.is_some()
-        || opts.workers > 0;
-    if supervised {
-        return cmd_sweep_supervised(opts);
-    }
-    let harness = Harness::new(opts.jobs);
+    let configs = SystemConfig::ALL;
     let seeds = opts.seed_list();
-    let matrix = harness
-        .run_matrix(&AppSpec::splash2(), &SystemConfig::ALL, opts.nodes, &seeds)
-        .map_err(|e| format!("cell failed: {e}"))?;
-    render_sweep(&matrix, &SystemConfig::ALL, &seeds, opts.json);
+    let apps = AppSpec::splash2();
+    let scenario = opts.faults.as_deref();
+    // Each cell's fault streams are seeded by its workload seed.
+    let cells: Vec<Cell> = Cell::matrix(&apps, &configs, opts.nodes, &seeds)
+        .into_iter()
+        .map(|cell| match scenario {
+            Some(name) => {
+                let plan = FaultPlan::by_name(name, cell.seed).expect("validated at parse");
+                cell.with_faults(plan)
+            }
+            None => cell,
+        })
+        .collect();
+
+    // The journal's params line pins everything that changes the cell
+    // matrix or its results. `--jobs`, `--retries`, and `--timeout-ms`
+    // are deliberately excluded: a sweep may be resumed at a different
+    // parallelism or patience level and still produce identical output.
+    let params = format!(
+        "sweep nodes={} seed={} seeds={} faults={}",
+        opts.nodes,
+        opts.seed,
+        opts.seeds,
+        scenario.unwrap_or("-")
+    );
+    // (`--journal` with `--resume` is rejected at parse.)
+    let mut replayed = HashMap::new();
+    let mut journal = match (&opts.journal, &opts.resume) {
+        (Some(path), _) => Some(
+            SweepJournal::create(path, &params).map_err(|e| format!("--journal {path:?}: {e}"))?,
+        ),
+        (None, Some(path)) => {
+            let (journal, records) = SweepJournal::resume(path, &params)
+                .map_err(|e| format!("--resume {path:?}: {e}"))?;
+            replayed = records;
+            Some(journal)
+        }
+        (None, None) => None,
+    };
+    let keys: Vec<CellKey> = match journal {
+        Some(_) => cells.iter().map(CellKey::of).collect(),
+        None => Vec::new(),
+    };
+
+    // Cells whose outcome the journal already holds are replayed
+    // verbatim; the rest run fresh. The resume note goes to stderr so
+    // resumed stdout stays byte-identical to an uninterrupted sweep.
+    let mut outcomes: Vec<Option<CellOutcome>> = cells.iter().map(|_| None).collect();
+    for (slot, key) in outcomes.iter_mut().zip(&keys) {
+        *slot = replayed
+            .remove(&key.canonical())
+            .and_then(StoredOutcome::into_outcome);
+    }
+    let todo: Vec<usize> = (0..cells.len())
+        .filter(|&i| outcomes[i].is_none())
+        .collect();
+    if opts.resume.is_some() {
+        eprintln!(
+            "resume: {} of {} cells replayed from journal, {} left to run",
+            cells.len() - todo.len(),
+            cells.len(),
+            todo.len()
+        );
+    }
+
+    // Both executors call `on_complete` on this thread as each cell
+    // finishes, so the journal needs no locking.
+    let todo_cells: Vec<Cell> = todo.iter().map(|&i| cells[i].clone()).collect();
+    let mut append_err: Option<String> = None;
+    let on_complete = |t: usize, outcome: &CellOutcome| {
+        if let Some(journal) = journal.as_mut() {
+            if let Err(e) = journal.append(&keys[todo[t]], outcome) {
+                append_err.get_or_insert(format!("journal append failed: {e}"));
+            }
+        }
+    };
+    let fresh = if opts.workers > 0 {
+        // Fleet health goes to stderr — stdout must stay byte-identical
+        // to an in-process sweep.
+        let fleet_cfg = tb_serve::FleetConfig {
+            workers: opts.workers,
+            retries: opts.retries,
+            timeout_ms: opts.timeout_ms,
+            heartbeat_ms: opts.heartbeat_ms,
+            poison_strikes: opts.poison_strikes,
+            ..tb_serve::FleetConfig::default()
+        };
+        let (fresh, summary) = tb_serve::run_fleet(&todo_cells, &fleet_cfg, on_complete)
+            .map_err(|e| format!("sweep fleet failed: {e}"))?;
+        if summary.worker_deaths > 0 || summary.respawns > 0 {
+            eprintln!(
+                "fleet: {} worker death(s), {} respawn(s); {}",
+                summary.worker_deaths, summary.respawns, summary.coverage
+            );
+        }
+        fresh
+    } else {
+        let policy = SupervisionPolicy::default()
+            .with_retries(opts.retries)
+            .with_timeout(opts.timeout_ms.map(Duration::from_millis));
+        Harness::new(opts.jobs)
+            .with_policy(policy)
+            .run_cells_with(&todo_cells, on_complete)
+    };
+    if let Some(e) = append_err {
+        return Err(e);
+    }
+    for (t, outcome) in fresh.into_iter().enumerate() {
+        outcomes[todo[t]] = Some(outcome);
+    }
+    let outcomes: Vec<CellOutcome> = outcomes
+        .into_iter()
+        .map(|o| o.expect("every cell is either replayed or run"))
+        .collect();
+
+    let faulted = scenario.filter(|name| {
+        FaultPlan::by_name(name, 0)
+            .expect("validated at parse")
+            .enabled()
+    });
+    match faulted {
+        Some(scenario) => render_fault_sweep(scenario, opts, &apps, &configs, &seeds, &outcomes),
+        None => {
+            // Fault-free sweep: a failed cell (a timeout that exhausted its
+            // retries, say) has no row to render, so it aborts the sweep
+            // with a typed message instead of fabricating a table.
+            let reports = outcomes
+                .into_iter()
+                .zip(&cells)
+                .map(|(outcome, cell)| {
+                    let attempts = outcome.attempts();
+                    outcome.report.map_err(|err| {
+                        format!(
+                            "{}/{} seed {} failed after {attempts} attempt(s): {err}",
+                            cell.app.name,
+                            cell.config.name(),
+                            cell.seed
+                        )
+                    })
+                })
+                .collect::<Result<Vec<RunReport>, String>>()?;
+            if opts.json {
+                println!("{}", serde::json::to_string(&reports));
+            } else {
+                let matrix = AppMatrix::from_flat_reports(&apps, &configs, &seeds, reports);
+                render_sweep(&matrix, &configs, &seeds);
+            }
+        }
+    }
     Ok(())
 }
 
-/// Renders the sweep result: flat-report JSON or the per-app table.
-fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64], json: bool) {
-    if json {
-        let all: Vec<RunReport> = matrix
-            .iter()
-            .cloned()
-            .flat_map(|m| m.into_flat_reports())
-            .collect();
-        println!("{}", serde::json::to_string(&all));
-        return;
-    }
+/// Renders the fault-free sweep table, one row per application.
+fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64]) {
     // Column order is derived from the configuration list, so reordering
     // it (or `SystemConfig::ALL`) reorders the table instead of silently
     // printing one configuration's numbers under another's header.
@@ -258,211 +383,18 @@ fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64], j
     }
 }
 
-/// The supervised sweep: every (app × config × seed) cell runs as an
-/// isolated [`CellOutcome`], optionally under a named fault scenario, a
-/// retry budget, a wall-clock deadline, and a crash-consistent journal.
-/// A disabled scenario ("none") — or no scenario at all — renders the
-/// ordinary sweep table from the same plumbing, byte-for-byte, so the
-/// zero-cost-when-disabled guarantee is directly observable.
-fn cmd_sweep_supervised(opts: &Options) -> Result<(), String> {
-    let harness = Harness::new(opts.jobs);
-    let configs = SystemConfig::ALL;
-    let seeds = opts.seed_list();
-    let apps = AppSpec::splash2();
-    let scenario = opts.faults.as_deref();
-    // Flat cell list in run_matrix's layout (app-major, then config, then
-    // seed); each cell's fault streams are seeded by its workload seed.
-    let mut cells: Vec<Cell> = Vec::with_capacity(apps.len() * configs.len() * seeds.len());
-    for app in &apps {
-        for &config in &configs {
-            for &seed in &seeds {
-                let mut cell = Cell::new(app.clone(), opts.nodes, seed, config);
-                if let Some(name) = scenario {
-                    let plan = FaultPlan::by_name(name, seed).expect("validated at parse");
-                    cell = cell.with_faults(plan);
-                }
-                cells.push(cell);
-            }
-        }
-    }
+/// Renders the fault-matrix sweep: per (app, config), metrics normalized
+/// to the same-seed *faulted* Baseline, fault tallies merged, and failed
+/// cells recorded instead of aborting the sweep.
+fn render_fault_sweep(
+    scenario: &str,
+    opts: &Options,
+    apps: &[AppSpec],
+    configs: &[SystemConfig],
+    seeds: &[u64],
+    outcomes: &[CellOutcome],
+) {
     let idx = |a: usize, c: usize, s: usize| (a * configs.len() + c) * seeds.len() + s;
-
-    // The journal's params line pins everything that changes the cell
-    // matrix or its results. `--jobs`, `--retries`, and `--timeout-ms`
-    // are deliberately excluded: a sweep may be resumed at a different
-    // parallelism or patience level and still produce identical output.
-    let params = format!(
-        "sweep nodes={} seed={} seeds={} faults={}",
-        opts.nodes,
-        opts.seed,
-        opts.seeds,
-        scenario.unwrap_or("-")
-    );
-    let mut replayed: HashMap<String, StoredOutcome> = HashMap::new();
-    let journal = match (&opts.journal, &opts.resume) {
-        (Some(path), None) => Some(
-            SweepJournal::create(path, &params).map_err(|e| format!("--journal {path:?}: {e}"))?,
-        ),
-        (None, Some(path)) => {
-            let (journal, records) = SweepJournal::resume(path, &params)
-                .map_err(|e| format!("--resume {path:?}: {e}"))?;
-            replayed = records;
-            Some(journal)
-        }
-        (None, None) => None,
-        (Some(_), Some(_)) => unreachable!("rejected at parse"),
-    };
-
-    // Partition: cells whose outcome the journal already holds are
-    // replayed verbatim; the rest run fresh. The resume note goes to
-    // stderr so resumed stdout stays byte-identical to an uninterrupted
-    // sweep.
-    let keys: Vec<CellKey> = cells.iter().map(CellKey::of).collect();
-    let mut outcomes: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
-    let mut todo: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        match replayed
-            .get(&key.canonical())
-            .and_then(|stored| stored.clone().into_outcome())
-        {
-            Some(outcome) => outcomes[i] = Some(outcome),
-            None => todo.push(i),
-        }
-    }
-    if opts.resume.is_some() {
-        eprintln!(
-            "resume: {} of {} cells replayed from journal, {} left to run",
-            cells.len() - todo.len(),
-            cells.len(),
-            todo.len()
-        );
-    }
-
-    let todo_cells: Vec<Cell> = todo.iter().map(|&i| cells[i].clone()).collect();
-    let fresh = if opts.workers > 0 {
-        // Multi-process path: the tb-serve coordinator shards the cells
-        // across worker processes and survives their deaths. Its
-        // `on_complete` runs on the coordinator thread, so the journal
-        // needs no locking. Fleet health goes to stderr — stdout must
-        // stay byte-identical to an in-process sweep.
-        let mut journal = journal;
-        let mut append_err: Option<String> = None;
-        let fleet_cfg = tb_serve::FleetConfig {
-            workers: opts.workers,
-            retries: opts.retries,
-            timeout_ms: opts.timeout_ms,
-            heartbeat_ms: opts.heartbeat_ms,
-            poison_strikes: opts.poison_strikes,
-            ..tb_serve::FleetConfig::default()
-        };
-        let (fresh, summary) = tb_serve::run_fleet(&todo_cells, &fleet_cfg, |t, outcome| {
-            if let Some(journal) = journal.as_mut() {
-                if let Err(e) = journal.append(&keys[todo[t]], outcome) {
-                    if append_err.is_none() {
-                        append_err = Some(format!("journal append failed: {e}"));
-                    }
-                }
-            }
-        })
-        .map_err(|e| format!("sweep fleet failed: {e}"))?;
-        if let Some(e) = append_err {
-            return Err(e);
-        }
-        if summary.worker_deaths > 0 || summary.respawns > 0 {
-            eprintln!(
-                "fleet: {} worker death(s), {} respawn(s); {}",
-                summary.worker_deaths, summary.respawns, summary.coverage
-            );
-        }
-        fresh
-    } else {
-        let policy = SupervisionPolicy::default()
-            .with_retries(opts.retries)
-            .with_timeout(opts.timeout_ms.map(Duration::from_millis));
-        let journal = journal.map(Mutex::new);
-        let append_err: Mutex<Option<String>> = Mutex::new(None);
-        let fresh = harness.run_cells_supervised_with(&todo_cells, &policy, |t, outcome| {
-            if let Some(journal) = &journal {
-                let result = journal.lock().unwrap().append(&keys[todo[t]], outcome);
-                if let Err(e) = result {
-                    let mut slot = append_err.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(format!("journal append failed: {e}"));
-                    }
-                }
-            }
-        });
-        if let Some(e) = append_err.into_inner().unwrap() {
-            return Err(e);
-        }
-        fresh
-    };
-    for (t, outcome) in fresh.into_iter().enumerate() {
-        outcomes[todo[t]] = Some(outcome);
-    }
-    let outcomes: Vec<CellOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("every cell is either replayed or run"))
-        .collect();
-
-    let faulted = scenario
-        .map(|name| {
-            FaultPlan::by_name(name, 0)
-                .expect("validated at parse")
-                .enabled()
-        })
-        .unwrap_or(false);
-    if !faulted {
-        // Fault-free sweep: a failed cell (a timeout that exhausted its
-        // retries, say) has no row to render, so it aborts the sweep with
-        // a typed message instead of fabricating a table.
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if let Err(err) = &outcome.report {
-                let cell = &cells[i];
-                return Err(format!(
-                    "{}/{} seed {} failed after {} attempt(s): {err}",
-                    cell.app.name,
-                    cell.config.name(),
-                    cell.seed,
-                    outcome.attempts()
-                ));
-            }
-        }
-        // Reshape into the ordinary matrix and render the ordinary sweep,
-        // byte-for-byte.
-        let matrix: Vec<AppMatrix> = apps
-            .iter()
-            .enumerate()
-            .map(|(a, app)| AppMatrix {
-                app: app.clone(),
-                configs: configs.to_vec(),
-                seeds: seeds.clone(),
-                reports: configs
-                    .iter()
-                    .enumerate()
-                    .map(|(c, _)| {
-                        seeds
-                            .iter()
-                            .enumerate()
-                            .map(|(s, _)| {
-                                outcomes[idx(a, c, s)]
-                                    .report
-                                    .clone()
-                                    .expect("failed cells abort above")
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            })
-            .collect();
-        render_sweep(&matrix, &configs, &seeds, opts.json);
-        return Ok(());
-    }
-    let scenario = scenario.expect("faulted implies a scenario");
-
-    // Aggregate per (app, config): metrics normalized to the same-seed
-    // *faulted* Baseline, fault tallies merged, panics recorded as failed
-    // cells instead of aborting the sweep.
     let base_col = configs
         .iter()
         .position(|&c| c == SystemConfig::Baseline)
@@ -490,7 +422,7 @@ fn cmd_sweep_supervised(opts: &Options) -> Result<(), String> {
     }
     if opts.json {
         println!("{}", serde::json::to_string(&aggs));
-        return Ok(());
+        return;
     }
 
     println!(
@@ -539,7 +471,6 @@ fn cmd_sweep_supervised(opts: &Options) -> Result<(), String> {
     if coverage.retried > 0 || !coverage.is_complete() {
         println!("coverage: {coverage}");
     }
-    Ok(())
 }
 
 fn cmd_cutoff(opts: &Options) -> Result<(), String> {

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `thrifty-barrier` binary: flag rejection exit
 //! paths and the parallel-harness determinism guarantee.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn bin(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_thrifty-barrier"))
@@ -114,12 +116,21 @@ fn sweep_output_is_identical_at_every_jobs_level() {
     assert_eq!(reports.len(), 50);
 }
 
+/// A temp directory no other call shares: tests in one binary run in
+/// parallel under one pid.
+fn tmp_dir(name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("tb-cli-{}-{n}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// Journal errors surface at runtime (the path is only opened once the
 /// sweep starts), with both the flag and the cause in the message.
 #[test]
 fn resume_of_missing_or_mismatched_journal_fails_cleanly() {
-    let dir = std::env::temp_dir().join(format!("tb-cli-journal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmp_dir("journal");
     let missing = dir.join("no-such.jsonl");
     let out = bin(&[
         "sweep",

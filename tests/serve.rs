@@ -11,6 +11,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn bin(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_thrifty-barrier"))
@@ -36,10 +37,14 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A temp path no other call shares: tests in one binary run in
+/// parallel under one pid, and each deletes the files it made.
 fn tmp(name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join("tb-serve-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{}-{name}", std::process::id()))
+    dir.join(format!("{}-{n}-{name}", std::process::id()))
 }
 
 /// The headline byte-identity bar: a fleet sweep at every worker count
