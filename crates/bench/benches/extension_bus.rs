@@ -11,7 +11,7 @@ use tb_bench::{banner, bench_seed};
 use tb_core::{AlgorithmConfig, SystemConfig};
 use tb_machine::run::run_trace;
 use tb_machine::sim::{simulate, SimulatorConfig};
-use tb_mem::BusConfig;
+use tb_mem::MachineConfig;
 use tb_workloads::AppSpec;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
 
         // Bus SMP.
         let mut bus_cfg = SimulatorConfig::paper_with_nodes("Baseline", nodes);
-        bus_cfg.bus = Some(BusConfig::smp(nodes));
+        bus_cfg.machine = MachineConfig::bus_smp(nodes);
         let bus_base = simulate(bus_cfg.clone(), &trace, AlgorithmConfig::baseline(), None);
         bus_cfg.config_name = "Thrifty".into();
         let bus_thrifty = simulate(bus_cfg, &trace, AlgorithmConfig::thrifty(), None);

@@ -8,7 +8,7 @@
 //! The directory benches honor `TB_BENCH_NODES` (machine size).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tb_mem::{Cache, CacheConfig, LineState, MachineConfig, MemorySystem, NodeId};
+use tb_mem::{Cache, CacheConfig, CoherentMemory, LineState, MachineConfig, NodeId};
 use tb_sim::{Cycles, EventQueue};
 
 /// Steady-state churn at a realistic pending population (64 events, the
@@ -69,7 +69,7 @@ fn cache_access_hit(c: &mut Criterion) {
 fn directory_upgrade(c: &mut Criterion) {
     c.bench_function("directory_upgrade", |b| {
         let nodes = tb_bench::bench_nodes();
-        let mut m = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
+        let mut m = CoherentMemory::directory(MachineConfig::table1_with_nodes(nodes));
         let node = NodeId::new(nodes / 2);
         let base = m.layout().shared_addr(3, 0);
         let mut t = m.write_line_run(node, base, 64, Cycles::ZERO);
@@ -89,7 +89,7 @@ fn directory_upgrade(c: &mut Criterion) {
 fn flush_dirty_lines(c: &mut Criterion) {
     c.bench_function("flush_dirty_lines", |b| {
         let nodes = tb_bench::bench_nodes();
-        let mut m = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
+        let mut m = CoherentMemory::directory(MachineConfig::table1_with_nodes(nodes));
         let node = NodeId::new(1);
         let base = m.layout().shared_addr(3, 0);
         let mut t = m.write_line_run(node, base, 64, Cycles::ZERO);

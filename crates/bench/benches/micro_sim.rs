@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tb_core::{AlgorithmConfig, BarrierAlgorithm};
 use tb_machine::{Simulator, SimulatorConfig};
-use tb_mem::{MachineConfig, MemorySystem, NodeId};
+use tb_mem::{CoherentMemory, MachineConfig, NodeId};
 use tb_sim::{Cycles, EventQueue};
 use tb_workloads::{AppSpec, PhaseSpec, Variability};
 
@@ -28,7 +28,7 @@ fn bench_event_queue(c: &mut Criterion) {
 
 fn bench_memory_system(c: &mut Criterion) {
     c.bench_function("coherent_read_write_mix", |b| {
-        let mut mem = MemorySystem::new(MachineConfig::table1_with_nodes(16));
+        let mut mem = CoherentMemory::directory(MachineConfig::table1_with_nodes(16));
         let mut t = Cycles::ZERO;
         let mut i = 0u64;
         b.iter(|| {

@@ -22,9 +22,7 @@ use std::time::{Duration, Instant};
 use tb_core::{AlgorithmConfig, BarrierAlgorithm, BarrierPc, FaultPlan, SleepChoice, ThreadId};
 use tb_energy::{EnergyCategory, MachineLedger, PowerModel, SleepStateId};
 use tb_faults::{FaultInjector, FaultSummary};
-use tb_mem::{
-    Addr, BusConfig, CoherentMemory, InvalidationFaults, LineAddr, MachineConfig, NodeId,
-};
+use tb_mem::{Addr, CoherentMemory, InvalidationFaults, LineAddr, MachineConfig, NodeId};
 use tb_sim::{Cycles, EventId, EventQueue, OnlineStats};
 use tb_trace::{FaultKind, SinkHandle, TraceEvent, TraceEventKind};
 use tb_workloads::AppTrace;
@@ -55,7 +53,8 @@ const DIRTY_PAGES_PER_THREAD: u64 = 8;
 /// Executor configuration beyond the machine and algorithm configs.
 #[derive(Debug, Clone)]
 pub struct SimulatorConfig {
-    /// The hardware platform (Table 1).
+    /// The hardware platform (Table 1, or a bus SMP via
+    /// [`MachineConfig::bus_smp`]).
     pub machine: MachineConfig,
     /// The power model (Wattch-derived).
     pub power: PowerModel,
@@ -76,10 +75,6 @@ pub struct SimulatorConfig {
     /// another process*, resuming only at scheduling-quantum boundaries.
     /// Overrides the algorithm's sleep decisions when set.
     pub time_sharing: Option<TimeSharing>,
-    /// Optional snooping-bus substrate: when set, the machine runs on a
-    /// bus SMP instead of the directory CC-NUMA (`machine` is then only
-    /// used for its node count bound).
-    pub bus: Option<BusConfig>,
     /// Optional fault plan. A plan with any class enabled injects lost or
     /// delayed flag invalidations (in the memory substrate), countdown-timer
     /// drift and spurious fires, and oversleep exit stalls — and arms the
@@ -247,17 +242,18 @@ impl SimulatorConfig {
             config_name: config_name.into(),
             false_wakeup: None,
             time_sharing: None,
-            bus: None,
             faults: None,
             trace: SinkHandle::disabled(),
             progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
         }
     }
 
-    /// Same, but sized for `nodes` processors.
+    /// Same, but sized for `nodes` processors. The observed thread stays 5
+    /// unless the machine is too small to have one.
     pub fn paper_with_nodes(config_name: impl Into<String>, nodes: u16) -> Self {
         SimulatorConfig {
             machine: MachineConfig::table1_with_nodes(nodes),
+            observed_thread: 5.min(nodes as usize - 1),
             ..SimulatorConfig::paper(config_name)
         }
     }
@@ -407,17 +403,7 @@ impl Simulator {
             "observed thread {} out of range",
             cfg.observed_thread
         );
-        let mut mem = match &cfg.bus {
-            Some(bus_cfg) => {
-                assert!(
-                    bus_cfg.nodes as usize >= threads,
-                    "bus has {} processors but the trace needs {threads}",
-                    bus_cfg.nodes
-                );
-                CoherentMemory::bus(bus_cfg.clone())
-            }
-            None => CoherentMemory::directory(cfg.machine.clone()),
-        };
+        let mut mem = CoherentMemory::directory(cfg.machine.clone());
         let count_addr = mem.layout().shared_addr(COUNT_PAGE, 0);
         let flag_addr = mem.layout().shared_addr(FLAG_PAGE, 0);
         let injector = cfg.faults.as_ref().and_then(FaultInjector::from_plan);
@@ -1365,7 +1351,6 @@ mod tests {
             config_name: name.into(),
             false_wakeup: None,
             time_sharing: None,
-            bus: None,
             faults: None,
             trace: SinkHandle::disabled(),
             progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
@@ -1594,11 +1579,11 @@ mod tests {
         // barrier protocol, broadcast invalidations as wake-ups.
         let trace = tiny_app(10, 3000, 0.30).generate(16, 50);
         let mut bus_cfg = cfg("Baseline");
-        bus_cfg.bus = Some(tb_mem::BusConfig::smp(16));
+        bus_cfg.machine = MachineConfig::bus_smp(16);
         let base_bus = simulate(bus_cfg.clone(), &trace, AlgorithmConfig::baseline(), None);
         assert_eq!(base_bus.counts.episodes, 10);
         let mut thrifty_bus = cfg("Thrifty");
-        thrifty_bus.bus = Some(tb_mem::BusConfig::smp(16));
+        thrifty_bus.machine = MachineConfig::bus_smp(16);
         let t = simulate(thrifty_bus, &trace, AlgorithmConfig::thrifty(), None);
         assert_eq!(t.counts.episodes, 10);
         assert!(t.counts.total_sleeps() > 0);

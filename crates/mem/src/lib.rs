@@ -11,34 +11,39 @@
 //!   bit-sets.
 //! * [`cache`] — set-associative write-back caches with LRU replacement and
 //!   dirty-line enumeration (needed to price deep-sleep cache flushes).
-//! * [`network`] — the hypercube interconnect latency model with Table 1's
-//!   router and marshaling latencies.
-//! * [`system`] — the coherent [`MemorySystem`]: per-node two-level cache
-//!   hierarchies in front of directory-controlled home memories. Accesses
-//!   are resolved transactionally: each returns its completion time and the
-//!   set of invalidation messages it caused, with per-destination delivery
-//!   times. Those invalidations are precisely the *external wake-up* signals
-//!   of the thrifty barrier (§3.3.1).
+//! * [`dir`] — the full-map sharer directory (dense window plus sparse
+//!   overflow).
+//! * [`network`] — the [`Interconnect`] choice: the hypercube latency model
+//!   with Table 1's router and marshaling latencies, or a snooping bus.
+//! * [`system`] — the [`CoherentMemory`]: per-node two-level cache
+//!   hierarchies in front of the sharer directory. Accesses are resolved
+//!   transactionally: each returns its completion time and the set of
+//!   invalidation messages it caused, with per-destination delivery times.
+//!   Those invalidations are precisely the *external wake-up* signals of
+//!   the thrifty barrier (§3.3.1). The interconnect decides only the timing
+//!   and delivery of transactions that go past the L2.
+//! * [`faults`] — lost or delayed wake-up invalidations for the fault
+//!   model.
 //!
 //! # Examples
 //!
 //! ```
-//! use tb_mem::{MachineConfig, MemorySystem, NodeId};
+//! use tb_mem::{CoherentMemory, MachineConfig, NodeId};
 //! use tb_sim::Cycles;
 //!
-//! let mut mem = MemorySystem::new(MachineConfig::table1());
-//! let flag = mem.layout().shared_addr(0, 0);
-//! // Two spinners pull the flag into their caches…
-//! mem.read(NodeId::new(1), flag, Cycles::ZERO);
-//! mem.read(NodeId::new(2), flag, Cycles::ZERO);
-//! // …and the releaser's write invalidates both copies.
-//! let w = mem.write(NodeId::new(0), flag, Cycles::from_micros(1));
-//! assert_eq!(w.invalidations.len(), 2);
+//! for cfg in [MachineConfig::table1(), MachineConfig::bus_smp(16)] {
+//!     let mut mem = CoherentMemory::directory(cfg);
+//!     let flag = mem.layout().shared_addr(0, 0);
+//!     // Two spinners pull the flag into their caches…
+//!     mem.read(NodeId::new(1), flag, Cycles::ZERO);
+//!     mem.read(NodeId::new(2), flag, Cycles::ZERO);
+//!     // …and the releaser's write invalidates both copies.
+//!     let w = mem.write(NodeId::new(0), flag, Cycles::from_micros(1));
+//!     assert_eq!(w.invalidations.len(), 2);
+//! }
 //! ```
 
 pub mod addr;
-pub mod backend;
-pub mod bus;
 pub mod cache;
 pub mod dir;
 pub mod faults;
@@ -47,13 +52,11 @@ pub mod network;
 pub mod system;
 
 pub use addr::{Addr, LineAddr, MemLayout, NodeId};
-pub use backend::CoherentMemory;
-pub use bus::{BusConfig, BusMemorySystem};
 pub use cache::{Cache, CacheConfig};
 pub use dir::Directory;
 pub use faults::{InvalidationFaultKind, InvalidationFaultRecord, InvalidationFaults};
 pub use mesi::{DirState, LineState, SharerSet};
-pub use network::Hypercube;
+pub use network::{Hypercube, Interconnect};
 pub use system::{
-    Access, AccessClass, FlushOutcome, Invalidation, MachineConfig, MemStats, MemorySystem,
+    Access, AccessClass, CoherentMemory, FlushOutcome, Invalidation, MachineConfig, MemStats,
 };

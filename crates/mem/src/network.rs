@@ -1,4 +1,4 @@
-//! Hypercube interconnect latency model (Table 1).
+//! The interconnects that carry coherence transactions past the L2.
 //!
 //! The paper's machine uses a wormhole-routed hypercube with 250 MHz
 //! pipelined routers, 16 ns pin-to-pin latency per hop, and 16 ns endpoint
@@ -6,13 +6,46 @@
 //! messages, transfer time is dominated by the header path, so the model is
 //! `marshal + hops × pin_to_pin + unmarshal` plus a serialization term for
 //! payload-carrying messages (a 64 B cache line crossing a 16 B-wide path).
+//!
+//! Its related work (Jetty, serial snooping) targets bus-based SMPs
+//! instead, so [`Interconnect`] also offers a snooping bus. For the thrifty
+//! barrier the two differ in one place: the external wake-up. On a bus the
+//! flag flip's invalidation is one broadcast that **all** sharers observe
+//! at the same instant, while the directory sends staggered point-to-point
+//! messages. The bus also serializes every miss, so arrival storms contend.
 
 use crate::addr::NodeId;
 use serde::{Deserialize, Serialize};
 use tb_sim::Cycles;
 
+/// How transactions that miss in the L2 reach memory and the other caches.
+///
+/// Both interconnects keep the same full-map sharer directory (on a bus it
+/// plays the role of duplicate snoop tags); they differ only in the timing
+/// of a transaction and in when its invalidations are delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Interconnect {
+    /// Table 1: home directories on a [`Hypercube`]. A directory sends one
+    /// invalidation every `dir_dispatch` (controller occupancy), and each
+    /// travels point to point to its sharer.
+    Hypercube {
+        /// Serialization gap between successive invalidations.
+        dir_dispatch: Cycles,
+    },
+    /// A snooping bus: every miss arbitrates for the one bus, and its
+    /// address phase, which every controller snoops, invalidates all other
+    /// copies at once. Data comes from memory or the owning cache in one
+    /// data phase.
+    Bus {
+        /// Arbitration latency (request to grant, uncontended).
+        arbitration: Cycles,
+        /// Address-phase duration.
+        snoop: Cycles,
+    },
+}
+
 /// Hypercube topology with Table 1 latency parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hypercube {
     nodes: u16,
     dimension: u32,

@@ -1,13 +1,15 @@
-//! The coherent CC-NUMA memory system.
+//! The coherent memory system.
 //!
-//! Per-node two-level write-back caches sit in front of directory-controlled
-//! home memories connected by a hypercube (Table 1 of the paper). The model
-//! is *transaction-level*: the machine executes accesses in global time
-//! order, and each access atomically updates coherence state and returns
+//! Per-node two-level write-back caches sit in front of a full-map sharer
+//! directory, and an [`Interconnect`] carries every transaction that goes
+//! past the L2: the paper's hypercube of home directories (Table 1) or a
+//! snooping bus. The model is *transaction-level*: the machine executes
+//! accesses in global time order, and each access atomically updates
+//! coherence state and returns
 //!
 //! * its **completion time**, composed from Table 1 latencies (L1/L2 round
-//!   trips, memory row access, network hops, invalidation fan-out and
-//!   acknowledgment collection), and
+//!   trips, memory row access, network hops or bus phases, invalidation
+//!   fan-out and acknowledgment collection), and
 //! * the **invalidation messages** it caused, each with its delivery time at
 //!   the destination node.
 //!
@@ -15,6 +17,10 @@
 //! thread flips the barrier flag, the directory invalidates every sharer,
 //! and those deliveries are the *external wake-up* signals (§3.3.1) that the
 //! extended cache controller turns into CPU wake-ups.
+//!
+//! Hits, silent writes, fills, evictions and flush bookkeeping are the same
+//! on both interconnects; each miss, upgrade and flush consults the
+//! interconnect once for its timing and invalidation delivery.
 //!
 //! # Model simplifications (documented in DESIGN.md §7)
 //!
@@ -28,7 +34,7 @@ use crate::addr::{Addr, LineAddr, MemLayout, NodeId};
 use crate::cache::{Cache, CacheConfig, Evicted};
 use crate::dir::Directory;
 use crate::mesi::{DirState, LineState, SharerSet};
-use crate::network::Hypercube;
+use crate::network::{Hypercube, Interconnect};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tb_sim::Cycles;
@@ -36,7 +42,8 @@ use tb_sim::Cycles;
 /// Architecture parameters (Table 1 of the paper).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MachineConfig {
-    /// Number of nodes (1 CPU per node); must be a power of two ≤ 64.
+    /// Number of nodes (1 CPU per node): a power of two ≤ 64 on the
+    /// hypercube, 2..=64 on a bus.
     pub nodes: u16,
     /// L1 geometry (Table 1: 16 kB, 2-way).
     pub l1: CacheConfig,
@@ -50,9 +57,8 @@ pub struct MachineConfig {
     pub mem_access: Cycles,
     /// Time to stream one 64 B line over the 16 B-wide 250 MHz bus.
     pub mem_transfer: Cycles,
-    /// Serialization gap between successive invalidations dispatched by a
-    /// directory (models controller occupancy).
-    pub dir_dispatch: Cycles,
+    /// What carries transactions past the L2.
+    pub interconnect: Interconnect,
 }
 
 impl MachineConfig {
@@ -80,7 +86,31 @@ impl MachineConfig {
             l2_round_trip: Cycles::from_nanos(12),
             mem_access: Cycles::from_nanos(60),
             mem_transfer: Cycles::from_nanos(16),
-            dir_dispatch: Cycles::from_nanos(4),
+            interconnect: Interconnect::Hypercube {
+                dir_dispatch: Cycles::from_nanos(4),
+            },
+        }
+    }
+
+    /// A bus SMP with Table 1's caches and DRAM: a 250 MHz snooping bus
+    /// with 20 ns arbitration and 12 ns address (snoop) phases, and one
+    /// `mem_transfer` data phase per line.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= nodes <= 64`.
+    pub fn bus_smp(nodes: u16) -> Self {
+        assert!(
+            (2..=64).contains(&nodes),
+            "bus SMP size must be in 2..=64, got {nodes}"
+        );
+        MachineConfig {
+            nodes,
+            interconnect: Interconnect::Bus {
+                arbitration: Cycles::from_nanos(20),
+                snoop: Cycles::from_nanos(12),
+            },
+            ..MachineConfig::table1()
         }
     }
 }
@@ -104,7 +134,15 @@ impl fmt::Display for MachineConfig {
         )?;
         writeln!(f, "memory             row miss {}", self.mem_access)?;
         writeln!(f, "line transfer      {}", self.mem_transfer)?;
-        write!(f, "network            hypercube, wormhole, 16ns/hop")
+        match self.interconnect {
+            Interconnect::Hypercube { .. } => {
+                write!(f, "network            hypercube, wormhole, 16ns/hop")
+            }
+            Interconnect::Bus { arbitration, snoop } => write!(
+                f,
+                "network            snooping bus, arbitration {arbitration}, snoop {snoop}"
+            ),
+        }
     }
 }
 
@@ -115,7 +153,7 @@ pub enum AccessClass {
     L1Hit,
     /// Satisfied by the L2 (L1 filled).
     L2Hit,
-    /// Satisfied by the local node's memory.
+    /// Satisfied by the local node's memory (on a bus: by the memory).
     LocalMem,
     /// Satisfied by a remote home's memory.
     RemoteMem,
@@ -156,6 +194,15 @@ impl Access {
     /// Latency from issue to completion.
     pub fn latency(&self, issued: Cycles) -> Cycles {
         self.completion.saturating_sub(issued)
+    }
+
+    fn new(completion: Cycles, class: AccessClass, line: LineAddr) -> Self {
+        Access {
+            completion,
+            class,
+            line,
+            invalidations: Vec::new(),
+        }
     }
 }
 
@@ -199,16 +246,45 @@ struct NodeCaches {
     l2: Cache,
 }
 
-/// The coherent memory system: all caches, directories, and the network.
+/// The configured [`Interconnect`] with its run-time model: the
+/// hypercube's latencies, or when the bus is next free.
 #[derive(Debug)]
-pub struct MemorySystem {
+enum Link {
+    Hypercube {
+        net: Hypercube,
+        dir_dispatch: Cycles,
+    },
+    Bus {
+        arbitration: Cycles,
+        snoop: Cycles,
+        free_at: Cycles,
+    },
+}
+
+/// Acquires the bus at or after `ready` plus arbitration, holds it for
+/// `occupancy`, and returns the grant time.
+fn bus_grant(
+    free_at: &mut Cycles,
+    arbitration: Cycles,
+    ready: Cycles,
+    occupancy: Cycles,
+) -> Cycles {
+    let grant = (ready + arbitration).max(*free_at);
+    *free_at = grant + occupancy;
+    grant
+}
+
+/// The coherent memory system: all caches, the sharer directory, and the
+/// interconnect.
+#[derive(Debug)]
+pub struct CoherentMemory {
     cfg: MachineConfig,
     layout: MemLayout,
-    net: Hypercube,
+    link: Link,
     nodes: Vec<NodeCaches>,
     dir: Directory,
     stats: MemStats,
-    /// Reusable buffer for [`MemorySystem::flush_dirty_shared`], so the
+    /// Reusable buffer for [`CoherentMemory::flush_dirty_shared`], so the
     /// per-sleep-transition flush allocates nothing in steady state.
     flush_scratch: Vec<LineAddr>,
     /// Wake-up fault injector (`None` outside fault experiments, so the
@@ -216,21 +292,33 @@ pub struct MemorySystem {
     faults: Option<crate::faults::InvalidationFaults>,
 }
 
-impl MemorySystem {
-    /// Creates a memory system with cold caches.
-    pub fn new(cfg: MachineConfig) -> Self {
+impl CoherentMemory {
+    /// Creates a memory system with cold caches on `cfg`'s interconnect.
+    /// Both interconnects keep a full-map sharer directory, hence the
+    /// name.
+    pub fn directory(cfg: MachineConfig) -> Self {
         let layout = MemLayout::new(cfg.nodes);
-        let net = Hypercube::table1(cfg.nodes);
+        let link = match cfg.interconnect {
+            Interconnect::Hypercube { dir_dispatch } => Link::Hypercube {
+                net: Hypercube::table1(cfg.nodes),
+                dir_dispatch,
+            },
+            Interconnect::Bus { arbitration, snoop } => Link::Bus {
+                arbitration,
+                snoop,
+                free_at: Cycles::ZERO,
+            },
+        };
         let nodes = (0..cfg.nodes)
             .map(|_| NodeCaches {
                 l1: Cache::new(cfg.l1),
                 l2: Cache::new(cfg.l2),
             })
             .collect();
-        MemorySystem {
+        CoherentMemory {
             cfg,
             layout,
-            net,
+            link,
             nodes,
             dir: Directory::new(),
             stats: MemStats::default(),
@@ -262,11 +350,6 @@ impl MemorySystem {
     /// The machine's configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// The interconnect.
-    pub fn network(&self) -> &Hypercube {
-        &self.net
     }
 
     /// Event counters accumulated so far.
@@ -306,23 +389,13 @@ impl MemorySystem {
         let l1 = nc.l1.access(line);
         if l1.is_valid() {
             self.stats.l1_hits += 1;
-            return Access {
-                completion: now + self.cfg.l1_round_trip,
-                class: AccessClass::L1Hit,
-                line,
-                invalidations: Vec::new(),
-            };
+            return Access::new(now + self.cfg.l1_round_trip, AccessClass::L1Hit, line);
         }
         let l2 = nc.l2.access(line);
         if l2.is_valid() {
             self.stats.l2_hits += 1;
             self.fill_l1(node, line, l2);
-            return Access {
-                completion: now + self.cfg.l2_round_trip,
-                class: AccessClass::L2Hit,
-                line,
-                invalidations: Vec::new(),
-            };
+            return Access::new(now + self.cfg.l2_round_trip, AccessClass::L2Hit, line);
         }
         self.read_miss(node, line, now)
     }
@@ -341,12 +414,7 @@ impl MemorySystem {
         let l1 = nc.l1.write_access(line);
         if l1.can_write_silently() {
             self.stats.l1_hits += 1;
-            return Access {
-                completion: now + self.cfg.l1_round_trip,
-                class: AccessClass::L1Hit,
-                line,
-                invalidations: Vec::new(),
-            };
+            return Access::new(now + self.cfg.l1_round_trip, AccessClass::L1Hit, line);
         }
         let mut access = self.write_after_l1(node, line, l1, now);
         if let Some(f) = self.faults.as_mut() {
@@ -370,19 +438,14 @@ impl MemorySystem {
             if l2.can_write_silently() {
                 self.stats.l2_hits += 1;
                 self.fill_l1(node, line, LineState::Modified);
-                return Access {
-                    completion: now + self.cfg.l2_round_trip,
-                    class: AccessClass::L2Hit,
-                    line,
-                    invalidations: Vec::new(),
-                };
+                return Access::new(now + self.cfg.l2_round_trip, AccessClass::L2Hit, line);
             }
             if !l2.is_valid() {
-                return self.write_miss(node, line, now);
+                return self.write_past_l2(node, line, now, false);
             }
         }
         // Cached in Shared state somewhere locally: upgrade.
-        self.upgrade(node, line, now)
+        self.write_past_l2(node, line, now, true)
     }
 
     /// Performs `lines` back-to-back writes to consecutive cache lines
@@ -412,14 +475,13 @@ impl MemorySystem {
         t
     }
 
-    /// Flushes `node`'s dirty **shared** lines to their homes, as required
+    /// Flushes `node`'s dirty **shared** lines to memory, as required
     /// before entering a sleep state whose cache cannot service coherence
     /// requests (§3.1). Dirty copies are retained clean (the supply voltage
     /// is not interrupted, so data are preserved); the directory records the
     /// node as a clean sharer, letting the cache controller acknowledge
     /// later invalidations on the sleeping CPU's behalf.
     pub fn flush_dirty_shared(&mut self, node: NodeId, now: Cycles) -> FlushOutcome {
-        let _ = now;
         // Reuse the scratch buffer: after warm-up, collecting the dirty
         // set allocates nothing. Filter + sort + dedup matches the old
         // collect-then-sort behavior exactly (sorting makes the combined
@@ -432,7 +494,6 @@ impl MemorySystem {
         lines.retain(|l| !l.base_addr().is_private());
         lines.sort_unstable();
         lines.dedup();
-        let mut farthest = Cycles::ZERO;
         for &line in &lines {
             let nc = &mut self.nodes[node.index()];
             nc.l1.make_shared_if_dirty(line);
@@ -441,27 +502,44 @@ impl MemorySystem {
                 // cannot happen in this model, but keep the copy coherent).
                 nc.l2.insert(line, LineState::Shared);
             }
-            let home = self.layout.home_of(line);
-            farthest = farthest.max(self.net.line_latency(node, home));
             self.dir
                 .set(line, DirState::Shared(SharerSet::singleton(node)));
-            self.stats.writebacks += 1;
         }
+        let n = lines.len() as u64;
+        self.stats.writebacks += n;
         self.stats.flushes += 1;
-        self.stats.flushed_lines += lines.len() as u64;
-        let duration = if lines.is_empty() {
-            self.cfg.l2_round_trip
-        } else {
-            // Pipelined write-back stream: startup + per-line bus occupancy
-            // + the tail message reaching the farthest home involved.
-            self.cfg.l2_round_trip + self.cfg.mem_transfer * lines.len() as u64 + farthest
-        };
-        let outcome = FlushOutcome {
-            lines: lines.len(),
-            duration,
+        self.stats.flushed_lines += n;
+        let start = now + self.cfg.l2_round_trip;
+        let end = match self.link {
+            Link::Hypercube { net, .. } => {
+                // Pipelined write-back stream: startup + per-line bus
+                // occupancy + the tail message reaching the farthest home.
+                let farthest = lines
+                    .iter()
+                    .map(|&line| net.line_latency(node, self.layout.home_of(line)))
+                    .max()
+                    .unwrap_or(Cycles::ZERO);
+                start + self.cfg.mem_transfer * n + farthest
+            }
+            Link::Bus {
+                arbitration,
+                ref mut free_at,
+                ..
+            } => {
+                // Each write-back occupies one data phase.
+                let mut end = start;
+                for _ in 0..n {
+                    let grant = bus_grant(free_at, arbitration, end, self.cfg.mem_transfer);
+                    end = grant + self.cfg.mem_transfer;
+                }
+                end
+            }
         };
         self.flush_scratch = lines;
-        outcome
+        FlushOutcome {
+            lines: n as usize,
+            duration: end.saturating_sub(now),
+        }
     }
 
     // ----- internal helpers ------------------------------------------------
@@ -541,210 +619,243 @@ impl MemorySystem {
         }
     }
 
+    /// The memory access class on the hypercube: local or remote home.
+    fn memory_class(home: NodeId, node: NodeId) -> AccessClass {
+        if home == node {
+            AccessClass::LocalMem
+        } else {
+            AccessClass::RemoteMem
+        }
+    }
+
     fn read_miss(&mut self, node: NodeId, line: LineAddr, now: Cycles) -> Access {
         self.stats.dir_transactions += 1;
-        let home = self.layout.home_of(line);
-        let t_home = now + self.cfg.l2_round_trip + self.net.control_latency(node, home);
-        match self.dir_state(line) {
-            DirState::Uncached => {
-                let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
-                let completion = t_data + self.net.line_latency(home, node);
-                self.dir.set(line, DirState::Exclusive(node));
-                self.fill_both(node, line, LineState::Exclusive);
-                Access {
-                    completion,
-                    class: if home == node {
-                        AccessClass::LocalMem
-                    } else {
-                        AccessClass::RemoteMem
-                    },
-                    line,
-                    invalidations: Vec::new(),
-                }
+        let state = self.dir_state(line);
+        let owner = match state {
+            DirState::Exclusive(owner) => {
+                assert_ne!(owner, node, "missed a line the directory says we own");
+                Some(owner)
             }
             DirState::Shared(s) => {
                 debug_assert!(
                     !s.contains(node),
                     "missed a line the directory says we share"
                 );
-                let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
-                let completion = t_data + self.net.line_latency(home, node);
-                let mut s = s;
-                s.insert(node);
-                self.dir.set(line, DirState::Shared(s));
-                self.fill_both(node, line, LineState::Shared);
-                Access {
-                    completion,
-                    class: if home == node {
-                        AccessClass::LocalMem
-                    } else {
-                        AccessClass::RemoteMem
-                    },
-                    line,
-                    invalidations: Vec::new(),
+                None
+            }
+            DirState::Uncached => None,
+        };
+        let (completion, class) = match self.link {
+            Link::Hypercube { net, .. } => {
+                let home = self.layout.home_of(line);
+                let t_home = now + self.cfg.l2_round_trip + net.control_latency(node, home);
+                match owner {
+                    // Forwarded to the owner, which supplies the data.
+                    Some(owner) => {
+                        let t_owner =
+                            t_home + net.control_latency(home, owner) + self.cfg.l2_round_trip;
+                        (
+                            t_owner + net.line_latency(owner, node),
+                            AccessClass::CacheToCache,
+                        )
+                    }
+                    None => {
+                        let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
+                        (
+                            t_data + net.line_latency(home, node),
+                            Self::memory_class(home, node),
+                        )
+                    }
                 }
             }
-            DirState::Exclusive(owner) => {
-                assert_ne!(owner, node, "missed a line the directory says we own");
-                self.stats.cache_to_cache += 1;
-                // Forward to owner; owner supplies data and downgrades to
-                // Shared, writing dirty data back to home off-path.
-                let t_owner =
-                    t_home + self.net.control_latency(home, owner) + self.cfg.l2_round_trip;
-                let completion = t_owner + self.net.line_latency(owner, node);
-                let onc = &mut self.nodes[owner.index()];
-                let was_dirty = onc.l1.probe(line).is_dirty() || onc.l2.probe(line).is_dirty();
-                if onc.l1.probe(line).is_valid() {
-                    onc.l1.set_state(line, LineState::Shared);
-                }
-                if onc.l2.probe(line).is_valid() {
-                    onc.l2.set_state(line, LineState::Shared);
-                }
-                if was_dirty {
-                    self.stats.writebacks += 1; // sharing write-back to home
-                }
-                let holders: SharerSet = [owner, node].into_iter().collect();
-                self.dir.set(line, DirState::Shared(holders));
-                self.fill_both(node, line, LineState::Shared);
-                Access {
-                    completion,
-                    class: AccessClass::CacheToCache,
-                    line,
-                    invalidations: Vec::new(),
-                }
+            Link::Bus {
+                arbitration,
+                snoop,
+                ref mut free_at,
+            } => {
+                let (occupancy, class) = match owner {
+                    Some(_) => (snoop + self.cfg.mem_transfer, AccessClass::CacheToCache),
+                    None => (
+                        snoop + self.cfg.mem_access + self.cfg.mem_transfer,
+                        AccessClass::LocalMem,
+                    ),
+                };
+                let ready = now + self.cfg.l2_round_trip;
+                (
+                    bus_grant(free_at, arbitration, ready, occupancy) + occupancy,
+                    class,
+                )
             }
-        }
-    }
-
-    fn write_miss(&mut self, node: NodeId, line: LineAddr, now: Cycles) -> Access {
-        self.stats.dir_transactions += 1;
-        let home = self.layout.home_of(line);
-        let t_home = now + self.cfg.l2_round_trip + self.net.control_latency(node, home);
-        match self.dir_state(line) {
-            DirState::Uncached => {
-                let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
-                let completion = t_data + self.net.line_latency(home, node);
-                self.dir.set(line, DirState::Exclusive(node));
-                self.fill_both(node, line, LineState::Modified);
-                Access {
-                    completion,
-                    class: if home == node {
-                        AccessClass::LocalMem
-                    } else {
-                        AccessClass::RemoteMem
-                    },
-                    line,
-                    invalidations: Vec::new(),
-                }
+        };
+        if let Some(owner) = owner {
+            // The owner downgrades to Shared, writing dirty data back to
+            // memory off the critical path.
+            self.stats.cache_to_cache += 1;
+            let onc = &mut self.nodes[owner.index()];
+            let was_dirty = onc.l1.probe(line).is_dirty() || onc.l2.probe(line).is_dirty();
+            if onc.l1.probe(line).is_valid() {
+                onc.l1.set_state(line, LineState::Shared);
             }
-            DirState::Shared(s) => {
-                let targets = s.without(node);
-                let (invalidations, last_ack) =
-                    self.fan_out_invalidations(node, line, home, t_home, targets);
-                let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
-                let t_grant = t_data + self.net.line_latency(home, node);
-                let completion = t_grant.max(last_ack);
-                self.dir.set(line, DirState::Exclusive(node));
-                self.fill_both(node, line, LineState::Modified);
-                Access {
-                    completion,
-                    class: if home == node {
-                        AccessClass::LocalMem
-                    } else {
-                        AccessClass::RemoteMem
-                    },
-                    line,
-                    invalidations,
-                }
+            if onc.l2.probe(line).is_valid() {
+                onc.l2.set_state(line, LineState::Shared);
             }
-            DirState::Exclusive(owner) => {
-                assert_ne!(owner, node, "write-missed a line the directory says we own");
-                self.stats.cache_to_cache += 1;
-                let t_owner =
-                    t_home + self.net.control_latency(home, owner) + self.cfg.l2_round_trip;
-                let completion = t_owner + self.net.line_latency(owner, node);
-                let onc = &mut self.nodes[owner.index()];
-                onc.l1.invalidate(line);
-                onc.l2.invalidate(line);
-                let invalidations = vec![Invalidation {
-                    node: owner,
-                    line,
-                    at: t_owner,
-                }];
-                self.stats.invalidations_sent += 1;
-                self.dir.set(line, DirState::Exclusive(node));
-                self.fill_both(node, line, LineState::Modified);
-                Access {
-                    completion,
-                    class: AccessClass::CacheToCache,
-                    line,
-                    invalidations,
-                }
+            if was_dirty {
+                self.stats.writebacks += 1;
             }
         }
+        // The first reader of an uncached line gets it Exclusive.
+        let fill = if state == DirState::Uncached {
+            self.dir.set(line, DirState::Exclusive(node));
+            LineState::Exclusive
+        } else {
+            let mut holders = state.holders();
+            holders.insert(node);
+            self.dir.set(line, DirState::Shared(holders));
+            LineState::Shared
+        };
+        self.fill_both(node, line, fill);
+        Access::new(completion, class, line)
     }
 
-    fn upgrade(&mut self, node: NodeId, line: LineAddr, now: Cycles) -> Access {
+    /// A write that needs the directory: a miss (`upgrade == false`) or an
+    /// upgrade of a locally cached Shared copy. Every other copy is
+    /// invalidated and the writer ends up holding the line Modified.
+    fn write_past_l2(
+        &mut self,
+        node: NodeId,
+        line: LineAddr,
+        now: Cycles,
+        upgrade: bool,
+    ) -> Access {
         self.stats.dir_transactions += 1;
-        let home = self.layout.home_of(line);
-        let t_home = now + self.cfg.l1_round_trip + self.net.control_latency(node, home);
-        let targets = match self.dir_state(line) {
-            DirState::Shared(s) => s.without(node),
-            // The directory may already say Exclusive(us) if the L2 held E
-            // while the L1 held S; treat as silent upgrade.
-            DirState::Exclusive(owner) if owner == node => SharerSet::EMPTY,
+        let state = self.dir_state(line);
+        let owner = match state {
+            DirState::Exclusive(owner) if owner == node => {
+                // The L2 held E while the L1 held S: a silent upgrade.
+                assert!(upgrade, "write-missed a line the directory says we own");
+                None
+            }
+            DirState::Shared(_) => None,
+            DirState::Exclusive(owner) if !upgrade => Some(owner),
+            DirState::Uncached if !upgrade => None,
             other => panic!("upgrade of {line} by {node} but directory says {other}"),
         };
-        let (invalidations, last_ack) =
-            self.fan_out_invalidations(node, line, home, t_home, targets);
-        let t_grant = t_home + self.net.control_latency(home, node);
-        let completion = t_grant.max(last_ack).max(now + self.cfg.l1_round_trip);
+        let targets = state.holders().without(node);
         self.dir.set(line, DirState::Exclusive(node));
-        let nc = &mut self.nodes[node.index()];
-        if !nc.l2.set_state(line, LineState::Modified) {
-            nc.l2.insert(line, LineState::Modified);
-        }
-        if !nc.l1.set_state(line, LineState::Modified) {
-            self.fill_l1(node, line, LineState::Modified);
-        }
+        let (completion, class, invalidations) = match self.link {
+            Link::Hypercube { net, dir_dispatch } => {
+                let home = self.layout.home_of(line);
+                // The home invalidates the sharers one dispatch apart; each
+                // acknowledges straight to the requester.
+                let fan_out = |mem: &mut Self, t_home: Cycles| {
+                    let invs = mem.invalidate_copies(line, targets, |i, sharer| {
+                        t_home + dir_dispatch * i as u64 + net.control_latency(home, sharer)
+                    });
+                    let last_ack = invs
+                        .iter()
+                        .map(|inv| inv.at + net.control_latency(inv.node, node))
+                        .fold(t_home, Cycles::max);
+                    (invs, last_ack)
+                };
+                if upgrade {
+                    let t_home = now + self.cfg.l1_round_trip + net.control_latency(node, home);
+                    let (invalidations, last_ack) = fan_out(self, t_home);
+                    let t_grant = t_home + net.control_latency(home, node);
+                    let completion = t_grant.max(last_ack).max(now + self.cfg.l1_round_trip);
+                    let nc = &mut self.nodes[node.index()];
+                    if !nc.l2.set_state(line, LineState::Modified) {
+                        nc.l2.insert(line, LineState::Modified);
+                    }
+                    if !nc.l1.set_state(line, LineState::Modified) {
+                        self.fill_l1(node, line, LineState::Modified);
+                    }
+                    (completion, AccessClass::Upgrade, invalidations)
+                } else {
+                    let t_home = now + self.cfg.l2_round_trip + net.control_latency(node, home);
+                    let access = match owner {
+                        Some(owner) => {
+                            self.stats.cache_to_cache += 1;
+                            let t_owner =
+                                t_home + net.control_latency(home, owner) + self.cfg.l2_round_trip;
+                            let invalidations =
+                                self.invalidate_copies(line, targets, |_, _| t_owner);
+                            (
+                                t_owner + net.line_latency(owner, node),
+                                AccessClass::CacheToCache,
+                                invalidations,
+                            )
+                        }
+                        None => {
+                            let (invalidations, last_ack) = fan_out(self, t_home);
+                            let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
+                            let t_grant = t_data + net.line_latency(home, node);
+                            (
+                                t_grant.max(last_ack),
+                                Self::memory_class(home, node),
+                                invalidations,
+                            )
+                        }
+                    };
+                    self.fill_both(node, line, LineState::Modified);
+                    access
+                }
+            }
+            Link::Bus {
+                arbitration,
+                snoop,
+                ref mut free_at,
+            } => {
+                // One broadcast address phase invalidates every other copy
+                // at the same instant.
+                let (occupancy, class) = match owner {
+                    _ if upgrade => (snoop, AccessClass::Upgrade),
+                    Some(_) => (snoop + self.cfg.mem_transfer, AccessClass::CacheToCache),
+                    None => (
+                        snoop + self.cfg.mem_access + self.cfg.mem_transfer,
+                        AccessClass::LocalMem,
+                    ),
+                };
+                let ready = now + self.cfg.l2_round_trip;
+                let grant = bus_grant(free_at, arbitration, ready, occupancy);
+                let invalidations = self.invalidate_copies(line, targets, |_, _| grant + snoop);
+                if owner.is_some() {
+                    // The owner supplies the data and writes it back.
+                    self.stats.cache_to_cache += 1;
+                    self.stats.writebacks += 1;
+                }
+                self.fill_both(node, line, LineState::Modified);
+                (grant + occupancy, class, invalidations)
+            }
+        };
         Access {
             completion,
-            class: AccessClass::Upgrade,
+            class,
             line,
             invalidations,
         }
     }
 
-    /// Sends invalidations for `line` from `home` to every node in
-    /// `targets`, removing their copies. Returns the messages (with
-    /// delivery times) and the time the last acknowledgment reaches the
-    /// requester.
-    fn fan_out_invalidations(
+    /// Removes every copy of `line` held by `targets` and returns one
+    /// invalidation per sharer, the `i`-th delivered at `at(i, sharer)`.
+    fn invalidate_copies(
         &mut self,
-        requester: NodeId,
         line: LineAddr,
-        home: NodeId,
-        t_home: Cycles,
         targets: SharerSet,
-    ) -> (Vec<Invalidation>, Cycles) {
+        at: impl Fn(usize, NodeId) -> Cycles,
+    ) -> Vec<Invalidation> {
         let mut invalidations = Vec::with_capacity(targets.len());
-        let mut last_ack = t_home;
         for (i, sharer) in targets.iter().enumerate() {
-            let dispatched = t_home + self.cfg.dir_dispatch * i as u64;
-            let delivered = dispatched + self.net.control_latency(home, sharer);
             let nc = &mut self.nodes[sharer.index()];
             nc.l1.invalidate(line);
             nc.l2.invalidate(line);
             invalidations.push(Invalidation {
                 node: sharer,
                 line,
-                at: delivered,
+                at: at(i, sharer),
             });
-            let ack = delivered + self.net.control_latency(sharer, requester);
-            last_ack = last_ack.max(ack);
-            self.stats.invalidations_sent += 1;
         }
-        (invalidations, last_ack)
+        self.stats.invalidations_sent += invalidations.len() as u64;
+        invalidations
     }
 }
 
@@ -752,8 +863,17 @@ impl MemorySystem {
 mod tests {
     use super::*;
 
-    fn sys(nodes: u16) -> MemorySystem {
-        MemorySystem::new(MachineConfig::table1_with_nodes(nodes))
+    fn sys(nodes: u16) -> CoherentMemory {
+        CoherentMemory::directory(MachineConfig::table1_with_nodes(nodes))
+    }
+
+    fn bus(nodes: u16) -> CoherentMemory {
+        CoherentMemory::directory(MachineConfig::bus_smp(nodes))
+    }
+
+    /// One machine per interconnect, for tests that must hold on both.
+    fn both(nodes: u16) -> [CoherentMemory; 2] {
+        [sys(nodes), bus(nodes)]
     }
 
     fn n(i: u16) -> NodeId {
@@ -762,92 +882,98 @@ mod tests {
 
     #[test]
     fn first_read_misses_then_hits() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        let r1 = m.read(n(1), a, Cycles::ZERO);
-        assert_ne!(r1.class, AccessClass::L1Hit);
-        assert!(r1.completion > Cycles::ZERO);
-        let r2 = m.read(n(1), a, r1.completion);
-        assert_eq!(r2.class, AccessClass::L1Hit);
-        assert_eq!(r2.latency(r1.completion), Cycles::from_nanos(2));
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            let r1 = m.read(n(1), a, Cycles::ZERO);
+            assert_ne!(r1.class, AccessClass::L1Hit);
+            assert!(r1.completion > Cycles::ZERO);
+            let r2 = m.read(n(1), a, r1.completion);
+            assert_eq!(r2.class, AccessClass::L1Hit);
+            assert_eq!(r2.latency(r1.completion), Cycles::from_nanos(2));
+        }
     }
 
     #[test]
     fn first_reader_gets_exclusive_then_sharers_downgrade() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        m.read(n(1), a, Cycles::ZERO);
-        assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(1)));
-        assert_eq!(m.cached_state(n(1), a.line()), LineState::Exclusive);
-        let r = m.read(n(2), a, Cycles::from_nanos(500));
-        assert_eq!(r.class, AccessClass::CacheToCache);
-        assert_eq!(m.cached_state(n(1), a.line()), LineState::Shared);
-        assert_eq!(m.cached_state(n(2), a.line()), LineState::Shared);
-        match m.dir_state(a.line()) {
-            DirState::Shared(s) => {
-                assert!(s.contains(n(1)) && s.contains(n(2)) && s.len() == 2)
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            m.read(n(1), a, Cycles::ZERO);
+            assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(1)));
+            assert_eq!(m.cached_state(n(1), a.line()), LineState::Exclusive);
+            let r = m.read(n(2), a, Cycles::from_nanos(500));
+            assert_eq!(r.class, AccessClass::CacheToCache);
+            assert_eq!(m.cached_state(n(1), a.line()), LineState::Shared);
+            assert_eq!(m.cached_state(n(2), a.line()), LineState::Shared);
+            match m.dir_state(a.line()) {
+                DirState::Shared(s) => {
+                    assert!(s.contains(n(1)) && s.contains(n(2)) && s.len() == 2)
+                }
+                other => panic!("expected Shared, got {other}"),
             }
-            other => panic!("expected Shared, got {other}"),
         }
     }
 
     #[test]
     fn write_to_shared_line_invalidates_all_sharers() {
-        let mut m = sys(8);
-        let a = m.layout().shared_addr(0, 0);
-        for i in 1..6 {
-            m.read(n(i), a, Cycles::from_nanos(i as u64 * 1000));
+        for mut m in both(8) {
+            let a = m.layout().shared_addr(0, 0);
+            for i in 1..6 {
+                m.read(n(i), a, Cycles::from_nanos(i as u64 * 1000));
+            }
+            let w = m.write(n(0), a, Cycles::from_micros(10));
+            assert_eq!(w.invalidations.len(), 5);
+            for inv in &w.invalidations {
+                assert!(inv.at > Cycles::from_micros(10));
+                assert_eq!(inv.line, a.line());
+                assert_eq!(m.cached_state(inv.node, a.line()), LineState::Invalid);
+            }
+            assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(0)));
+            assert_eq!(m.cached_state(n(0), a.line()), LineState::Modified);
+            // Completion waits for the last acknowledgment.
+            let max_delivery = w.invalidations.iter().map(|i| i.at).max().unwrap();
+            assert!(w.completion >= max_delivery);
         }
-        let w = m.write(n(0), a, Cycles::from_micros(10));
-        assert_eq!(w.invalidations.len(), 5);
-        for inv in &w.invalidations {
-            assert!(inv.at > Cycles::from_micros(10));
-            assert_eq!(inv.line, a.line());
-            assert_eq!(m.cached_state(inv.node, a.line()), LineState::Invalid);
-        }
-        assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(0)));
-        assert_eq!(m.cached_state(n(0), a.line()), LineState::Modified);
-        // Completion waits for the last acknowledgment.
-        let max_delivery = w.invalidations.iter().map(|i| i.at).max().unwrap();
-        assert!(w.completion >= max_delivery);
     }
 
     #[test]
     fn silent_write_on_exclusive() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        let r = m.read(n(2), a, Cycles::ZERO);
-        let w = m.write(n(2), a, r.completion);
-        assert_eq!(w.class, AccessClass::L1Hit);
-        assert!(w.invalidations.is_empty());
-        assert_eq!(m.cached_state(n(2), a.line()), LineState::Modified);
-        assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(2)));
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            let r = m.read(n(2), a, Cycles::ZERO);
+            let w = m.write(n(2), a, r.completion);
+            assert_eq!(w.class, AccessClass::L1Hit);
+            assert!(w.invalidations.is_empty());
+            assert_eq!(m.cached_state(n(2), a.line()), LineState::Modified);
+            assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(2)));
+        }
     }
 
     #[test]
     fn upgrade_from_shared_pays_coherence() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        m.read(n(0), a, Cycles::ZERO);
-        m.read(n(1), a, Cycles::from_micros(1));
-        let w = m.write(n(0), a, Cycles::from_micros(2));
-        assert_eq!(w.class, AccessClass::Upgrade);
-        assert_eq!(w.invalidations.len(), 1);
-        assert_eq!(w.invalidations[0].node, n(1));
-        assert_eq!(m.cached_state(n(1), a.line()), LineState::Invalid);
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            m.read(n(0), a, Cycles::ZERO);
+            m.read(n(1), a, Cycles::from_micros(1));
+            let w = m.write(n(0), a, Cycles::from_micros(2));
+            assert_eq!(w.class, AccessClass::Upgrade);
+            assert_eq!(w.invalidations.len(), 1);
+            assert_eq!(w.invalidations[0].node, n(1));
+            assert_eq!(m.cached_state(n(1), a.line()), LineState::Invalid);
+        }
     }
 
     #[test]
     fn write_miss_on_modified_steals_ownership() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        m.write(n(1), a, Cycles::ZERO);
-        let w = m.write(n(2), a, Cycles::from_micros(1));
-        assert_eq!(w.class, AccessClass::CacheToCache);
-        assert_eq!(w.invalidations.len(), 1);
-        assert_eq!(w.invalidations[0].node, n(1));
-        assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(2)));
-        assert_eq!(m.cached_state(n(1), a.line()), LineState::Invalid);
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            m.write(n(1), a, Cycles::ZERO);
+            let w = m.write(n(2), a, Cycles::from_micros(1));
+            assert_eq!(w.class, AccessClass::CacheToCache);
+            assert_eq!(w.invalidations.len(), 1);
+            assert_eq!(w.invalidations[0].node, n(1));
+            assert_eq!(m.dir_state(a.line()), DirState::Exclusive(n(2)));
+            assert_eq!(m.cached_state(n(1), a.line()), LineState::Invalid);
+        }
     }
 
     #[test]
@@ -865,53 +991,57 @@ mod tests {
 
     #[test]
     fn flush_writes_back_shared_dirty_and_keeps_clean_copy() {
-        let mut m = sys(4);
-        let shared = m.layout().shared_addr(0, 0);
-        let private = m.layout().private_addr(n(1), 0, 0);
-        m.write(n(1), shared, Cycles::ZERO);
-        m.write(n(1), private, Cycles::from_micros(1));
-        let f = m.flush_dirty_shared(n(1), Cycles::from_micros(2));
-        assert_eq!(f.lines, 1, "only the shared dirty line is flushed");
-        assert!(f.duration > Cycles::ZERO);
-        assert_eq!(m.cached_state(n(1), shared.line()), LineState::Shared);
-        assert_eq!(
-            m.dir_state(shared.line()),
-            DirState::Shared(SharerSet::singleton(n(1)))
-        );
-        // Private line untouched.
-        assert_eq!(m.cached_state(n(1), private.line()), LineState::Modified);
+        for mut m in both(4) {
+            let shared = m.layout().shared_addr(0, 0);
+            let private = m.layout().private_addr(n(1), 0, 0);
+            m.write(n(1), shared, Cycles::ZERO);
+            m.write(n(1), private, Cycles::from_micros(1));
+            let f = m.flush_dirty_shared(n(1), Cycles::from_micros(2));
+            assert_eq!(f.lines, 1, "only the shared dirty line is flushed");
+            assert!(f.duration > Cycles::ZERO);
+            assert_eq!(m.cached_state(n(1), shared.line()), LineState::Shared);
+            assert_eq!(
+                m.dir_state(shared.line()),
+                DirState::Shared(SharerSet::singleton(n(1)))
+            );
+            // Private line untouched.
+            assert_eq!(m.cached_state(n(1), private.line()), LineState::Modified);
+        }
     }
 
     #[test]
     fn flush_with_nothing_dirty_is_cheap() {
-        let mut m = sys(2);
-        let f = m.flush_dirty_shared(n(0), Cycles::ZERO);
-        assert_eq!(f.lines, 0);
-        assert_eq!(f.duration, m.config().l2_round_trip);
+        for mut m in both(2) {
+            let f = m.flush_dirty_shared(n(0), Cycles::ZERO);
+            assert_eq!(f.lines, 0);
+            assert_eq!(f.duration, m.config().l2_round_trip);
+        }
     }
 
     #[test]
     fn reread_after_flush_hits_locally() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        m.write(n(1), a, Cycles::ZERO);
-        m.flush_dirty_shared(n(1), Cycles::from_micros(1));
-        let r = m.read(n(1), a, Cycles::from_micros(2));
-        assert_eq!(r.class, AccessClass::L1Hit, "clean copy retained");
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            m.write(n(1), a, Cycles::ZERO);
+            m.flush_dirty_shared(n(1), Cycles::from_micros(1));
+            let r = m.read(n(1), a, Cycles::from_micros(2));
+            assert_eq!(r.class, AccessClass::L1Hit, "clean copy retained");
+        }
     }
 
     #[test]
     fn rewrite_after_flush_needs_upgrade() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        m.write(n(1), a, Cycles::ZERO);
-        m.flush_dirty_shared(n(1), Cycles::from_micros(1));
-        let w = m.write(n(1), a, Cycles::from_micros(2));
-        assert_eq!(
-            w.class,
-            AccessClass::Upgrade,
-            "flush cost resurfaces on re-write"
-        );
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            m.write(n(1), a, Cycles::ZERO);
+            m.flush_dirty_shared(n(1), Cycles::from_micros(1));
+            let w = m.write(n(1), a, Cycles::from_micros(2));
+            assert_eq!(
+                w.class,
+                AccessClass::Upgrade,
+                "flush cost resurfaces on re-write"
+            );
+        }
     }
 
     #[test]
@@ -945,47 +1075,49 @@ mod tests {
 
     #[test]
     fn eviction_notifies_directory() {
-        let mut m = sys(2);
-        // Fill node 0's L2 far beyond capacity with private lines.
-        let total_lines = (m.config().l2.size_bytes() / 64) * 4;
-        let mut t = Cycles::ZERO;
-        for i in 0..total_lines {
-            let a = m.layout().private_addr(n(0), i / 64, (i % 64) * 64);
-            m.write(n(0), a, t);
-            t += Cycles::from_micros(1);
-        }
-        // Every line the directory still attributes to node 0 must actually
-        // be resident somewhere in node 0's hierarchy.
-        let mut resident = std::collections::HashSet::new();
-        for (l, _) in m.nodes[0].l1.resident_lines() {
-            resident.insert(l);
-        }
-        for (l, _) in m.nodes[0].l2.resident_lines() {
-            resident.insert(l);
-        }
-        for (line, state) in m.dir.iter() {
-            if let DirState::Exclusive(owner) = state {
-                if owner == n(0) {
-                    assert!(resident.contains(&line), "directory stale for {line}");
+        for mut m in both(2) {
+            // Fill node 0's L2 far beyond capacity with private lines.
+            let total_lines = (m.config().l2.size_bytes() / 64) * 4;
+            let mut t = Cycles::ZERO;
+            for i in 0..total_lines {
+                let a = m.layout().private_addr(n(0), i / 64, (i % 64) * 64);
+                m.write(n(0), a, t);
+                t += Cycles::from_micros(1);
+            }
+            // Every line the directory still attributes to node 0 must actually
+            // be resident somewhere in node 0's hierarchy.
+            let mut resident = std::collections::HashSet::new();
+            for (l, _) in m.nodes[0].l1.resident_lines() {
+                resident.insert(l);
+            }
+            for (l, _) in m.nodes[0].l2.resident_lines() {
+                resident.insert(l);
+            }
+            for (line, state) in m.dir.iter() {
+                if let DirState::Exclusive(owner) = state {
+                    if owner == n(0) {
+                        assert!(resident.contains(&line), "directory stale for {line}");
+                    }
                 }
             }
+            assert!(m.stats().writebacks > 0, "capacity evictions wrote back");
         }
-        assert!(m.stats().writebacks > 0, "capacity evictions wrote back");
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut m = sys(4);
-        let a = m.layout().shared_addr(0, 0);
-        m.read(n(0), a, Cycles::ZERO);
-        m.read(n(0), a, Cycles::from_nanos(100));
-        m.write(n(1), a, Cycles::from_micros(1));
-        let s = m.stats();
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.l1_hits, 1);
-        assert!(s.dir_transactions >= 2);
-        assert!(s.invalidations_sent >= 1);
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            m.read(n(0), a, Cycles::ZERO);
+            m.read(n(0), a, Cycles::from_nanos(100));
+            m.write(n(1), a, Cycles::from_micros(1));
+            let s = m.stats();
+            assert_eq!(s.reads, 2);
+            assert_eq!(s.writes, 1);
+            assert_eq!(s.l1_hits, 1);
+            assert!(s.dir_transactions >= 2);
+            assert!(s.invalidations_sent >= 1);
+        }
     }
 
     #[test]
@@ -1000,5 +1132,148 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_node_count_rejected() {
         let _ = MachineConfig::table1_with_nodes(5);
+    }
+
+    #[test]
+    fn both_interconnects_answer_the_same_api() {
+        for mut m in both(4) {
+            let a = m.layout().shared_addr(0, 0);
+            let r = m.read(n(1), a, Cycles::ZERO);
+            assert!(r.completion > Cycles::ZERO);
+            let w = m.write(n(2), a, Cycles::from_micros(1));
+            assert_eq!(w.invalidations.len(), 1, "{}", m.config());
+            let f = m.flush_dirty_shared(n(2), Cycles::from_micros(2));
+            assert_eq!(f.lines, 1);
+            assert!(m.stats().reads >= 1);
+        }
+    }
+
+    #[test]
+    fn write_line_run_matches_per_line_writes() {
+        // The batched entry point must produce the same completion chain and
+        // the same coherence state as issuing the writes one at a time.
+        for (mut batched, mut looped) in both(8).into_iter().zip(both(8)) {
+            let base = batched.layout().shared_addr(3, 0);
+            let node = n(2);
+            // Seed some remote sharers so part of the run needs upgrades.
+            for i in 0..8u64 {
+                let a = base.offset(i * 2 * 64);
+                batched.read(n(5), a, Cycles::ZERO);
+                looped.read(n(5), a, Cycles::ZERO);
+            }
+            let t0 = Cycles::from_micros(1);
+            let end_b = batched.write_line_run(node, base, 40, t0);
+            let mut end_l = t0;
+            for i in 0..40u64 {
+                end_l = looped.write(node, base.offset(i * 64), end_l).completion;
+            }
+            // Run again from a warm cache: now every write is silent.
+            let end_b2 = batched.write_line_run(node, base, 40, end_b);
+            let mut end_l2 = end_l;
+            for i in 0..40u64 {
+                end_l2 = looped.write(node, base.offset(i * 64), end_l2).completion;
+            }
+            let cfg = batched.config();
+            assert_eq!(end_b, end_l, "{cfg}");
+            assert_eq!(end_b2, end_l2, "{cfg}");
+            assert_eq!(batched.stats(), looped.stats(), "{cfg}");
+        }
+    }
+
+    #[test]
+    fn broadcast_invalidation_is_simultaneous() {
+        // The defining bus property: all sharers observe the flag flip at
+        // the same instant.
+        let mut m = bus(16);
+        let flag = m.layout().shared_addr(0, 0);
+        let mut t = Cycles::ZERO;
+        for i in 1..16 {
+            t += Cycles::from_micros(1);
+            m.read(n(i), flag, t);
+        }
+        let w = m.write(n(0), flag, t + Cycles::from_micros(1));
+        assert_eq!(w.invalidations.len(), 15);
+        let first = w.invalidations[0].at;
+        assert!(w.invalidations.iter().all(|i| i.at == first));
+        assert!(w.completion >= first);
+    }
+
+    #[test]
+    fn misses_serialize_on_the_bus() {
+        // Two cold misses issued at the same instant: the second must wait
+        // for the first transaction's occupancy.
+        let mut m = bus(4);
+        let a = m.layout().shared_addr(0, 0);
+        let b = m.layout().shared_addr(1, 0);
+        let r1 = m.read(n(0), a, Cycles::ZERO);
+        let r2 = m.read(n(1), b, Cycles::ZERO);
+        assert!(
+            r2.completion > r1.completion,
+            "bus contention must serialize: {} vs {}",
+            r2.completion,
+            r1.completion
+        );
+    }
+
+    #[test]
+    fn hit_paths_bypass_the_bus() {
+        let mut m = bus(4);
+        let a = m.layout().shared_addr(0, 0);
+        let r1 = m.read(n(2), a, Cycles::ZERO);
+        let busy = |m: &CoherentMemory| match m.link {
+            Link::Bus { free_at, .. } => free_at,
+            Link::Hypercube { .. } => unreachable!("a bus machine"),
+        };
+        let busy_before = busy(&m);
+        let r2 = m.read(n(2), a, r1.completion);
+        assert_eq!(r2.class, AccessClass::L1Hit);
+        assert_eq!(busy(&m), busy_before, "hits leave the bus alone");
+    }
+
+    #[test]
+    fn flush_occupies_the_bus_per_line() {
+        let mut m = bus(4);
+        let mut t = Cycles::ZERO;
+        for page in 0..8 {
+            t += Cycles::from_micros(1);
+            m.write(n(1), m.layout().shared_addr(page, 0), t);
+        }
+        let f = m.flush_dirty_shared(n(1), t + Cycles::from_micros(1));
+        assert_eq!(f.lines, 8);
+        assert!(
+            f.duration >= Cycles::from_nanos(8 * 16),
+            "eight data phases: {}",
+            f.duration
+        );
+        let f2 = m.flush_dirty_shared(n(1), t + Cycles::from_millis(1));
+        assert_eq!(f2.lines, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bus SMP size")]
+    fn single_node_bus_rejected() {
+        let _ = MachineConfig::bus_smp(1);
+    }
+
+    #[test]
+    fn bus_accepts_any_size_in_range() {
+        // Unlike the hypercube, a bus need not have a power-of-two size.
+        let mut m = bus(12);
+        let a = m.layout().shared_addr(5, 0);
+        m.read(n(11), a, Cycles::ZERO);
+        assert_eq!(
+            m.write(n(3), a, Cycles::from_micros(1)).invalidations.len(),
+            1
+        );
+    }
+
+    #[test]
+    fn display_names_the_interconnect() {
+        assert!(MachineConfig::table1_with_nodes(4)
+            .to_string()
+            .ends_with("hypercube, wormhole, 16ns/hop"));
+        assert!(MachineConfig::bus_smp(8)
+            .to_string()
+            .contains("snooping bus"));
     }
 }

@@ -1,10 +1,23 @@
-//! Property-based tests of the coherence protocol: after any sequence of
-//! reads, writes, and flushes, the full-map directory and the caches must
-//! agree exactly.
+//! Property-based tests of the coherence protocol on both interconnects:
+//! after any sequence of reads, writes, and flushes, the full-map directory
+//! and the caches must agree exactly. The bus adds its defining properties:
+//! one write's invalidations share one instant, and misses serialize.
 
 use proptest::prelude::*;
-use tb_mem::{Addr, DirState, LineState, MachineConfig, MemorySystem, NodeId};
+use tb_mem::{AccessClass, Addr, CoherentMemory, DirState, LineState, MachineConfig, NodeId};
 use tb_sim::Cycles;
+
+/// One machine per interconnect: the Table 1 hypercube and a bus SMP.
+fn both(nodes: u16) -> [CoherentMemory; 2] {
+    [
+        CoherentMemory::directory(MachineConfig::table1_with_nodes(nodes)),
+        CoherentMemory::directory(MachineConfig::bus_smp(nodes)),
+    ]
+}
+
+fn bus(nodes: u16) -> CoherentMemory {
+    CoherentMemory::directory(MachineConfig::bus_smp(nodes))
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -23,7 +36,7 @@ fn op_strategy(nodes: u16, addrs: usize) -> impl Strategy<Value = Op> {
 
 /// The address pool: a mix of shared lines (some colliding in cache sets)
 /// and per-node private lines.
-fn addr_pool(mem: &MemorySystem, nodes: u16) -> Vec<Addr> {
+fn addr_pool(mem: &CoherentMemory, nodes: u16) -> Vec<Addr> {
     let mut pool = Vec::new();
     for page in 0..6u64 {
         for line in 0..4u64 {
@@ -37,7 +50,7 @@ fn addr_pool(mem: &MemorySystem, nodes: u16) -> Vec<Addr> {
 }
 
 /// Checks every protocol invariant for every address in the pool.
-fn check_invariants(mem: &MemorySystem, pool: &[Addr], nodes: u16) -> Result<(), TestCaseError> {
+fn check_invariants(mem: &CoherentMemory, pool: &[Addr], nodes: u16) -> Result<(), TestCaseError> {
     for &addr in pool {
         let line = addr.line();
         let dir = mem.dir_state(line);
@@ -111,31 +124,32 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(8, 28), 1..120),
     ) {
         let nodes = 8u16;
-        let mut mem = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
-        let pool = addr_pool(&mem, nodes);
-        let mut t = Cycles::ZERO;
-        for op in &ops {
-            t += Cycles::from_micros(1);
-            match *op {
-                Op::Read { node, addr_idx } => {
-                    let addr = pool[addr_idx % pool.len()];
-                    if addr.is_private() && addr.private_owner() != Some(NodeId::new(node)) {
-                        continue; // private data is only touched by its owner
+        for mut mem in both(nodes) {
+            let pool = addr_pool(&mem, nodes);
+            let mut t = Cycles::ZERO;
+            for op in &ops {
+                t += Cycles::from_micros(1);
+                match *op {
+                    Op::Read { node, addr_idx } => {
+                        let addr = pool[addr_idx % pool.len()];
+                        if addr.is_private() && addr.private_owner() != Some(NodeId::new(node)) {
+                            continue; // private data is only touched by its owner
+                        }
+                        mem.read(NodeId::new(node), addr, t);
                     }
-                    mem.read(NodeId::new(node), addr, t);
-                }
-                Op::Write { node, addr_idx } => {
-                    let addr = pool[addr_idx % pool.len()];
-                    if addr.is_private() && addr.private_owner() != Some(NodeId::new(node)) {
-                        continue;
+                    Op::Write { node, addr_idx } => {
+                        let addr = pool[addr_idx % pool.len()];
+                        if addr.is_private() && addr.private_owner() != Some(NodeId::new(node)) {
+                            continue;
+                        }
+                        mem.write(NodeId::new(node), addr, t);
                     }
-                    mem.write(NodeId::new(node), addr, t);
+                    Op::Flush { node } => {
+                        mem.flush_dirty_shared(NodeId::new(node), t);
+                    }
                 }
-                Op::Flush { node } => {
-                    mem.flush_dirty_shared(NodeId::new(node), t);
-                }
+                check_invariants(&mem, &pool, nodes)?;
             }
-            check_invariants(&mem, &pool, nodes)?;
         }
     }
 
@@ -146,27 +160,28 @@ proptest! {
         readers in proptest::collection::btree_set(1u16..8, 0..7),
         writer in 0u16..1,
     ) {
-        let mut mem = MemorySystem::new(MachineConfig::table1_with_nodes(8));
-        let addr = mem.layout().shared_addr(0, 0);
-        let mut t = Cycles::ZERO;
-        for &r in &readers {
-            t += Cycles::from_micros(1);
-            mem.read(NodeId::new(r), addr, t);
+        for mut mem in both(8) {
+            let addr = mem.layout().shared_addr(0, 0);
+            let mut t = Cycles::ZERO;
+            for &r in &readers {
+                t += Cycles::from_micros(1);
+                mem.read(NodeId::new(r), addr, t);
+            }
+            let w = mem.write(NodeId::new(writer), addr, t + Cycles::from_micros(1));
+            let mut invalidated: Vec<u16> =
+                w.invalidations.iter().map(|i| i.node.as_u16()).collect();
+            invalidated.sort_unstable();
+            let expected: Vec<u16> = readers.iter().copied().collect();
+            prop_assert_eq!(invalidated, expected);
+            for inv in &w.invalidations {
+                prop_assert!(w.completion >= inv.at || !readers.is_empty());
+                prop_assert_eq!(
+                    mem.cached_state(inv.node, addr.line()),
+                    LineState::Invalid
+                );
+            }
+            prop_assert_eq!(mem.dir_state(addr.line()), DirState::Exclusive(NodeId::new(writer)));
         }
-        let w = mem.write(NodeId::new(writer), addr, t + Cycles::from_micros(1));
-        let mut invalidated: Vec<u16> =
-            w.invalidations.iter().map(|i| i.node.as_u16()).collect();
-        invalidated.sort_unstable();
-        let expected: Vec<u16> = readers.iter().copied().collect();
-        prop_assert_eq!(invalidated, expected);
-        for inv in &w.invalidations {
-            prop_assert!(w.completion >= inv.at || !readers.is_empty());
-            prop_assert_eq!(
-                mem.cached_state(inv.node, addr.line()),
-                LineState::Invalid
-            );
-        }
-        prop_assert_eq!(mem.dir_state(addr.line()), DirState::Exclusive(NodeId::new(writer)));
     }
 
     /// Flushing leaves no dirty shared lines and never touches private
@@ -176,36 +191,37 @@ proptest! {
         shared_writes in proptest::collection::vec(0u64..16, 0..20),
         private_writes in 0u32..10,
     ) {
-        let mut mem = MemorySystem::new(MachineConfig::table1_with_nodes(4));
-        let node = NodeId::new(1);
-        let mut t = Cycles::ZERO;
-        let mut distinct = std::collections::HashSet::new();
-        for &page in &shared_writes {
-            t += Cycles::from_micros(1);
-            let addr = mem.layout().shared_addr(page, 0);
-            mem.write(node, addr, t);
-            distinct.insert(addr.line());
-        }
-        for i in 0..private_writes {
-            t += Cycles::from_micros(1);
-            let addr = mem.layout().private_addr(node, 0, (i as u64) * 64);
-            mem.write(node, addr, t);
-        }
-        // Capacity evictions may already have written some lines back
-        // (the pool collides in cache sets on purpose); the flush handles
-        // exactly the lines still dirty in the hierarchy.
-        let still_dirty = distinct
-            .iter()
-            .filter(|&&l| mem.cached_state(node, l) == LineState::Modified)
-            .count();
-        let f1 = mem.flush_dirty_shared(node, t + Cycles::from_micros(1));
-        prop_assert_eq!(f1.lines, still_dirty);
-        let f2 = mem.flush_dirty_shared(node, t + Cycles::from_micros(2));
-        prop_assert_eq!(f2.lines, 0, "second flush finds nothing dirty");
-        // Private data stayed dirty.
-        for i in 0..private_writes {
-            let addr = mem.layout().private_addr(node, 0, (i as u64) * 64);
-            prop_assert_eq!(mem.cached_state(node, addr.line()), LineState::Modified);
+        for mut mem in both(4) {
+            let node = NodeId::new(1);
+            let mut t = Cycles::ZERO;
+            let mut distinct = std::collections::HashSet::new();
+            for &page in &shared_writes {
+                t += Cycles::from_micros(1);
+                let addr = mem.layout().shared_addr(page, 0);
+                mem.write(node, addr, t);
+                distinct.insert(addr.line());
+            }
+            for i in 0..private_writes {
+                t += Cycles::from_micros(1);
+                let addr = mem.layout().private_addr(node, 0, (i as u64) * 64);
+                mem.write(node, addr, t);
+            }
+            // Capacity evictions may already have written some lines back
+            // (the pool collides in cache sets on purpose); the flush handles
+            // exactly the lines still dirty in the hierarchy.
+            let still_dirty = distinct
+                .iter()
+                .filter(|&&l| mem.cached_state(node, l) == LineState::Modified)
+                .count();
+            let f1 = mem.flush_dirty_shared(node, t + Cycles::from_micros(1));
+            prop_assert_eq!(f1.lines, still_dirty);
+            let f2 = mem.flush_dirty_shared(node, t + Cycles::from_micros(2));
+            prop_assert_eq!(f2.lines, 0, "second flush finds nothing dirty");
+            // Private data stayed dirty.
+            for i in 0..private_writes {
+                let addr = mem.layout().private_addr(node, 0, (i as u64) * 64);
+                prop_assert_eq!(mem.cached_state(node, addr.line()), LineState::Modified);
+            }
         }
     }
 
@@ -216,14 +232,52 @@ proptest! {
         node in 0u16..8,
         page in 0u64..32,
     ) {
-        let mut mem = MemorySystem::new(MachineConfig::table1_with_nodes(8));
+        let mut mem = CoherentMemory::directory(MachineConfig::table1_with_nodes(8));
         let addr = mem.layout().shared_addr(page, 0);
         let mut t = Cycles::from_micros(1);
         let first = mem.read(NodeId::new(node), addr, t);
         prop_assert!(first.completion > t);
         t = first.completion + Cycles::from_micros(1);
         let second = mem.read(NodeId::new(node), addr, t);
-        prop_assert_eq!(second.class, tb_mem::AccessClass::L1Hit);
+        prop_assert_eq!(second.class, AccessClass::L1Hit);
         prop_assert_eq!(second.latency(t), Cycles::from_nanos(2));
+    }
+
+    /// Bus broadcast: every invalidation of one write shares a single
+    /// observation instant.
+    #[test]
+    fn bus_invalidations_are_broadcast(
+        readers in proptest::collection::btree_set(1u16..8, 0..7),
+    ) {
+        let mut m = bus(8);
+        let addr = m.layout().shared_addr(0, 0);
+        let mut t = Cycles::ZERO;
+        for &r in &readers {
+            t += Cycles::from_micros(1);
+            m.read(NodeId::new(r), addr, t);
+        }
+        let w = m.write(NodeId::new(0), addr, t + Cycles::from_micros(1));
+        prop_assert_eq!(w.invalidations.len(), readers.len());
+        if let Some(first) = w.invalidations.first() {
+            prop_assert!(w.invalidations.iter().all(|i| i.at == first.at));
+        }
+    }
+
+    /// Bus transactions never travel back in time, and back-to-back misses
+    /// keep strictly increasing completion times (serialization).
+    #[test]
+    fn bus_serializes_misses(pages in proptest::collection::vec(0u64..32, 2..12)) {
+        let mut m = bus(4);
+        let mut last = Cycles::ZERO;
+        for (i, &page) in pages.iter().enumerate() {
+            let node = NodeId::new((i % 4) as u16);
+            let addr = m.layout().shared_addr(page, 0);
+            // All issued at time zero: the bus must serialize them.
+            let r = m.read(node, addr, Cycles::ZERO);
+            if r.class != AccessClass::L1Hit && r.class != AccessClass::L2Hit {
+                prop_assert!(r.completion > last, "bus transaction overlap");
+                last = r.completion;
+            }
+        }
     }
 }

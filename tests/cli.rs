@@ -176,3 +176,17 @@ fn run_with_seeds_reports_aggregates() {
     assert!(stdout.contains("over 2 seeds"), "{stdout}");
     assert!(stdout.contains("±"), "{stdout}");
 }
+
+/// Machines smaller than the default observed thread (5) clamp it to the
+/// last node, so 4-node runs and sweeps complete.
+#[test]
+fn four_node_run_and_sweep_complete() {
+    for args in [
+        &["run", "FMM", "--nodes", "4"][..],
+        &["sweep", "--nodes", "4", "--jobs", "2"][..],
+    ] {
+        let out = bin(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert!(!out.stdout.is_empty(), "{args:?}");
+    }
+}
