@@ -4,6 +4,7 @@
 //! Baseline; plus the §5.1 headline averages over the target applications.
 
 use tb_bench::{banner, breakdown_row, full_matrix, target_summary};
+use tb_core::SystemConfig;
 
 fn main() {
     banner(
@@ -11,15 +12,15 @@ fn main() {
         "normalized energy consumption, 10 apps x {B,H,O,T,I}",
     );
     let matrix = full_matrix();
-    for (app, reports) in &matrix {
-        let base = &reports[0];
+    for m in &matrix {
+        let base = &m.config_reports(SystemConfig::Baseline)[0];
         println!(
             "\n-- {} (baseline imbalance {:.2}%, baseline energy {:.2} J)",
-            app.name,
+            m.app.name,
             base.barrier_imbalance() * 100.0,
             base.total_energy()
         );
-        for r in reports {
+        for r in m.reports.iter().flatten() {
             println!(
                 "{}",
                 breakdown_row(&r.config, &r.energy_normalized_to(base))
@@ -28,11 +29,8 @@ fn main() {
     }
     let summary = target_summary(&matrix);
     println!("\n== §5.1 headline (mean over the five target applications)");
-    for (name, s) in ["Thrifty-Halt", "Oracle-Halt", "Thrifty", "Ideal"]
-        .iter()
-        .zip(summary.savings)
-    {
-        println!("  {name:<13} energy savings {:>5.1}%", s * 100.0);
+    for (config, s) in summary.savings {
+        println!("  {:<13} energy savings {:>5.1}%", config.name(), s * 100.0);
     }
     println!(
         "  paper: Thrifty ~17%, Thrifty-Halt ~11% \

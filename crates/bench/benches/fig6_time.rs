@@ -5,6 +5,7 @@
 //! target applications.
 
 use tb_bench::{banner, breakdown_row, full_matrix, target_summary};
+use tb_core::SystemConfig;
 
 fn main() {
     banner(
@@ -12,10 +13,13 @@ fn main() {
         "normalized execution time, 10 apps x {B,H,O,T,I}",
     );
     let matrix = full_matrix();
-    for (app, reports) in &matrix {
-        let base = &reports[0];
-        println!("\n-- {} (baseline wall clock {})", app.name, base.wall_time);
-        for r in reports {
+    for m in &matrix {
+        let base = &m.config_reports(SystemConfig::Baseline)[0];
+        println!(
+            "\n-- {} (baseline wall clock {})",
+            m.app.name, base.wall_time
+        );
+        for r in m.reports.iter().flatten() {
             println!(
                 "{}  (slowdown {:+.2}%)",
                 breakdown_row(&r.config, &r.time_normalized_to(base)),

@@ -21,13 +21,13 @@
 //! # Examples
 //!
 //! ```
-//! use tb_energy::{PowerModel, SleepTable};
+//! use tb_energy::SleepTable;
 //! use tb_sim::Cycles;
 //!
-//! let power = PowerModel::paper();
 //! let table = SleepTable::paper();
-//! // A thread predicting a 1 ms stall picks the deepest state that fits:
-//! let pick = table.best_fit(Cycles::from_millis(1), power.min_stall_multiple());
+//! // A thread predicting a 1 ms stall picks the deepest state whose round
+//! // trip fits twice over (the algorithm's default profitability margin):
+//! let pick = table.best_fit(Cycles::from_millis(1), 2.0);
 //! assert_eq!(table.state(pick.unwrap()).name(), "Sleep3");
 //! ```
 

@@ -163,15 +163,12 @@ impl WattchModel {
     }
 }
 
-/// The derived operating powers used throughout the simulation, in watts,
-/// plus the policy knob for how much predicted stall must lie ahead before a
-/// sleep state is considered profitable.
+/// The derived operating powers used throughout the simulation, in watts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     tdp_max: f64,
     compute: f64,
     spin: f64,
-    min_stall_multiple: f64,
 }
 
 impl PowerModel {
@@ -181,15 +178,12 @@ impl PowerModel {
         PowerModel::from_wattch(&WattchModel::default_six_issue())
     }
 
-    /// Derives operating powers from a Wattch model with the default sleep
-    /// profitability threshold (predicted stall must exceed twice the
-    /// round-trip transition latency).
+    /// Derives operating powers from a Wattch model.
     pub fn from_wattch(model: &WattchModel) -> Self {
         PowerModel {
             tdp_max: model.microbench_tdp_max(),
             compute: model.compute_power(),
             spin: model.spin_power(),
-            min_stall_multiple: 2.0,
         }
     }
 
@@ -208,7 +202,6 @@ impl PowerModel {
             tdp_max,
             compute,
             spin,
-            min_stall_multiple: 2.0,
         }
     }
 
@@ -230,24 +223,6 @@ impl PowerModel {
     /// Ratio of spin power to compute power (paper: ≈ 0.85).
     pub fn spin_ratio(&self) -> f64 {
         self.spin / self.compute
-    }
-
-    /// How many round-trip transition latencies of predicted stall must lie
-    /// ahead before a sleep state is considered (the `sleep()` call's
-    /// profitability margin).
-    pub fn min_stall_multiple(&self) -> f64 {
-        self.min_stall_multiple
-    }
-
-    /// Returns a copy with a different profitability margin (for ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `multiple < 1.0` — transitions must at least fit.
-    pub fn with_min_stall_multiple(mut self, multiple: f64) -> Self {
-        assert!(multiple >= 1.0, "min stall multiple must be >= 1.0");
-        self.min_stall_multiple = multiple;
-        self
     }
 }
 
@@ -323,18 +298,6 @@ mod tests {
     #[should_panic(expected = "must be in [0,1]")]
     fn bad_activity_rejected() {
         let _ = Component::new("x", 0.5, 1.5, 1.0);
-    }
-
-    #[test]
-    fn stall_multiple_knob() {
-        let p = PowerModel::paper().with_min_stall_multiple(1.0);
-        assert_eq!(p.min_stall_multiple(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "min stall multiple")]
-    fn stall_multiple_below_one_rejected() {
-        let _ = PowerModel::paper().with_min_stall_multiple(0.5);
     }
 
     #[test]

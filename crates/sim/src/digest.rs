@@ -29,7 +29,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a64`] rendered as the 16-char lowercase hex string used in the
-/// committed golden fixtures and `BENCH_sim.json`.
+/// committed golden fixtures.
 pub fn fnv1a64_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))
 }

@@ -10,8 +10,8 @@
 //!   nanosecond, plus human-readable formatting.
 //! * [`event`] — a cancellable priority event queue ([`EventQueue`]) with
 //!   deterministic FIFO ordering among same-time events.
-//! * [`stats`] — online statistics ([`OnlineStats`]), histograms, and
-//!   counters used by the reporting layers.
+//! * [`stats`] — online statistics ([`OnlineStats`]) and latency quantile
+//!   sketches ([`QuantileSketch`]) used by the reporting layers.
 //! * [`rng`] — a deterministic, splittable random-number source
 //!   ([`SimRng`]) so every experiment is reproducible from a single seed.
 //!
@@ -35,5 +35,5 @@ pub mod time;
 
 pub use event::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, OnlineStats, QuantileSketch};
+pub use stats::{OnlineStats, QuantileSketch};
 pub use time::{Cycles, TimeDelta};

@@ -9,8 +9,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// A seeded random source with named sub-stream derivation and the
-/// distributions the workload models need (normal, lognormal, exponential,
-/// Pareto) implemented directly so no extra dependency is required.
+/// distributions the workload models need (normal, exponential)
+/// implemented directly so no extra dependency is required.
 ///
 /// # Examples
 ///
@@ -123,11 +123,6 @@ impl SimRng {
         mean + sd * self.standard_normal()
     }
 
-    /// Lognormal draw: `exp(N(mu, sigma))`.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Exponential draw with the given mean.
     ///
     /// # Panics
@@ -142,26 +137,6 @@ impl SimRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Pareto draw with scale `xm > 0` and shape `alpha > 0` (heavy tail;
-    /// used to model the occasional straggler thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xm <= 0` or `alpha <= 0`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(
-            xm > 0.0 && alpha > 0.0,
-            "pareto requires positive parameters"
-        );
-        let u = loop {
-            let u = self.uniform();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        xm / u.powf(1.0 / alpha)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -255,22 +230,6 @@ mod tests {
         }
         assert!((s.mean() - 5.0).abs() < 0.15, "mean {}", s.mean());
         assert!(s.min().unwrap() >= 0.0);
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::new(13);
-        for _ in 0..1_000 {
-            assert!(r.pareto(2.0, 3.0) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn lognormal_is_positive() {
-        let mut r = SimRng::new(14);
-        for _ in 0..1_000 {
-            assert!(r.lognormal(0.0, 1.0) > 0.0);
-        }
     }
 
     #[test]

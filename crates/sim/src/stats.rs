@@ -161,101 +161,6 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// A fixed-width linear histogram over `[lo, hi)` with overflow/underflow
-/// buckets, for latency and stall-time distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    stats: OnlineStats,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty ({lo}..{hi})");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            stats: OnlineStats::new(),
-        }
-    }
-
-    /// Records one sample.
-    pub fn push(&mut self, x: f64) {
-        self.stats.push(x);
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Per-bucket counts (excluding underflow/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of samples at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including out-of-range ones.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Summary statistics over all samples.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
-    /// Approximate quantile `q` in `[0, 1]` from the binned data, or `None`
-    /// when empty. Out-of-range mass is attributed to the extreme bins.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * n as f64).ceil().max(1.0) as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.lo + width * (i as f64 + 0.5));
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 /// Number of linear sub-buckets per power-of-two octave in
 /// [`QuantileSketch`]. 16 sub-buckets bound the relative quantile error by
 /// `1/16 ≈ 6%` per octave.
@@ -388,43 +293,6 @@ impl fmt::Display for QuantileSketch {
     }
 }
 
-/// A labeled monotonically increasing event counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,40 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_extremes() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.buckets()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.buckets()[5], 1); // 5.0
-        assert_eq!(h.buckets()[9], 1); // 9.99
-    }
-
-    #[test]
-    fn histogram_quantiles_monotone() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1000 {
-            h.push((i % 100) as f64);
-        }
-        let q10 = h.quantile(0.10).unwrap();
-        let q50 = h.quantile(0.50).unwrap();
-        let q90 = h.quantile(0.90).unwrap();
-        assert!(q10 <= q50 && q50 <= q90);
-        assert!((q50 - 50.0).abs() < 2.0);
-        assert_eq!(Histogram::new(0.0, 1.0, 4).quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "histogram range")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
-    }
-
-    #[test]
     fn sketch_is_exact_for_small_values() {
         let mut s = QuantileSketch::new();
         for v in [0u64, 1, 2, 3, 3, 3, 9] {
@@ -619,15 +453,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), Some(u64::MAX as f64));
         assert_eq!(QuantileSketch::default().quantile(0.5), None);
         assert!(!s.to_string().is_empty());
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(5);
-        assert_eq!(c.get(), 6);
-        assert_eq!(c.to_string(), "6");
     }
 
     #[test]

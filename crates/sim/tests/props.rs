@@ -1,7 +1,7 @@
 //! Property-based tests of the discrete-event kernel.
 
 use proptest::prelude::*;
-use tb_sim::{Cycles, EventQueue, Histogram, OnlineStats, SimRng};
+use tb_sim::{Cycles, EventQueue, OnlineStats, SimRng};
 
 proptest! {
     /// Pops come back in nondecreasing time order, FIFO among ties, and
@@ -61,31 +61,6 @@ proptest! {
                     < 1e-4 * (1.0 + all.population_variance())
             );
         }
-    }
-
-    /// Histograms conserve sample counts across bins and extremes.
-    #[test]
-    fn histogram_conserves_counts(
-        xs in proptest::collection::vec(-50.0f64..150.0, 0..300),
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for &x in &xs { h.push(x); }
-        let binned: u64 = h.buckets().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
-        prop_assert_eq!(h.count(), xs.len() as u64);
-    }
-
-    /// Quantiles are monotone in the requested probability.
-    #[test]
-    fn histogram_quantiles_monotone(
-        xs in proptest::collection::vec(0.0f64..100.0, 1..300),
-        q1 in 0.0f64..1.0,
-        q2 in 0.0f64..1.0,
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for &x in &xs { h.push(x); }
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        prop_assert!(h.quantile(lo).unwrap() <= h.quantile(hi).unwrap());
     }
 
     /// Derived RNG streams are reproducible and label/index separated.

@@ -52,9 +52,9 @@ fn run_ocean_n8_matches_fixture() {
     );
 }
 
-/// The full machine-readable report stream is pinned by digest — the same
-/// digest `cargo bench -p tb-bench --bench bench_sim` checks in quick mode
-/// (TB_BENCH_QUICK=1), so CI and local tests gate on the same fixture.
+/// The full machine-readable report stream is pinned by digest; the CI
+/// `checks` job runs this test, so CI and local tests gate on the same
+/// fixture.
 #[test]
 fn sweep_n8_json_digest_matches_fixture() {
     let json = bin(&["sweep", "--nodes", "8", "--json"]);
