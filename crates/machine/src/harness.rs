@@ -55,6 +55,7 @@ use tb_core::{FaultPlan, QuarantineConfig, RecordedBitOracle, SystemConfig};
 use tb_faults::FaultSummary;
 use tb_sim::{Cycles, SimRng};
 use tb_trace::{SinkHandle, TraceEvent, TraceEventKind};
+use tb_workloads::calibrate::{self, Unreachable};
 use tb_workloads::{AppSpec, AppTrace};
 
 /// One cell of the experiment matrix.
@@ -111,6 +112,21 @@ impl Cell {
             })
             .collect()
     }
+}
+
+/// Checks that every (app, nodes, seed) of `cells` can reach its Table 2
+/// imbalance (see [`tb_workloads::calibrate::check_reachable`]), so a
+/// caller can refuse an unreachable target before any cell runs, whatever
+/// executor then runs them. Each distinct triple is checked once, and the
+/// error is the first unreachable one in cell order.
+pub fn check_reachable(cells: &[Cell]) -> Result<(), Unreachable> {
+    let mut checked = std::collections::HashSet::new();
+    for cell in cells {
+        if checked.insert((cell.app.name.as_str(), cell.nodes, cell.seed)) {
+            calibrate::check_reachable(&cell.app, cell.nodes as usize, cell.seed)?;
+        }
+    }
+    Ok(())
 }
 
 /// The result of one supervised cell: the report (or the typed error that
@@ -362,14 +378,28 @@ impl Harness {
 
     /// The interned trace of (app, nodes, seed), generating it on first
     /// use. Generation is never interrupted by a deadline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the app's Table 2 imbalance is [`Unreachable`] on `nodes`
+    /// threads; [`Harness::try_trace`] reports that as an error instead.
     pub fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        let generated = self
-            .traces
+        self.try_trace(app, nodes, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Harness::trace`], returning an unreachable imbalance target as
+    /// an error (and caching nothing).
+    pub fn try_trace(
+        &self,
+        app: &AppSpec,
+        nodes: u16,
+        seed: u64,
+    ) -> Result<Arc<AppTrace>, Unreachable> {
+        self.traces
             .get_or_try_compute((app.name.clone(), nodes, seed), || {
-                Ok::<_, std::convert::Infallible>(app.generate(nodes as usize, seed))
-            });
-        let Ok(trace) = generated;
-        trace
+                app.try_generate(nodes as usize, seed)
+            })
     }
 
     /// The interned Baseline run (and derived oracle) of (app, nodes,
@@ -684,6 +714,22 @@ mod tests {
 
     fn run(harness: &Harness, cell: &Cell) -> (RunReport, FaultSummary) {
         harness.try_run_cell_faulted(cell).expect("cell runs")
+    }
+
+    #[test]
+    fn check_reachable_reports_the_first_unreachable_target() {
+        // At two threads Volrend's 48.2% imbalance is out of reach, while
+        // FMM's is not.
+        let volrend = AppSpec::by_name("Volrend").unwrap();
+        let cells: Vec<Cell> = [app(), volrend.clone(), volrend, app()]
+            .into_iter()
+            .zip([3, 3, 4, 3])
+            .map(|(a, seed)| Cell::new(a, 2, seed, SystemConfig::Baseline))
+            .collect();
+        let err = check_reachable(&cells).unwrap_err();
+        assert_eq!((err.app.as_str(), err.threads, err.seed), ("Volrend", 2, 3));
+        assert!(err.max < err.target);
+        check_reachable(&cells[..1]).unwrap();
     }
 
     #[test]

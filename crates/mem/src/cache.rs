@@ -7,8 +7,9 @@
 //!
 //! The cache stores coherence state only — the machine layer tracks logical
 //! values (such as the barrier flag's sense) separately, so no data payload
-//! is simulated. [`Cache::dirty_lines`] enumerates Modified lines, which is
-//! what a CPU must flush before entering a non-snoopable sleep state.
+//! is simulated. A dirty-way index (one bit per way, set exactly while the
+//! way holds a `Modified` line) lets [`Cache::clean_dirty`] visit only the
+//! lines a CPU must flush before entering a non-snoopable sleep state.
 //!
 //! # Layout
 //!
@@ -19,7 +20,8 @@
 //! at most `assoc` contiguous entries — no per-set `Vec` headers, no
 //! pointer chase, no allocation after construction. The set count is a
 //! power of two (asserted by [`CacheConfig::new`]), so the set index is a
-//! bit-mask rather than a division.
+//! bit-mask rather than a division. Every method that changes a slot's
+//! state also keeps that slot's dirty-way bit current.
 
 use crate::addr::{Addr, LineAddr, LINE_BYTES};
 use crate::mesi::LineState;
@@ -114,6 +116,8 @@ pub struct Cache {
     assoc: usize,
     /// Valid (non-`Invalid`) slots, kept incrementally so `len()` is O(1).
     valid: usize,
+    /// Bit `i` is set exactly when `ways[i]` holds a `Modified` line.
+    dirty: Vec<u64>,
     tick: u64,
 }
 
@@ -137,6 +141,7 @@ impl Cache {
             set_mask: sets - 1,
             assoc,
             valid: 0,
+            dirty: vec![0; (sets as usize * assoc).div_ceil(64)],
             tick: 0,
         }
     }
@@ -156,21 +161,27 @@ impl Cache {
         (mixed & self.set_mask) as usize * self.assoc
     }
 
-    fn set(&self, line: LineAddr) -> &[Way] {
+    /// `line`'s set: its first slot and its ways.
+    fn set_mut(&mut self, line: LineAddr) -> (usize, &mut [Way]) {
         let base = self.set_base(line);
-        &self.ways[base..base + self.assoc]
+        (base, &mut self.ways[base..base + self.assoc])
     }
 
-    fn set_mut(&mut self, line: LineAddr) -> &mut [Way] {
-        let base = self.set_base(line);
-        &mut self.ways[base..base + self.assoc]
+    /// Keeps slot `i`'s dirty-way bit current as its state goes from
+    /// `from` to `to`: the bit flips only when dirtiness changes.
+    #[inline]
+    fn mark(dirty: &mut [u64], i: usize, from: LineState, to: LineState) {
+        if from.is_dirty() != to.is_dirty() {
+            dirty[i / 64] ^= 1u64 << (i % 64);
+        }
     }
 
     /// The state of `line`, updating LRU recency. `Invalid` if absent.
     pub fn access(&mut self, line: LineAddr) -> LineState {
         self.tick += 1;
         let tick = self.tick;
-        for way in self.set_mut(line) {
+        let (_, set) = self.set_mut(line);
+        for way in set {
             if way.holds(line) {
                 way.last_used = tick;
                 return way.state;
@@ -189,37 +200,36 @@ impl Cache {
     /// means the write has already been applied. Equivalent to
     /// `access(line)` followed by `set_state(line, Modified)` on the
     /// silent path — one tag scan instead of two.
+    #[inline]
     pub fn write_access(&mut self, line: LineAddr) -> LineState {
         self.tick += 1;
         let tick = self.tick;
-        for way in self.set_mut(line) {
-            if way.holds(line) {
-                way.last_used = tick;
-                let before = way.state;
-                if before.can_write_silently() {
-                    way.state = LineState::Modified;
-                }
-                return before;
-            }
+        let (_, set) = self.set_mut(line);
+        let Some(way) = set.iter_mut().find(|w| w.holds(line)) else {
+            return LineState::Invalid;
+        };
+        way.last_used = tick;
+        let before = way.state;
+        // A Modified line is already marked dirty, so only E -> M changes
+        // the index; keeping that rare case off the hit path keeps the
+        // scan free of slot arithmetic.
+        if before == LineState::Exclusive {
+            self.dirty_exclusive(line);
         }
-        LineState::Invalid
+        before
     }
 
-    /// One-scan flush helper: downgrades the line to `Shared` only if it
-    /// is resident **and dirty**. Equivalent to `probe(line).is_dirty()`
-    /// then `set_state(line, Shared)`; clean or absent copies (e.g. an L1
-    /// `Exclusive` copy of a line dirty only in the L2) are untouched.
-    pub fn make_shared_if_dirty(&mut self, line: LineAddr) {
-        if let Some(way) = self.set_mut(line).iter_mut().find(|w| w.holds(line)) {
-            if way.state.is_dirty() {
-                way.state = LineState::Shared;
-            }
-        }
+    /// The E -> M half of a silent write.
+    #[cold]
+    #[inline(never)]
+    fn dirty_exclusive(&mut self, line: LineAddr) {
+        self.set_state(line, LineState::Modified);
     }
 
     /// The state of `line` without touching LRU state (a coherence probe).
     pub fn probe(&self, line: LineAddr) -> LineState {
-        self.set(line)
+        let base = self.set_base(line);
+        self.ways[base..base + self.assoc]
             .iter()
             .find(|w| w.holds(line))
             .map(|w| w.state)
@@ -236,14 +246,15 @@ impl Cache {
         assert!(state.is_valid(), "cannot insert a line in Invalid state");
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_mut(line);
+        let (base, set) = self.set_mut(line);
         let mut free: Option<usize> = None;
         let mut victim_idx = 0;
         let mut victim_used = u64::MAX;
         for (i, way) in set.iter_mut().enumerate() {
             if way.holds(line) {
-                way.state = state;
+                let from = std::mem::replace(&mut way.state, state);
                 way.last_used = tick;
+                Self::mark(&mut self.dirty, base + i, from, state);
                 return None;
             }
             if !way.state.is_valid() {
@@ -257,87 +268,87 @@ impl Cache {
                 victim_idx = i;
             }
         }
-        if let Some(i) = free {
-            set[i] = Way {
-                line,
-                state,
-                last_used: tick,
-            };
-            self.valid += 1;
-            return None;
-        }
-        let victim = &mut set[victim_idx];
-        let evicted = Evicted {
-            line: victim.line,
-            state: victim.state,
-        };
-        *victim = Way {
+        let fresh = Way {
             line,
             state,
             last_used: tick,
         };
-        Some(evicted)
+        let i = free.unwrap_or(victim_idx);
+        let old = std::mem::replace(&mut set[i], fresh);
+        Self::mark(&mut self.dirty, base + i, old.state, state);
+        if free.is_some() {
+            self.valid += 1;
+            return None;
+        }
+        Some(Evicted {
+            line: old.line,
+            state: old.state,
+        })
     }
 
     /// Changes the state of a resident line in place; returns `false` if
     /// the line is absent.
+    #[inline]
     pub fn set_state(&mut self, line: LineAddr, state: LineState) -> bool {
         assert!(state.is_valid(), "use invalidate to drop a line");
-        if let Some(way) = self.set_mut(line).iter_mut().find(|w| w.holds(line)) {
-            way.state = state;
-            true
-        } else {
-            false
-        }
+        let (base, set) = self.set_mut(line);
+        let Some(i) = set.iter().position(|w| w.holds(line)) else {
+            return false;
+        };
+        let from = std::mem::replace(&mut set[i].state, state);
+        Self::mark(&mut self.dirty, base + i, from, state);
+        true
     }
 
     /// Removes `line`; returns its prior state if it was present.
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineState> {
-        let way = self.set_mut(line).iter_mut().find(|w| w.holds(line))?;
-        let prior = way.state;
-        way.state = LineState::Invalid;
+        let (base, set) = self.set_mut(line);
+        let i = set.iter().position(|w| w.holds(line))?;
+        let prior = std::mem::replace(&mut set[i].state, LineState::Invalid);
+        Self::mark(&mut self.dirty, base + i, prior, LineState::Invalid);
         self.valid -= 1;
         Some(prior)
     }
 
-    /// All lines currently in `Modified` state — what a deep-sleep entry
-    /// must flush. Sorted; allocates. The flush hot path uses
-    /// [`Cache::dirty_lines_into`] instead.
-    pub fn dirty_lines(&self) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.dirty_lines_into(&mut out);
-        out.sort_unstable();
-        out
+    /// Downgrades to `Shared` every `Modified` line for which `flush`
+    /// returns `true`, visiting only the ways the dirty index marks — the
+    /// deep-sleep flush. Lines `flush` declines stay `Modified`. LRU state
+    /// is untouched, and visiting order is slot order.
+    pub fn clean_dirty(&mut self, mut flush: impl FnMut(LineAddr) -> bool) {
+        for word in 0..self.dirty.len() {
+            let mut bits = self.dirty[word];
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let way = &mut self.ways[word * 64 + bit.trailing_zeros() as usize];
+                if flush(way.line) {
+                    way.state = LineState::Shared;
+                    self.dirty[word] ^= bit;
+                }
+            }
+        }
     }
 
-    /// Appends all `Modified` lines to `out` without sorting — the
-    /// allocation-free flush path. Callers that need deterministic order
-    /// sort once after collecting from every level.
-    pub fn dirty_lines_into(&self, out: &mut Vec<LineAddr>) {
-        out.extend(
-            self.ways
-                .iter()
-                .filter(|w| w.state.is_dirty())
-                .map(|w| w.line),
-        );
+    /// `true` when the dirty-way index marks exactly the `Modified` ways —
+    /// for invariant checks.
+    pub fn dirty_index_is_exact(&self) -> bool {
+        self.ways
+            .iter()
+            .enumerate()
+            .all(|(i, w)| w.state.is_dirty() == (self.dirty[i / 64] >> (i % 64) & 1 == 1))
     }
 
-    /// All valid lines, for invariant checks.
+    /// All valid lines, sorted, for invariant checks.
     pub fn resident_lines(&self) -> Vec<(LineAddr, LineState)> {
-        let mut out = Vec::new();
-        self.resident_lines_into(&mut out);
+        let mut out: Vec<_> = self
+            .ways
+            .iter()
+            .filter(|w| w.state.is_valid())
+            .map(|w| (w.line, w.state))
+            .collect();
         out.sort_unstable_by_key(|(l, _)| *l);
         out
-    }
-
-    /// Appends all valid lines to `out` without sorting.
-    pub fn resident_lines_into(&self, out: &mut Vec<(LineAddr, LineState)>) {
-        out.extend(
-            self.ways
-                .iter()
-                .filter(|w| w.state.is_valid())
-                .map(|w| (w.line, w.state)),
-        );
     }
 
     /// Number of valid lines resident.
@@ -353,7 +364,7 @@ impl Cache {
 
 impl fmt::Display for Cache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let dirty = self.ways.iter().filter(|w| w.state.is_dirty()).count();
+        let dirty: u32 = self.dirty.iter().map(|w| w.count_ones()).sum();
         write!(
             f,
             "{}B {}-way: {} lines resident ({} dirty)",
@@ -452,13 +463,53 @@ mod tests {
         assert!(!c.set_state(line(8), LineState::Shared));
     }
 
+    /// The lines `clean_dirty` visits, declining every one.
+    fn visited_dirty(c: &mut Cache) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        c.clean_dirty(|l| {
+            out.push(l);
+            false
+        });
+        out.sort_unstable();
+        out
+    }
+
     #[test]
-    fn dirty_lines_enumerates_modified_only() {
+    fn clean_dirty_visits_modified_only() {
         let mut c = Cache::new(CacheConfig::table1_l2());
         c.insert(line(1), LineState::Modified);
         c.insert(line(2), LineState::Shared);
         c.insert(line(3), LineState::Modified);
-        assert_eq!(c.dirty_lines(), vec![line(1), line(3)]);
+        assert_eq!(visited_dirty(&mut c), vec![line(1), line(3)]);
+        assert_eq!(
+            c.probe(line(1)),
+            LineState::Modified,
+            "declined lines stay dirty"
+        );
+        c.clean_dirty(|l| l == line(3));
+        assert_eq!(c.probe(line(3)), LineState::Shared);
+        assert_eq!(visited_dirty(&mut c), vec![line(1)]);
+        assert!(c.dirty_index_is_exact());
+    }
+
+    #[test]
+    fn dirty_index_follows_every_state_change() {
+        let cfg = CacheConfig::new(64 * 2, 2); // 1 set, 2-way
+        let mut c = Cache::new(cfg);
+        c.insert(line(0), LineState::Exclusive);
+        assert!(visited_dirty(&mut c).is_empty());
+        c.write_access(line(0)); // E -> M
+        assert_eq!(visited_dirty(&mut c), vec![line(0)]);
+        c.set_state(line(0), LineState::Shared);
+        assert!(visited_dirty(&mut c).is_empty());
+        c.insert(line(0), LineState::Modified); // hit
+        c.insert(line(1), LineState::Modified); // free slot
+        assert_eq!(visited_dirty(&mut c), vec![line(0), line(1)]);
+        c.insert(line(2), LineState::Shared); // evicts dirty line 0
+        assert_eq!(visited_dirty(&mut c), vec![line(1)]);
+        c.invalidate(line(1));
+        assert!(visited_dirty(&mut c).is_empty());
+        assert!(c.dirty_index_is_exact());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`mesi`] — MESI line states, the full-map directory state, and sharer
 //!   bit-sets.
 //! * [`cache`] — set-associative write-back caches with LRU replacement and
-//!   dirty-line enumeration (needed to price deep-sleep cache flushes).
+//!   a dirty-way index, so a deep-sleep cache flush visits only the lines
+//!   it writes back.
 //! * [`dir`] — the full-map sharer directory (dense window plus sparse
 //!   overflow).
 //! * [`network`] — the [`Interconnect`] choice: the hypercube latency model

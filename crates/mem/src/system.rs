@@ -284,9 +284,6 @@ pub struct CoherentMemory {
     nodes: Vec<NodeCaches>,
     dir: Directory,
     stats: MemStats,
-    /// Reusable buffer for [`CoherentMemory::flush_dirty_shared`], so the
-    /// per-sleep-transition flush allocates nothing in steady state.
-    flush_scratch: Vec<LineAddr>,
     /// Wake-up fault injector (`None` outside fault experiments, so the
     /// baseline write path never even branches on a watched line).
     faults: Option<crate::faults::InvalidationFaults>,
@@ -322,7 +319,6 @@ impl CoherentMemory {
             nodes,
             dir: Directory::new(),
             stats: MemStats::default(),
-            flush_scratch: Vec::new(),
             faults: None,
         }
     }
@@ -367,6 +363,23 @@ impl CoherentMemory {
     pub fn probe_levels(&self, node: NodeId, line: LineAddr) -> (LineState, LineState) {
         let nc = &self.nodes[node.index()];
         (nc.l1.probe(line), nc.l2.probe(line))
+    }
+
+    /// `true` when every cache's dirty-way index marks exactly its
+    /// `Modified` ways — for invariant checks.
+    pub fn dirty_index_is_exact(&self) -> bool {
+        self.nodes
+            .iter()
+            .all(|nc| nc.l1.dirty_index_is_exact() && nc.l2.dirty_index_is_exact())
+    }
+
+    /// When the bus is next free (`None` on the hypercube), without
+    /// touching it — for reference models of bus timing.
+    pub fn bus_free_at(&self) -> Option<Cycles> {
+        match self.link {
+            Link::Bus { free_at, .. } => Some(free_at),
+            Link::Hypercube { .. } => None,
+        }
     }
 
     /// The cache state of `line` at `node` (L1 first, then L2), without
@@ -455,24 +468,52 @@ impl CoherentMemory {
     /// This is the compute phase's working-set rewrite loop, pulled below
     /// the dispatch layer: the (overwhelmingly common) silent-write case is
     /// decided right here from the L1 probe, without materializing an
-    /// [`Access`] per line. The sequence of coherence actions — and thus
-    /// every timestamp and counter — is identical to calling
-    /// [`write`](Self::write) once per line.
+    /// [`Access`] per line, and so is the directory check that sends a
+    /// post-flush rewrite straight to the upgrade. The sequence of
+    /// coherence actions — and thus every timestamp and counter — is
+    /// identical to calling [`write`](Self::write) once per line.
     pub fn write_line_run(&mut self, node: NodeId, base: Addr, lines: u32, now: Cycles) -> Cycles {
+        self.stats.writes += lines as u64;
         let mut t = now;
+        // Silent writes since `t` last advanced: each adds one L1 round
+        // trip, settled in one step before the next non-silent write.
+        let mut silent = 0;
         for i in 0..lines as u64 {
             let line = base.offset(i * crate::addr::LINE_BYTES).line();
-            self.stats.writes += 1;
-            let nc = &mut self.nodes[node.index()];
-            let l1 = nc.l1.write_access(line);
+            let l1 = self.nodes[node.index()].l1.write_access(line);
             if l1.can_write_silently() {
-                self.stats.l1_hits += 1;
-                t += self.cfg.l1_round_trip;
+                silent += 1;
             } else {
-                t = self.write_after_l1(node, line, l1, t).completion;
+                self.stats.l1_hits += silent;
+                t = self.write_run_line(node, line, l1, t + self.cfg.l1_round_trip * silent);
+                silent = 0;
             }
         }
-        t
+        self.stats.l1_hits += silent;
+        t + self.cfg.l1_round_trip * silent
+    }
+
+    /// A non-silent write of a line run. A line the L1 holds Shared while
+    /// the directory lists `node` as its only sharer (every line a flush
+    /// left behind) goes straight to [`upgrade`](Self::upgrade) with
+    /// nobody to invalidate; any other line takes the per-line path.
+    /// Returns the completion.
+    // Kept out of line so the silent-write loop keeps `t` in a register.
+    #[inline(never)]
+    fn write_run_line(
+        &mut self,
+        node: NodeId,
+        line: LineAddr,
+        l1: LineState,
+        now: Cycles,
+    ) -> Cycles {
+        let sole = DirState::Shared(SharerSet::singleton(node));
+        if l1 != LineState::Shared || self.dir.get(line) != sole {
+            return self.write_after_l1(node, line, l1, now).completion;
+        }
+        self.stats.dir_transactions += 1;
+        self.dir.set(line, DirState::Exclusive(node));
+        self.upgrade(node, line, SharerSet::EMPTY, now).0
     }
 
     /// Flushes `node`'s dirty **shared** lines to memory, as required
@@ -482,30 +523,35 @@ impl CoherentMemory {
     /// node as a clean sharer, letting the cache controller acknowledge
     /// later invalidations on the sleeping CPU's behalf.
     pub fn flush_dirty_shared(&mut self, node: NodeId, now: Cycles) -> FlushOutcome {
-        // Reuse the scratch buffer: after warm-up, collecting the dirty
-        // set allocates nothing. Filter + sort + dedup matches the old
-        // collect-then-sort behavior exactly (sorting makes the combined
-        // L1/L2 order irrelevant).
-        let mut lines = std::mem::take(&mut self.flush_scratch);
-        lines.clear();
-        let nc = &self.nodes[node.index()];
-        nc.l1.dirty_lines_into(&mut lines);
-        nc.l2.dirty_lines_into(&mut lines);
-        lines.retain(|l| !l.base_addr().is_private());
-        lines.sort_unstable();
-        lines.dedup();
-        for &line in &lines {
-            let nc = &mut self.nodes[node.index()];
-            nc.l1.make_shared_if_dirty(line);
-            if !nc.l2.set_state(line, LineState::Shared) {
-                // Dirty only in L1 (inclusion broken by an L2 upgrade race
-                // cannot happen in this model, but keep the copy coherent).
-                nc.l2.insert(line, LineState::Shared);
+        // One pass over the dirty-way index of each level: the L1's dirty
+        // lines first (downgrading their L2 copies too), then whatever the
+        // L2 still holds dirty. Each line is visited once and the outcome
+        // is a count and the set of homes written to, so visiting order
+        // does not matter.
+        let (layout, dir) = (&self.layout, &mut self.dir);
+        let mut n = 0u64;
+        let mut homes = SharerSet::EMPTY;
+        let mut write_back = |line: LineAddr| {
+            if line.base_addr().is_private() {
+                return false;
             }
-            self.dir
-                .set(line, DirState::Shared(SharerSet::singleton(node)));
-        }
-        let n = lines.len() as u64;
+            dir.set(line, DirState::Shared(SharerSet::singleton(node)));
+            n += 1;
+            homes.insert(layout.home_of(line));
+            true
+        };
+        let NodeCaches { l1, l2 } = &mut self.nodes[node.index()];
+        l1.clean_dirty(|line| {
+            let flushed = write_back(line);
+            if flushed {
+                assert!(
+                    l2.set_state(line, LineState::Shared),
+                    "inclusion violated: {line} is dirty in {node}'s L1 but absent from its L2"
+                );
+            }
+            flushed
+        });
+        l2.clean_dirty(&mut write_back);
         self.stats.writebacks += n;
         self.stats.flushes += 1;
         self.stats.flushed_lines += n;
@@ -514,9 +560,9 @@ impl CoherentMemory {
             Link::Hypercube { net, .. } => {
                 // Pipelined write-back stream: startup + per-line bus
                 // occupancy + the tail message reaching the farthest home.
-                let farthest = lines
+                let farthest = homes
                     .iter()
-                    .map(|&line| net.line_latency(node, self.layout.home_of(line)))
+                    .map(|home| net.line_latency(node, home))
                     .max()
                     .unwrap_or(Cycles::ZERO);
                 start + self.cfg.mem_transfer * n + farthest
@@ -535,7 +581,6 @@ impl CoherentMemory {
                 end
             }
         };
-        self.flush_scratch = lines;
         FlushOutcome {
             lines: n as usize,
             duration: end.saturating_sub(now),
@@ -742,62 +787,42 @@ impl CoherentMemory {
         };
         let targets = state.holders().without(node);
         self.dir.set(line, DirState::Exclusive(node));
+        if upgrade {
+            let (completion, invalidations) = self.upgrade(node, line, targets, now);
+            return Access {
+                completion,
+                class: AccessClass::Upgrade,
+                line,
+                invalidations,
+            };
+        }
         let (completion, class, invalidations) = match self.link {
             Link::Hypercube { net, dir_dispatch } => {
                 let home = self.layout.home_of(line);
-                // The home invalidates the sharers one dispatch apart; each
-                // acknowledges straight to the requester.
-                let fan_out = |mem: &mut Self, t_home: Cycles| {
-                    let invs = mem.invalidate_copies(line, targets, |i, sharer| {
-                        t_home + dir_dispatch * i as u64 + net.control_latency(home, sharer)
-                    });
-                    let last_ack = invs
-                        .iter()
-                        .map(|inv| inv.at + net.control_latency(inv.node, node))
-                        .fold(t_home, Cycles::max);
-                    (invs, last_ack)
-                };
-                if upgrade {
-                    let t_home = now + self.cfg.l1_round_trip + net.control_latency(node, home);
-                    let (invalidations, last_ack) = fan_out(self, t_home);
-                    let t_grant = t_home + net.control_latency(home, node);
-                    let completion = t_grant.max(last_ack).max(now + self.cfg.l1_round_trip);
-                    let nc = &mut self.nodes[node.index()];
-                    if !nc.l2.set_state(line, LineState::Modified) {
-                        nc.l2.insert(line, LineState::Modified);
+                let t_home = now + self.cfg.l2_round_trip + net.control_latency(node, home);
+                match owner {
+                    Some(owner) => {
+                        self.stats.cache_to_cache += 1;
+                        let t_owner =
+                            t_home + net.control_latency(home, owner) + self.cfg.l2_round_trip;
+                        let invalidations = self.invalidate_copies(line, targets, |_, _| t_owner);
+                        (
+                            t_owner + net.line_latency(owner, node),
+                            AccessClass::CacheToCache,
+                            invalidations,
+                        )
                     }
-                    if !nc.l1.set_state(line, LineState::Modified) {
-                        self.fill_l1(node, line, LineState::Modified);
+                    None => {
+                        let (invalidations, last_ack) =
+                            self.fan_out(net, dir_dispatch, node, line, targets, t_home);
+                        let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
+                        let t_grant = t_data + net.line_latency(home, node);
+                        (
+                            t_grant.max(last_ack),
+                            Self::memory_class(home, node),
+                            invalidations,
+                        )
                     }
-                    (completion, AccessClass::Upgrade, invalidations)
-                } else {
-                    let t_home = now + self.cfg.l2_round_trip + net.control_latency(node, home);
-                    let access = match owner {
-                        Some(owner) => {
-                            self.stats.cache_to_cache += 1;
-                            let t_owner =
-                                t_home + net.control_latency(home, owner) + self.cfg.l2_round_trip;
-                            let invalidations =
-                                self.invalidate_copies(line, targets, |_, _| t_owner);
-                            (
-                                t_owner + net.line_latency(owner, node),
-                                AccessClass::CacheToCache,
-                                invalidations,
-                            )
-                        }
-                        None => {
-                            let (invalidations, last_ack) = fan_out(self, t_home);
-                            let t_data = t_home + self.cfg.mem_access + self.cfg.mem_transfer;
-                            let t_grant = t_data + net.line_latency(home, node);
-                            (
-                                t_grant.max(last_ack),
-                                Self::memory_class(home, node),
-                                invalidations,
-                            )
-                        }
-                    };
-                    self.fill_both(node, line, LineState::Modified);
-                    access
                 }
             }
             Link::Bus {
@@ -808,7 +833,6 @@ impl CoherentMemory {
                 // One broadcast address phase invalidates every other copy
                 // at the same instant.
                 let (occupancy, class) = match owner {
-                    _ if upgrade => (snoop, AccessClass::Upgrade),
                     Some(_) => (snoop + self.cfg.mem_transfer, AccessClass::CacheToCache),
                     None => (
                         snoop + self.cfg.mem_access + self.cfg.mem_transfer,
@@ -823,16 +847,87 @@ impl CoherentMemory {
                     self.stats.cache_to_cache += 1;
                     self.stats.writebacks += 1;
                 }
-                self.fill_both(node, line, LineState::Modified);
                 (grant + occupancy, class, invalidations)
             }
         };
+        self.fill_both(node, line, LineState::Modified);
         Access {
             completion,
             class,
             line,
             invalidations,
         }
+    }
+
+    /// The upgrade of `line`, which `node` caches Shared, once the
+    /// directory has made `node` its owner: every copy `targets` hold is
+    /// invalidated and both of `node`'s levels end up Modified. Returns
+    /// the completion and the invalidations sent.
+    // Inlined into both callers: as a call, returning the refill's empty
+    // invalidation list through memory made each refilled line about a
+    // quarter slower.
+    #[inline(always)]
+    fn upgrade(
+        &mut self,
+        node: NodeId,
+        line: LineAddr,
+        targets: SharerSet,
+        now: Cycles,
+    ) -> (Cycles, Vec<Invalidation>) {
+        match self.link {
+            Link::Hypercube { net, dir_dispatch } => {
+                let home = self.layout.home_of(line);
+                let t_home = now + self.cfg.l1_round_trip + net.control_latency(node, home);
+                let (invalidations, last_ack) =
+                    self.fan_out(net, dir_dispatch, node, line, targets, t_home);
+                let t_grant = t_home + net.control_latency(home, node);
+                let completion = t_grant.max(last_ack).max(now + self.cfg.l1_round_trip);
+                let nc = &mut self.nodes[node.index()];
+                if !nc.l2.set_state(line, LineState::Modified) {
+                    nc.l2.insert(line, LineState::Modified);
+                }
+                if !nc.l1.set_state(line, LineState::Modified) {
+                    self.fill_l1(node, line, LineState::Modified);
+                }
+                (completion, invalidations)
+            }
+            Link::Bus {
+                arbitration,
+                snoop,
+                ref mut free_at,
+            } => {
+                // The address phase alone: the data are already here.
+                let ready = now + self.cfg.l2_round_trip;
+                let grant = bus_grant(free_at, arbitration, ready, snoop);
+                let invalidations = self.invalidate_copies(line, targets, |_, _| grant + snoop);
+                self.fill_both(node, line, LineState::Modified);
+                (grant + snoop, invalidations)
+            }
+        }
+    }
+
+    /// The hypercube home's invalidation fan-out, starting at `t_home`:
+    /// the home invalidates `targets` one dispatch apart, and each
+    /// acknowledges straight to the requester `node`. Returns the
+    /// invalidations and the last acknowledgement (`t_home` if none).
+    fn fan_out(
+        &mut self,
+        net: Hypercube,
+        dir_dispatch: Cycles,
+        node: NodeId,
+        line: LineAddr,
+        targets: SharerSet,
+        t_home: Cycles,
+    ) -> (Vec<Invalidation>, Cycles) {
+        let home = self.layout.home_of(line);
+        let invalidations = self.invalidate_copies(line, targets, |i, sharer| {
+            t_home + dir_dispatch * i as u64 + net.control_latency(home, sharer)
+        });
+        let last_ack = invalidations
+            .iter()
+            .map(|inv| inv.at + net.control_latency(inv.node, node))
+            .fold(t_home, Cycles::max);
+        (invalidations, last_ack)
     }
 
     /// Removes every copy of `line` held by `targets` and returns one
@@ -843,6 +938,11 @@ impl CoherentMemory {
         targets: SharerSet,
         at: impl Fn(usize, NodeId) -> Cycles,
     ) -> Vec<Invalidation> {
+        if targets.is_empty() {
+            // The common refill after a flush: the writer was the only
+            // sharer, so there is nothing to fan out.
+            return Vec::new();
+        }
         let mut invalidations = Vec::with_capacity(targets.len());
         for (i, sharer) in targets.iter().enumerate() {
             let nc = &mut self.nodes[sharer.index()];
@@ -1173,10 +1273,61 @@ mod tests {
             for i in 0..40u64 {
                 end_l2 = looped.write(node, base.offset(i * 64), end_l2).completion;
             }
-            let cfg = batched.config();
+            // A second block in the same L2 sets, written before the flush,
+            // so the refill's LRU bumps decide later victims.
+            let other = base.offset(128 * 64);
+            let end_b2 = batched.write_line_run(node, other, 40, end_b2);
+            for i in 0..40u64 {
+                end_l2 = looped.write(node, other.offset(i * 64), end_l2).completion;
+            }
+            // Flush, then refill: every line the flush left behind is held
+            // Shared with this node as its only sharer, so the refill
+            // upgrades each of them with nobody to invalidate.
+            let f_b = batched.flush_dirty_shared(node, end_b2);
+            let f_l = looped.flush_dirty_shared(node, end_l2);
+            assert_eq!(f_b.lines, 80);
+            for i in 0..40u64 {
+                let line = base.offset(i * 64).line();
+                assert_eq!(
+                    batched.dir_state(line),
+                    DirState::Shared(SharerSet::singleton(node))
+                );
+            }
+            let t3 = end_b2 + f_b.duration;
+            let end_b3 = batched.write_line_run(node, base, 40, t3);
+            let mut end_l3 = t3;
+            for i in 0..40u64 {
+                end_l3 = looped.write(node, base.offset(i * 64), end_l3).completion;
+            }
+            let cfg = batched.config().to_string();
             assert_eq!(end_b, end_l, "{cfg}");
             assert_eq!(end_b2, end_l2, "{cfg}");
+            assert_eq!(f_b, f_l, "{cfg}");
+            assert_eq!(end_b3, end_l3, "{cfg}");
             assert_eq!(batched.stats(), looped.stats(), "{cfg}");
+            for i in 0..48u64 {
+                let line = base.offset(i * 64).line();
+                for holder in [node, n(5)] {
+                    assert_eq!(
+                        batched.probe_levels(holder, line),
+                        looped.probe_levels(holder, line),
+                        "{cfg}"
+                    );
+                }
+                assert_eq!(batched.dir_state(line), looped.dir_state(line), "{cfg}");
+            }
+            // LRU order must match too: seven more lines per L2 set evict
+            // one line of each of those sets, the refilled (dirty) block's
+            // or the other (clean) one's, whichever was used least recently.
+            let far = base.offset(256 * 64);
+            let end_b4 = batched.write_line_run(node, far, 7 * 128, end_b3);
+            let mut end_l4 = end_l3;
+            for i in 0..7 * 128u64 {
+                end_l4 = looped.write(node, far.offset(i * 64), end_l4).completion;
+            }
+            assert_eq!(end_b4, end_l4, "{cfg}");
+            assert_eq!(batched.stats(), looped.stats(), "{cfg}");
+            assert!(batched.dirty_index_is_exact() && looped.dirty_index_is_exact());
         }
     }
 

@@ -1,10 +1,16 @@
 //! Property-based tests of the coherence protocol on both interconnects:
-//! after any sequence of reads, writes, and flushes, the full-map directory
-//! and the caches must agree exactly. The bus adds its defining properties:
-//! one write's invalidations share one instant, and misses serialize.
+//! after any sequence of reads, writes, line runs and flushes, the full-map
+//! directory and the caches must agree exactly, and every cache's dirty-way
+//! index must match its ways. A reference model of the flush (collect every
+//! dirty line, filter, sort, dedup, downgrade) checks the indexed one-pass
+//! flush. The bus adds its defining properties: one write's invalidations
+//! share one instant, and misses serialize.
 
 use proptest::prelude::*;
-use tb_mem::{AccessClass, Addr, CoherentMemory, DirState, LineState, MachineConfig, NodeId};
+use tb_mem::{
+    AccessClass, Addr, CoherentMemory, DirState, FlushOutcome, Hypercube, Interconnect, LineAddr,
+    LineState, MachineConfig, MemStats, NodeId, SharerSet,
+};
 use tb_sim::Cycles;
 
 /// One machine per interconnect: the Table 1 hypercube and a bus SMP.
@@ -21,15 +27,34 @@ fn bus(nodes: u16) -> CoherentMemory {
 
 #[derive(Debug, Clone)]
 enum Op {
-    Read { node: u16, addr_idx: usize },
-    Write { node: u16, addr_idx: usize },
-    Flush { node: u16 },
+    Read {
+        node: u16,
+        addr_idx: usize,
+    },
+    Write {
+        node: u16,
+        addr_idx: usize,
+    },
+    /// `write_line_run` of `lines` consecutive lines from a pool address.
+    WriteRun {
+        node: u16,
+        addr_idx: usize,
+        lines: u32,
+    },
+    Flush {
+        node: u16,
+    },
 }
+
+/// Longest line run an op issues.
+const MAX_RUN: u32 = 8;
 
 fn op_strategy(nodes: u16, addrs: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0..nodes, 0..addrs).prop_map(|(node, addr_idx)| Op::Read { node, addr_idx }),
         4 => (0..nodes, 0..addrs).prop_map(|(node, addr_idx)| Op::Write { node, addr_idx }),
+        2 => (0..nodes, 0..addrs, 1..=MAX_RUN)
+            .prop_map(|(node, addr_idx, lines)| Op::WriteRun { node, addr_idx, lines }),
         1 => (0..nodes).prop_map(|node| Op::Flush { node }),
     ]
 }
@@ -47,6 +72,137 @@ fn addr_pool(mem: &CoherentMemory, nodes: u16) -> Vec<Addr> {
         pool.push(mem.layout().private_addr(NodeId::new(n), 0, 0));
     }
     pool
+}
+
+/// Every line an op on `pool` can touch: each pool line and the lines a
+/// run starting there covers.
+fn line_universe(pool: &[Addr]) -> Vec<LineAddr> {
+    let mut lines: Vec<LineAddr> = pool
+        .iter()
+        .flat_map(|a| (0..MAX_RUN as u64).map(move |i| a.offset(i * 64).line()))
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+}
+
+/// Applies one op at `t`; private data is only touched by its owner.
+fn apply(mem: &mut CoherentMemory, pool: &[Addr], op: &Op, t: Cycles) -> Option<FlushOutcome> {
+    let owned = |node: u16, addr: Addr| {
+        !addr.is_private() || addr.private_owner() == Some(NodeId::new(node))
+    };
+    match *op {
+        Op::Read { node, addr_idx } => {
+            let addr = pool[addr_idx % pool.len()];
+            if owned(node, addr) {
+                mem.read(NodeId::new(node), addr, t);
+            }
+        }
+        Op::Write { node, addr_idx } => {
+            let addr = pool[addr_idx % pool.len()];
+            if owned(node, addr) {
+                mem.write(NodeId::new(node), addr, t);
+            }
+        }
+        Op::WriteRun {
+            node,
+            addr_idx,
+            lines,
+        } => {
+            let addr = pool[addr_idx % pool.len()];
+            if owned(node, addr) {
+                mem.write_line_run(NodeId::new(node), addr, lines, t);
+            }
+        }
+        Op::Flush { node } => return Some(mem.flush_dirty_shared(NodeId::new(node), t)),
+    }
+    None
+}
+
+/// Each line's (L1, L2) states at each node, and its directory state.
+type LineStates = Vec<(NodeId, LineAddr, LineState, LineState, DirState)>;
+
+fn line_states(mem: &CoherentMemory, universe: &[LineAddr]) -> LineStates {
+    (0..mem.config().nodes)
+        .map(NodeId::new)
+        .flat_map(|node| {
+            universe.iter().map(move |&line| {
+                let (l1, l2) = mem.probe_levels(node, line);
+                (node, line, l1, l2, mem.dir_state(line))
+            })
+        })
+        .collect()
+}
+
+/// The flush as it was before the dirty-way index, rebuilt from public
+/// probes: collect every line of `universe` dirty at either level of
+/// `node`, drop private lines, sort and dedup, then downgrade each line at
+/// both levels and record `node` as its only sharer. Returns what
+/// `flush_dirty_shared(node, now)` must return and leave behind.
+fn reference_flush(
+    mem: &CoherentMemory,
+    node: NodeId,
+    now: Cycles,
+    universe: &[LineAddr],
+) -> (FlushOutcome, MemStats, LineStates) {
+    let mut dirty: Vec<LineAddr> = universe
+        .iter()
+        .copied()
+        .filter(|&line| {
+            let (l1, l2) = mem.probe_levels(node, line);
+            l1.is_dirty() || l2.is_dirty()
+        })
+        .collect();
+    dirty.retain(|l| !l.base_addr().is_private());
+    dirty.sort_unstable();
+    dirty.dedup();
+    let n = dirty.len() as u64;
+
+    let mut states = line_states(mem, universe);
+    for (holder, line, l1, l2, dir) in &mut states {
+        if dirty.binary_search(line).is_ok() {
+            *dir = DirState::Shared(SharerSet::singleton(node));
+            if *holder == node {
+                if l1.is_dirty() {
+                    *l1 = LineState::Shared;
+                }
+                *l2 = LineState::Shared;
+            }
+        }
+    }
+    let mut stats = mem.stats().clone();
+    stats.writebacks += n;
+    stats.flushes += 1;
+    stats.flushed_lines += n;
+
+    let cfg = mem.config();
+    let start = now + cfg.l2_round_trip;
+    let end = match cfg.interconnect {
+        Interconnect::Hypercube { .. } => {
+            let net = Hypercube::table1(cfg.nodes);
+            let farthest = dirty
+                .iter()
+                .map(|&line| net.line_latency(node, mem.layout().home_of(line)))
+                .max()
+                .unwrap_or(Cycles::ZERO);
+            start + cfg.mem_transfer * n + farthest
+        }
+        Interconnect::Bus { arbitration, .. } => {
+            let mut free_at = mem.bus_free_at().expect("a bus machine");
+            let mut end = start;
+            for _ in 0..n {
+                let grant = (end + arbitration).max(free_at);
+                free_at = grant + cfg.mem_transfer;
+                end = free_at;
+            }
+            end
+        }
+    };
+    let outcome = FlushOutcome {
+        lines: n as usize,
+        duration: end.saturating_sub(now),
+    };
+    (outcome, stats, states)
 }
 
 /// Checks every protocol invariant for every address in the pool.
@@ -129,26 +285,47 @@ proptest! {
             let mut t = Cycles::ZERO;
             for op in &ops {
                 t += Cycles::from_micros(1);
-                match *op {
-                    Op::Read { node, addr_idx } => {
-                        let addr = pool[addr_idx % pool.len()];
-                        if addr.is_private() && addr.private_owner() != Some(NodeId::new(node)) {
-                            continue; // private data is only touched by its owner
-                        }
-                        mem.read(NodeId::new(node), addr, t);
-                    }
-                    Op::Write { node, addr_idx } => {
-                        let addr = pool[addr_idx % pool.len()];
-                        if addr.is_private() && addr.private_owner() != Some(NodeId::new(node)) {
-                            continue;
-                        }
-                        mem.write(NodeId::new(node), addr, t);
-                    }
-                    Op::Flush { node } => {
-                        mem.flush_dirty_shared(NodeId::new(node), t);
-                    }
-                }
+                apply(&mut mem, &pool, op, t);
                 check_invariants(&mem, &pool, nodes)?;
+                prop_assert!(
+                    mem.dirty_index_is_exact(),
+                    "a dirty-way index drifted from its ways after {:?}",
+                    op
+                );
+            }
+        }
+    }
+
+    /// The indexed one-pass flush is the collect/filter/sort/dedup flush:
+    /// after every flush, its outcome, the memory counters, and every
+    /// line's cache and directory states equal the reference model's.
+    #[test]
+    fn flush_matches_the_reference_flush(
+        ops in proptest::collection::vec(op_strategy(8, 28), 1..160),
+    ) {
+        let nodes = 8u16;
+        for mut mem in both(nodes) {
+            let pool = addr_pool(&mem, nodes);
+            let universe = line_universe(&pool);
+            let mut t = Cycles::ZERO;
+            for op in &ops {
+                // Some ops share an instant, so flushes meet a busy bus.
+                if !matches!(op, Op::Flush { .. }) {
+                    t += Cycles::from_nanos(150);
+                }
+                let expected = match *op {
+                    Op::Flush { node } => {
+                        Some(reference_flush(&mem, NodeId::new(node), t, &universe))
+                    }
+                    _ => None,
+                };
+                let got = apply(&mut mem, &pool, op, t);
+                if let (Some((outcome, stats, states)), Some(f)) = (expected, got) {
+                    let cfg = mem.config().to_string();
+                    prop_assert_eq!(f, outcome, "{}", cfg);
+                    prop_assert_eq!(mem.stats(), &stats, "{}", cfg);
+                    prop_assert_eq!(line_states(&mem, &universe), states, "{}", cfg);
+                }
             }
         }
     }

@@ -18,7 +18,7 @@
 //! is calibrated by [`crate::calibrate`] so the trace's measured imbalance
 //! matches Table 2.
 
-use crate::calibrate::calibrate_spread;
+use crate::calibrate::{calibrate_spread, Unreachable};
 use crate::spec::{AppSpec, PhaseSpec, Variability};
 use serde::{Deserialize, Serialize};
 use tb_sim::{Cycles, SimRng};
@@ -158,12 +158,24 @@ impl AppSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec fails [`AppSpec::validate`] or `threads < 2`.
+    /// Panics if the spec fails [`AppSpec::validate`], `threads < 2`, or
+    /// the target is [`Unreachable`] (see [`AppSpec::try_generate`]).
     pub fn generate(&self, threads: usize, seed: u64) -> AppTrace {
+        self.try_generate(threads, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`AppSpec::generate`], but returns an [`Unreachable`] error
+    /// when no spread reaches the Table 2 imbalance with `threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec fails [`AppSpec::validate`] or `threads < 2`.
+    pub fn try_generate(&self, threads: usize, seed: u64) -> Result<AppTrace, Unreachable> {
         self.validate();
         assert!(threads >= 2, "imbalance needs at least two threads");
-        let spread = calibrate_spread(self, threads, seed);
-        self.generate_with_spread(threads, seed, spread)
+        let spread = calibrate_spread(self, threads, seed)?;
+        Ok(self.generate_with_spread(threads, seed, spread))
     }
 
     /// Like [`AppSpec::generate`], but returns the trace behind an

@@ -29,6 +29,11 @@
 //!
 //! The full table/figure reproduction lives in the bench targets
 //! (`cargo bench`); this binary is the interactive entry point.
+//!
+//! Exit status: 0 on success, 1 for rejected options or a failed run, and
+//! 2 for a usage error or a Table 2 imbalance the machine size cannot
+//! reach (Volrend at 2 nodes), which `run` and `sweep` check before any
+//! cell runs, whichever executor runs the cells.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -36,12 +41,42 @@ use thrifty_barrier::cli::{
     app_by_name, config_by_name, parse_options, Options, DEFAULT_SERVE_WORKERS,
 };
 use thrifty_barrier::core::{FaultPlan, SystemConfig};
-use thrifty_barrier::machine::harness::{AppMatrix, Cell, Harness, SupervisionPolicy};
+use thrifty_barrier::machine::harness::{
+    check_reachable, AppMatrix, Cell, Harness, SupervisionPolicy,
+};
 use thrifty_barrier::machine::journal::{CellKey, StoredOutcome, SweepJournal};
 use thrifty_barrier::machine::run::{run_trace_recording, run_trace_with};
 use thrifty_barrier::machine::{AggregateReport, CellCoverage, CellOutcome, RunReport};
 use thrifty_barrier::trace::PredictionAccuracyReport;
+use thrifty_barrier::workloads::calibrate::Unreachable;
 use thrifty_barrier::workloads::AppSpec;
+
+/// Why a command failed, with the exit status that says so.
+struct Failure {
+    message: String,
+    status: i32,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure { message, status: 1 }
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::from(message.to_string())
+    }
+}
+
+impl From<Unreachable> for Failure {
+    fn from(e: Unreachable) -> Self {
+        Failure {
+            message: e.to_string(),
+            status: 2,
+        }
+    }
+}
 
 /// The short column label used in the sweep table (derived from the
 /// config, never from a position).
@@ -113,10 +148,19 @@ fn cmd_list() {
     }
 }
 
-fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_run(app_name: &str, opts: &Options) -> Result<(), Failure> {
     let app = app_by_name(app_name)?;
     let harness = Harness::new(opts.jobs);
     let seeds = opts.seed_list();
+    // Every configuration runs the same traces, so checking Baseline's
+    // cells checks them all.
+    let baseline_cells = Cell::matrix(
+        std::slice::from_ref(&app),
+        &[SystemConfig::Baseline],
+        opts.nodes,
+        &seeds,
+    );
+    check_reachable(&baseline_cells)?;
     match &opts.config {
         Some(name) => {
             let sys = config_by_name(name)?;
@@ -173,7 +217,7 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
 /// ("none") — or no scenario at all — renders the ordinary sweep table,
 /// byte-for-byte, so the zero-cost-when-disabled guarantee is directly
 /// observable.
-fn cmd_sweep(opts: &Options) -> Result<(), String> {
+fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
     let configs = SystemConfig::ALL;
     let seeds = opts.seed_list();
     let apps = AppSpec::splash2();
@@ -252,6 +296,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
             }
         }
     };
+    check_reachable(&todo_cells)?;
     let fresh = if opts.workers > 0 {
         // Fleet health goes to stderr — stdout must stay byte-identical
         // to an in-process sweep.
@@ -281,7 +326,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
             .run_cells_with(&todo_cells, on_complete)
     };
     if let Some(e) = append_err {
-        return Err(e);
+        return Err(e.into());
     }
     for (t, outcome) in fresh.into_iter().enumerate() {
         outcomes[todo[t]] = Some(outcome);
@@ -473,13 +518,13 @@ fn render_fault_sweep(
     }
 }
 
-fn cmd_cutoff(opts: &Options) -> Result<(), String> {
+fn cmd_cutoff(opts: &Options) -> Result<(), Failure> {
     use thrifty_barrier::core::AlgorithmConfig;
     let app = app_by_name("Ocean")?;
     let harness = Harness::new(opts.jobs);
     // The cached Baseline bundle: one trace generation, one Baseline
     // simulation, shared with any other command using this harness.
-    let trace = harness.trace(&app, opts.nodes, opts.seed);
+    let trace = harness.try_trace(&app, opts.nodes, opts.seed)?;
     let base = harness.baseline(&app, opts.nodes, opts.seed);
     for (label, th) in [("cut-off off", None), ("cut-off 10%", Some(0.10))] {
         let cfg = AlgorithmConfig::thrifty().with_overprediction_threshold(th);
@@ -494,7 +539,7 @@ fn cmd_cutoff(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), String> {
+fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), Failure> {
     let app = app_by_name(app_name)?;
     let out = opts
         .out
@@ -504,7 +549,7 @@ fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), String> {
         Some(name) => config_by_name(name)?,
         None => SystemConfig::Thrifty,
     };
-    let app_trace = app.generate(opts.nodes as usize, opts.seed);
+    let app_trace = app.try_generate(opts.nodes as usize, opts.seed)?;
     let traced = run_trace_recording(&app_trace, opts.nodes, sys, opts.ring);
     let body = match opts.format.as_str() {
         "jsonl" => thrifty_barrier::trace::to_jsonl(&traced.events),
@@ -565,10 +610,12 @@ fn main() {
             let Some(app) = args.get(1) else { usage() };
             match parse_options(&args[2..]) {
                 Ok(opts) => cmd_run(app, &opts),
-                Err(e) => Err(e),
+                Err(e) => Err(e.into()),
             }
         }
-        "sweep" => parse_options(&args[1..]).and_then(|o| cmd_sweep(&o)),
+        "sweep" => parse_options(&args[1..])
+            .map_err(Failure::from)
+            .and_then(|o| cmd_sweep(&o)),
         "serve" => {
             // `serve` is `sweep` with a worker fleet by default. The
             // default is injected *before* parsing so fleet-only tuning
@@ -579,26 +626,30 @@ fn main() {
                 argv.insert(0, "--workers".into());
                 argv.insert(1, DEFAULT_SERVE_WORKERS.to_string());
             }
-            parse_options(&argv).and_then(|o| cmd_sweep(&o))
+            parse_options(&argv)
+                .map_err(Failure::from)
+                .and_then(|o| cmd_sweep(&o))
         }
         // Hidden: the worker half of `sweep --workers` / `serve`. Spawned
         // by the coordinator with pipes on stdin/stdout; never typed by a
         // person.
         "__worker" => std::process::exit(tb_serve::worker_main()),
-        "cutoff" => parse_options(&args[1..]).and_then(|o| cmd_cutoff(&o)),
+        "cutoff" => parse_options(&args[1..])
+            .map_err(Failure::from)
+            .and_then(|o| cmd_cutoff(&o)),
         "trace" => {
             let Some(app) = args.get(1) else { usage() };
             match parse_options(&args[2..]) {
                 Ok(opts) => cmd_trace(app, &opts),
-                Err(e) => Err(e),
+                Err(e) => Err(e.into()),
             }
         }
         _ => {
             usage();
         }
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    if let Err(Failure { message, status }) = result {
+        eprintln!("error: {message}");
+        std::process::exit(status);
     }
 }

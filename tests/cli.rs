@@ -190,3 +190,55 @@ fn four_node_run_and_sweep_complete() {
         assert!(!out.stdout.is_empty(), "{args:?}");
     }
 }
+
+/// At two nodes Volrend's 48.2% Table 2 imbalance is out of reach. `run`,
+/// `sweep` and `serve` say so in one stderr line, exit 2 without a
+/// backtrace, and run no cell, in process or on a worker fleet: a sweep's
+/// journal holds its header and nothing else.
+#[test]
+fn unreachable_imbalance_target_exits_2_before_any_cell() {
+    let dir = tmp_dir("unreachable");
+    let journal = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (in_process, fleet) = (journal("n2.jsonl"), journal("n2-fleet.jsonl"));
+    for args in [
+        &["sweep", "--nodes", "2", "--journal", &in_process][..],
+        &[
+            "sweep",
+            "--nodes",
+            "2",
+            "--workers",
+            "1",
+            "--journal",
+            &fleet,
+        ][..],
+        &["serve", "--nodes", "2"][..],
+        &["run", "Volrend", "--nodes", "2"][..],
+    ] {
+        let out = bin(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            err.lines().count(),
+            1,
+            "{args:?}: one line, no backtrace: {err}"
+        );
+        for needle in [
+            "Volrend",
+            "48.2%",
+            "at most 36.7%",
+            "2 threads",
+            "seed 31553",
+        ] {
+            assert!(
+                err.contains(needle),
+                "{args:?}: {err:?} should name {needle:?}"
+            );
+        }
+    }
+    for journal in [in_process, fleet] {
+        let records = std::fs::read_to_string(&journal).unwrap();
+        assert_eq!(records.lines().count(), 1, "header only: {records}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
