@@ -1,225 +1,6 @@
-//! Shared plumbing for the experiment harnesses.
+//! Criterion micro-benchmarks of the real-threads barrier (`benches/`).
 //!
-//! Every table and figure of the paper's evaluation is regenerated by a
-//! `harness = false` bench target in `benches/` (so `cargo bench` prints
-//! them all); this library holds the pieces they share: environment knobs,
-//! result-row formatting, and the standard application × configuration
-//! sweep.
-//!
-//! Environment knobs:
-//!
-//! * `TB_BENCH_NODES` — machine size (power of two ≤ 64; default 64).
-//! * `TB_BENCH_SEED` — workload seed (default [`tb_machine::run::PAPER_SEED`]).
-//! * `TB_BENCH_JOBS` — harness worker-pool size (default: one per
-//!   hardware thread).
-
-use tb_core::SystemConfig;
-use tb_energy::{CategoryBreakdown, EnergyCategory};
-use tb_machine::harness::{AppMatrix, Harness};
-use tb_machine::run::PAPER_SEED;
-use tb_machine::RunReport;
-use tb_workloads::AppSpec;
-
-/// Machine size for the harnesses, from `TB_BENCH_NODES` (default 64).
-///
-/// # Panics
-///
-/// Panics if the variable is set but not a power-of-two in `2..=64`.
-pub fn bench_nodes() -> u16 {
-    match std::env::var("TB_BENCH_NODES") {
-        Ok(v) => {
-            let n: u16 = v.parse().expect("TB_BENCH_NODES must be a number");
-            assert!(
-                (2..=64).contains(&n) && n.is_power_of_two(),
-                "TB_BENCH_NODES must be a power of two in 2..=64"
-            );
-            n
-        }
-        Err(_) => 64,
-    }
-}
-
-/// Workload seed, from `TB_BENCH_SEED` (default the paper seed).
-pub fn bench_seed() -> u64 {
-    std::env::var("TB_BENCH_SEED")
-        .ok()
-        .map(|v| v.parse().expect("TB_BENCH_SEED must be a number"))
-        .unwrap_or(PAPER_SEED)
-}
-
-/// Harness worker-pool size, from `TB_BENCH_JOBS` (default 0 = one worker
-/// per hardware thread).
-///
-/// # Panics
-///
-/// Panics if the variable is set but not a number.
-pub fn bench_jobs() -> usize {
-    std::env::var("TB_BENCH_JOBS")
-        .ok()
-        .map(|v| v.parse().expect("TB_BENCH_JOBS must be a number"))
-        .unwrap_or(0)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, what: &str) {
-    println!("==============================================================================");
-    println!("{id}: {what}");
-    println!(
-        "machine: {} nodes (Table 1), seed {:#x}",
-        bench_nodes(),
-        bench_seed()
-    );
-    println!("==============================================================================");
-}
-
-/// One normalized stacked-bar row (Figures 5 and 6).
-pub fn breakdown_row(label: &str, b: &CategoryBreakdown) -> String {
-    format!(
-        "{:<13} total {:>6.1}%  | compute {:>6.1}%  spin {:>5.1}%  transition {:>4.1}%  sleep {:>5.1}%  {}",
-        label,
-        b.total() * 100.0,
-        b[EnergyCategory::Compute] * 100.0,
-        b[EnergyCategory::Spin] * 100.0,
-        b[EnergyCategory::Transition] * 100.0,
-        b[EnergyCategory::Sleep] * 100.0,
-        ascii_bar(b, 40.0),
-    )
-}
-
-/// Renders a stacked bar like the paper's figures: `#` compute, `-` spin,
-/// `+` transition, `z` sleep; `scale` is the character width of a 100 %
-/// bar.
-pub fn ascii_bar(b: &CategoryBreakdown, scale: f64) -> String {
-    let seg =
-        |v: f64, c: char| std::iter::repeat_n(c, (v * scale).round() as usize).collect::<String>();
-    format!(
-        "{}{}{}{}",
-        seg(b[EnergyCategory::Compute], '#'),
-        seg(b[EnergyCategory::Spin], '-'),
-        seg(b[EnergyCategory::Transition], '+'),
-        seg(b[EnergyCategory::Sleep], 'z'),
-    )
-}
-
-/// Runs the full 10-application × 5-configuration matrix at the bench
-/// machine size: one [`AppMatrix`] per app in Table 2 order, each holding
-/// the five configurations in figure order (B, H, O, T, I) for the one
-/// bench seed.
-///
-/// Cells fan out across a [`Harness`] worker pool ([`bench_jobs`] wide)
-/// with each (app, seed) generating its trace once and running Baseline
-/// exactly once; results are deterministic and identical to the serial
-/// path regardless of the pool size.
-pub fn full_matrix() -> Vec<AppMatrix> {
-    Harness::new(bench_jobs())
-        .run_matrix(
-            &AppSpec::splash2(),
-            &SystemConfig::ALL,
-            bench_nodes(),
-            &[bench_seed()],
-        )
-        .expect("benchmark cells are fault-free")
-}
-
-/// The §5.1 headline numbers over the target applications: mean energy
-/// savings of each non-baseline configuration and the mean Thrifty
-/// slowdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TargetSummary {
-    /// Mean fractional energy savings of each non-Baseline configuration,
-    /// in figure order (H, O, T, I).
-    pub savings: Vec<(SystemConfig, f64)>,
-    /// Mean fractional Thrifty slowdown.
-    pub thrifty_slowdown: f64,
-}
-
-/// Computes [`TargetSummary`] from a matrix holding all five
-/// configurations, looking each one up by name so the matrix's
-/// configuration order does not matter. Uses each configuration's first
-/// seed.
-///
-/// # Panics
-///
-/// Panics if the matrix has no target application or lacks a
-/// configuration.
-pub fn target_summary(matrix: &[AppMatrix]) -> TargetSummary {
-    let targets: Vec<&AppMatrix> = matrix.iter().filter(|m| m.app.is_target()).collect();
-    assert!(!targets.is_empty(), "no target applications in the matrix");
-    let mean = |f: fn(&RunReport, &RunReport) -> f64, config: SystemConfig| {
-        targets
-            .iter()
-            .map(|m| {
-                f(
-                    &m.config_reports(config)[0],
-                    &m.config_reports(SystemConfig::Baseline)[0],
-                )
-            })
-            .sum::<f64>()
-            / targets.len() as f64
-    };
-    TargetSummary {
-        savings: SystemConfig::ALL[1..]
-            .iter()
-            .map(|&c| (c, mean(RunReport::energy_savings_vs, c)))
-            .collect(),
-        thrifty_slowdown: mean(RunReport::slowdown_vs, SystemConfig::Thrifty),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_without_env() {
-        // The test environment does not set the knobs.
-        if std::env::var("TB_BENCH_NODES").is_err() {
-            assert_eq!(bench_nodes(), 64);
-        }
-        if std::env::var("TB_BENCH_SEED").is_err() {
-            assert_eq!(bench_seed(), PAPER_SEED);
-        }
-    }
-
-    #[test]
-    fn breakdown_row_formats_all_categories() {
-        let mut b = CategoryBreakdown::new();
-        b[EnergyCategory::Compute] = 0.8;
-        b[EnergyCategory::Sleep] = 0.05;
-        let row = breakdown_row("Thrifty", &b);
-        assert!(row.contains("Thrifty"));
-        assert!(row.contains("85.0%"), "total: {row}");
-        assert!(row.contains("80.0%"));
-    }
-
-    #[test]
-    fn ascii_bar_length_tracks_total() {
-        let mut b = CategoryBreakdown::new();
-        b[EnergyCategory::Compute] = 0.5;
-        b[EnergyCategory::Sleep] = 0.25;
-        let bar = ascii_bar(&b, 40.0);
-        assert_eq!(bar.len(), 30);
-        assert_eq!(bar.matches('#').count(), 20);
-        assert_eq!(bar.matches('z').count(), 10);
-    }
-
-    /// The summary finds each configuration by name: running the matrix
-    /// with the configurations reversed (Ideal first) changes nothing.
-    #[test]
-    fn target_summary_is_independent_of_config_order() {
-        let apps = AppSpec::targets();
-        let harness = Harness::new(0);
-        let run = |configs: &[SystemConfig]| {
-            let matrix = harness
-                .run_matrix(&apps, configs, 8, &[PAPER_SEED])
-                .expect("fault-free cells");
-            target_summary(&matrix)
-        };
-        let mut reversed = SystemConfig::ALL;
-        reversed.reverse();
-        let figure_order = run(&SystemConfig::ALL);
-        assert_eq!(run(&reversed), figure_order);
-        let configs: Vec<SystemConfig> = figure_order.savings.iter().map(|&(c, _)| c).collect();
-        assert_eq!(configs, SystemConfig::ALL[1..]);
-    }
-}
+//! The paper's tables and figures are regenerated by
+//! `thrifty-barrier reproduce <ID>`, and simulator performance is measured
+//! by the repository benchmark in `src/bin/benchmark/`, a package of its
+//! own.

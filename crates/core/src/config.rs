@@ -314,6 +314,12 @@ impl AlgorithmConfig {
         self
     }
 
+    /// Whether this configuration predicts from a recorded oracle table,
+    /// which a Baseline run of the same trace has to supply.
+    pub fn needs_oracle(&self) -> bool {
+        self.predictor == PredictorChoice::Oracle
+    }
+
     /// Returns a copy with predictor quarantine enabled (fault hardening).
     pub fn with_quarantine(mut self, quarantine: Option<QuarantineConfig>) -> Self {
         self.quarantine = quarantine;
@@ -434,6 +440,9 @@ mod tests {
         assert!(SystemConfig::OracleHalt.needs_oracle());
         assert!(SystemConfig::Ideal.needs_oracle());
         assert!(!SystemConfig::Thrifty.needs_oracle());
+        for sys in SystemConfig::ALL {
+            assert_eq!(sys.needs_oracle(), sys.algorithm_config().needs_oracle());
+        }
         assert_eq!(
             SystemConfig::Ideal.algorithm_config().predictor,
             PredictorChoice::Oracle

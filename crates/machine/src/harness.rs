@@ -15,7 +15,11 @@
 //! [`Harness`] therefore fans cells out across a scoped worker pool while
 //! interning both inputs in content-keyed caches: each (app, nodes, seed)
 //! generates its trace once and simulates Baseline exactly once, no matter
-//! how many configurations, workers, or calls consume it. Results come
+//! how many configurations, workers, or calls consume it. A cell's
+//! [`Variant`] (an ablation's knob, the bus, time-sharing, a disturbed
+//! trace) joins those keys only where it changes the shared input: a
+//! disturbed trace is cached apart from the clean one, and each trace and
+//! interconnect has its own Baseline. Results come
 //! back in the caller's cell order (workers fill indexed slots, so
 //! completion order never shows), which keeps parallel output byte-for-byte
 //! identical to a serial run.
@@ -45,18 +49,81 @@
 use crate::report::{AggregateReport, RunReport};
 use crate::run::oracle_from_baseline;
 pub use crate::sim::CellError;
-use crate::sim::{try_simulate_faulted, Deadline, SimulatorConfig};
+use crate::sim::{try_simulate_faulted, Deadline, SimulatorConfig, TimeSharing};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
-use tb_core::{FaultPlan, QuarantineConfig, RecordedBitOracle, SystemConfig};
+use tb_core::{
+    AlgorithmConfig, FaultPlan, PredictorChoice, QuarantineConfig, RecordedBitOracle, SystemConfig,
+    WakeupMode,
+};
 use tb_faults::FaultSummary;
+use tb_mem::MachineConfig;
 use tb_sim::{Cycles, SimRng};
 use tb_trace::{SinkHandle, TraceEvent, TraceEventKind};
 use tb_workloads::calibrate::{self, Unreachable};
 use tb_workloads::{AppSpec, AppTrace};
+
+/// What an ablation changes about a cell beyond its application, size,
+/// seed and configuration. The default variant runs the configuration as
+/// named on the Table 1 machine, so default cells are the sweep's cells.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct Variant {
+    /// The one algorithm setting the ablation overrides, if any.
+    pub knob: Option<Knob>,
+    /// Run on a snooping bus ([`MachineConfig::bus_smp`]) instead of the
+    /// directory machine.
+    pub bus: bool,
+    /// Replace the barrier's sleep decisions with §3.4.1 spin-then-yield.
+    pub time_sharing: Option<TimeSharing>,
+    /// Inject preemption-length delays into the trace (§3.4.2).
+    pub disturbance: Option<Disturbance>,
+}
+
+/// One algorithm setting an ablation overrides.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Knob {
+    /// The §3.3.3 overprediction cut-off as a fraction of BIT (`None`
+    /// disables it).
+    Cutoff(Option<f64>),
+    /// The wake-up mechanism (§3.3).
+    Wakeup(WakeupMode),
+    /// The BIT predictor (§3.2).
+    Predictor(PredictorChoice),
+    /// The internal timer's anticipation margin (§3.3.2).
+    Anticipation(Cycles),
+    /// The §3.4.2 underprediction filter factor (`None` disables it).
+    Underprediction(Option<f64>),
+}
+
+impl Knob {
+    fn apply(self, algo: &mut AlgorithmConfig) {
+        match self {
+            Knob::Cutoff(threshold) => algo.overprediction_threshold = threshold,
+            Knob::Wakeup(mode) => algo.wakeup = mode,
+            Knob::Predictor(predictor) => algo.predictor = predictor,
+            Knob::Anticipation(margin) => algo.wakeup_anticipation = margin,
+            Knob::Underprediction(factor) => algo.underprediction_factor = factor,
+        }
+    }
+}
+
+/// Preemption-length delays injected into a cell's trace: with probability
+/// `prob` per episode one thread computes `delay` longer
+/// ([`AppTrace::with_disturbance`], seeded by the cell seed xor `salt`).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Disturbance {
+    /// Mixed into the cell seed to seed the disturbance stream.
+    pub salt: u64,
+    /// Per-episode probability of a preemption.
+    pub prob: f64,
+    /// How long a preempted thread is delayed.
+    pub delay: Cycles,
+}
 
 /// One cell of the experiment matrix.
 #[derive(Debug, Clone)]
@@ -72,6 +139,8 @@ pub struct Cell {
     /// Fault plan injected into this cell's simulation (`None`, or a
     /// disabled plan, runs the clean simulator path).
     pub faults: Option<FaultPlan>,
+    /// What an ablation changes about the cell (default: nothing).
+    pub variant: Variant,
 }
 
 impl Cell {
@@ -83,6 +152,7 @@ impl Cell {
             seed,
             config,
             faults: None,
+            variant: Variant::default(),
         }
     }
 
@@ -90,6 +160,31 @@ impl Cell {
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
+    }
+
+    /// Sets the cell's variant.
+    pub fn with_variant(mut self, variant: Variant) -> Self {
+        self.variant = variant;
+        self
+    }
+
+    /// Whether the cell is the plain Baseline run of its trace and
+    /// interconnect (no knob, no time-sharing): the run the harness caches
+    /// and other cells are normalized against.
+    pub fn is_plain_baseline(&self) -> bool {
+        self.config == SystemConfig::Baseline
+            && self.variant.knob.is_none()
+            && self.variant.time_sharing.is_none()
+    }
+
+    /// The algorithm configuration the cell runs: its configuration's,
+    /// with the variant's knob applied.
+    pub fn algorithm_config(&self) -> AlgorithmConfig {
+        let mut algo = self.config.algorithm_config();
+        if let Some(knob) = self.variant.knob {
+            knob.apply(&mut algo);
+        }
+        algo
     }
 
     /// The fault-free cells of an `apps × configs × seeds` matrix,
@@ -224,6 +319,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The paper machine of `nodes` processors running `config`, on the
+/// snooping bus if `bus`.
+fn simulator_config(config: SystemConfig, nodes: u16, bus: bool) -> SimulatorConfig {
+    let mut cfg = SimulatorConfig::paper_with_nodes(config.name(), nodes);
+    if bus {
+        cfg.machine = MachineConfig::bus_smp(nodes);
+    }
+    cfg
+}
+
 /// The Baseline run of one (app, nodes, seed) triple together with the
 /// oracle table derived from it — the shared input of the Baseline,
 /// Oracle-Halt, and Ideal cells.
@@ -235,10 +340,19 @@ pub struct BaselineBundle {
     pub oracle: RecordedBitOracle,
 }
 
-/// Cache key: (app name, nodes, seed). App specs are identified by name —
+/// Trace cache key: everything a trace depends on — (app name, nodes,
+/// seed) and the disturbance's bits. App specs are identified by name:
 /// [`AppSpec::splash2`] names are unique, and callers mixing custom specs
 /// under one name would already be ambiguous everywhere else.
-type Key = (String, u16, u64);
+type TraceKey = (String, u16, u64, Option<(u64, u64, Cycles)>);
+
+fn trace_key(app: &AppSpec, nodes: u16, seed: u64, d: Option<Disturbance>) -> TraceKey {
+    let disturbance = d.map(|d| (d.salt, d.prob.to_bits(), d.delay));
+    (app.name.clone(), nodes, seed, disturbance)
+}
+
+/// Baseline cache key: the trace it runs and whether it runs on the bus.
+type BaselineKey = (TraceKey, bool);
 
 /// One cache entry: empty until a fill succeeds.
 type Slot<T> = Mutex<Option<Arc<T>>>;
@@ -247,13 +361,13 @@ type Slot<T> = Mutex<Option<Arc<T>>>;
 /// Each key holds its own slot lock: the first looker-up computes while
 /// concurrent ones for the same key wait, and later ones hit. A fill that
 /// fails (or panics) leaves the slot empty, so the next lookup recomputes.
-struct Cache<T> {
-    slots: Mutex<HashMap<Key, Arc<Slot<T>>>>,
+struct Cache<K, T> {
+    slots: Mutex<HashMap<K, Arc<Slot<T>>>>,
     hits: AtomicU64,
     computes: AtomicU64,
 }
 
-impl<T> Default for Cache<T> {
+impl<K, T> Default for Cache<K, T> {
     fn default() -> Self {
         Cache {
             slots: Mutex::new(HashMap::new()),
@@ -263,10 +377,10 @@ impl<T> Default for Cache<T> {
     }
 }
 
-impl<T> Cache<T> {
+impl<K: Eq + Hash, T> Cache<K, T> {
     fn get_or_try_compute<E>(
         &self,
-        key: Key,
+        key: K,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         // A panicking fill poisons its lock, but never leaves a half-written
@@ -302,7 +416,7 @@ impl<T> Cache<T> {
 /// Parallel experiment runner with shared trace and Baseline/oracle caches.
 ///
 /// The caches live for the lifetime of the harness, so sequential calls
-/// (`run` then `cutoff`, or repeated sweeps) keep amortizing the same
+/// (`run` then `trace`, or repeated sweeps) keep amortizing the same
 /// Baseline recordings — build one harness per process, not per call.
 ///
 /// # Examples
@@ -328,8 +442,8 @@ impl<T> Cache<T> {
 pub struct Harness {
     jobs: usize,
     policy: SupervisionPolicy,
-    traces: Cache<AppTrace>,
-    baselines: Cache<BaselineBundle>,
+    traces: Cache<TraceKey, AppTrace>,
+    baselines: Cache<BaselineKey, BaselineBundle>,
 }
 
 impl std::fmt::Debug for Harness {
@@ -382,62 +496,79 @@ impl Harness {
     /// # Panics
     ///
     /// Panics if the app's Table 2 imbalance is [`Unreachable`] on `nodes`
-    /// threads; [`Harness::try_trace`] reports that as an error instead.
+    /// threads ([`check_reachable`] refuses such cells up front).
     pub fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        self.try_trace(app, nodes, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.cell_trace(app, nodes, seed, None)
     }
 
-    /// [`Harness::trace`], returning an unreachable imbalance target as
-    /// an error (and caching nothing).
-    pub fn try_trace(
+    /// [`Harness::trace`] with `disturbance` injected: a disturbed trace is
+    /// derived from the clean one once and cached under its own key. In a
+    /// cell, the panic on an unreachable target becomes a
+    /// [`CellError::Panic`].
+    fn cell_trace(
         &self,
         app: &AppSpec,
         nodes: u16,
         seed: u64,
-    ) -> Result<Arc<AppTrace>, Unreachable> {
+        disturbance: Option<Disturbance>,
+    ) -> Arc<AppTrace> {
+        let key = trace_key(app, nodes, seed, disturbance);
+        let generate = || match disturbance {
+            None => app.try_generate(nodes as usize, seed),
+            Some(d) => {
+                Ok(self
+                    .trace(app, nodes, seed)
+                    .with_disturbance(seed ^ d.salt, d.prob, d.delay))
+            }
+        };
         self.traces
-            .get_or_try_compute((app.name.clone(), nodes, seed), || {
-                app.try_generate(nodes as usize, seed)
-            })
+            .get_or_try_compute(key, generate)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The interned Baseline run (and derived oracle) of (app, nodes,
-    /// seed), simulating it on first use without a deadline.
+    /// seed) on the directory machine, simulating it on first use without
+    /// a deadline.
     ///
     /// # Panics
     ///
     /// Panics if the Baseline simulation livelocks.
     pub fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
-        self.try_baseline(app, nodes, seed, None)
+        self.try_baseline(app, nodes, seed, &Variant::default(), None)
             .unwrap_or_else(|e| panic!("Baseline simulation failed: {e}"))
     }
 
-    /// The one place the harness runs Baseline, so each triple runs it
-    /// exactly once — unless an attempt fails (a `deadline` expires), which
-    /// leaves the cache empty for the next one.
+    /// The one place the harness runs Baseline, so each trace and
+    /// interconnect runs it exactly once — unless an attempt fails (a
+    /// `deadline` expires), which leaves the cache empty for the next one.
+    /// Of the variant, only the disturbance and the interconnect matter.
     fn try_baseline(
         &self,
         app: &AppSpec,
         nodes: u16,
         seed: u64,
+        variant: &Variant,
         deadline: Option<Deadline>,
     ) -> Result<Arc<BaselineBundle>, CellError> {
-        let trace = self.trace(app, nodes, seed);
-        self.baselines
-            .get_or_try_compute((app.name.clone(), nodes, seed), || {
-                let cfg = SimulatorConfig::paper_with_nodes(SystemConfig::Baseline.name(), nodes);
-                let algo = SystemConfig::Baseline.algorithm_config();
-                let (report, _) = try_simulate_faulted(cfg, &trace, algo, None, deadline)?;
-                let oracle = oracle_from_baseline(&report);
-                Ok(BaselineBundle { report, oracle })
-            })
+        let trace = self.cell_trace(app, nodes, seed, variant.disturbance);
+        let key = (
+            trace_key(app, nodes, seed, variant.disturbance),
+            variant.bus,
+        );
+        self.baselines.get_or_try_compute(key, || {
+            let cfg = simulator_config(SystemConfig::Baseline, nodes, variant.bus);
+            let algo = SystemConfig::Baseline.algorithm_config();
+            let (report, _) = try_simulate_faulted(cfg, &trace, algo, None, deadline)?;
+            let oracle = oracle_from_baseline(&report);
+            Ok(BaselineBundle { report, oracle })
+        })
     }
 
     /// Runs one attempt of a cell under the harness policy's deadline,
-    /// reusing the cached trace and (for Baseline and the oracle
-    /// configurations) the cached Baseline run. Panics are caught, so every
-    /// way the attempt can fail comes back as a [`CellError`].
+    /// reusing the cached trace and (for Baseline and cells predicting
+    /// from an oracle) the cached Baseline run of the cell's trace and
+    /// interconnect. Panics are caught, so every way the attempt can fail
+    /// comes back as a [`CellError`].
     ///
     /// A cell whose plan is absent or disabled takes exactly the clean
     /// path (including the shared-Baseline cache shortcut) and reports an
@@ -453,24 +584,26 @@ impl Harness {
         let deadline = self.policy.timeout.map(Deadline::after);
         let attempt = || {
             let plan = cell.faults.clone().filter(FaultPlan::enabled);
-            let baseline = || self.try_baseline(&cell.app, cell.nodes, cell.seed, deadline);
-            if plan.is_none() && cell.config == SystemConfig::Baseline {
+            let v = &cell.variant;
+            let baseline = || self.try_baseline(&cell.app, cell.nodes, cell.seed, v, deadline);
+            if plan.is_none() && cell.is_plain_baseline() {
                 return Ok((baseline()?.report.clone(), FaultSummary::default()));
             }
-            let oracle = if cell.config.needs_oracle() {
+            let mut algo = cell.algorithm_config();
+            let oracle = if algo.needs_oracle() {
                 Some(baseline()?.oracle.clone())
             } else {
                 None
             };
-            let trace = self.trace(&cell.app, cell.nodes, cell.seed);
-            let mut cfg = SimulatorConfig::paper_with_nodes(cell.config.name(), cell.nodes);
-            let mut algo = cell.config.algorithm_config();
+            let trace = self.cell_trace(&cell.app, cell.nodes, cell.seed, v.disturbance);
+            let mut cfg = simulator_config(cell.config, cell.nodes, v.bus);
             if plan.is_some() {
                 // Under injected faults the predictor needs its misprediction
                 // backstop; quarantine is part of the hardened configuration.
                 algo = algo.with_quarantine(Some(QuarantineConfig::default()));
             }
             cfg.faults = plan;
+            cfg.time_sharing = v.time_sharing;
             try_simulate_faulted(cfg, &trace, algo, oracle, deadline)
         };
         catch_unwind(AssertUnwindSafe(attempt))
@@ -695,8 +828,8 @@ impl AppMatrix {
             .collect()
     }
 
-    /// The per-seed reports flattened config-major — the exact layout the
-    /// serial `run_config_matrix` loop produces for one seed.
+    /// The reports flattened config-major, then seed: this application's
+    /// slice of the [`Cell::matrix`] layout.
     pub fn into_flat_reports(self) -> Vec<RunReport> {
         self.reports.into_iter().flatten().collect()
     }

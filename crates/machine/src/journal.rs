@@ -11,7 +11,7 @@
 //!   results), and an opaque `params` string describing the sweep's full
 //!   cell matrix. Resume refuses a journal whose header does not match.
 //! * **Every later line** is a [`CellRecord`]: the cell's content key
-//!   ([`CellKey`]: app, config, nodes, seed, fault plan) and its final
+//!   ([`CellKey`]: app, config, nodes, seed, fault plan, variant) and its final
 //!   [`StoredOutcome`]. One record is appended — `write` + `fsync` — per
 //!   *completed* cell, from the harness's `on_complete` hook, so after a
 //!   crash the file contains exactly the finished cells plus at most one
@@ -25,7 +25,7 @@
 //! and resume replays by key while the sweep renders output in cell order
 //! — byte-identical to an uninterrupted run.
 
-use crate::harness::{Cell, CellError, CellOutcome};
+use crate::harness::{Cell, CellError, CellOutcome, Variant};
 use crate::report::RunReport;
 use serde::{json, Deserialize, Serialize};
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ pub const JOURNAL_MAGIC: &str = "thrifty-barrier-sweep-journal";
 /// plus the journal format revision. Changing either invalidates existing
 /// journals on resume.
 pub fn code_version() -> String {
-    format!("{}+journal-v2", env!("CARGO_PKG_VERSION"))
+    format!("{}+journal-v3", env!("CARGO_PKG_VERSION"))
 }
 
 /// The journal's first line.
@@ -70,6 +70,8 @@ pub struct CellKey {
     pub seed: u64,
     /// The injected fault plan, if any.
     pub faults: Option<FaultPlan>,
+    /// What an ablation changes about the cell.
+    pub variant: Variant,
 }
 
 impl CellKey {
@@ -81,6 +83,7 @@ impl CellKey {
             nodes: cell.nodes,
             seed: cell.seed,
             faults: cell.faults.clone(),
+            variant: cell.variant.clone(),
         }
     }
 
@@ -431,6 +434,7 @@ mod tests {
             nodes: 8,
             seed: 1,
             faults: None,
+            variant: Variant::default(),
         }
     }
 
@@ -544,6 +548,35 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace(&code_version(), "0.0.0+journal-v0")).unwrap();
         let err = SweepJournal::resume(&path, "nodes=8").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                JournalError::Mismatch {
+                    field: "version",
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Keys gained the cell variant in format v3, so a v2 journal (whose
+    /// keys lack it) is refused rather than replayed.
+    #[test]
+    fn v2_journals_are_refused() {
+        assert!(
+            code_version().ends_with("+journal-v3"),
+            "{}",
+            code_version()
+        );
+        let path = tmp("v2");
+        let mut journal = SweepJournal::create(&path, "p").unwrap();
+        journal.append(&key(), &outcome()).unwrap();
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("+journal-v3", "+journal-v2")).unwrap();
+        let err = SweepJournal::resume(&path, "p").unwrap_err();
         assert!(
             matches!(
                 err,
@@ -680,5 +713,24 @@ mod tests {
         // (shortest-round-trip floats re-render identically).
         let back: CellKey = json::from_str(&faulted.canonical()).unwrap();
         assert_eq!(back.canonical(), faulted.canonical());
+    }
+
+    #[test]
+    fn canonical_keys_distinguish_variants() {
+        let cutoff = |t| CellKey {
+            variant: Variant {
+                knob: Some(crate::harness::Knob::Cutoff(t)),
+                ..Variant::default()
+            },
+            ..key()
+        };
+        let keys = [key(), cutoff(None), cutoff(Some(0.1))];
+        for (i, a) in keys.iter().enumerate() {
+            let back: CellKey = json::from_str(&a.canonical()).unwrap();
+            assert_eq!(&back, a);
+            for b in &keys[i + 1..] {
+                assert_ne!(a.canonical(), b.canonical());
+            }
+        }
     }
 }

@@ -25,26 +25,28 @@
 //!   event counts, prediction accuracy, and the per-instance records behind
 //!   Figure 3 and the oracle tables.
 //! * [`sim`] — the discrete-event executor itself.
-//! * [`run`] — high-level entry points: run an application under a named
+//! * [`run`] — single runs outside the harness: a trace under a named
 //!   [`tb_core::SystemConfig`] (transparently performing the Baseline
-//!   pre-run that feeds the Oracle-Halt/Ideal predictors), or under an
-//!   explicit [`tb_core::AlgorithmConfig`] for the ablations.
-//! * [`harness`] — the parallel experiment runner: fans (app × config ×
-//!   seed) matrices out across a scoped worker pool with shared trace and
-//!   Baseline/oracle caches, deterministic result order, and mean/σ
-//!   aggregation across replicated seeds.
+//!   pre-run that feeds the Oracle-Halt/Ideal predictors), optionally
+//!   recording its trace events.
+//! * [`harness`] — the parallel experiment runner: fans cells (app ×
+//!   config × seed, each with an ablation [`Variant`]) out across a scoped
+//!   worker pool with shared trace and Baseline/oracle caches,
+//!   deterministic result order, and mean/σ aggregation across replicated
+//!   seeds.
 //!
 //! # Examples
 //!
 //! ```
 //! use tb_core::SystemConfig;
-//! use tb_machine::run::run_app;
+//! use tb_machine::harness::{Cell, Harness};
 //! use tb_workloads::AppSpec;
 //!
 //! let app = AppSpec::by_name("FMM").unwrap();
-//! let baseline = run_app(&app, 16, 1, SystemConfig::Baseline);
-//! let thrifty = run_app(&app, 16, 1, SystemConfig::Thrifty);
-//! assert!(thrifty.total_energy() < baseline.total_energy());
+//! let configs = [SystemConfig::Baseline, SystemConfig::Thrifty];
+//! let cells = Cell::matrix(&[app], &configs, 16, &[1]);
+//! let reports = Harness::serial().run_cells(&cells).unwrap();
+//! assert!(reports[1].total_energy() < reports[0].total_energy());
 //! ```
 
 pub mod harness;
@@ -54,7 +56,8 @@ pub mod run;
 pub mod sim;
 
 pub use harness::{
-    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Harness, SupervisionPolicy,
+    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Disturbance, Harness, Knob,
+    SupervisionPolicy, Variant,
 };
 pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{

@@ -1,4 +1,4 @@
-//! High-level experiment entry points.
+//! Single-run entry points outside the harness.
 //!
 //! These wrap [`crate::sim::Simulator`] with the two-pass protocol the
 //! oracle configurations need: Oracle-Halt and Ideal require *perfect* BIT
@@ -13,7 +13,7 @@ use crate::sim::{simulate, SimulatorConfig};
 use std::sync::Arc;
 use tb_core::{AlgorithmConfig, BarrierPc, RecordedBitOracle, SystemConfig};
 use tb_trace::{MemorySink, SinkHandle, TraceEvent, TraceSummary};
-use tb_workloads::{AppSpec, AppTrace};
+use tb_workloads::AppTrace;
 
 /// Default machine size (Table 1: 64 nodes) and seed used by the paper
 /// reproduction binaries.
@@ -43,19 +43,6 @@ fn baseline_oracle(trace: &AppTrace, nodes: u16, sys: SystemConfig) -> Option<Re
         let cfg = SimulatorConfig::paper_with_nodes("Baseline", nodes);
         oracle_from_baseline(&simulate(cfg, trace, AlgorithmConfig::baseline(), None))
     })
-}
-
-/// Runs `trace` under an explicit algorithm configuration (ablations),
-/// optionally with an oracle table.
-pub fn run_trace_with(
-    trace: &AppTrace,
-    threads_nodes: u16,
-    name: &str,
-    algo: AlgorithmConfig,
-    oracle: Option<RecordedBitOracle>,
-) -> RunReport {
-    let cfg = SimulatorConfig::paper_with_nodes(name, threads_nodes);
-    simulate(cfg, trace, algo, oracle)
 }
 
 /// A run plus the trace events captured while it executed.
@@ -90,47 +77,18 @@ pub fn run_trace_recording(
     TracedRun { report, events }
 }
 
-/// Generates `app`'s trace for `threads` processors and runs it under
-/// `sys`.
-///
-/// # Panics
-///
-/// Panics if `threads` is not a power of two in `2..=64` (machine sizes
-/// follow the hypercube constraint).
-pub fn run_app(app: &AppSpec, threads: u16, seed: u64, sys: SystemConfig) -> RunReport {
-    let trace = app.generate(threads as usize, seed);
-    run_trace(&trace, threads, sys)
-}
-
-/// Runs one application under all five configurations (the column group of
-/// Figures 5 and 6), sharing a single trace and a single Baseline run.
-///
-/// This is the serial convenience wrapper around
-/// [`crate::harness::Harness`]; build a harness directly to run many
-/// matrices in parallel or to keep the trace/Baseline caches across calls.
-pub fn run_config_matrix(app: &AppSpec, threads: u16, seed: u64) -> Vec<RunReport> {
-    use crate::harness::{Cell, Harness};
-    let cells = Cell::matrix(
-        std::slice::from_ref(app),
-        &SystemConfig::ALL,
-        threads,
-        &[seed],
-    );
-    Harness::serial()
-        .run_cells(&cells)
-        .expect("serial convenience wrapper runs fault-free cells")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{Cell, Harness};
     use tb_core::SystemConfig;
     use tb_workloads::AppSpec;
 
     #[test]
-    fn run_app_round_trips() {
+    fn baseline_cell_round_trips() {
         let app = AppSpec::by_name("Radiosity").unwrap();
-        let r = run_app(&app, 16, 3, SystemConfig::Baseline);
+        let cell = Cell::new(app, 16, 3, SystemConfig::Baseline);
+        let r = Harness::serial().run_cells(&[cell]).unwrap().remove(0);
         assert_eq!(r.app, "Radiosity");
         assert_eq!(r.config, "Baseline");
         assert_eq!(r.threads, 16);
@@ -149,7 +107,8 @@ mod tests {
     #[test]
     fn matrix_produces_five_reports_in_figure_order() {
         let app = AppSpec::by_name("Radiosity").unwrap();
-        let reports = run_config_matrix(&app, 16, 3);
+        let cells = Cell::matrix(&[app], &SystemConfig::ALL, 16, &[3]);
+        let reports = Harness::serial().run_cells(&cells).unwrap();
         let names: Vec<&str> = reports.iter().map(|r| r.config.as_str()).collect();
         assert_eq!(
             names,

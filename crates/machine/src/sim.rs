@@ -223,7 +223,7 @@ impl Deadline {
 }
 
 /// Parameters of the §3.4.1 time-sharing alternative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TimeSharing {
     /// How long an early thread spins before yielding its CPU.
     pub spin_before_yield: Cycles,

@@ -1,9 +1,13 @@
 //! The parallel harness must be a pure speed-up: identical results to the
 //! serial path, with the shared caches making Baseline exactly-once.
 
-use tb_core::SystemConfig;
-use tb_machine::harness::{Cell, Harness};
-use tb_machine::run::run_config_matrix;
+use tb_core::{AlgorithmConfig, PredictorChoice, SystemConfig};
+use tb_machine::harness::{Cell, Disturbance, Harness, Knob, Variant};
+use tb_machine::run::{oracle_from_baseline, run_trace};
+use tb_machine::sim::{simulate, SimulatorConfig, TimeSharing};
+use tb_machine::RunReport;
+use tb_mem::MachineConfig;
+use tb_sim::Cycles;
 use tb_workloads::AppSpec;
 
 const NODES: u16 = 8;
@@ -41,10 +45,17 @@ fn parallel_reports_match_serial_byte_for_byte() {
     );
 }
 
+/// Harness cells reproduce the single-run reference, `run_trace`, exactly:
+/// the cached Baseline feeds the oracle configurations the same oracle
+/// `run_trace`'s own pre-run records.
 #[test]
-fn harness_matches_run_config_matrix() {
+fn harness_matches_run_trace() {
     let app = AppSpec::by_name("Radiosity").unwrap();
-    let via_matrix = run_config_matrix(&app, NODES, SEED);
+    let trace = app.generate(NODES as usize, SEED);
+    let reference: Vec<RunReport> = SystemConfig::ALL
+        .into_iter()
+        .map(|c| run_trace(&trace, NODES, c))
+        .collect();
     let harness = Harness::new(4);
     let cells: Vec<Cell> = SystemConfig::ALL
         .into_iter()
@@ -52,9 +63,171 @@ fn harness_matches_run_config_matrix() {
         .collect();
     let via_harness = harness.run_cells(&cells).unwrap();
     assert_eq!(
-        serde::json::to_string(&via_matrix),
+        serde::json::to_string(&reference),
         serde::json::to_string(&via_harness)
     );
+}
+
+fn json(report: &RunReport) -> String {
+    serde::json::to_string(report)
+}
+
+fn with(variant: Variant, cell: Cell) -> Cell {
+    cell.with_variant(variant)
+}
+
+/// A time-sharing Baseline cell runs its own simulation: it is neither
+/// served from nor stored in the plain Baseline cache.
+#[test]
+fn time_sharing_baseline_is_not_the_cached_baseline() {
+    let app = AppSpec::by_name("FMM").unwrap();
+    let ts = TimeSharing {
+        spin_before_yield: Cycles::from_micros(50),
+        quantum: Cycles::from_millis(1),
+    };
+    let variant = Variant {
+        time_sharing: Some(ts),
+        ..Variant::default()
+    };
+    let plain = Cell::new(app.clone(), NODES, SEED, SystemConfig::Baseline);
+    let cells = [plain.clone(), with(variant, plain)];
+    let harness = Harness::serial();
+    let reports = harness.run_cells(&cells).unwrap();
+    assert_eq!(
+        harness.baseline_runs(),
+        1,
+        "only the plain Baseline is cached"
+    );
+
+    let trace = app.generate(NODES as usize, SEED);
+    let mut cfg = SimulatorConfig::paper_with_nodes("Baseline", NODES);
+    cfg.time_sharing = Some(ts);
+    let reference = simulate(cfg, &trace, AlgorithmConfig::baseline(), None);
+    assert_eq!(json(&reports[1]), json(&reference));
+    assert_ne!(reports[0].wall_time, reports[1].wall_time);
+}
+
+/// On the bus, Baseline and the oracle both come from the bus Baseline:
+/// one triple, one trace, two cached Baselines.
+#[test]
+fn bus_cells_use_the_bus_baseline() {
+    let app = AppSpec::by_name("Volrend").unwrap();
+    let bus = Variant {
+        bus: true,
+        ..Variant::default()
+    };
+    let cell = |c| Cell::new(app.clone(), NODES, SEED, c);
+    let cells = [
+        cell(SystemConfig::Baseline),
+        with(bus.clone(), cell(SystemConfig::Baseline)),
+        with(bus.clone(), cell(SystemConfig::OracleHalt)),
+        with(bus, cell(SystemConfig::Ideal)),
+    ];
+    let harness = Harness::new(2);
+    let reports = harness.run_cells(&cells).unwrap();
+    assert_eq!(harness.trace_generations(), 1);
+    assert_eq!(harness.baseline_runs(), 2);
+
+    let trace = app.generate(NODES as usize, SEED);
+    let bus_cfg = |name: &str| {
+        let mut cfg = SimulatorConfig::paper_with_nodes(name, NODES);
+        cfg.machine = MachineConfig::bus_smp(NODES);
+        cfg
+    };
+    let base = simulate(
+        bus_cfg("Baseline"),
+        &trace,
+        AlgorithmConfig::baseline(),
+        None,
+    );
+    assert_eq!(json(&reports[1]), json(&base));
+    assert_ne!(reports[0].wall_time, reports[1].wall_time);
+    for (report, sys) in reports[2..]
+        .iter()
+        .zip([SystemConfig::OracleHalt, SystemConfig::Ideal])
+    {
+        let oracle = Some(oracle_from_baseline(&base));
+        let reference = simulate(bus_cfg(sys.name()), &trace, sys.algorithm_config(), oracle);
+        assert_eq!(json(report), json(&reference), "{sys}");
+    }
+}
+
+/// A disturbed trace is derived once, cached apart from the clean one,
+/// and has its own Baseline.
+#[test]
+fn disturbed_trace_is_generated_once_and_cached_apart() {
+    let app = AppSpec::by_name("FMM").unwrap();
+    let d = Disturbance {
+        salt: 0xD157,
+        prob: 0.10,
+        delay: Cycles::from_millis(100),
+    };
+    let disturbed = |knob| Variant {
+        knob,
+        disturbance: Some(d),
+        ..Variant::default()
+    };
+    let cell = |c| Cell::new(app.clone(), NODES, SEED, c);
+    let cells = [
+        cell(SystemConfig::Baseline),
+        cell(SystemConfig::Thrifty),
+        with(disturbed(None), cell(SystemConfig::Baseline)),
+        with(
+            disturbed(Some(Knob::Underprediction(Some(8.0)))),
+            cell(SystemConfig::Thrifty),
+        ),
+        with(
+            disturbed(Some(Knob::Underprediction(None))),
+            cell(SystemConfig::Thrifty),
+        ),
+    ];
+    let harness = Harness::new(2);
+    let reports = harness.run_cells(&cells).unwrap();
+    assert_eq!(harness.trace_generations(), 2, "clean + disturbed");
+    assert_eq!(harness.baseline_runs(), 2);
+
+    let trace = app
+        .generate(NODES as usize, SEED)
+        .with_disturbance(SEED ^ d.salt, d.prob, d.delay);
+    let cfg = || SimulatorConfig::paper_with_nodes("Baseline", NODES);
+    let base = simulate(cfg(), &trace, AlgorithmConfig::baseline(), None);
+    assert_eq!(json(&reports[2]), json(&base));
+    assert_ne!(reports[0].wall_time, reports[2].wall_time);
+    let unfiltered = AlgorithmConfig {
+        underprediction_factor: None,
+        ..AlgorithmConfig::thrifty()
+    };
+    let mut cfg = cfg();
+    cfg.config_name = "Thrifty".into();
+    assert_eq!(
+        json(&reports[4]),
+        json(&simulate(cfg, &trace, unfiltered, None))
+    );
+}
+
+/// Whether a cell needs an oracle follows the algorithm it runs: Thrifty
+/// with the oracle predictor gets the cached Baseline's oracle.
+#[test]
+fn oracle_predictor_knob_gets_the_baseline_oracle() {
+    let app = AppSpec::by_name("Barnes").unwrap();
+    let oracle = Variant {
+        knob: Some(Knob::Predictor(PredictorChoice::Oracle)),
+        ..Variant::default()
+    };
+    let cells = [with(
+        oracle,
+        Cell::new(app.clone(), NODES, SEED, SystemConfig::Thrifty),
+    )];
+    let harness = Harness::serial();
+    let report = harness.run_cells(&cells).unwrap().remove(0);
+    assert_eq!(harness.baseline_runs(), 1);
+
+    let trace = app.generate(NODES as usize, SEED);
+    let base = run_trace(&trace, NODES, SystemConfig::Baseline);
+    let algo = AlgorithmConfig::thrifty().with_predictor(PredictorChoice::Oracle);
+    let cfg = SimulatorConfig::paper_with_nodes("Thrifty", NODES);
+    let reference = simulate(cfg, &trace, algo, Some(oracle_from_baseline(&base)));
+    assert_eq!(json(&report), json(&reference));
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! protocol invariants must hold for arbitrary (small) workloads.
 
 use proptest::prelude::*;
-use tb_core::{AlgorithmConfig, SystemConfig};
+use tb_core::SystemConfig;
 use tb_energy::EnergyCategory;
-use tb_machine::run::{run_trace, run_trace_with};
+use tb_machine::harness::{Cell, Harness};
+use tb_machine::run::run_trace;
 use tb_machine::{BarrierEventCounts, RunReport};
 use tb_runtime::{RuntimeStats, ThreadStats};
 use tb_sim::Cycles;
@@ -258,14 +259,8 @@ proptest! {
     /// counts, and Halt-only never flushes.
     #[test]
     fn halt_only_never_flushes(app in arb_app(), seed in any::<u64>()) {
-        let trace = app.generate(8, seed);
-        let halt = run_trace_with(
-            &trace,
-            8,
-            "Thrifty-Halt",
-            AlgorithmConfig::thrifty_halt(),
-            None,
-        );
+        let cell = Cell::new(app, 8, seed, SystemConfig::ThriftyHalt);
+        let halt = Harness::serial().run_cells(&[cell]).unwrap().remove(0);
         prop_assert_eq!(halt.counts.flushes, 0);
         prop_assert_eq!(halt.counts.flushed_lines, 0);
         check_conservation(&halt)?;

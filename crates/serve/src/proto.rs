@@ -53,6 +53,9 @@ pub struct Assignment {
 }
 
 /// Coordinator → worker frames.
+// Like `FromWorker`: the size skew (Assign's key vs the small frames)
+// never reaches a collection; frames go out one at a time.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ToWorker {
     /// Handshake; always the first frame.
@@ -165,6 +168,7 @@ mod tests {
             nodes: 8,
             seed: 3,
             faults: tb_core::FaultPlan::by_name("storm", 3),
+            variant: tb_machine::Variant::default(),
         }
     }
 

@@ -42,7 +42,7 @@ pub fn cell_from_key(key: &CellKey) -> Option<Cell> {
     let config = SystemConfig::ALL
         .into_iter()
         .find(|c| c.name() == key.config)?;
-    let mut cell = Cell::new(app, key.nodes, key.seed, config);
+    let mut cell = Cell::new(app, key.nodes, key.seed, config).with_variant(key.variant.clone());
     cell.faults = key.faults.clone();
     Some(cell)
 }
@@ -182,6 +182,10 @@ pub fn worker_main() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tb_core::{PredictorChoice, WakeupMode};
+    use tb_machine::sim::TimeSharing;
+    use tb_machine::{Disturbance, Knob, Variant};
+    use tb_sim::Cycles;
 
     #[test]
     fn cell_round_trips_through_its_key() {
@@ -193,6 +197,55 @@ mod tests {
         assert_eq!(CellKey::of(&back), key, "key → cell → key is identity");
     }
 
+    /// Every kind of variant survives the trip to a worker: key → JSON →
+    /// key → cell → key.
+    #[test]
+    fn variant_cells_round_trip_through_their_keys() {
+        let knob = |k| Variant {
+            knob: Some(k),
+            ..Variant::default()
+        };
+        let variants = [
+            knob(Knob::Cutoff(None)),
+            knob(Knob::Cutoff(Some(0.02))),
+            knob(Knob::Wakeup(WakeupMode::InternalOnly)),
+            knob(Knob::Predictor(PredictorChoice::Averaging(0.5))),
+            knob(Knob::Predictor(PredictorChoice::Oracle)),
+            knob(Knob::Anticipation(Cycles::from_micros(50))),
+            knob(Knob::Underprediction(None)),
+            Variant {
+                bus: true,
+                ..Variant::default()
+            },
+            Variant {
+                time_sharing: Some(TimeSharing {
+                    spin_before_yield: Cycles::from_micros(50),
+                    quantum: Cycles::from_millis(10),
+                }),
+                ..Variant::default()
+            },
+            Variant {
+                knob: Some(Knob::Underprediction(Some(8.0))),
+                disturbance: Some(Disturbance {
+                    salt: 0xD157,
+                    prob: 0.10,
+                    delay: Cycles::from_millis(100),
+                }),
+                ..Variant::default()
+            },
+        ];
+        for variant in variants {
+            let app = AppSpec::by_name("Ocean").unwrap();
+            let cell = Cell::new(app, 8, 3, SystemConfig::Thrifty).with_variant(variant.clone());
+            let key = CellKey::of(&cell);
+            let wire: CellKey = json::from_str(&key.canonical()).expect("key parses");
+            assert_eq!(wire, key, "{variant:?}");
+            let back = cell_from_key(&wire).expect("known app and config");
+            assert_eq!(back.variant, variant);
+            assert_eq!(CellKey::of(&back), key, "{variant:?}");
+        }
+    }
+
     #[test]
     fn unknown_names_are_rejected() {
         let bogus = CellKey {
@@ -201,6 +254,7 @@ mod tests {
             nodes: 8,
             seed: 1,
             faults: None,
+            variant: Variant::default(),
         };
         assert!(cell_from_key(&bogus).is_none());
         let bogus = CellKey {
@@ -209,6 +263,7 @@ mod tests {
             nodes: 8,
             seed: 1,
             faults: None,
+            variant: Variant::default(),
         };
         assert!(cell_from_key(&bogus).is_none());
     }

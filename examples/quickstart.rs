@@ -7,7 +7,8 @@
 
 use thrifty_barrier::core::SystemConfig;
 use thrifty_barrier::energy::EnergyCategory;
-use thrifty_barrier::machine::run::{run_config_matrix, PAPER_SEED};
+use thrifty_barrier::machine::harness::{Cell, Harness};
+use thrifty_barrier::machine::run::PAPER_SEED;
 use thrifty_barrier::workloads::AppSpec;
 
 fn main() {
@@ -28,7 +29,10 @@ fn main() {
     println!("== {app}");
     println!("machine: {threads} nodes (Table 1 latencies), seed {PAPER_SEED:#x}\n");
 
-    let reports = run_config_matrix(&app, threads, PAPER_SEED);
+    // The five configurations share one trace and one Baseline run.
+    let apps = std::slice::from_ref(&app);
+    let cells = Cell::matrix(apps, &SystemConfig::ALL, threads, &[PAPER_SEED]);
+    let reports = Harness::new(0).run_cells(&cells).expect("fault-free cells");
     let baseline = &reports[0];
 
     println!(

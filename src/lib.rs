@@ -26,22 +26,25 @@
 //! # Quick start
 //!
 //! ```
-//! use thrifty_barrier::machine::run::run_app;
 //! use thrifty_barrier::core::SystemConfig;
+//! use thrifty_barrier::machine::harness::{Cell, Harness};
 //! use thrifty_barrier::workloads::AppSpec;
 //!
 //! let app = AppSpec::by_name("FMM").unwrap();
-//! let baseline = run_app(&app, 16, 42, SystemConfig::Baseline);
-//! let thrifty = run_app(&app, 16, 42, SystemConfig::Thrifty);
+//! let configs = [SystemConfig::Baseline, SystemConfig::Thrifty];
+//! let cells = Cell::matrix(&[app], &configs, 16, &[42]);
+//! let reports = Harness::serial().run_cells(&cells).unwrap();
+//! let (baseline, thrifty) = (&reports[0], &reports[1]);
 //! println!(
 //!     "FMM: thrifty saves {:.1}% energy at {:+.2}% runtime",
-//!     thrifty.energy_savings_vs(&baseline) * 100.0,
-//!     thrifty.slowdown_vs(&baseline) * 100.0,
+//!     thrifty.energy_savings_vs(baseline) * 100.0,
+//!     thrifty.slowdown_vs(baseline) * 100.0,
 //! );
 //! assert!(thrifty.total_energy() < baseline.total_energy());
 //! ```
 
 pub mod cli;
+pub mod reproduce;
 
 pub use tb_core as core;
 pub use tb_energy as energy;

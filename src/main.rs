@@ -7,7 +7,8 @@
 //!                       [--retries N] [--timeout-ms MS] [--journal PATH | --resume PATH]
 //!                       [--workers W] [--heartbeat-ms MS] [--poison-strikes K]
 //! thrifty-barrier serve [same flags as sweep; --workers defaults to 4]
-//! thrifty-barrier cutoff [--nodes N] [--seed S]
+//! thrifty-barrier reproduce <ID> [--nodes N] [--seed S] [--jobs J] [--retries N] [--timeout-ms MS]
+//!                       [--journal PATH | --resume PATH] [--workers W]
 //! thrifty-barrier trace <app> --out FILE [--format perfetto|jsonl] [--config NAME]
 //! ```
 //!
@@ -27,13 +28,17 @@
 //! at every worker count; there is also a hidden `__worker` subcommand
 //! the coordinator spawns, which is not part of the CLI surface.
 //!
-//! The full table/figure reproduction lives in the bench targets
-//! (`cargo bench`); this binary is the interactive entry point.
+//! `reproduce <ID>` prints one of the paper's artifacts (Tables 1–3,
+//! Figures 3/5/6, the Ocean cut-off, the ablations A1–A6 and the
+//! extensions X1/X2; see EXPERIMENTS.md). Its cells run through the same
+//! journaled executor as `sweep`, so `--jobs`, `--workers`, `--journal`,
+//! `--resume`, `--retries` and `--timeout-ms` mean the same thing for
+//! every experiment.
 //!
 //! Exit status: 0 on success, 1 for rejected options or a failed run, and
 //! 2 for a usage error or a Table 2 imbalance the machine size cannot
-//! reach (Volrend at 2 nodes), which `run` and `sweep` check before any
-//! cell runs, whichever executor runs the cells.
+//! reach (Volrend at 2 nodes), which `run`, `sweep` and `reproduce` check
+//! before any cell runs, whichever executor runs the cells.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -45,8 +50,9 @@ use thrifty_barrier::machine::harness::{
     check_reachable, AppMatrix, Cell, Harness, SupervisionPolicy,
 };
 use thrifty_barrier::machine::journal::{CellKey, StoredOutcome, SweepJournal};
-use thrifty_barrier::machine::run::{run_trace_recording, run_trace_with};
+use thrifty_barrier::machine::run::run_trace_recording;
 use thrifty_barrier::machine::{AggregateReport, CellCoverage, CellOutcome, RunReport};
+use thrifty_barrier::reproduce;
 use thrifty_barrier::trace::PredictionAccuracyReport;
 use thrifty_barrier::workloads::calibrate::Unreachable;
 use thrifty_barrier::workloads::AppSpec;
@@ -211,12 +217,10 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), Failure> {
 }
 
 /// The sweep: every (app × config × seed) cell runs as an isolated
-/// [`CellOutcome`], optionally under a named fault scenario, a retry
-/// budget, a wall-clock deadline, and a crash-consistent journal, on the
-/// in-process harness or (`--workers`) a process fleet. A disabled scenario
-/// ("none") — or no scenario at all — renders the ordinary sweep table,
-/// byte-for-byte, so the zero-cost-when-disabled guarantee is directly
-/// observable.
+/// [`CellOutcome`], optionally under a named fault scenario, through the
+/// journaled executor ([`execute`]). A disabled scenario ("none") — or no
+/// scenario at all — renders the ordinary sweep table, byte-for-byte, so
+/// the zero-cost-when-disabled guarantee is directly observable.
 fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
     let configs = SystemConfig::ALL;
     let seeds = opts.seed_list();
@@ -233,11 +237,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
             None => cell,
         })
         .collect();
-
-    // The journal's params line pins everything that changes the cell
-    // matrix or its results. `--jobs`, `--retries`, and `--timeout-ms`
-    // are deliberately excluded: a sweep may be resumed at a different
-    // parallelism or patience level and still produce identical output.
     let params = format!(
         "sweep nodes={} seed={} seeds={} faults={}",
         opts.nodes,
@@ -245,14 +244,77 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
         opts.seeds,
         scenario.unwrap_or("-")
     );
+    let outcomes = execute(&cells, &params, opts)?;
+
+    let faulted = scenario.filter(|name| {
+        FaultPlan::by_name(name, 0)
+            .expect("validated at parse")
+            .enabled()
+    });
+    match faulted {
+        Some(scenario) => render_fault_sweep(scenario, opts, &apps, &configs, &seeds, &outcomes),
+        None => {
+            let reports = reports_of(outcomes, &cells)?;
+            if opts.json {
+                println!("{}", serde::json::to_string(&reports));
+            } else {
+                let matrix = AppMatrix::from_flat_reports(&apps, &configs, &seeds, reports);
+                render_sweep(&matrix, &configs, &seeds);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One paper artifact ([`reproduce::EXPERIMENTS`]): its cells run through
+/// the same journaled executor as `sweep`, and [`reproduce::render`]
+/// prints the result.
+fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
+    let exp = reproduce::by_id(id).ok_or_else(|| {
+        let ids: Vec<&str> = reproduce::EXPERIMENTS.iter().map(|e| e.id).collect();
+        format!("unknown experiment {id:?} (options: {})", ids.join(", "))
+    })?;
+    if opts.seeds > 1 || opts.faults.is_some() || opts.config.is_some() || opts.json {
+        return Err("reproduce runs one seed of the paper's configurations: \
+                    --seeds, --faults, --config and --json do not apply"
+            .into());
+    }
+    let cells = (exp.cells)(opts.nodes, opts.seed);
+    let params = format!(
+        "reproduce {} nodes={} seed={}",
+        exp.id, opts.nodes, opts.seed
+    );
+    let reports = reports_of(execute(&cells, &params, opts)?, &cells)?;
+    let run = reproduce::Run {
+        nodes: opts.nodes,
+        seed: opts.seed,
+        cells: &cells,
+        reports: &reports,
+    };
+    print!("{}", reproduce::render(exp, &run));
+    Ok(())
+}
+
+/// The one journaled executor `sweep` and `reproduce` share. Cells whose
+/// outcome the journal (`--resume`) already holds are replayed verbatim;
+/// an unreachable imbalance target is refused before any other cell runs;
+/// the rest run on the in-process harness (`--jobs`, `--retries`,
+/// `--timeout-ms`) or a process fleet (`--workers`), and each completed
+/// cell is appended to the journal. Outcomes come back in `cells` order.
+///
+/// `params` pins everything that changes the cells or their results.
+/// `--jobs`, `--workers`, `--retries` and `--timeout-ms` are deliberately
+/// excluded: a journal may be resumed at a different parallelism or
+/// patience level and still produce identical output.
+fn execute(cells: &[Cell], params: &str, opts: &Options) -> Result<Vec<CellOutcome>, Failure> {
     // (`--journal` with `--resume` is rejected at parse.)
     let mut replayed = HashMap::new();
     let mut journal = match (&opts.journal, &opts.resume) {
         (Some(path), _) => Some(
-            SweepJournal::create(path, &params).map_err(|e| format!("--journal {path:?}: {e}"))?,
+            SweepJournal::create(path, params).map_err(|e| format!("--journal {path:?}: {e}"))?,
         ),
         (None, Some(path)) => {
-            let (journal, records) = SweepJournal::resume(path, &params)
+            let (journal, records) = SweepJournal::resume(path, params)
                 .map_err(|e| format!("--resume {path:?}: {e}"))?;
             replayed = records;
             Some(journal)
@@ -264,9 +326,8 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
         None => Vec::new(),
     };
 
-    // Cells whose outcome the journal already holds are replayed
-    // verbatim; the rest run fresh. The resume note goes to stderr so
-    // resumed stdout stays byte-identical to an uninterrupted sweep.
+    // The resume note goes to stderr so resumed stdout stays
+    // byte-identical to an uninterrupted run.
     let mut outcomes: Vec<Option<CellOutcome>> = cells.iter().map(|_| None).collect();
     for (slot, key) in outcomes.iter_mut().zip(&keys) {
         *slot = replayed
@@ -299,7 +360,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
     check_reachable(&todo_cells)?;
     let fresh = if opts.workers > 0 {
         // Fleet health goes to stderr — stdout must stay byte-identical
-        // to an in-process sweep.
+        // to an in-process run.
         let fleet_cfg = tb_serve::FleetConfig {
             workers: opts.workers,
             retries: opts.retries,
@@ -331,46 +392,31 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
     for (t, outcome) in fresh.into_iter().enumerate() {
         outcomes[todo[t]] = Some(outcome);
     }
-    let outcomes: Vec<CellOutcome> = outcomes
+    Ok(outcomes
         .into_iter()
         .map(|o| o.expect("every cell is either replayed or run"))
-        .collect();
+        .collect())
+}
 
-    let faulted = scenario.filter(|name| {
-        FaultPlan::by_name(name, 0)
-            .expect("validated at parse")
-            .enabled()
-    });
-    match faulted {
-        Some(scenario) => render_fault_sweep(scenario, opts, &apps, &configs, &seeds, &outcomes),
-        None => {
-            // Fault-free sweep: a failed cell (a timeout that exhausted its
-            // retries, say) has no row to render, so it aborts the sweep
-            // with a typed message instead of fabricating a table.
-            let reports = outcomes
-                .into_iter()
-                .zip(&cells)
-                .map(|(outcome, cell)| {
-                    let attempts = outcome.attempts();
-                    outcome.report.map_err(|err| {
-                        format!(
-                            "{}/{} seed {} failed after {attempts} attempt(s): {err}",
-                            cell.app.name,
-                            cell.config.name(),
-                            cell.seed
-                        )
-                    })
-                })
-                .collect::<Result<Vec<RunReport>, String>>()?;
-            if opts.json {
-                println!("{}", serde::json::to_string(&reports));
-            } else {
-                let matrix = AppMatrix::from_flat_reports(&apps, &configs, &seeds, reports);
-                render_sweep(&matrix, &configs, &seeds);
-            }
-        }
-    }
-    Ok(())
+/// The reports of fault-free cells. A failed cell (a timeout that
+/// exhausted its retries, say) has no row to render, so it aborts the
+/// command with a typed message instead of fabricating a table.
+fn reports_of(outcomes: Vec<CellOutcome>, cells: &[Cell]) -> Result<Vec<RunReport>, String> {
+    outcomes
+        .into_iter()
+        .zip(cells)
+        .map(|(outcome, cell)| {
+            let attempts = outcome.attempts();
+            outcome.report.map_err(|err| {
+                format!(
+                    "{}/{} seed {} failed after {attempts} attempt(s): {err}",
+                    cell.app.name,
+                    cell.config.name(),
+                    cell.seed
+                )
+            })
+        })
+        .collect()
 }
 
 /// Renders the fault-free sweep table, one row per application.
@@ -518,27 +564,6 @@ fn render_fault_sweep(
     }
 }
 
-fn cmd_cutoff(opts: &Options) -> Result<(), Failure> {
-    use thrifty_barrier::core::AlgorithmConfig;
-    let app = app_by_name("Ocean")?;
-    let harness = Harness::new(opts.jobs);
-    // The cached Baseline bundle: one trace generation, one Baseline
-    // simulation, shared with any other command using this harness.
-    let trace = harness.try_trace(&app, opts.nodes, opts.seed)?;
-    let base = harness.baseline(&app, opts.nodes, opts.seed);
-    for (label, th) in [("cut-off off", None), ("cut-off 10%", Some(0.10))] {
-        let cfg = AlgorithmConfig::thrifty().with_overprediction_threshold(th);
-        let r = run_trace_with(&trace, opts.nodes, label, cfg, None);
-        println!(
-            "{label:<13} energy {:>6.1}%  slowdown {:>+6.2}%  disables {}",
-            r.energy_normalized_to(&base.report).total() * 100.0,
-            r.slowdown_vs(&base.report) * 100.0,
-            r.counts.cutoff_disables
-        );
-    }
-    Ok(())
-}
-
 fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), Failure> {
     let app = app_by_name(app_name)?;
     let out = opts
@@ -583,11 +608,12 @@ fn usage() -> ! {
          sweep [--faults SC]       all apps x all configs (Figures 5/6 data);\n  \
          \x20                          --faults runs the fault-matrix sweep\n  \
          serve                     sweep across worker processes (--workers, default 4)\n  \
-         cutoff                    the Ocean overprediction cut-off story\n  \
+         reproduce <ID>            one paper artifact: E1-E6, E8, A1-A6, X1, X2\n  \
+         \x20                          (sweep's executor and its supervision flags)\n  \
          trace <app> --out FILE    record per-episode events to a trace file\n\
          options: --nodes N (power of two <= 64), --seed S, --seeds K, --jobs J,\n\
          \x20        --json, --format perfetto|jsonl, --ring EVENTS_PER_THREAD, --config C\n\
-         sweep supervision: --retries N (re-run transient failures, max 10),\n\
+         sweep and reproduce supervision: --retries N (re-run transient failures, max 10),\n\
          \x20        --timeout-ms MS (per-cell wall-clock deadline),\n\
          \x20        --journal PATH (checkpoint completed cells to a JSONL journal),\n\
          \x20        --resume PATH (replay a journal, run only what is missing)\n\
@@ -634,9 +660,13 @@ fn main() {
         // by the coordinator with pipes on stdin/stdout; never typed by a
         // person.
         "__worker" => std::process::exit(tb_serve::worker_main()),
-        "cutoff" => parse_options(&args[1..])
-            .map_err(Failure::from)
-            .and_then(|o| cmd_cutoff(&o)),
+        "reproduce" => {
+            let Some(id) = args.get(1) else { usage() };
+            match parse_options(&args[2..]) {
+                Ok(opts) => cmd_reproduce(id, &opts),
+                Err(e) => Err(e.into()),
+            }
+        }
         "trace" => {
             let Some(app) = args.get(1) else { usage() };
             match parse_options(&args[2..]) {

@@ -71,6 +71,13 @@ fn bad_options_exit_nonzero_with_message() {
             &["serve", "--heartbeat-ms", "abc"][..],
             "bad heartbeat period",
         ),
+        (&["reproduce", "Z9"][..], "unknown experiment"),
+        (&["reproduce", "A2", "--seeds", "2"][..], "do not apply"),
+        (
+            &["reproduce", "A2", "--faults", "storm"][..],
+            "do not apply",
+        ),
+        (&["reproduce", "E8", "--nodes", "12"][..], "power of two"),
     ] {
         let out = bin(args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -200,6 +207,7 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
     let dir = tmp_dir("unreachable");
     let journal = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let (in_process, fleet) = (journal("n2.jsonl"), journal("n2-fleet.jsonl"));
+    let reproduce = journal("n2-reproduce.jsonl");
     for args in [
         &["sweep", "--nodes", "2", "--journal", &in_process][..],
         &[
@@ -213,6 +221,7 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
         ][..],
         &["serve", "--nodes", "2"][..],
         &["run", "Volrend", "--nodes", "2"][..],
+        &["reproduce", "E2", "--nodes", "2", "--journal", &reproduce][..],
     ] {
         let out = bin(args);
         let err = stderr(&out);
@@ -236,9 +245,43 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
             );
         }
     }
-    for journal in [in_process, fleet] {
+    for journal in [in_process, fleet, reproduce] {
         let records = std::fs::read_to_string(&journal).unwrap();
         assert_eq!(records.lines().count(), 1, "header only: {records}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reproduce journal names its experiment: resuming an A2 journal as
+/// A1 is refused, and resuming it as A2 after a crash is byte-identical.
+#[test]
+fn reproduce_journal_names_its_experiment() {
+    let dir = tmp_dir("reproduce");
+    let journal = dir.join("a2.jsonl");
+    let journal = journal.to_str().unwrap();
+    let full = bin(&["reproduce", "A2", "--nodes", "8", "--journal", journal]);
+    assert!(full.status.success(), "{}", stderr(&full));
+
+    let out = bin(&["reproduce", "A1", "--nodes", "8", "--resume", journal]);
+    assert!(!out.status.success(), "A1 must not replay A2's cells");
+    let err = stderr(&out);
+    assert!(err.contains("params mismatch"), "{err}");
+    assert!(
+        err.contains("reproduce A2") && err.contains("reproduce A1"),
+        "stderr quotes both sides: {err}"
+    );
+
+    // A crash after six completed cells: header plus six records.
+    let text = std::fs::read_to_string(journal).unwrap();
+    let kept: Vec<&str> = text.lines().take(7).collect();
+    std::fs::write(journal, kept.join("\n") + "\n").unwrap();
+    let resumed = bin(&["reproduce", "A2", "--nodes", "8", "--resume", journal]);
+    assert!(resumed.status.success(), "{}", stderr(&resumed));
+    assert!(
+        stderr(&resumed).contains("6 of 24 cells replayed"),
+        "{}",
+        stderr(&resumed)
+    );
+    assert_eq!(resumed.stdout, full.stdout);
     std::fs::remove_dir_all(&dir).ok();
 }

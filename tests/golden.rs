@@ -133,3 +133,46 @@ fn sweep_n64_text_matches_fixture() {
         "sweep --nodes 64 --jobs 2 drifted from tests/golden/sweep_n64.txt"
     );
 }
+
+/// Every paper artifact at 8 nodes against its fixture, one fixture per
+/// experiment and no stale ones.
+#[test]
+fn reproduce_n8_matches_fixtures() {
+    let experiments = &thrifty_barrier::reproduce::EXPERIMENTS;
+    for exp in experiments {
+        let name = format!("reproduce/{}_n8.txt", exp.id);
+        let got = bin(&["reproduce", exp.id, "--nodes", "8"]);
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&fixture(&name)),
+            "reproduce {} --nodes 8 drifted from tests/golden/{name}",
+            exp.id
+        );
+    }
+    let dir = format!("{}/tests/golden/reproduce", env!("CARGO_MANIFEST_DIR"));
+    let fixtures = std::fs::read_dir(dir).expect("fixture directory").count();
+    assert_eq!(fixtures, experiments.len(), "one fixture per experiment");
+}
+
+/// Variant-heavy experiments (A2: five predictors, one fed by the oracle;
+/// X2: the bus and its own Baselines) are byte-identical at every
+/// worker-pool size and on a worker fleet, where the cells travel as keys.
+#[test]
+fn reproduce_variants_match_fixtures_at_every_jobs_level_and_on_a_fleet() {
+    for id in ["A2", "X2"] {
+        let want = fixture(&format!("reproduce/{id}_n8.txt"));
+        for executor in [
+            ["--jobs", "1"],
+            ["--jobs", "2"],
+            ["--jobs", "4"],
+            ["--workers", "2"],
+        ] {
+            let got = bin(&["reproduce", id, "--nodes", "8", executor[0], executor[1]]);
+            assert_eq!(
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(&want),
+                "reproduce {id} --nodes 8 {executor:?} drifted from its fixture"
+            );
+        }
+    }
+}

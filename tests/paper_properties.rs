@@ -1,21 +1,26 @@
 //! End-to-end integration tests asserting the paper's qualitative results
 //! across the whole stack (workloads → machine → core → energy).
 //!
-//! These run at 16 nodes to stay fast; the bench targets regenerate the
-//! 64-node figures.
+//! These run at 16 nodes to stay fast; `thrifty-barrier reproduce`
+//! regenerates the 64-node figures.
 
 use thrifty_barrier::core::SystemConfig;
 use thrifty_barrier::energy::EnergyCategory;
-use thrifty_barrier::machine::run::{run_config_matrix, run_trace, run_trace_with};
+use thrifty_barrier::machine::harness::{Cell, Harness, Knob, Variant};
+use thrifty_barrier::machine::run::run_trace;
 use thrifty_barrier::machine::RunReport;
 use thrifty_barrier::workloads::AppSpec;
 
 const NODES: u16 = 16;
 const SEED: u64 = 0x7B41;
 
+/// The five configurations of one application, in figure order.
 fn matrix(name: &str) -> Vec<RunReport> {
     let app = AppSpec::by_name(name).expect("known app");
-    run_config_matrix(&app, NODES, SEED)
+    let cells = Cell::matrix(&[app], &SystemConfig::ALL, NODES, &[SEED]);
+    Harness::serial()
+        .run_cells(&cells)
+        .expect("fault-free cells")
 }
 
 #[test]
@@ -140,34 +145,33 @@ fn ideal_lower_bounds_every_configuration() {
 fn ocean_needs_the_cutoff() {
     // §5.2 / §3.3.3: without the cut-off Ocean degrades noticeably; with
     // it the damage is contained and the barrier mostly spins.
-    use thrifty_barrier::core::AlgorithmConfig;
     let app = AppSpec::by_name("Ocean").unwrap();
-    let trace = app.generate(NODES as usize, SEED);
-    let base = run_trace(&trace, NODES, SystemConfig::Baseline);
-    let with = run_trace_with(
-        &trace,
-        NODES,
-        "with-cutoff",
-        AlgorithmConfig::thrifty(),
-        None,
-    );
-    let without = run_trace_with(
-        &trace,
-        NODES,
-        "no-cutoff",
-        AlgorithmConfig::thrifty().with_overprediction_threshold(None),
-        None,
-    );
+    let cell = |config| Cell::new(app.clone(), NODES, SEED, config);
+    let no_cutoff = Variant {
+        knob: Some(Knob::Cutoff(None)),
+        ..Variant::default()
+    };
+    let cells = [
+        cell(SystemConfig::Baseline),
+        cell(SystemConfig::Thrifty),
+        cell(SystemConfig::Thrifty).with_variant(no_cutoff),
+    ];
+    let reports = Harness::serial()
+        .run_cells(&cells)
+        .expect("fault-free cells");
+    let [base, with, without] = &reports[..] else {
+        unreachable!("three cells, three reports")
+    };
     assert!(
         with.counts.cutoff_disables > 0,
         "the cut-off engages on Ocean"
     );
     assert_eq!(without.counts.cutoff_disables, 0);
     assert!(
-        without.slowdown_vs(&base) > 2.0 * with.slowdown_vs(&base),
+        without.slowdown_vs(base) > 2.0 * with.slowdown_vs(base),
         "cut-off must contain the slowdown: with {:.2}% vs without {:.2}%",
-        with.slowdown_vs(&base) * 100.0,
-        without.slowdown_vs(&base) * 100.0
+        with.slowdown_vs(base) * 100.0,
+        without.slowdown_vs(base) * 100.0
     );
     assert!(
         with.counts.spins > without.counts.spins,

@@ -113,7 +113,7 @@ fn balanced_apps_are_safe_everywhere() {
     }
 }
 
-/// The X2 bus runs (Baseline and Thrifty for the four `extension_bus`
+/// The X2 bus runs (Baseline and Thrifty for the four `reproduce X2`
 /// applications at 16 nodes) are pinned by the digest of their JSON
 /// reports, so the bus interconnect's timing and wake-up delivery cannot
 /// drift unnoticed.
