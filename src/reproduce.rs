@@ -104,12 +104,22 @@ pub struct Run<'a> {
 }
 
 /// Prints an experiment: the banner, then its header, rule, rows and
-/// trailer.
+/// trailer. The banner names the machine sizes the cells run (A3 and X2
+/// run fixed sizes), or the requested size.
 pub fn render(exp: &Experiment, run: &Run) -> String {
+    let mut sizes: Vec<u16> = run.cells.iter().map(|c| c.nodes).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    if sizes.is_empty() {
+        sizes.push(run.nodes);
+    }
+    let sizes: Vec<String> = sizes.iter().map(u16::to_string).collect();
     let bar = "=".repeat(78);
     let mut out = format!(
         "{bar}\n{}\nmachine: {} nodes (Table 1), seed {:#x}\n{bar}\n",
-        exp.title, run.nodes, run.seed
+        exp.title,
+        sizes.join("/"),
+        run.seed
     );
     let rule = "-".repeat(exp.rule);
     let rows = (exp.rows)(run);
@@ -326,7 +336,7 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     },
     Experiment {
         id: "A3",
-        title: "A3 (scaling): machine sizes 16/32/64 and profitability margin",
+        title: "A3 (scaling): machine sizes 16/32/64",
         header: "app          nodes  imbalance    energy   slowdown",
         rule: 52,
         cells: |_, seed| {
