@@ -80,8 +80,8 @@ pub struct Variant {
     pub bus: bool,
     /// Replace the barrier's sleep decisions with §3.4.1 spin-then-yield.
     pub time_sharing: Option<TimeSharing>,
-    /// Inject preemption-length delays into the trace (§3.4.2).
-    pub disturbance: Option<Disturbance>,
+    /// Inject the §3.4.2 preemptions into the trace ([`PREEMPTIONS`]).
+    pub disturbed: bool,
 }
 
 /// One algorithm setting an ablation overrides.
@@ -112,18 +112,11 @@ impl Knob {
     }
 }
 
-/// Preemption-length delays injected into a cell's trace: with probability
-/// `prob` per episode one thread computes `delay` longer
-/// ([`AppTrace::with_disturbance`], seeded by the cell seed xor `salt`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Disturbance {
-    /// Mixed into the cell seed to seed the disturbance stream.
-    pub salt: u64,
-    /// Per-episode probability of a preemption.
-    pub prob: f64,
-    /// How long a preempted thread is delayed.
-    pub delay: Cycles,
-}
+/// The §3.4.2 preemptions a disturbed cell's trace carries, as (seed salt,
+/// per-episode probability, delay) for [`AppTrace::with_disturbance`]: in
+/// 10 % of episodes one thread loses 100 ms, an OS scheduling quantum
+/// against ~10 ms barrier intervals, drawn from the cell seed xor the salt.
+pub const PREEMPTIONS: (u64, f64, Cycles) = (0xD157, 0.10, Cycles::from_millis(100));
 
 /// One cell of the experiment matrix.
 #[derive(Debug, Clone)]
@@ -341,15 +334,10 @@ pub struct BaselineBundle {
 }
 
 /// Trace cache key: everything a trace depends on — (app name, nodes,
-/// seed) and the disturbance's bits. App specs are identified by name:
+/// seed, disturbed). App specs are identified by name:
 /// [`AppSpec::splash2`] names are unique, and callers mixing custom specs
 /// under one name would already be ambiguous everywhere else.
-type TraceKey = (String, u16, u64, Option<(u64, u64, Cycles)>);
-
-fn trace_key(app: &AppSpec, nodes: u16, seed: u64, d: Option<Disturbance>) -> TraceKey {
-    let disturbance = d.map(|d| (d.salt, d.prob.to_bits(), d.delay));
-    (app.name.clone(), nodes, seed, disturbance)
-}
+type TraceKey = (String, u16, u64, bool);
 
 /// Baseline cache key: the trace it runs and whether it runs on the bus.
 type BaselineKey = (TraceKey, bool);
@@ -498,31 +486,24 @@ impl Harness {
     /// Panics if the app's Table 2 imbalance is [`Unreachable`] on `nodes`
     /// threads ([`check_reachable`] refuses such cells up front).
     pub fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        self.cell_trace(app, nodes, seed, None)
+        self.cell_trace(app, nodes, seed, false)
     }
 
-    /// [`Harness::trace`] with `disturbance` injected: a disturbed trace is
-    /// derived from the clean one once and cached under its own key. In a
+    /// [`Harness::trace`], with [`PREEMPTIONS`] injected if `disturbed`: a
+    /// disturbed trace is derived from the clean one once and cached under
+    /// its own key. In a
     /// cell, the panic on an unreachable target becomes a
     /// [`CellError::Panic`].
-    fn cell_trace(
-        &self,
-        app: &AppSpec,
-        nodes: u16,
-        seed: u64,
-        disturbance: Option<Disturbance>,
-    ) -> Arc<AppTrace> {
-        let key = trace_key(app, nodes, seed, disturbance);
-        let generate = || match disturbance {
-            None => app.try_generate(nodes as usize, seed),
-            Some(d) => {
-                Ok(self
-                    .trace(app, nodes, seed)
-                    .with_disturbance(seed ^ d.salt, d.prob, d.delay))
-            }
+    fn cell_trace(&self, app: &AppSpec, nodes: u16, seed: u64, disturbed: bool) -> Arc<AppTrace> {
+        let (salt, prob, delay) = PREEMPTIONS;
+        let generate = || match disturbed {
+            false => app.try_generate(nodes as usize, seed),
+            true => Ok(self
+                .trace(app, nodes, seed)
+                .with_disturbance(seed ^ salt, prob, delay)),
         };
         self.traces
-            .get_or_try_compute(key, generate)
+            .get_or_try_compute((app.name.clone(), nodes, seed, disturbed), generate)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -541,7 +522,7 @@ impl Harness {
     /// The one place the harness runs Baseline, so each trace and
     /// interconnect runs it exactly once — unless an attempt fails (a
     /// `deadline` expires), which leaves the cache empty for the next one.
-    /// Of the variant, only the disturbance and the interconnect matter.
+    /// Of the variant, only the disturbed trace and the interconnect matter.
     fn try_baseline(
         &self,
         app: &AppSpec,
@@ -550,9 +531,9 @@ impl Harness {
         variant: &Variant,
         deadline: Option<Deadline>,
     ) -> Result<Arc<BaselineBundle>, CellError> {
-        let trace = self.cell_trace(app, nodes, seed, variant.disturbance);
+        let trace = self.cell_trace(app, nodes, seed, variant.disturbed);
         let key = (
-            trace_key(app, nodes, seed, variant.disturbance),
+            (app.name.clone(), nodes, seed, variant.disturbed),
             variant.bus,
         );
         self.baselines.get_or_try_compute(key, || {
@@ -595,7 +576,7 @@ impl Harness {
             } else {
                 None
             };
-            let trace = self.cell_trace(&cell.app, cell.nodes, cell.seed, v.disturbance);
+            let trace = self.cell_trace(&cell.app, cell.nodes, cell.seed, v.disturbed);
             let mut cfg = simulator_config(cell.config, cell.nodes, v.bus);
             if plan.is_some() {
                 // Under injected faults the predictor needs its misprediction

@@ -56,8 +56,8 @@ pub mod run;
 pub mod sim;
 
 pub use harness::{
-    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Disturbance, Harness, Knob,
-    SupervisionPolicy, Variant,
+    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Harness, Knob, SupervisionPolicy,
+    Variant,
 };
 pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{

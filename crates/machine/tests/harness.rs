@@ -2,7 +2,7 @@
 //! serial path, with the shared caches making Baseline exactly-once.
 
 use tb_core::{AlgorithmConfig, PredictorChoice, SystemConfig};
-use tb_machine::harness::{Cell, Disturbance, Harness, Knob, Variant};
+use tb_machine::harness::{Cell, Harness, Knob, Variant, PREEMPTIONS};
 use tb_machine::run::{oracle_from_baseline, run_trace};
 use tb_machine::sim::{simulate, SimulatorConfig, TimeSharing};
 use tb_machine::RunReport;
@@ -157,14 +157,9 @@ fn bus_cells_use_the_bus_baseline() {
 #[test]
 fn disturbed_trace_is_generated_once_and_cached_apart() {
     let app = AppSpec::by_name("FMM").unwrap();
-    let d = Disturbance {
-        salt: 0xD157,
-        prob: 0.10,
-        delay: Cycles::from_millis(100),
-    };
     let disturbed = |knob| Variant {
         knob,
-        disturbance: Some(d),
+        disturbed: true,
         ..Variant::default()
     };
     let cell = |c| Cell::new(app.clone(), NODES, SEED, c);
@@ -186,9 +181,10 @@ fn disturbed_trace_is_generated_once_and_cached_apart() {
     assert_eq!(harness.trace_generations(), 2, "clean + disturbed");
     assert_eq!(harness.baseline_runs(), 2);
 
+    let (salt, prob, delay) = PREEMPTIONS;
     let trace = app
         .generate(NODES as usize, SEED)
-        .with_disturbance(SEED ^ d.salt, d.prob, d.delay);
+        .with_disturbance(SEED ^ salt, prob, delay);
     let cfg = || SimulatorConfig::paper_with_nodes("Baseline", NODES);
     let base = simulate(cfg(), &trace, AlgorithmConfig::baseline(), None);
     assert_eq!(json(&reports[2]), json(&base));

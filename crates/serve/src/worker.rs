@@ -184,7 +184,7 @@ mod tests {
     use super::*;
     use tb_core::{PredictorChoice, WakeupMode};
     use tb_machine::sim::TimeSharing;
-    use tb_machine::{Disturbance, Knob, Variant};
+    use tb_machine::{Knob, Variant};
     use tb_sim::Cycles;
 
     #[test]
@@ -226,11 +226,7 @@ mod tests {
             },
             Variant {
                 knob: Some(Knob::Underprediction(Some(8.0))),
-                disturbance: Some(Disturbance {
-                    salt: 0xD157,
-                    prob: 0.10,
-                    delay: Cycles::from_millis(100),
-                }),
+                disturbed: true,
                 ..Variant::default()
             },
         ];

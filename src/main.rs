@@ -297,7 +297,7 @@ fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
 
 /// The one journaled executor `sweep` and `reproduce` share. Cells whose
 /// outcome the journal (`--resume`) already holds are replayed verbatim;
-/// an unreachable imbalance target is refused before any other cell runs;
+/// an unreachable imbalance target is refused before any cell runs;
 /// the rest run on the in-process harness (`--jobs`, `--retries`,
 /// `--timeout-ms`) or a process fleet (`--workers`), and each completed
 /// cell is appended to the journal. Outcomes come back in `cells` order.

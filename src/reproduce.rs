@@ -62,7 +62,7 @@
 
 use tb_core::{AlgorithmConfig, PredictorChoice, SystemConfig, WakeupMode};
 use tb_energy::{CategoryBreakdown, EnergyCategory, PowerModel, SleepTable};
-use tb_machine::harness::{Cell, Disturbance, Knob, Variant};
+use tb_machine::harness::{Cell, Knob, Variant};
 use tb_machine::sim::TimeSharing;
 use tb_machine::{BarrierEventCounts, RunReport};
 use tb_mem::MachineConfig;
@@ -365,11 +365,7 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         cells: |nodes, seed| {
             let disturbed = |factor: Option<Option<f64>>| Variant {
                 knob: factor.map(Knob::Underprediction),
-                disturbance: Some(Disturbance {
-                    salt: 0xD157,
-                    prob: 0.10,
-                    delay: Cycles::from_millis(100),
-                }),
+                disturbed: true,
                 ..Variant::default()
             };
             let (fmm, thrifty) = (app("FMM"), SystemConfig::Thrifty);
@@ -382,9 +378,8 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         rows: |run| {
             let lead = |c: &Cell, _: &_, _: &_| {
                 let label = match c.variant.knob {
-                    None => "clean trace, filter on",
-                    Some(Knob::Underprediction(Some(_))) => "disturbed, filter on",
-                    _ => "disturbed, filter OFF",
+                    None => "clean trace, filter on".to_string(),
+                    Some(_) => format!("disturbed, {}", knob_label(c)),
                 };
                 format!("{label:<26}")
             };
@@ -442,7 +437,10 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         rows: |run| {
             let lead = |c: &Cell, _: &_, _: &_| {
                 let policy = match c.variant.time_sharing {
-                    Some(ts) => format!("yield (quantum {} ms)", ts.quantum.as_u64() / 1_000_000),
+                    Some(ts) => format!(
+                        "yield (quantum {} ms)",
+                        ts.quantum.as_u64() / Cycles::from_millis(1).as_u64()
+                    ),
                     None => "thrifty".to_string(),
                 };
                 format!("{:<11} {policy:<24}", c.app.name)
@@ -605,8 +603,9 @@ fn knob_label(cell: &Cell) -> String {
         Knob::Predictor(PredictorChoice::Averaging(a)) => format!("ewma({a})"),
         Knob::Predictor(PredictorChoice::Confidence(t)) => format!("confidence({:.0}%)", t * 100.0),
         Knob::Predictor(p) => p.to_string(),
-        Knob::Anticipation(margin) => format!("{}us", margin.as_u64() / 1_000),
-        Knob::Underprediction(factor) => format!("filter {factor:?}"),
+        Knob::Anticipation(m) => format!("{}us", m.as_u64() / Cycles::from_micros(1).as_u64()),
+        Knob::Underprediction(Some(_)) => "filter on".to_string(),
+        Knob::Underprediction(None) => "filter OFF".to_string(),
     }
 }
 
