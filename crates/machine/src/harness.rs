@@ -172,7 +172,7 @@ impl Cell {
 
     /// The algorithm configuration the cell runs: its configuration's,
     /// with the variant's knob applied.
-    pub fn algorithm_config(&self) -> AlgorithmConfig {
+    fn algorithm_config(&self) -> AlgorithmConfig {
         let mut algo = self.config.algorithm_config();
         if let Some(knob) = self.variant.knob {
             knob.apply(&mut algo);
