@@ -323,12 +323,8 @@ pub static EXPERIMENTS: [Experiment; 15] = [
                 let error = r.prediction_error.mean() * 100.0;
                 format!("{:<11} {:<16} {error:>9.1}%", c.app.name, knob_label(c))
             };
-            table(
-                &groups(run),
-                lead,
-                &[Col::Count(|c| c.cutoff_disables, 9)],
-                1,
-            )
+            let disables = Col::Count(|c| c.cutoff_disables, 9);
+            table(&groups(run), lead, &[disables], 1)
         },
         trailer: "expected shape: last-value BIT ~ EWMA on stable apps, both far better than \
                   direct BST;\nOcean defeats all history predictors; the oracle lower-bounds \
