@@ -40,15 +40,45 @@ fn sweep_n8_text_matches_fixture_at_every_jobs_level() {
     }
 }
 
+/// The FNV-1a digest of a command's JSON document (the CLI prints it with a
+/// trailing newline; the digest covers the document itself).
+fn json_digest(args: &[&str]) -> String {
+    let json = bin(args);
+    fnv1a64_hex(json.strip_suffix(b"\n").unwrap_or(&json))
+}
+
+/// The digest a `tests/golden/*.digest` fixture holds.
+fn digest_fixture(name: &str) -> String {
+    let want = String::from_utf8(fixture(name)).expect("digest fixture is ASCII hex");
+    want.trim().to_string()
+}
+
 /// Single-app run output is pinned too (per-report rendering, not just the
-/// sweep table).
+/// sweep table): all five configurations, one configuration against its
+/// Baseline, the mean ± σ lines of a replicated run, and the JSON reports.
 #[test]
 fn run_ocean_n8_matches_fixture() {
-    let got = bin(&["run", "Ocean", "--nodes", "8"]);
+    for (args, name) in [
+        (&["run", "Ocean", "--nodes", "8"][..], "run_ocean_n8.txt"),
+        (
+            &["run", "Ocean", "--nodes", "8", "--config", "Thrifty"][..],
+            "run_ocean_n8_thrifty.txt",
+        ),
+        (
+            &["run", "Volrend", "--nodes", "8", "--seeds", "2"][..],
+            "run_volrend_n8_seeds2.txt",
+        ),
+    ] {
+        assert_eq!(
+            String::from_utf8_lossy(&bin(args)),
+            String::from_utf8_lossy(&fixture(name)),
+            "{args:?} drifted from tests/golden/{name}"
+        );
+    }
     assert_eq!(
-        got,
-        fixture("run_ocean_n8.txt"),
-        "run Ocean --nodes 8 drifted from tests/golden/run_ocean_n8.txt"
+        json_digest(&["run", "Ocean", "--nodes", "8", "--json"]),
+        digest_fixture("run_ocean_n8_json.digest"),
+        "run Ocean --nodes 8 --json digest drifted from tests/golden/run_ocean_n8_json.digest"
     );
 }
 
@@ -57,15 +87,9 @@ fn run_ocean_n8_matches_fixture() {
 /// fixture.
 #[test]
 fn sweep_n8_json_digest_matches_fixture() {
-    let json = bin(&["sweep", "--nodes", "8", "--json"]);
-    // The CLI prints the JSON with a trailing newline; the digest covers
-    // the document itself.
-    let trimmed = json.strip_suffix(b"\n").unwrap_or(&json);
-    let want = fixture("sweep_n8_json.digest");
-    let want = String::from_utf8(want).expect("digest fixture is ASCII hex");
     assert_eq!(
-        fnv1a64_hex(trimmed),
-        want.trim(),
+        json_digest(&["sweep", "--nodes", "8", "--json"]),
+        digest_fixture("sweep_n8_json.digest"),
         "sweep --nodes 8 --json digest drifted from tests/golden/sweep_n8_json.digest"
     );
 }
@@ -84,13 +108,9 @@ fn sweep_faults_none_is_byte_identical_to_clean_sweep() {
             "sweep --faults none --jobs {jobs} drifted from the clean sweep fixture"
         );
     }
-    let json = bin(&["sweep", "--nodes", "8", "--json", "--faults", "none"]);
-    let trimmed = json.strip_suffix(b"\n").unwrap_or(&json);
-    let want = fixture("sweep_n8_json.digest");
-    let want = String::from_utf8(want).expect("digest fixture is ASCII hex");
     assert_eq!(
-        fnv1a64_hex(trimmed),
-        want.trim(),
+        json_digest(&["sweep", "--nodes", "8", "--json", "--faults", "none"]),
+        digest_fixture("sweep_n8_json.digest"),
         "sweep --faults none --json digest drifted from the clean JSON fixture"
     );
 }
@@ -110,6 +130,12 @@ fn fault_sweep_n8_matches_fixture_at_every_jobs_level() {
             "sweep --faults storm --jobs {jobs} drifted from tests/golden/fault_sweep_n8.txt"
         );
     }
+    // The AggregateReport stream behind the table, fault tallies included.
+    assert_eq!(
+        json_digest(&["sweep", "--nodes", "8", "--faults", "storm", "--json"]),
+        digest_fixture("fault_sweep_n8_json.digest"),
+        "sweep --faults storm --json digest drifted from tests/golden/fault_sweep_n8_json.digest"
+    );
     let text = String::from_utf8(want).expect("fixture is UTF-8");
     assert!(
         text.trim_end().ends_with("0 failed cells"),
