@@ -46,7 +46,7 @@
 //!   Livelocks are deterministic (same seed → same wedge schedule), so
 //!   they are never retried.
 
-use crate::report::{AggregateReport, RunReport};
+use crate::report::{pair_with_baselines, AggregateReport, RunReport, View};
 use crate::run::oracle_from_baseline;
 pub use crate::sim::CellError;
 use crate::sim::{try_simulate_faulted, Deadline, SimulatorConfig, TimeSharing};
@@ -771,42 +771,31 @@ impl AppMatrix {
             .collect()
     }
 
-    /// The reports of one configuration across all seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` was not part of the matrix.
-    pub fn config_reports(&self, config: SystemConfig) -> &[RunReport] {
-        let i = self
-            .configs
-            .iter()
-            .position(|&c| c == config)
-            .unwrap_or_else(|| panic!("{} not in the matrix", config.name()));
-        &self.reports[i]
-    }
-
     /// Mean/σ aggregation of every configuration across seeds, in the
-    /// matrix's configuration order. Each seed's sample is normalized to
-    /// the *same seed's* Baseline run.
+    /// matrix's configuration order: [`aggregate`](crate::report::aggregate)'s
+    /// pairing, so each seed's sample is normalized to the *same seed's*
+    /// Baseline run.
     ///
     /// # Panics
     ///
     /// Panics if the matrix does not include Baseline (nothing to
     /// normalize against).
     pub fn aggregates(&self) -> Vec<AggregateReport> {
-        let baselines = self.config_reports(SystemConfig::Baseline);
-        self.configs
+        let nodes = self.reports[0][0].threads as u16;
+        let cells = Cell::matrix(
+            std::slice::from_ref(&self.app),
+            &self.configs,
+            nodes,
+            &self.seeds,
+        );
+        let clean = FaultSummary::default();
+        let views: Vec<View> = self
+            .reports
             .iter()
-            .zip(&self.reports)
-            .map(|(&config, row)| {
-                let mut agg =
-                    AggregateReport::new(self.app.name.clone(), config.name(), row[0].threads);
-                for (report, baseline) in row.iter().zip(baselines) {
-                    agg.push(report, baseline);
-                }
-                agg
-            })
-            .collect()
+            .flatten()
+            .map(|r| (Ok(r), &clean, 0))
+            .collect();
+        pair_with_baselines(&cells, &views)
     }
 
     /// The reports flattened config-major, then seed: this application's

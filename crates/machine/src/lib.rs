@@ -61,7 +61,8 @@ pub use harness::{
 };
 pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{
-    AggregateReport, BarrierEventCounts, CellCoverage, InstanceRecord, RunReport, SiteSummary,
+    aggregate, AggregateReport, BarrierEventCounts, CellCoverage, InstanceRecord, RunReport,
+    SiteSummary,
 };
 pub use sim::{
     simulate, try_simulate_faulted, CellError, Deadline, LivelockDiagnostics, Simulator,

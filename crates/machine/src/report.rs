@@ -1,6 +1,6 @@
 //! Per-run results: everything the evaluation section consumes.
 
-use crate::harness::CellError;
+use crate::harness::{Cell, CellError, CellOutcome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tb_energy::{CategoryBreakdown, EnergyCategory, MachineLedger};
@@ -406,6 +406,68 @@ impl AggregateReport {
     pub fn runs(&self) -> u64 {
         self.wall_time.count()
     }
+}
+
+/// Per-(application, configuration) aggregates of `cells` and the
+/// `outcomes` an executor returned for them, one per cell in cell order.
+/// Aggregates come in the order their pair first appears in `cells`.
+///
+/// Each cell is normalized to the Baseline cell of the same application,
+/// machine size and seed in `cells`, found by what it is rather than where
+/// it sits. Its fault tallies, retries and typed error are folded in; a
+/// cell whose Baseline failed is recorded as "baseline cell failed".
+///
+/// # Panics
+///
+/// Panics unless there is one outcome per cell and every cell's Baseline
+/// is among `cells`.
+pub fn aggregate(cells: &[Cell], outcomes: &[CellOutcome]) -> Vec<AggregateReport> {
+    assert_eq!(cells.len(), outcomes.len(), "one outcome per cell");
+    let views: Vec<View> = outcomes
+        .iter()
+        .map(|o| (o.report.as_ref(), &o.faults, o.retries.len()))
+        .collect();
+    pair_with_baselines(cells, &views)
+}
+
+/// What the Baseline pairing reads of one cell's outcome: its report (or
+/// final error), fault tallies and retry count.
+pub(crate) type View<'a> = (
+    Result<&'a RunReport, &'a CellError>,
+    &'a FaultSummary,
+    usize,
+);
+
+/// The Baseline pairing behind [`aggregate`] and
+/// [`AppMatrix::aggregates`](crate::AppMatrix::aggregates), over one view
+/// per cell.
+pub(crate) fn pair_with_baselines(cells: &[Cell], views: &[View]) -> Vec<AggregateReport> {
+    let mut aggs: Vec<AggregateReport> = Vec::new();
+    for (cell, &(report, faults, retries)) in cells.iter().zip(views) {
+        let (app, config) = (&cell.app.name, cell.config.name());
+        let pair = |a: &AggregateReport| &a.app == app && a.config == config;
+        let g = aggs.iter().position(pair).unwrap_or_else(|| {
+            aggs.push(AggregateReport::new(app, config, cell.nodes as usize));
+            aggs.len() - 1
+        });
+        let baseline = cells
+            .iter()
+            .position(|b| {
+                b.is_plain_baseline()
+                    && &b.app.name == app
+                    && (b.nodes, b.seed) == (cell.nodes, cell.seed)
+            })
+            .unwrap_or_else(|| panic!("no Baseline cell for {app} seed {}", cell.seed));
+        let agg = &mut aggs[g];
+        agg.merge_faults(faults);
+        agg.record_retries(retries as u64);
+        match (report, views[baseline].0) {
+            (Ok(report), Ok(baseline)) => agg.push(report, baseline),
+            (Err(err), _) => agg.record_error(err),
+            (Ok(_), Err(_)) => agg.record_failure("baseline cell failed"),
+        }
+    }
+    aggs
 }
 
 /// Per-site BIT/BST statistics (the observed thread's BST, as in Figure 3).

@@ -5,7 +5,7 @@ use tb_core::{AlgorithmConfig, PredictorChoice, SystemConfig};
 use tb_machine::harness::{Cell, Harness, Knob, Variant, PREEMPTIONS};
 use tb_machine::run::{oracle_from_baseline, run_trace};
 use tb_machine::sim::{simulate, SimulatorConfig, TimeSharing};
-use tb_machine::RunReport;
+use tb_machine::{aggregate, AggregateReport, CellError, RunReport};
 use tb_mem::MachineConfig;
 use tb_sim::Cycles;
 use tb_workloads::AppSpec;
@@ -18,15 +18,7 @@ fn apps(n: usize) -> Vec<AppSpec> {
 }
 
 fn all_cells(apps: &[AppSpec], seeds: &[u64]) -> Vec<Cell> {
-    apps.iter()
-        .flat_map(|app| {
-            SystemConfig::ALL.into_iter().flat_map(move |config| {
-                seeds
-                    .iter()
-                    .map(move |&seed| Cell::new(app.clone(), NODES, seed, config))
-            })
-        })
-        .collect()
+    Cell::matrix(apps, &SystemConfig::ALL, NODES, seeds)
 }
 
 #[test]
@@ -317,14 +309,29 @@ fn matrix_reshape_and_aggregates() {
     assert_eq!(harness.baseline_runs(), 6);
 }
 
+/// `aggregate` finds each cell's Baseline by app, nodes and seed, not by
+/// position, and a failed Baseline marks its seed's cells.
 #[test]
-fn config_reports_selects_by_config() {
-    let apps = apps(1);
-    let harness = Harness::serial();
-    let matrix = harness
-        .run_matrix(&apps, &SystemConfig::ALL, NODES, &[SEED])
-        .unwrap();
-    let thrifty = matrix[0].config_reports(SystemConfig::Thrifty);
-    assert_eq!(thrifty.len(), 1);
-    assert_eq!(thrifty[0].config, "Thrifty");
+fn aggregate_pairs_each_cell_with_its_baseline_by_identity() {
+    let configs = [SystemConfig::Baseline, SystemConfig::Thrifty];
+    let cells = Cell::matrix(&apps(1), &configs, NODES, &[SEED, SEED + 1]);
+    let mut outcomes = Harness::serial().run_cells_isolated(&cells);
+    let json = |aggs: &[AggregateReport]| serde::json::to_string(&aggs);
+    let forward = aggregate(&cells, &outcomes);
+    // Thrifty's cells first: the aggregates come in the other order.
+    let order = [2, 3, 0, 1];
+    let swapped = aggregate(
+        &order.map(|i| cells[i].clone()),
+        &order.map(|i| outcomes[i].clone()),
+    );
+    assert_eq!(
+        json(&forward),
+        json(&[swapped[1].clone(), swapped[0].clone()])
+    );
+
+    outcomes[0].report = Err(CellError::Panic("boom".into()));
+    let aggs = aggregate(&cells, &outcomes);
+    assert_eq!(aggs[0].failures, vec!["panic: boom"]);
+    assert_eq!(aggs[1].failures, vec!["baseline cell failed"]);
+    assert_eq!((aggs[0].runs(), aggs[1].runs()), (1, 1));
 }

@@ -6,15 +6,15 @@
 //!
 //! The test drives the real [`Engine`] state machine with a
 //! proptest-generated death schedule over real simulator cells (run
-//! through the real [`Harness`]), then aggregates exactly the way the
-//! CLI's sweep path does and compares the serialized report bytes.
+//! through the real [`Harness`]), then aggregates with the function the
+//! CLI's tables print from and compares the serialized report bytes.
 
 use proptest::prelude::*;
 use serde::json;
 use std::collections::{HashMap, VecDeque};
 use tb_core::SystemConfig;
+use tb_machine::aggregate;
 use tb_machine::harness::{Cell, CellOutcome, Harness};
-use tb_machine::AggregateReport;
 use tb_serve::{Action, Engine, EngineConfig, WorkerId};
 use tb_workloads::AppSpec;
 
@@ -22,42 +22,19 @@ const NODES: u16 = 4;
 const SEEDS: [u64; 2] = [11, 12];
 const CONFIGS: [SystemConfig; 2] = [SystemConfig::Baseline, SystemConfig::Thrifty];
 
-/// The cell matrix in sweep order: config-major, seed-minor (mirroring
-/// the CLI's `idx(app, config, seed)` layout for a single app).
+/// The cell matrix in sweep order: config-major, seed-minor.
 fn cells() -> Vec<Cell> {
     let app = AppSpec::by_name("FMM").expect("FMM is a stock workload");
-    let mut cells = Vec::new();
-    for &config in &CONFIGS {
-        for &seed in &SEEDS {
-            cells.push(Cell::new(app.clone(), NODES, seed, config));
-        }
-    }
-    cells
+    Cell::matrix(&[app], &CONFIGS, NODES, &SEEDS)
 }
 
-/// Aggregates outcomes the way `cmd_sweep`'s fault path does — per
-/// config, normalized to the same-seed Baseline — and serializes. The
+/// Aggregates outcomes with the CLI's own pairing ([`aggregate`]: per
+/// config, normalized to the same-seed Baseline) and serializes. The
 /// bytes of this string are the property under test. Note the
 /// aggregation never reads `outcome.reassigned`: fleet bookkeeping is
 /// stderr-only by design, so reassignment counts must not leak here.
 fn aggregate_bytes(outcomes: &[CellOutcome]) -> String {
-    let idx = |c: usize, s: usize| c * SEEDS.len() + s;
-    let mut aggs = Vec::new();
-    for (c, config) in CONFIGS.iter().enumerate() {
-        let mut agg = AggregateReport::new("FMM", config.name(), NODES as usize);
-        for s in 0..SEEDS.len() {
-            let outcome = &outcomes[idx(c, s)];
-            agg.merge_faults(&outcome.faults);
-            agg.record_retries(outcome.retries.len() as u64);
-            match (&outcome.report, &outcomes[idx(0, s)].report) {
-                (Ok(report), Ok(baseline)) => agg.push(report, baseline),
-                (Err(err), _) => agg.record_error(err),
-                (Ok(_), Err(_)) => agg.record_failure("baseline cell failed"),
-            }
-        }
-        aggs.push(agg);
-    }
-    json::to_string(&aggs)
+    json::to_string(&aggregate(&cells(), outcomes))
 }
 
 /// The uninterrupted reference at a given harness parallelism.

@@ -8,7 +8,8 @@ use tb_core::{FaultPlan, SystemConfig};
 use tb_machine::run::PAPER_SEED;
 use tb_workloads::AppSpec;
 
-/// Parsed command options (the flags shared by every subcommand).
+/// Parsed command options: the union of every subcommand's flags (see
+/// [`parse_options`] for which subcommand takes which).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Options {
     /// Machine size (power of two in `2..=64`).
@@ -52,10 +53,6 @@ pub struct Options {
     /// Fleet heartbeat period in milliseconds (`--heartbeat-ms`); a
     /// worker silent for three periods is killed. Requires `--workers`.
     pub heartbeat_ms: u64,
-    /// Consecutive worker deaths that quarantine a cell as poison
-    /// (`--poison-strikes`, at most [`MAX_POISON_STRIKES`]). Requires
-    /// `--workers`.
-    pub poison_strikes: u32,
 }
 
 /// Cap on `--retries`: backoff doubles per attempt, so anything deeper
@@ -67,20 +64,35 @@ pub const MAX_RETRIES: u32 = 10;
 /// only adds scheduling noise.
 pub const MAX_WORKERS: usize = 64;
 
-/// Cap on `--poison-strikes`: each strike is a whole worker process
-/// killed, so a deeper budget than this means the fleet spends its life
-/// respawning.
-pub const MAX_POISON_STRIKES: u32 = 10;
-
 /// Fleet size `serve` uses when `--workers` is not given.
 pub const DEFAULT_SERVE_WORKERS: usize = 4;
 
 /// Default `--heartbeat-ms`.
 pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
 
-/// Default `--poison-strikes` (the thrifty-barrier "two workers in a row"
-/// quarantine rule).
-pub const DEFAULT_POISON_STRIKES: u32 = 2;
+/// The subcommands that run cells through the journaled executor, and so
+/// take its flags.
+const EXECUTES: &[&str] = &["run", "sweep", "serve", "reproduce"];
+
+/// Every flag, with the subcommands that take it.
+const FLAGS: [(&str, &[&str]); 16] = [
+    ("--nodes", &["run", "sweep", "serve", "reproduce", "trace"]),
+    ("--seed", &["run", "sweep", "serve", "reproduce", "trace"]),
+    ("--seeds", &["run", "sweep", "serve"]),
+    ("--config", &["run", "trace"]),
+    ("--json", &["run", "sweep", "serve"]),
+    ("--out", &["trace"]),
+    ("--format", &["trace"]),
+    ("--ring", &["trace"]),
+    ("--faults", &["sweep", "serve"]),
+    ("--jobs", EXECUTES),
+    ("--retries", EXECUTES),
+    ("--timeout-ms", EXECUTES),
+    ("--journal", EXECUTES),
+    ("--resume", EXECUTES),
+    ("--workers", EXECUTES),
+    ("--heartbeat-ms", EXECUTES),
+];
 
 impl Default for Options {
     fn default() -> Self {
@@ -101,7 +113,6 @@ impl Default for Options {
             resume: None,
             workers: 0,
             heartbeat_ms: DEFAULT_HEARTBEAT_MS,
-            poison_strikes: DEFAULT_POISON_STRIKES,
         }
     }
 }
@@ -148,18 +159,23 @@ pub fn config_by_name(name: &str) -> Result<SystemConfig, String> {
         })
 }
 
-/// Parses the option tail of a subcommand.
+/// Parses the option tail of `command` (`run`, `sweep`, `serve`,
+/// `reproduce` or `trace`).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on unknown flags, missing values, or
-/// out-of-range values (non-power-of-two `--nodes`, zero `--seeds` or
-/// `--ring`, unknown `--format`).
-pub fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Returns a human-readable message on unknown flags, flags `command` does
+/// not take, missing values, or out-of-range values (non-power-of-two
+/// `--nodes`, zero `--seeds` or `--ring`, unknown `--format`).
+pub fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
-    let (mut workers_given, mut heartbeat_given, mut strikes_given) = (false, false, false);
+    let (mut workers_given, mut heartbeat_given) = (false, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let takers = FLAGS.iter().find(|(flag, _)| flag == arg).map(|(_, t)| t);
+        if takers.is_some_and(|t| !t.contains(&command)) {
+            return Err(format!("{arg} does not apply to {command}"));
+        }
         match arg.as_str() {
             "--nodes" => {
                 let v = it.next().ok_or("--nodes needs a value")?;
@@ -270,24 +286,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err("--heartbeat-ms must be positive".to_string());
                 }
             }
-            "--poison-strikes" => {
-                let v = it.next().ok_or("--poison-strikes needs a value")?;
-                opts.poison_strikes = v.parse().map_err(|_| format!("bad strike count {v:?}"))?;
-                strikes_given = true;
-                if opts.poison_strikes == 0 {
-                    return Err(
-                        "--poison-strikes must be at least 1 (a zero budget would poison \
-                         every cell on dispatch)"
-                            .to_string(),
-                    );
-                }
-                if opts.poison_strikes > MAX_POISON_STRIKES {
-                    return Err(format!(
-                        "--poison-strikes must be at most {MAX_POISON_STRIKES}, got {}",
-                        opts.poison_strikes
-                    ));
-                }
-            }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
@@ -298,21 +296,11 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                 .to_string(),
         );
     }
-    if !workers_given {
-        if heartbeat_given {
-            return Err(
-                "--heartbeat-ms requires --workers (it tunes the fleet's liveness \
-                        deadline)"
-                    .to_string(),
-            );
-        }
-        if strikes_given {
-            return Err(
-                "--poison-strikes requires --workers (poison quarantine only exists in \
-                 multi-process sweeps)"
-                    .to_string(),
-            );
-        }
+    if heartbeat_given && !workers_given {
+        return Err(
+            "--heartbeat-ms requires --workers (it tunes the fleet's liveness deadline)"
+                .to_string(),
+        );
     }
     Ok(opts)
 }
@@ -321,9 +309,13 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Options, String> {
+    fn parse_as(command: &str, args: &[&str]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        parse_options(&owned)
+        parse_options(command, &owned)
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_as("sweep", args)
     }
 
     #[test]
@@ -339,10 +331,13 @@ mod tests {
 
     #[test]
     fn full_flag_set_round_trips() {
-        let opts = parse(&[
-            "--nodes", "16", "--seed", "9", "--seeds", "3", "--jobs", "4", "--config", "Thrifty",
-            "--json", "--out", "x.json", "--format", "jsonl", "--ring", "1024",
-        ])
+        let opts = parse_as(
+            "run",
+            &[
+                "--nodes", "16", "--seed", "9", "--seeds", "3", "--jobs", "4", "--config",
+                "Thrifty", "--json",
+            ],
+        )
         .unwrap();
         assert_eq!(opts.nodes, 16);
         assert_eq!(opts.seed, 9);
@@ -351,6 +346,8 @@ mod tests {
         assert_eq!(opts.jobs, 4);
         assert_eq!(opts.config.as_deref(), Some("Thrifty"));
         assert!(opts.json);
+        let trace = ["--out", "x.json", "--format", "jsonl", "--ring", "1024"];
+        let opts = parse_as("trace", &trace).unwrap();
         assert_eq!(opts.out.as_deref(), Some("x.json"));
         assert_eq!(opts.format, "jsonl");
         assert_eq!(opts.ring, 1024);
@@ -368,16 +365,16 @@ mod tests {
 
     #[test]
     fn rejects_zero_ring() {
-        let err = parse(&["--ring", "0"]).unwrap_err();
+        let err = parse_as("trace", &["--ring", "0"]).unwrap_err();
         assert!(err.contains("positive"), "{err}");
     }
 
     #[test]
     fn rejects_bad_format() {
-        let err = parse(&["--format", "csv"]).unwrap_err();
+        let err = parse_as("trace", &["--format", "csv"]).unwrap_err();
         assert!(err.contains("perfetto or jsonl"), "{err}");
-        assert!(parse(&["--format", "perfetto"]).is_ok());
-        assert!(parse(&["--format", "jsonl"]).is_ok());
+        assert!(parse_as("trace", &["--format", "perfetto"]).is_ok());
+        assert!(parse_as("trace", &["--format", "jsonl"]).is_ok());
     }
 
     #[test]
@@ -475,21 +472,11 @@ mod tests {
 
     #[test]
     fn worker_flags_round_trip() {
-        let opts = parse(&[
-            "--workers",
-            "4",
-            "--heartbeat-ms",
-            "250",
-            "--poison-strikes",
-            "3",
-        ])
-        .unwrap();
+        let opts = parse(&["--workers", "4", "--heartbeat-ms", "250"]).unwrap();
         assert_eq!(opts.workers, 4);
         assert_eq!(opts.heartbeat_ms, 250);
-        assert_eq!(opts.poison_strikes, 3);
         let opts = parse(&["--workers", "1"]).unwrap();
         assert_eq!(opts.heartbeat_ms, DEFAULT_HEARTBEAT_MS);
-        assert_eq!(opts.poison_strikes, DEFAULT_POISON_STRIKES);
     }
 
     #[test]
@@ -508,28 +495,16 @@ mod tests {
     fn fleet_tuning_flags_require_workers() {
         let err = parse(&["--heartbeat-ms", "250"]).unwrap_err();
         assert!(err.contains("requires --workers"), "{err}");
-        let err = parse(&["--poison-strikes", "3"]).unwrap_err();
-        assert!(err.contains("requires --workers"), "{err}");
         // Order-independent: the flag may precede --workers.
         assert!(parse(&["--heartbeat-ms", "250", "--workers", "2"]).is_ok());
-        assert!(parse(&["--poison-strikes", "3", "--workers", "2"]).is_ok());
     }
 
     #[test]
-    fn rejects_bad_heartbeat_and_strikes() {
+    fn rejects_bad_heartbeat() {
         let err = parse(&["--workers", "2", "--heartbeat-ms", "0"]).unwrap_err();
         assert!(err.contains("positive"), "{err}");
-        let err = parse(&["--workers", "2", "--poison-strikes", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse(&["--workers", "2", "--poison-strikes", "11"]).unwrap_err();
-        assert!(err.contains("at most 10"), "{err}");
-        assert!(
-            parse(&["--workers", "2", "--poison-strikes", "10"]).is_ok(),
-            "the cap itself"
-        );
         assert!(parse(&["--workers", "2", "--heartbeat-ms", "soon"]).is_err());
         assert!(parse(&["--workers", "2", "--heartbeat-ms"]).is_err());
-        assert!(parse(&["--workers", "2", "--poison-strikes"]).is_err());
     }
 
     #[test]

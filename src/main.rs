@@ -2,37 +2,44 @@
 //!
 //! ```text
 //! thrifty-barrier list
-//! thrifty-barrier run <app> [--nodes N] [--seed S] [--seeds K] [--jobs J] [--config NAME] [--json]
-//! thrifty-barrier sweep [--nodes N] [--seed S] [--seeds K] [--jobs J] [--json] [--faults SCENARIO]
-//!                       [--retries N] [--timeout-ms MS] [--journal PATH | --resume PATH]
-//!                       [--workers W] [--heartbeat-ms MS] [--poison-strikes K]
+//! thrifty-barrier run <app> [--nodes N] [--seed S] [--seeds K] [--config NAME] [--json] [EXECUTOR]
+//! thrifty-barrier sweep [--nodes N] [--seed S] [--seeds K] [--json] [--faults SCENARIO] [EXECUTOR]
 //! thrifty-barrier serve [same flags as sweep; --workers defaults to 4]
-//! thrifty-barrier reproduce <ID> [--nodes N] [--seed S] [--jobs J] [--retries N] [--timeout-ms MS]
-//!                       [--journal PATH | --resume PATH] [--workers W]
-//! thrifty-barrier trace <app> --out FILE [--format perfetto|jsonl] [--config NAME]
+//! thrifty-barrier reproduce <ID> [--nodes N] [--seed S] [EXECUTOR]
+//! thrifty-barrier trace <app> --out FILE [--nodes N] [--seed S] [--format perfetto|jsonl]
+//!                       [--config NAME] [--ring EVENTS]
+//!
+//! EXECUTOR: [--jobs J] [--retries N] [--timeout-ms MS] [--journal PATH | --resume PATH]
+//!           [--workers W] [--heartbeat-ms MS]
 //! ```
 //!
-//! `run` and `sweep` fan their (app × config × seed) cells out across a
+//! Each subcommand takes only the flags listed for it; any other is
+//! refused with "does not apply to <command>".
+//!
+//! `run`, `sweep` and `reproduce` run their cells through one journaled
+//! executor (`execute`). In process it fans the cells out across a
 //! [`Harness`] worker pool: `--jobs J` sets the pool size (default: one
-//! worker per hardware thread) and `--seeds K` replicates every cell over
-//! K consecutive seeds, reporting mean ± σ. Each (app, nodes, seed)
+//! worker per hardware thread). `--seeds K` replicates every cell over K
+//! consecutive seeds, reporting mean ± σ. Each (app, nodes, seed)
 //! generates its trace once and simulates Baseline exactly once, no matter
 //! how many configurations consume it; results are emitted in matrix
-//! order, so output is byte-identical at every `--jobs` level.
+//! order, so output is byte-identical at every `--jobs` level. `run`'s
+//! replicated lines and both sweep tables pair each cell with the same
+//! seed's Baseline through one aggregation, [`aggregate`].
 //!
-//! `sweep --workers W` (or the `serve` alias) shards the same cells
-//! across W spawned worker *processes* instead of threads: the `tb-serve`
-//! coordinator leases cells over pipes, heartbeats the fleet, reassigns
-//! the leases of dead workers (`kill -9` included), and quarantines cells
-//! that kill two workers in a row as poison. Output stays byte-identical
-//! at every worker count; there is also a hidden `__worker` subcommand
-//! the coordinator spawns, which is not part of the CLI surface.
+//! `--workers W` (and `serve`, which is `sweep` with four workers) shards
+//! the same cells across W spawned worker *processes* instead of threads:
+//! the `tb-serve` coordinator leases cells over pipes, heartbeats the
+//! fleet, reassigns the leases of dead workers (`kill -9` included), and
+//! quarantines cells that kill two workers in a row as poison. Output
+//! stays byte-identical at every worker count; there is also a hidden
+//! `__worker` subcommand the coordinator spawns, which is not part of the
+//! CLI surface.
 //!
 //! `reproduce <ID>` prints one of the paper's artifacts (Tables 1–3,
 //! Figures 3/5/6, the Ocean cut-off, the ablations A1–A6 and the
 //! extensions X1/X2; see EXPERIMENTS.md). Its cells run through the same
-//! journaled executor as `sweep`, so `--jobs`, `--workers`, `--journal`,
-//! `--resume`, `--retries` and `--timeout-ms` mean the same thing for
+//! journaled executor, so the executor flags mean the same thing for
 //! every experiment.
 //!
 //! Exit status: 0 on success, 1 for rejected options or a failed run, and
@@ -46,12 +53,10 @@ use thrifty_barrier::cli::{
     app_by_name, config_by_name, parse_options, Options, DEFAULT_SERVE_WORKERS,
 };
 use thrifty_barrier::core::{FaultPlan, SystemConfig};
-use thrifty_barrier::machine::harness::{
-    check_reachable, AppMatrix, Cell, Harness, SupervisionPolicy,
-};
+use thrifty_barrier::machine::harness::{check_reachable, Cell, Harness, SupervisionPolicy};
 use thrifty_barrier::machine::journal::{CellKey, StoredOutcome, SweepJournal};
 use thrifty_barrier::machine::run::run_trace_recording;
-use thrifty_barrier::machine::{AggregateReport, CellCoverage, CellOutcome, RunReport};
+use thrifty_barrier::machine::{aggregate, AggregateReport, CellCoverage, CellOutcome, RunReport};
 use thrifty_barrier::reproduce;
 use thrifty_barrier::trace::PredictionAccuracyReport;
 use thrifty_barrier::workloads::calibrate::Unreachable;
@@ -154,62 +159,48 @@ fn cmd_list() {
     }
 }
 
+/// One application under every configuration, or under Baseline and the
+/// `--config` choice: its cells run through the journaled executor
+/// ([`execute`]), and each row is normalized to the same seed's Baseline.
 fn cmd_run(app_name: &str, opts: &Options) -> Result<(), Failure> {
     let app = app_by_name(app_name)?;
-    let harness = Harness::new(opts.jobs);
+    let chosen = opts.config.as_deref().map(config_by_name).transpose()?;
+    let configs = match chosen {
+        None => SystemConfig::ALL.to_vec(),
+        Some(SystemConfig::Baseline) => vec![SystemConfig::Baseline],
+        Some(config) => vec![SystemConfig::Baseline, config],
+    };
+    let shown = |config: &str| chosen.is_none_or(|c| c.name() == config);
     let seeds = opts.seed_list();
-    // Every configuration runs the same traces, so checking Baseline's
-    // cells checks them all.
-    let baseline_cells = Cell::matrix(
-        std::slice::from_ref(&app),
-        &[SystemConfig::Baseline],
+    let cells = Cell::matrix(std::slice::from_ref(&app), &configs, opts.nodes, &seeds);
+    let params = format!(
+        "run {} nodes={} seed={} seeds={} config={}",
+        app.name,
         opts.nodes,
-        &seeds,
+        opts.seed,
+        opts.seeds,
+        chosen.map_or("-", SystemConfig::name)
     );
-    check_reachable(&baseline_cells)?;
-    match &opts.config {
-        Some(name) => {
-            let sys = config_by_name(name)?;
-            let cells = Cell::matrix(std::slice::from_ref(&app), &[sys], opts.nodes, &seeds);
-            // One pass: the harness caches the Baseline run each oracle
-            // configuration needs, and the comparison row below reuses
-            // that same cached run instead of simulating Baseline again.
-            let reports = harness
-                .run_cells(&cells)
-                .map_err(|e| format!("cell failed: {e}"))?;
-            if opts.json {
-                if seeds.len() == 1 {
-                    println!("{}", serde::json::to_string(&reports[0]));
-                } else {
-                    println!("{}", serde::json::to_string(&reports));
-                }
-            } else if seeds.len() == 1 {
-                let base = harness.baseline(&app, opts.nodes, seeds[0]);
-                print_report(&reports[0], &base.report);
-            } else {
-                let mut agg = AggregateReport::new(&app.name, sys.name(), opts.nodes as usize);
-                for (r, &s) in reports.iter().zip(&seeds) {
-                    agg.push(r, &harness.baseline(&app, opts.nodes, s).report);
-                }
-                print_aggregate(&agg);
-            }
+    let outcomes = execute(&cells, &params, opts)?;
+    let reports = reports_of(&outcomes, &cells)?;
+    let rows: Vec<&RunReport> = (cells.iter().zip(&reports))
+        .filter(|(cell, _)| shown(cell.config.name()))
+        .map(|(_, &report)| report)
+        .collect();
+    if opts.json {
+        match (chosen, &rows[..]) {
+            (Some(_), [report]) => println!("{}", serde::json::to_string(report)),
+            _ => println!("{}", serde::json::to_string(&rows)),
         }
-        None => {
-            let matrix = harness
-                .run_matrix(&[app], &SystemConfig::ALL, opts.nodes, &seeds)
-                .map_err(|e| format!("cell failed: {e}"))?
-                .remove(0);
-            if opts.json {
-                println!("{}", serde::json::to_string(&matrix.into_flat_reports()));
-            } else if seeds.len() == 1 {
-                let base = &matrix.config_reports(SystemConfig::Baseline)[0];
-                for row in &matrix.reports {
-                    print_report(&row[0], base);
-                }
-            } else {
-                for agg in matrix.aggregates() {
-                    print_aggregate(&agg);
-                }
+    } else if seeds.len() == 1 {
+        // Baseline is the first configuration.
+        for report in rows {
+            print_report(report, reports[0]);
+        }
+    } else {
+        for agg in aggregate(&cells, &outcomes) {
+            if shown(&agg.config) {
+                print_aggregate(&agg);
             }
         }
     }
@@ -245,6 +236,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
         scenario.unwrap_or("-")
     );
     let outcomes = execute(&cells, &params, opts)?;
+    let aggs = aggregate(&cells, &outcomes);
 
     let faulted = scenario.filter(|name| {
         FaultPlan::by_name(name, 0)
@@ -252,14 +244,13 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
             .enabled()
     });
     match faulted {
-        Some(scenario) => render_fault_sweep(scenario, opts, &apps, &configs, &seeds, &outcomes),
+        Some(scenario) => render_fault_sweep(scenario, opts, &aggs, &configs),
         None => {
-            let reports = reports_of(outcomes, &cells)?;
+            let reports = reports_of(&outcomes, &cells)?;
             if opts.json {
                 println!("{}", serde::json::to_string(&reports));
             } else {
-                let matrix = AppMatrix::from_flat_reports(&apps, &configs, &seeds, reports);
-                render_sweep(&matrix, &configs, &seeds);
+                render_sweep(&aggs, &configs, seeds.len() > 1);
             }
         }
     }
@@ -274,17 +265,13 @@ fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
         let ids: Vec<&str> = reproduce::EXPERIMENTS.iter().map(|e| e.id).collect();
         format!("unknown experiment {id:?} (options: {})", ids.join(", "))
     })?;
-    if opts.seeds > 1 || opts.faults.is_some() || opts.config.is_some() || opts.json {
-        return Err("reproduce runs one seed of the paper's configurations: \
-                    --seeds, --faults, --config and --json do not apply"
-            .into());
-    }
     let cells = (exp.cells)(opts.nodes, opts.seed);
     let params = format!(
         "reproduce {} nodes={} seed={}",
         exp.id, opts.nodes, opts.seed
     );
-    let reports = reports_of(execute(&cells, &params, opts)?, &cells)?;
+    let outcomes = execute(&cells, &params, opts)?;
+    let reports = reports_of(&outcomes, &cells)?;
     let run = reproduce::Run {
         nodes: opts.nodes,
         seed: opts.seed,
@@ -295,10 +282,10 @@ fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The one journaled executor `sweep` and `reproduce` share. Cells whose
-/// outcome the journal (`--resume`) already holds are replayed verbatim;
-/// an unreachable imbalance target is refused before any cell runs;
-/// the rest run on the in-process harness (`--jobs`, `--retries`,
+/// The one journaled executor `run`, `sweep` and `reproduce` share.
+/// Cells whose outcome the journal (`--resume`) already holds are replayed
+/// verbatim; an unreachable imbalance target is refused before any cell
+/// runs; the rest run on the in-process harness (`--jobs`, `--retries`,
 /// `--timeout-ms`) or a process fleet (`--workers`), and each completed
 /// cell is appended to the journal. Outcomes come back in `cells` order.
 ///
@@ -366,7 +353,6 @@ fn execute(cells: &[Cell], params: &str, opts: &Options) -> Result<Vec<CellOutco
             retries: opts.retries,
             timeout_ms: opts.timeout_ms,
             heartbeat_ms: opts.heartbeat_ms,
-            poison_strikes: opts.poison_strikes,
             ..tb_serve::FleetConfig::default()
         };
         let (fresh, summary) = tb_serve::run_fleet(&todo_cells, &fleet_cfg, on_complete)
@@ -401,13 +387,16 @@ fn execute(cells: &[Cell], params: &str, opts: &Options) -> Result<Vec<CellOutco
 /// The reports of fault-free cells. A failed cell (a timeout that
 /// exhausted its retries, say) has no row to render, so it aborts the
 /// command with a typed message instead of fabricating a table.
-fn reports_of(outcomes: Vec<CellOutcome>, cells: &[Cell]) -> Result<Vec<RunReport>, String> {
+fn reports_of<'a>(
+    outcomes: &'a [CellOutcome],
+    cells: &[Cell],
+) -> Result<Vec<&'a RunReport>, String> {
     outcomes
-        .into_iter()
+        .iter()
         .zip(cells)
         .map(|(outcome, cell)| {
             let attempts = outcome.attempts();
-            outcome.report.map_err(|err| {
+            outcome.report.as_ref().map_err(|err| {
                 format!(
                     "{}/{} seed {} failed after {attempts} attempt(s): {err}",
                     cell.app.name,
@@ -419,41 +408,29 @@ fn reports_of(outcomes: Vec<CellOutcome>, cells: &[Cell]) -> Result<Vec<RunRepor
         .collect()
 }
 
-/// Renders the fault-free sweep table, one row per application.
-fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64]) {
+/// Renders the fault-free sweep table, one row per application, from the
+/// per-(app, config) aggregates in `configs` order.
+fn render_sweep(aggs: &[AggregateReport], configs: &[SystemConfig], replicated: bool) {
     // Column order is derived from the configuration list, so reordering
     // it (or `SystemConfig::ALL`) reorders the table instead of silently
     // printing one configuration's numbers under another's header.
+    let col = |config: SystemConfig| configs.iter().position(|&c| c == config);
     let energy_cols: Vec<usize> = (0..configs.len())
         .filter(|&i| configs[i] != SystemConfig::Baseline)
         .collect();
-    let slow_col = configs
-        .iter()
-        .position(|&c| c == SystemConfig::Thrifty)
-        .expect("sweep table quotes the Thrifty slowdown");
-    let replicated = seeds.len() > 1;
+    let base_col = col(SystemConfig::Baseline).expect("sweep normalizes to Baseline");
+    let slow_col = col(SystemConfig::Thrifty).expect("sweep table quotes the Thrifty slowdown");
     let mut header = format!("{:<11} {:>9} |", "app", "imbal");
+    let width = if replicated { 13 } else { 8 };
     for &i in &energy_cols {
         let label = format!("E:{}", short_label(configs[i]));
-        if replicated {
-            header.push_str(&format!(" {label:>13}"));
-        } else {
-            header.push_str(&format!(" {label:>8}"));
-        }
+        header.push_str(&format!(" {label:>width$}"));
     }
     header.push_str(&format!(" | {:>8}", "slowdn"));
     println!("{header}");
-    for m in matrix {
-        let aggs = m.aggregates();
-        let base = &aggs[configs
-            .iter()
-            .position(|&c| c == SystemConfig::Baseline)
-            .expect("sweep normalizes to Baseline")];
-        let mut row = format!(
-            "{:<11} {:>8.2}% |",
-            m.app.name,
-            base.imbalance.mean() * 100.0
-        );
+    for aggs in aggs.chunks(configs.len()) {
+        let base = &aggs[base_col];
+        let mut row = format!("{:<11} {:>8.2}% |", base.app, base.imbalance.mean() * 100.0);
         for &i in &energy_cols {
             let e = &aggs[i].energy_vs_baseline;
             if replicated {
@@ -474,68 +451,49 @@ fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64]) {
     }
 }
 
-/// Renders the fault-matrix sweep: per (app, config), metrics normalized
-/// to the same-seed *faulted* Baseline, fault tallies merged, and failed
-/// cells recorded instead of aborting the sweep.
+/// Renders the fault-matrix sweep from the per-(app, config) aggregates
+/// in `configs` order: metrics normalized to the same-seed *faulted*
+/// Baseline, fault tallies merged, and failed cells recorded instead of
+/// aborting the sweep.
 fn render_fault_sweep(
     scenario: &str,
     opts: &Options,
-    apps: &[AppSpec],
+    aggs: &[AggregateReport],
     configs: &[SystemConfig],
-    seeds: &[u64],
-    outcomes: &[CellOutcome],
 ) {
-    let idx = |a: usize, c: usize, s: usize| (a * configs.len() + c) * seeds.len() + s;
-    let base_col = configs
-        .iter()
-        .position(|&c| c == SystemConfig::Baseline)
-        .expect("fault sweep normalizes to Baseline");
-    let thr_col = configs
-        .iter()
-        .position(|&c| c == SystemConfig::Thrifty)
-        .expect("fault sweep quotes the Thrifty columns");
-    let mut aggs: Vec<AggregateReport> = Vec::with_capacity(apps.len() * configs.len());
-    for (a, app) in apps.iter().enumerate() {
-        for (c, &config) in configs.iter().enumerate() {
-            let mut agg = AggregateReport::new(&app.name, config.name(), opts.nodes as usize);
-            for s in 0..seeds.len() {
-                let outcome = &outcomes[idx(a, c, s)];
-                agg.merge_faults(&outcome.faults);
-                agg.record_retries(outcome.retries.len() as u64);
-                match (&outcome.report, &outcomes[idx(a, base_col, s)].report) {
-                    (Ok(report), Ok(baseline)) => agg.push(report, baseline),
-                    (Err(err), _) => agg.record_error(err),
-                    (Ok(_), Err(_)) => agg.record_failure("baseline cell failed"),
-                }
-            }
-            aggs.push(agg);
-        }
-    }
     if opts.json {
         println!("{}", serde::json::to_string(&aggs));
         return;
     }
+    let thr_col = configs
+        .iter()
+        .position(|&c| c == SystemConfig::Thrifty)
+        .expect("fault sweep quotes the Thrifty columns");
 
     println!(
         "fault sweep: scenario {scenario:?}, {} nodes, {} seed(s)",
-        opts.nodes,
-        seeds.len()
+        opts.nodes, opts.seeds
     );
     println!(
         "{:<11} {:>7} {:>7} {:>6} | {:>8} {:>8} | {:>6}",
         "app", "inject", "recov", "quar", "E:Thr", "slowdn", "failed"
     );
-    let mut totals = (0u64, 0u64, 0u64, 0u64);
-    for (a, app) in apps.iter().enumerate() {
-        let rows = &aggs[a * configs.len()..(a + 1) * configs.len()];
-        let injected: u64 = rows.iter().map(|r| r.faults.injected()).sum();
-        let recovered: u64 = rows.iter().map(|r| r.faults.guard_recoveries).sum();
-        let quarantined: u64 = rows.iter().map(|r| r.faults.quarantine_entries).sum();
-        let failed: u64 = rows.iter().map(|r| r.failed_cells).sum();
+    // Injected, recovered, quarantined and failed, summed over `rows`.
+    let tally = |rows: &[AggregateReport]| {
+        let sum = |f: fn(&AggregateReport) -> u64| rows.iter().map(f).sum::<u64>();
+        [
+            sum(|r| r.faults.injected()),
+            sum(|r| r.faults.guard_recoveries),
+            sum(|r| r.faults.quarantine_entries),
+            sum(|r| r.failed_cells),
+        ]
+    };
+    for rows in aggs.chunks(configs.len()) {
+        let [injected, recovered, quarantined, failed] = tally(rows);
         let thrifty = &rows[thr_col];
         println!(
             "{:<11} {:>7} {:>7} {:>6} | {:>7.1}% {:>+7.2}% | {:>6}",
-            app.name,
+            thrifty.app,
             injected,
             recovered,
             quarantined,
@@ -543,20 +501,16 @@ fn render_fault_sweep(
             thrifty.slowdown_vs_baseline.mean() * 100.0,
             failed
         );
-        totals.0 += injected;
-        totals.1 += recovered;
-        totals.2 += quarantined;
-        totals.3 += failed;
     }
+    let [injected, recovered, quarantined, failed] = tally(aggs);
     println!(
-        "{scenario}: {} faults injected, {} guard recoveries, {} quarantine entries, \
-         {} failed cells",
-        totals.0, totals.1, totals.2, totals.3
+        "{scenario}: {injected} faults injected, {recovered} guard recoveries, \
+         {quarantined} quarantine entries, {failed} failed cells"
     );
     // Coverage accounting only appears when supervision had something to
     // say — a fully clean sweep prints the historical output unchanged.
     let mut coverage = CellCoverage::default();
-    for agg in &aggs {
+    for agg in aggs {
         coverage.merge(&agg.coverage);
     }
     if coverage.retried > 0 || !coverage.is_complete() {
@@ -604,22 +558,22 @@ fn usage() -> ! {
         "usage: thrifty-barrier <command> [options]\n\
          commands:\n  \
          list                      the ten Table 2 applications\n  \
-         run <app> [--config C]    run one app (all five configs by default)\n  \
-         sweep [--faults SC]       all apps x all configs (Figures 5/6 data);\n  \
-         \x20                          --faults runs the fault-matrix sweep\n  \
+         run <app>                 run one app (all five configs by default);\n  \
+         \x20                          --seeds K, --config C, --json\n  \
+         sweep                     all apps x all configs (Figures 5/6 data);\n  \
+         \x20                          --seeds K, --json, --faults SC (fault-matrix sweep)\n  \
          serve                     sweep across worker processes (--workers, default 4)\n  \
          reproduce <ID>            one paper artifact: E1-E6, E8, A1-A6, X1, X2\n  \
-         \x20                          (sweep's executor and its supervision flags)\n  \
-         trace <app> --out FILE    record per-episode events to a trace file\n\
-         options: --nodes N (power of two <= 64), --seed S, --seeds K, --jobs J,\n\
-         \x20        --json, --format perfetto|jsonl, --ring EVENTS_PER_THREAD, --config C\n\
-         sweep and reproduce supervision: --retries N (re-run transient failures, max 10),\n\
+         trace <app> --out FILE    record per-episode events to a trace file;\n  \
+         \x20                          --format perfetto|jsonl, --ring EVENTS_PER_THREAD, --config C\n\
+         every command: --nodes N (power of two <= 64), --seed S\n\
+         run, sweep, serve and reproduce (the cell executor): --jobs J,\n\
+         \x20        --retries N (re-run transient failures, max 10),\n\
          \x20        --timeout-ms MS (per-cell wall-clock deadline),\n\
          \x20        --journal PATH (checkpoint completed cells to a JSONL journal),\n\
-         \x20        --resume PATH (replay a journal, run only what is missing)\n\
-         multi-process sweeps: --workers W (worker processes, max 64),\n\
-         \x20        --heartbeat-ms MS (liveness period; silent workers are killed),\n\
-         \x20        --poison-strikes K (worker deaths that quarantine a cell, max 10)"
+         \x20        --resume PATH (replay a journal, run only what is missing),\n\
+         \x20        --workers W (worker processes, max 64),\n\
+         \x20        --heartbeat-ms MS (with --workers: liveness period; silent workers are killed)"
     );
     std::process::exit(2);
 }
@@ -634,25 +588,23 @@ fn main() {
         }
         "run" => {
             let Some(app) = args.get(1) else { usage() };
-            match parse_options(&args[2..]) {
-                Ok(opts) => cmd_run(app, &opts),
-                Err(e) => Err(e.into()),
-            }
+            parse_options("run", &args[2..])
+                .map_err(Failure::from)
+                .and_then(|o| cmd_run(app, &o))
         }
-        "sweep" => parse_options(&args[1..])
+        "sweep" => parse_options("sweep", &args[1..])
             .map_err(Failure::from)
             .and_then(|o| cmd_sweep(&o)),
         "serve" => {
             // `serve` is `sweep` with a worker fleet by default. The
-            // default is injected *before* parsing so fleet-only tuning
-            // flags (--heartbeat-ms, --poison-strikes) validate without
-            // an explicit --workers.
+            // default is injected *before* parsing so the fleet-only
+            // --heartbeat-ms validates without an explicit --workers.
             let mut argv: Vec<String> = args[1..].to_vec();
             if !argv.iter().any(|a| a == "--workers") {
                 argv.insert(0, "--workers".into());
                 argv.insert(1, DEFAULT_SERVE_WORKERS.to_string());
             }
-            parse_options(&argv)
+            parse_options("serve", &argv)
                 .map_err(Failure::from)
                 .and_then(|o| cmd_sweep(&o))
         }
@@ -662,17 +614,15 @@ fn main() {
         "__worker" => std::process::exit(tb_serve::worker_main()),
         "reproduce" => {
             let Some(id) = args.get(1) else { usage() };
-            match parse_options(&args[2..]) {
-                Ok(opts) => cmd_reproduce(id, &opts),
-                Err(e) => Err(e.into()),
-            }
+            parse_options("reproduce", &args[2..])
+                .map_err(Failure::from)
+                .and_then(|o| cmd_reproduce(id, &o))
         }
         "trace" => {
             let Some(app) = args.get(1) else { usage() };
-            match parse_options(&args[2..]) {
-                Ok(opts) => cmd_trace(app, &opts),
-                Err(e) => Err(e.into()),
-            }
+            parse_options("trace", &args[2..])
+                .map_err(Failure::from)
+                .and_then(|o| cmd_trace(app, &o))
         }
         _ => {
             usage();

@@ -100,18 +100,18 @@ pub struct Run<'a> {
     /// The experiment's cells.
     pub cells: &'a [Cell],
     /// One report per cell.
-    pub reports: &'a [RunReport],
+    pub reports: &'a [&'a RunReport],
 }
 
 /// Prints an experiment: the banner, then its header, rule, rows and
 /// trailer. The banner names the machine sizes the cells run (A3 and X2
-/// run fixed sizes), or the requested size.
+/// run fixed sizes), X1's cluster size, or the requested size.
 pub fn render(exp: &Experiment, run: &Run) -> String {
     let mut sizes: Vec<u16> = run.cells.iter().map(|c| c.nodes).collect();
     sizes.sort_unstable();
     sizes.dedup();
     if sizes.is_empty() {
-        sizes.push(run.nodes);
+        sizes.push(if exp.id == "X1" { X1_NODES } else { run.nodes });
     }
     let sizes: Vec<String> = sizes.iter().map(u16::to_string).collect();
     let bar = "=".repeat(78);
@@ -533,7 +533,7 @@ type Group<'a> = (&'a RunReport, Vec<(&'a Cell, &'a RunReport)>);
 /// The run split at each plain Baseline cell.
 fn groups<'a>(run: &Run<'a>) -> Vec<Group<'a>> {
     let mut groups: Vec<Group<'a>> = Vec::new();
-    for (cell, report) in run.cells.iter().zip(run.reports) {
+    for (cell, &report) in run.cells.iter().zip(run.reports) {
         if cell.is_plain_baseline() {
             groups.push((report, Vec::new()));
         } else {
@@ -748,8 +748,11 @@ fn target_mean(run: &Run, config: SystemConfig, f: fn(&RunReport, &RunReport) ->
     values.iter().sum::<f64>() / values.len() as f64
 }
 
+/// X1's cluster size, whatever `--nodes` asks for.
+const X1_NODES: u16 = 64;
+
 fn x1_rows(run: &Run) -> Vec<String> {
-    let nodes = 64u16;
+    let nodes = X1_NODES;
     let mut apps = AppSpec::targets();
     apps.extend(["Ocean", "Radiosity"].map(app));
     apps.iter()
@@ -851,7 +854,7 @@ mod tests {
                 nodes: 8,
                 seed: PAPER_SEED,
                 cells: &cells,
-                reports: &reports,
+                reports: &reports.iter().collect::<Vec<_>>(),
             };
             let mut means: Vec<f64> = SystemConfig::ALL[1..]
                 .iter()

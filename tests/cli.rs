@@ -18,68 +18,69 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn bad_options_exit_nonzero_with_message() {
+    // Arguments split at spaces, and what stderr must mention.
     for (args, needle) in [
-        (&["sweep", "--nodes", "12"][..], "power of two"),
-        (&["sweep", "--jobs", "0"][..], "at least 1"),
-        (&["sweep", "--seeds", "0"][..], "at least 1"),
+        ("sweep --nodes 12", "power of two"),
+        ("sweep --jobs 0", "at least 1"),
+        ("sweep --seeds 0", "at least 1"),
+        ("trace Ocean --format csv", "perfetto or jsonl"),
+        ("trace Ocean --ring 0", "positive"),
+        ("sweep --frobnicate", "unknown option"),
+        ("run NoSuchApp --nodes 8", "unknown application"),
+        ("sweep --retries eleven", "bad retry count"),
+        ("sweep --retries 11", "at most 10"),
+        ("sweep --timeout-ms soon", "bad timeout"),
+        ("sweep --timeout-ms 0", "positive"),
+        ("sweep --retries", "--retries needs a value"),
+        ("sweep --journal", "--journal needs a value"),
         (
-            &["trace", "Ocean", "--format", "csv"][..],
-            "perfetto or jsonl",
-        ),
-        (&["trace", "Ocean", "--ring", "0"][..], "positive"),
-        (&["sweep", "--frobnicate"][..], "unknown option"),
-        (
-            &["run", "NoSuchApp", "--nodes", "8"][..],
-            "unknown application",
-        ),
-        (&["sweep", "--retries", "eleven"][..], "bad retry count"),
-        (&["sweep", "--retries", "11"][..], "at most 10"),
-        (&["sweep", "--timeout-ms", "soon"][..], "bad timeout"),
-        (&["sweep", "--timeout-ms", "0"][..], "positive"),
-        (&["sweep", "--retries"][..], "--retries needs a value"),
-        (&["sweep", "--journal"][..], "--journal needs a value"),
-        (
-            &["sweep", "--journal", "a.jsonl", "--resume", "b.jsonl"][..],
+            "sweep --journal a.jsonl --resume b.jsonl",
             "mutually exclusive",
         ),
         (
-            &["sweep", "--resume", "b.jsonl", "--journal", "a.jsonl"][..],
+            "sweep --resume b.jsonl --journal a.jsonl",
             "mutually exclusive",
         ),
-        (&["sweep", "--workers", "0"][..], "at least 1"),
-        (&["sweep", "--workers", "65"][..], "at most 64"),
-        (&["sweep", "--workers", "many"][..], "bad worker count"),
-        (&["sweep", "--workers"][..], "--workers needs a value"),
-        (&["sweep", "--heartbeat-ms", "0"][..], "positive"),
+        ("sweep --workers 0", "at least 1"),
+        ("sweep --workers 65", "at most 64"),
+        ("sweep --workers many", "bad worker count"),
+        ("sweep --workers", "--workers needs a value"),
+        ("sweep --heartbeat-ms 0", "positive"),
+        ("sweep --heartbeat-ms 250", "requires --workers"),
+        ("serve --heartbeat-ms abc", "bad heartbeat period"),
+        ("reproduce Z9", "unknown experiment"),
         (
-            &["sweep", "--heartbeat-ms", "250"][..],
-            "requires --workers",
+            "reproduce A2 --seeds 2",
+            "--seeds does not apply to reproduce",
         ),
         (
-            &["sweep", "--poison-strikes", "3"][..],
-            "requires --workers",
+            "reproduce A2 --faults storm",
+            "--faults does not apply to reproduce",
+        ),
+        ("reproduce A2 --json", "--json does not apply to reproduce"),
+        ("run Ocean --faults storm", "--faults does not apply to run"),
+        ("run Ocean --out x.json", "--out does not apply to run"),
+        ("run Ocean --format jsonl", "--format does not apply to run"),
+        ("run Ocean --ring 5", "--ring does not apply to run"),
+        ("sweep --config Thrifty", "--config does not apply to sweep"),
+        ("sweep --ring 5", "--ring does not apply to sweep"),
+        ("sweep --out x.json", "--out does not apply to sweep"),
+        ("sweep --format jsonl", "--format does not apply to sweep"),
+        ("serve --config Thrifty", "--config does not apply to serve"),
+        ("trace Ocean --seeds 2", "--seeds does not apply to trace"),
+        ("trace Ocean --jobs 2", "--jobs does not apply to trace"),
+        (
+            "trace Ocean --workers 2",
+            "--workers does not apply to trace",
         ),
         (
-            &["sweep", "--workers", "2", "--poison-strikes", "0"][..],
-            "at least 1",
+            "trace Ocean --journal j.jsonl",
+            "--journal does not apply to trace",
         ),
-        (
-            &["sweep", "--workers", "2", "--poison-strikes", "11"][..],
-            "at most 10",
-        ),
-        (
-            &["serve", "--heartbeat-ms", "abc"][..],
-            "bad heartbeat period",
-        ),
-        (&["reproduce", "Z9"][..], "unknown experiment"),
-        (&["reproduce", "A2", "--seeds", "2"][..], "do not apply"),
-        (
-            &["reproduce", "A2", "--faults", "storm"][..],
-            "do not apply",
-        ),
-        (&["reproduce", "E8", "--nodes", "12"][..], "power of two"),
+        ("reproduce E8 --nodes 12", "power of two"),
     ] {
-        let out = bin(args);
+        let args: Vec<&str> = args.split(' ').collect();
+        let out = bin(&args);
         assert!(!out.status.success(), "{args:?} must fail");
         assert!(
             stderr(&out).contains(needle),

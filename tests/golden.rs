@@ -56,23 +56,29 @@ fn digest_fixture(name: &str) -> String {
 /// Single-app run output is pinned too (per-report rendering, not just the
 /// sweep table): all five configurations, one configuration against its
 /// Baseline, the mean ± σ lines of a replicated run, and the JSON reports.
+/// `run` shares sweep's executor, so its output is the same at every
+/// worker-pool size and on a worker fleet.
 #[test]
 fn run_ocean_n8_matches_fixture() {
     for (args, name) in [
-        (&["run", "Ocean", "--nodes", "8"][..], "run_ocean_n8.txt"),
+        ("run Ocean --nodes 8", "run_ocean_n8.txt"),
+        ("run Ocean --nodes 8 --jobs 1", "run_ocean_n8.txt"),
+        ("run Ocean --nodes 8 --jobs 4", "run_ocean_n8.txt"),
+        ("run Ocean --nodes 8 --workers 2", "run_ocean_n8.txt"),
         (
-            &["run", "Ocean", "--nodes", "8", "--config", "Thrifty"][..],
+            "run Ocean --nodes 8 --config Thrifty",
             "run_ocean_n8_thrifty.txt",
         ),
         (
-            &["run", "Volrend", "--nodes", "8", "--seeds", "2"][..],
+            "run Volrend --nodes 8 --seeds 2",
             "run_volrend_n8_seeds2.txt",
         ),
     ] {
+        let got = bin(&args.split(' ').collect::<Vec<_>>());
         assert_eq!(
-            String::from_utf8_lossy(&bin(args)),
+            String::from_utf8_lossy(&got),
             String::from_utf8_lossy(&fixture(name)),
-            "{args:?} drifted from tests/golden/{name}"
+            "{args} drifted from tests/golden/{name}"
         );
     }
     assert_eq!(

@@ -130,3 +130,33 @@ fn hang_scenario_terminates_with_livelock_coverage() {
     assert!(stdout.contains("50 failed cells"), "{stdout}");
     assert!(stdout.contains("50 livelocked"), "{stdout}");
 }
+
+/// `run` journals its cells like `sweep`: a crash after three completed
+/// cells resumes to the uninterrupted output, byte for byte.
+#[test]
+fn run_resumes_from_a_truncated_journal() {
+    let journal = tmp("run-ocean.jsonl");
+    let path = journal.to_str().unwrap();
+    let full = bin(&["run", "Ocean", "--nodes", "8", "--journal", path]);
+    assert!(full.status.success(), "{}", stderr(&full));
+    let fixture = format!(
+        "{}/tests/golden/run_ocean_n8.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    assert_eq!(full.stdout, std::fs::read(fixture).unwrap());
+
+    // The header plus the first three of five records.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(text.lines().count(), 6, "header + one record per config");
+    let kept: Vec<&str> = text.lines().take(4).collect();
+    std::fs::write(&journal, kept.join("\n") + "\n").unwrap();
+    let resumed = bin(&["run", "Ocean", "--nodes", "8", "--resume", path]);
+    assert!(resumed.status.success(), "{}", stderr(&resumed));
+    assert!(
+        stderr(&resumed).contains("3 of 5 cells replayed"),
+        "{}",
+        stderr(&resumed)
+    );
+    assert_eq!(resumed.stdout, full.stdout);
+    std::fs::remove_file(&journal).ok();
+}
