@@ -445,8 +445,8 @@ pub(crate) fn pair_with_baselines(cells: &[Cell], views: &[View]) -> Vec<Aggrega
     let mut aggs: Vec<AggregateReport> = Vec::new();
     for (cell, &(report, faults, retries)) in cells.iter().zip(views) {
         let (app, config) = (&cell.app.name, cell.config.name());
-        let pair = |a: &AggregateReport| &a.app == app && a.config == config;
-        let g = aggs.iter().position(pair).unwrap_or_else(|| {
+        let matches = |a: &AggregateReport| &a.app == app && a.config == config;
+        let g = aggs.iter().position(matches).unwrap_or_else(|| {
             aggs.push(AggregateReport::new(app, config, cell.nodes as usize));
             aggs.len() - 1
         });
