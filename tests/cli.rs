@@ -209,6 +209,7 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
     let journal = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let (in_process, fleet) = (journal("n2.jsonl"), journal("n2-fleet.jsonl"));
     let reproduce = journal("n2-reproduce.jsonl");
+    let trace_out = journal("n2-trace.json");
     for args in [
         &["sweep", "--nodes", "2", "--journal", &in_process][..],
         &[
@@ -223,6 +224,7 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
         &["serve", "--nodes", "2"][..],
         &["run", "Volrend", "--nodes", "2"][..],
         &["reproduce", "E2", "--nodes", "2", "--journal", &reproduce][..],
+        &["trace", "Volrend", "--nodes", "2", "--out", &trace_out][..],
     ] {
         let out = bin(args);
         let err = stderr(&out);
@@ -250,6 +252,10 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
         let records = std::fs::read_to_string(&journal).unwrap();
         assert_eq!(records.lines().count(), 1, "header only: {records}");
     }
+    assert!(
+        !std::path::Path::new(&trace_out).exists(),
+        "trace writes no file"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -208,3 +208,43 @@ fn reproduce_variants_match_fixtures_at_every_jobs_level_and_on_a_fleet() {
         }
     }
 }
+
+/// `trace` is pinned end to end: its stdout (with the `--out` path shown
+/// as `<OUT>`) and the FNV-1a digests of the Perfetto and JSONL files it
+/// writes, for the default Thrifty configuration and for Oracle-Halt,
+/// whose oracle comes from the Baseline run of the same trace.
+#[test]
+fn trace_ocean_n8_matches_fixtures() {
+    let dir = std::env::temp_dir().join(format!("tb-golden-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("trace.out");
+    let out = out.to_str().unwrap();
+    for (config, name) in [
+        (None, "trace_ocean_n8"),
+        (Some("Oracle-Halt"), "trace_ocean_n8_oracle_halt"),
+    ] {
+        let want = String::from_utf8(fixture(&format!("{name}.txt"))).unwrap();
+        let digests = String::from_utf8(fixture(&format!("{name}.digest"))).unwrap();
+        for line in digests.lines() {
+            let (format, digest) = line.split_once(' ').expect("`<format> <digest>` lines");
+            let mut args = vec!["trace", "Ocean", "--nodes", "8", "--out", out];
+            args.extend(["--format", format]);
+            if let Some(config) = config {
+                args.extend(["--config", config]);
+            }
+            let stdout = String::from_utf8(bin(&args)).unwrap();
+            assert_eq!(
+                stdout.replace(out, "<OUT>"),
+                want.replace("(perfetto:", &format!("({format}:")),
+                "{args:?} stdout drifted from tests/golden/{name}.txt"
+            );
+            let file = std::fs::read(out).unwrap();
+            assert_eq!(
+                fnv1a64_hex(&file),
+                digest,
+                "{args:?} file drifted from tests/golden/{name}.digest"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
