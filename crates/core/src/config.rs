@@ -374,9 +374,10 @@ impl SystemConfig {
         }
     }
 
-    /// Whether this configuration needs a recorded oracle trace.
+    /// Whether this configuration needs a recorded oracle trace: whether
+    /// its algorithm predicts from one ([`AlgorithmConfig::needs_oracle`]).
     pub fn needs_oracle(self) -> bool {
-        matches!(self, SystemConfig::OracleHalt | SystemConfig::Ideal)
+        self.algorithm_config().needs_oracle()
     }
 
     /// The algorithm configuration implementing this system.

@@ -64,7 +64,7 @@ use tb_core::{
 use tb_faults::FaultSummary;
 use tb_mem::MachineConfig;
 use tb_sim::{Cycles, SimRng};
-use tb_trace::{SinkHandle, TraceEvent, TraceEventKind};
+use tb_trace::{MemorySink, SinkHandle, TraceEvent, TraceEventKind, TraceSummary};
 use tb_workloads::calibrate::{self, Unreachable};
 use tb_workloads::{AppSpec, AppTrace};
 
@@ -236,6 +236,10 @@ pub struct CellOutcome {
     /// in-process runs). Reassignments are worker deaths, not cell
     /// failures, so they are tracked separately from `retries`.
     pub reassigned: u32,
+    /// The cell's own trace events, sorted by `(timestamp, thread)`, when
+    /// its harness records ([`Harness::with_record`]); empty otherwise.
+    /// They never reach the journal or a worker's reply.
+    pub events: Vec<TraceEvent>,
 }
 
 impl CellOutcome {
@@ -264,26 +268,6 @@ pub struct SupervisionPolicy {
     /// Where [`TraceEventKind::CellRetry`] events are emitted. Disabled by
     /// default.
     pub trace: SinkHandle,
-}
-
-impl SupervisionPolicy {
-    /// Sets the transient-failure retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the per-attempt wall-clock deadline.
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Attaches a trace sink for retry events.
-    pub fn with_trace(mut self, trace: SinkHandle) -> Self {
-        self.trace = trace;
-        self
-    }
 }
 
 /// The deterministic backoff slept before retry number `attempt`
@@ -420,16 +404,18 @@ impl<K: Eq + Hash, T> Cache<K, T> {
 ///     .into_iter()
 ///     .map(|c| Cell::new(app.clone(), 16, 1, c))
 ///     .collect();
-/// let reports = harness.run_cells(&cells).unwrap();
-/// assert_eq!(reports.len(), 5);
+/// let outcomes = harness.run_cells_isolated(&cells);
+/// assert_eq!(outcomes.len(), 5);
 /// // All five configurations shared one trace and one Baseline run.
 /// assert_eq!(harness.trace_generations(), 1);
 /// assert_eq!(harness.baseline_runs(), 1);
-/// assert!(reports[3].total_energy() < reports[0].total_energy());
+/// let energy = |i: usize| outcomes[i].report.as_ref().unwrap().total_energy();
+/// assert!(energy(3) < energy(0));
 /// ```
 pub struct Harness {
     jobs: usize,
     policy: SupervisionPolicy,
+    record: Option<usize>,
     traces: Cache<TraceKey, AppTrace>,
     baselines: Cache<BaselineKey, BaselineBundle>,
 }
@@ -439,6 +425,7 @@ impl std::fmt::Debug for Harness {
         f.debug_struct("Harness")
             .field("jobs", &self.jobs)
             .field("policy", &self.policy)
+            .field("record", &self.record)
             .field("trace_generations", &self.trace_generations())
             .field("baseline_runs", &self.baseline_runs())
             .field("cache_hits", &self.cache_hits())
@@ -461,6 +448,7 @@ impl Harness {
         Harness {
             jobs,
             policy: SupervisionPolicy::default(),
+            record: None,
             traces: Cache::default(),
             baselines: Cache::default(),
         }
@@ -475,6 +463,15 @@ impl Harness {
     /// Sets the policy every cell of this harness runs under.
     pub fn with_policy(mut self, policy: SupervisionPolicy) -> Self {
         self.policy = policy;
+        self
+    }
+
+    /// Records each cell's own simulation — never the Baseline run behind
+    /// its oracle — into per-thread rings of `Some(capacity)` events that
+    /// drop their oldest on overflow ([`CellOutcome::events`], summarized
+    /// in the report's `trace`). A recorded Baseline cell skips the cache.
+    pub fn with_record(mut self, record: Option<usize>) -> Self {
+        self.record = record;
         self
     }
 
@@ -562,12 +559,22 @@ impl Harness {
         &self,
         cell: &Cell,
     ) -> Result<(RunReport, FaultSummary), CellError> {
+        self.try_attempt(cell, SinkHandle::disabled())
+    }
+
+    /// [`Harness::try_run_cell_faulted`], emitting the cell's own events
+    /// into `trace`; a traced cell never reads the Baseline cache.
+    fn try_attempt(
+        &self,
+        cell: &Cell,
+        trace: SinkHandle,
+    ) -> Result<(RunReport, FaultSummary), CellError> {
         let deadline = self.policy.timeout.map(Deadline::after);
         let attempt = || {
             let plan = cell.faults.clone().filter(FaultPlan::enabled);
             let v = &cell.variant;
             let baseline = || self.try_baseline(&cell.app, cell.nodes, cell.seed, v, deadline);
-            if plan.is_none() && cell.is_plain_baseline() {
+            if plan.is_none() && cell.is_plain_baseline() && !trace.is_enabled() {
                 return Ok((baseline()?.report.clone(), FaultSummary::default()));
             }
             let mut algo = cell.algorithm_config();
@@ -576,7 +583,7 @@ impl Harness {
             } else {
                 None
             };
-            let trace = self.cell_trace(&cell.app, cell.nodes, cell.seed, v.disturbed);
+            let app_trace = self.cell_trace(&cell.app, cell.nodes, cell.seed, v.disturbed);
             let mut cfg = simulator_config(cell.config, cell.nodes, v.bus);
             if plan.is_some() {
                 // Under injected faults the predictor needs its misprediction
@@ -585,7 +592,8 @@ impl Harness {
             }
             cfg.faults = plan;
             cfg.time_sharing = v.time_sharing;
-            try_simulate_faulted(cfg, &trace, algo, oracle, deadline)
+            cfg.trace = trace;
+            try_simulate_faulted(cfg, &app_trace, algo, oracle, deadline)
         };
         catch_unwind(AssertUnwindSafe(attempt))
             .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload))))
@@ -593,12 +601,24 @@ impl Harness {
 
     /// One cell's attempts under the policy: transient failures are
     /// retried inline after their backoff, until one succeeds or the
-    /// budget runs out.
+    /// budget runs out. A recording harness gives each attempt a fresh
+    /// sink and keeps the events of the one that succeeds.
     fn run_supervised(&self, index: usize, cell: &Cell) -> CellOutcome {
         let mut retries = Vec::new();
+        let mut events = Vec::new();
         let (report, faults) = loop {
-            match self.try_run_cell_faulted(cell) {
-                Ok((report, faults)) => break (Ok(report), faults),
+            let sink = (self.record).map(|cap| Arc::new(MemorySink::new(cell.nodes as usize, cap)));
+            let trace = sink
+                .clone()
+                .map_or_else(SinkHandle::disabled, |s| SinkHandle::new(s));
+            match self.try_attempt(cell, trace) {
+                Ok((mut report, faults)) => {
+                    if let Some(sink) = sink {
+                        events = sink.drain_sorted();
+                        report.trace = Some(TraceSummary::from_events(&events, sink.dropped()));
+                    }
+                    break (Ok(report), faults);
+                }
                 Err(err) if err.is_transient() && (retries.len() as u32) < self.policy.retries => {
                     let timed_out = matches!(err, CellError::Timeout { .. });
                     retries.push(err);
@@ -622,16 +642,8 @@ impl Harness {
             faults,
             retries,
             reassigned: 0,
+            events,
         }
-    }
-
-    /// Runs every cell and returns the reports **in `cells` order**, or
-    /// the error of the first (in cell order) cell that failed.
-    pub fn run_cells(&self, cells: &[Cell]) -> Result<Vec<RunReport>, CellError> {
-        self.run_cells_isolated(cells)
-            .into_iter()
-            .map(|outcome| outcome.report)
-            .collect()
     }
 
     /// Runs every cell with per-cell panic isolation and returns the
@@ -694,7 +706,8 @@ impl Harness {
     /// Runs the full `apps × configs × seeds` matrix and reshapes the
     /// reports per application (see [`AppMatrix`]). Cells are flattened
     /// as [`Cell::matrix`] lays them out, and the whole flat list is
-    /// scheduled at once so parallelism spans applications.
+    /// scheduled at once so parallelism spans applications. Fails with the
+    /// error of the first cell (in cell order) that failed.
     pub fn run_matrix(
         &self,
         apps: &[AppSpec],
@@ -702,7 +715,11 @@ impl Harness {
         nodes: u16,
         seeds: &[u64],
     ) -> Result<Vec<AppMatrix>, CellError> {
-        let reports = self.run_cells(&Cell::matrix(apps, configs, nodes, seeds))?;
+        let reports = self
+            .run_cells_isolated(&Cell::matrix(apps, configs, nodes, seeds))
+            .into_iter()
+            .map(|outcome| outcome.report)
+            .collect::<Result<_, _>>()?;
         Ok(AppMatrix::from_flat_reports(apps, configs, seeds, reports))
     }
 
@@ -907,10 +924,9 @@ mod tests {
             .map(|c| Cell::new(app(), 8, 1, c))
             .collect();
         let outcomes = harness.run_cells_isolated(&cells);
-        let plain = harness.run_cells(&cells).unwrap();
-        for (outcome, report) in outcomes.iter().zip(&plain) {
+        for (outcome, cell) in outcomes.iter().zip(&cells) {
             let ours = outcome.report.as_ref().unwrap();
-            assert_eq!(ours.wall_time, report.wall_time);
+            assert_eq!(ours.wall_time, run(&harness, cell).0.wall_time);
             assert_eq!(outcome.faults, FaultSummary::default());
             assert_eq!(outcome.attempts(), 1);
         }
@@ -919,9 +935,11 @@ mod tests {
     #[test]
     fn retry_history_records_each_attempt() {
         let sink = Arc::new(MemorySink::new(1, 16));
-        let policy = SupervisionPolicy::default()
-            .with_retries(2)
-            .with_trace(SinkHandle::new(sink.clone()));
+        let policy = SupervisionPolicy {
+            retries: 2,
+            trace: SinkHandle::new(sink.clone()),
+            ..SupervisionPolicy::default()
+        };
         let harness = Harness::serial().with_policy(policy);
         // Deterministic panic: every retry fails the same way, exhausting
         // the budget.
@@ -951,7 +969,10 @@ mod tests {
     }
 
     fn deadline_policy(ms: u64) -> SupervisionPolicy {
-        SupervisionPolicy::default().with_timeout(Some(Duration::from_millis(ms)))
+        SupervisionPolicy {
+            timeout: Some(Duration::from_millis(ms)),
+            ..SupervisionPolicy::default()
+        }
     }
 
     #[test]
@@ -975,7 +996,10 @@ mod tests {
 
     #[test]
     fn deadline_completes_fast_cells_and_retries_slow_ones() {
-        let policy = deadline_policy(1).with_retries(1);
+        let policy = SupervisionPolicy {
+            retries: 1,
+            ..deadline_policy(1)
+        };
         let harness = Harness::new(2).with_policy(policy);
         let cells = vec![Cell::new(
             AppSpec::by_name("Ocean").unwrap(),
@@ -999,10 +1023,11 @@ mod tests {
             .map(|c| Cell::new(app(), 8, 1, c))
             .collect();
         let supervised = roomy.run_cells_isolated(&cells);
-        let plain = Harness::new(2).run_cells(&cells).unwrap();
-        for (outcome, report) in supervised.iter().zip(&plain) {
+        let plain = Harness::new(2);
+        for (outcome, cell) in supervised.iter().zip(&cells) {
             assert_eq!(outcome.attempts(), 1);
-            assert_eq!(outcome.report.as_ref().unwrap().wall_time, report.wall_time);
+            let report = outcome.report.as_ref().unwrap();
+            assert_eq!(report.wall_time, run(&plain, cell).0.wall_time);
         }
     }
 
@@ -1035,6 +1060,80 @@ mod tests {
             1,
             "the next fill runs exactly once"
         );
+    }
+
+    #[test]
+    fn recorded_trace_agrees_with_event_counters() {
+        let app = AppSpec::by_name("Ocean").unwrap();
+        let cell = Cell::new(app, 16, crate::run::PAPER_SEED, SystemConfig::Thrifty);
+        let outcome = Harness::serial()
+            .with_record(Some(1 << 16))
+            .run_cells_isolated(&[cell])
+            .remove(0);
+        let report = outcome.report.as_ref().unwrap();
+        let summary = report.trace.as_ref().unwrap();
+        assert_eq!(summary.dropped, 0, "capacity should be ample");
+        assert_eq!(summary.events as usize, outcome.events.len());
+
+        // Every physical counter in BarrierEventCounts must be visible as
+        // the same number of trace events.
+        let c = &report.counts;
+        let k = &summary.counts;
+        assert_eq!(k.releases, c.episodes);
+        assert_eq!(k.arrivals, c.early_arrivals);
+        assert_eq!(k.last_arrivals, c.episodes);
+        assert_eq!(k.spin_starts, c.spins);
+        assert_eq!(k.sleep_starts, c.total_sleeps());
+        assert_eq!(k.flushes, c.flushes);
+        assert_eq!(k.internal_wakes, c.internal_wakeups);
+        assert_eq!(k.external_wakes, c.external_wakeups);
+        assert_eq!(k.false_wakes, c.false_wakeups);
+        assert_eq!(k.residual_spins, c.early_wakeups);
+        assert_eq!(k.cutoff_disables, c.cutoff_disables);
+        assert_eq!(k.releases_update_skipped, c.updates_skipped);
+        // Every thread departs every episode.
+        assert_eq!(k.departs, c.episodes * 16);
+
+        // The §3.4.2 accuracy report derives the same skip count from the
+        // semantic stream alone.
+        let acc = tb_trace::PredictionAccuracyReport::from_events(&outcome.events);
+        assert_eq!(acc.skipped_updates, c.updates_skipped);
+        assert_eq!(acc.unmatched_predictions, 0);
+        assert!(acc.total_predictions() > 0);
+
+        // Something actually slept, so the latency histogram has sleeper
+        // samples.
+        assert!(summary.wake_latency.samples > 0);
+    }
+
+    #[test]
+    fn recording_covers_each_cells_own_simulation_only() {
+        let harness = Harness::serial().with_record(Some(1 << 16));
+        let cells: Vec<Cell> = [SystemConfig::Baseline, SystemConfig::OracleHalt]
+            .into_iter()
+            .map(|c| Cell::new(app(), 8, 1, c))
+            .collect();
+        let outcomes = harness.run_cells_isolated(&cells);
+        // The recorded Baseline cell ran its own simulation; the cache was
+        // filled once, untraced, for Oracle-Halt's oracle.
+        assert_eq!(harness.baseline_runs(), 1);
+        let plain = Harness::serial();
+        for (outcome, cell) in outcomes.iter().zip(&cells) {
+            let report = outcome.report.as_ref().unwrap();
+            let summary = report.trace.as_ref().expect("recorded");
+            assert_eq!(summary.counts.departs, report.counts.episodes * 8);
+            assert_eq!(summary.events as usize, outcome.events.len());
+            // Recording changes nothing the report measures.
+            let unrecorded = run(&plain, cell).0;
+            assert_eq!(report.wall_time, unrecorded.wall_time);
+            assert_eq!(report.total_energy(), unrecorded.total_energy());
+            assert_eq!(
+                serde::json::to_string(&report.counts),
+                serde::json::to_string(&unrecorded.counts)
+            );
+        }
+        // Without recording, no events are kept.
+        assert!(plain.run_cells_isolated(&cells[..1])[0].events.is_empty());
     }
 
     #[test]

@@ -141,6 +141,7 @@ impl StoredOutcome {
             faults: self.faults,
             retries: self.retries,
             reassigned: self.reassigned,
+            events: Vec::new(),
         })
     }
 }
@@ -449,6 +450,7 @@ mod tests {
             faults: FaultSummary::default(),
             retries: vec![CellError::Panic("first try".into())],
             reassigned: 0,
+            events: Vec::new(),
         };
         let key2 = CellKey { seed: 2, ..key() };
         journal.append(&key2, &failed).unwrap();
@@ -660,6 +662,7 @@ mod tests {
             faults: FaultSummary::default(),
             retries: Vec::new(),
             reassigned: 1,
+            events: Vec::new(),
         };
         journal.append(&key(), &conflicting).unwrap();
         // A third record keeps the conflict away from the tolerated tail.

@@ -25,15 +25,16 @@
 //!   event counts, prediction accuracy, and the per-instance records behind
 //!   Figure 3 and the oracle tables.
 //! * [`sim`] — the discrete-event executor itself.
-//! * [`run`] — single runs outside the harness: a trace under a named
+//! * [`run`] — a single run outside the harness: a trace under a named
 //!   [`tb_core::SystemConfig`] (transparently performing the Baseline
-//!   pre-run that feeds the Oracle-Halt/Ideal predictors), optionally
-//!   recording its trace events.
+//!   pre-run that feeds the Oracle-Halt/Ideal predictors), and the oracle
+//!   table built from a Baseline run.
 //! * [`harness`] — the parallel experiment runner: fans cells (app ×
 //!   config × seed, each with an ablation [`Variant`]) out across a scoped
 //!   worker pool with shared trace and Baseline/oracle caches,
-//!   deterministic result order, and mean/σ aggregation across replicated
-//!   seeds.
+//!   deterministic result order, optional per-cell event recording, and
+//!   mean/σ aggregation across replicated seeds. `tb-serve`'s `execute`
+//!   adds the journal and the worker-process fleet around it.
 //!
 //! # Examples
 //!
@@ -45,8 +46,9 @@
 //! let app = AppSpec::by_name("FMM").unwrap();
 //! let configs = [SystemConfig::Baseline, SystemConfig::Thrifty];
 //! let cells = Cell::matrix(&[app], &configs, 16, &[1]);
-//! let reports = Harness::serial().run_cells(&cells).unwrap();
-//! assert!(reports[1].total_energy() < reports[0].total_energy());
+//! let outcomes = Harness::serial().run_cells_isolated(&cells);
+//! let energy = |i: usize| outcomes[i].report.as_ref().unwrap().total_energy();
+//! assert!(energy(1) < energy(0));
 //! ```
 
 pub mod harness;

@@ -21,12 +21,21 @@ fn all_cells(apps: &[AppSpec], seeds: &[u64]) -> Vec<Cell> {
     Cell::matrix(apps, &SystemConfig::ALL, NODES, seeds)
 }
 
+/// The reports of fault-free cells, in cell order.
+fn run_all(harness: &Harness, cells: &[Cell]) -> Vec<RunReport> {
+    harness
+        .run_cells_isolated(cells)
+        .into_iter()
+        .map(|outcome| outcome.report.expect("fault-free cell"))
+        .collect()
+}
+
 #[test]
 fn parallel_reports_match_serial_byte_for_byte() {
     let apps = apps(3);
     let cells = all_cells(&apps, &[SEED]);
-    let serial = Harness::new(1).run_cells(&cells).unwrap();
-    let parallel = Harness::new(8).run_cells(&cells).unwrap();
+    let serial = run_all(&Harness::new(1), &cells);
+    let parallel = run_all(&Harness::new(8), &cells);
     assert_eq!(serial.len(), parallel.len());
     // RunReport has float fields, so compare the canonical JSON encoding:
     // deterministic simulation must make parallel output *identical*, not
@@ -53,7 +62,7 @@ fn harness_matches_run_trace() {
         .into_iter()
         .map(|c| Cell::new(app.clone(), NODES, SEED, c))
         .collect();
-    let via_harness = harness.run_cells(&cells).unwrap();
+    let via_harness = run_all(&harness, &cells);
     assert_eq!(
         serde::json::to_string(&reference),
         serde::json::to_string(&via_harness)
@@ -84,7 +93,7 @@ fn time_sharing_baseline_is_not_the_cached_baseline() {
     let plain = Cell::new(app.clone(), NODES, SEED, SystemConfig::Baseline);
     let cells = [plain.clone(), with(variant, plain)];
     let harness = Harness::serial();
-    let reports = harness.run_cells(&cells).unwrap();
+    let reports = run_all(&harness, &cells);
     assert_eq!(
         harness.baseline_runs(),
         1,
@@ -116,7 +125,7 @@ fn bus_cells_use_the_bus_baseline() {
         with(bus, cell(SystemConfig::Ideal)),
     ];
     let harness = Harness::new(2);
-    let reports = harness.run_cells(&cells).unwrap();
+    let reports = run_all(&harness, &cells);
     assert_eq!(harness.trace_generations(), 1);
     assert_eq!(harness.baseline_runs(), 2);
 
@@ -169,7 +178,7 @@ fn disturbed_trace_is_generated_once_and_cached_apart() {
         ),
     ];
     let harness = Harness::new(2);
-    let reports = harness.run_cells(&cells).unwrap();
+    let reports = run_all(&harness, &cells);
     assert_eq!(harness.trace_generations(), 2, "clean + disturbed");
     assert_eq!(harness.baseline_runs(), 2);
 
@@ -207,7 +216,7 @@ fn oracle_predictor_knob_gets_the_baseline_oracle() {
         Cell::new(app.clone(), NODES, SEED, SystemConfig::Thrifty),
     )];
     let harness = Harness::serial();
-    let report = harness.run_cells(&cells).unwrap().remove(0);
+    let report = run_all(&harness, &cells).remove(0);
     assert_eq!(harness.baseline_runs(), 1);
 
     let trace = app.generate(NODES as usize, SEED);
@@ -223,7 +232,7 @@ fn baseline_runs_exactly_once_per_triple_under_contention() {
     let apps = apps(2);
     let seeds = [SEED, SEED + 1];
     let harness = Harness::new(8);
-    let reports = harness.run_cells(&all_cells(&apps, &seeds)).unwrap();
+    let reports = run_all(&harness, &all_cells(&apps, &seeds));
     assert_eq!(reports.len(), 2 * 5 * 2);
     // 2 apps × 2 seeds = 4 triples; each generates one trace and runs
     // Baseline once even though 8 workers race for them and three configs
@@ -235,7 +244,7 @@ fn baseline_runs_exactly_once_per_triple_under_contention() {
     let hits_after_first = harness.cache_hits();
     assert!(hits_after_first >= 20 - 4, "got {hits_after_first} hits");
     // Re-running the same cells is all hits, no new simulations.
-    let again = harness.run_cells(&all_cells(&apps, &seeds)).unwrap();
+    let again = run_all(&harness, &all_cells(&apps, &seeds));
     assert_eq!(harness.baseline_runs(), 4);
     assert_eq!(harness.trace_generations(), 4);
     assert!(harness.cache_hits() > hits_after_first);
@@ -262,9 +271,9 @@ fn results_come_back_in_cell_order() {
         .collect();
     let harness = Harness::new(4);
     let names: Vec<String> = harness
-        .run_cells(&cells)
-        .unwrap()
+        .run_cells_isolated(&cells)
         .into_iter()
+        .map(|outcome| outcome.report.unwrap())
         .map(|r| r.config)
         .collect();
     assert_eq!(

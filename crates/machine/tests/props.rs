@@ -260,7 +260,7 @@ proptest! {
     #[test]
     fn halt_only_never_flushes(app in arb_app(), seed in any::<u64>()) {
         let cell = Cell::new(app, 8, seed, SystemConfig::ThriftyHalt);
-        let halt = Harness::serial().run_cells(&[cell]).unwrap().remove(0);
+        let halt = Harness::serial().run_cells_isolated(&[cell]).remove(0).report.unwrap();
         prop_assert_eq!(halt.counts.flushes, 0);
         prop_assert_eq!(halt.counts.flushed_lines, 0);
         check_conservation(&halt)?;

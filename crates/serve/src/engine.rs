@@ -29,6 +29,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Fleet-unique worker id.
 pub type WorkerId = u64;
 
+/// Consecutive worker deaths that condemn a cell as poison.
+pub const POISON_STRIKES: u32 = 2;
+
+/// Replacement workers a fleet may spawn before it gives up.
+pub const MAX_RESPAWNS: u32 = 32;
+
 /// Engine policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -41,16 +47,6 @@ pub struct EngineConfig {
     /// exhausting it with work remaining aborts rather than looping a
     /// crash forever.
     pub max_respawns: u32,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: 4,
-            poison_strikes: 2,
-            max_respawns: 32,
-        }
-    }
 }
 
 /// What the fleet must do in response to an event.

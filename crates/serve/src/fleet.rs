@@ -1,5 +1,5 @@
 //! The coordinator's process plumbing: spawns `tb __worker` children,
-//! pumps their frames into the [`Engine`](crate::engine::Engine), enforces
+//! pumps their frames into the [`Engine`], enforces
 //! heartbeat deadlines, and materializes the engine's actions as pipe
 //! writes, kills, and respawns.
 //!
@@ -12,7 +12,8 @@
 //! `Done` after its lease has been handed to someone else, so every lease
 //! resolves exactly once (the engine's deficit-counting invariant).
 
-use crate::engine::{Action, Engine, EngineConfig, WorkerId};
+use crate::engine::{Action, Engine, EngineConfig, WorkerId, MAX_RESPAWNS, POISON_STRIKES};
+use crate::exec::ExecConfig;
 use crate::proto::{read_frame, send_to_worker, Assignment, FromWorker, HelloInfo, ToWorker};
 use serde::json;
 use std::collections::HashMap;
@@ -23,45 +24,12 @@ use tb_machine::harness::{Cell, CellError, CellOutcome};
 use tb_machine::journal::CellKey;
 use tb_machine::report::CellCoverage;
 use tb_sim::Cycles;
-use tb_trace::{SinkHandle, TraceEvent, TraceEventKind};
+use tb_trace::{TraceEvent, TraceEventKind};
 
-/// How a fleet runs a sweep.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Worker processes to keep running while work remains.
-    pub workers: usize,
-    /// In-worker transient-failure retry budget per cell.
-    pub retries: u32,
-    /// In-worker per-attempt deadline; `None` waits indefinitely.
-    pub timeout_ms: Option<u64>,
-    /// Heartbeat period. A worker silent for three periods is killed.
-    pub heartbeat_ms: u64,
-    /// Consecutive worker deaths that condemn a cell as poison.
-    pub poison_strikes: u32,
-    /// Replacement workers allowed before the fleet gives up.
-    pub max_respawns: u32,
-    /// Sink for worker lifecycle and lease trace events.
-    pub trace: SinkHandle,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            workers: 4,
-            retries: 0,
-            timeout_ms: None,
-            heartbeat_ms: 500,
-            poison_strikes: 2,
-            max_respawns: 32,
-            trace: SinkHandle::disabled(),
-        }
-    }
-}
-
-/// Fleet-level tallies for the operator (rendered to stderr by the CLI;
-/// never part of the byte-stable report output).
+/// Fleet-level tallies for the operator (rendered to stderr; never part
+/// of the byte-stable report output).
 #[derive(Debug, Clone, Default)]
-pub struct FleetSummary {
+struct FleetSummary {
     /// Worker processes that died (crashes plus missed-heartbeat kills).
     pub worker_deaths: u64,
     /// Replacement workers spawned.
@@ -93,23 +61,26 @@ struct WorkerProc {
     killed: bool,
 }
 
-/// Runs `cells` across a fleet of worker processes. Returns the outcomes
-/// **in `cells` order** (byte-compatible with the in-process harness) and
-/// the fleet's operator summary; `on_complete` fires with each cell's
+/// Runs `cells` across a fleet of `cfg.workers` worker processes, each
+/// under `cfg.policy`'s retries and deadline; worker lifecycle and lease
+/// events go to `cfg.policy.trace`. Returns the outcomes
+/// **in `cells` order** (byte-compatible with the in-process harness), and
+/// prints the fleet's health to stderr if a worker died; `on_complete`
+/// fires with each cell's
 /// index and final outcome as soon as it is durable-worthy, from the
 /// coordinator thread (so a `FnMut` journal writer needs no locking).
 ///
 /// Fails only when progress is impossible: worker spawn failure with an
 /// empty fleet, respawn budget exhaustion, or a worker rejecting the
 /// protocol outright.
-pub fn run_fleet(
+pub(crate) fn run_fleet(
     cells: &[Cell],
-    cfg: &FleetConfig,
+    cfg: &ExecConfig,
     mut on_complete: impl FnMut(usize, &CellOutcome),
-) -> Result<(Vec<CellOutcome>, FleetSummary), String> {
+) -> Result<Vec<CellOutcome>, String> {
     let mut summary = FleetSummary::default();
     if cells.is_empty() {
-        return Ok((Vec::new(), summary));
+        return Ok(Vec::new());
     }
     let keys: Vec<CellKey> = cells.iter().map(CellKey::of).collect();
     let mut outcomes: Vec<Option<CellOutcome>> = cells.iter().map(|_| None).collect();
@@ -118,8 +89,8 @@ pub fn run_fleet(
         cells.len(),
         EngineConfig {
             workers: cfg.workers.max(1),
-            poison_strikes: cfg.poison_strikes.max(1),
-            max_respawns: cfg.max_respawns,
+            poison_strikes: POISON_STRIKES,
+            max_respawns: MAX_RESPAWNS,
         },
     );
 
@@ -269,7 +240,13 @@ pub fn run_fleet(
         .map(|(i, slot)| slot.ok_or(i))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|i| format!("internal error: cell {i} finished without an outcome"))?;
-    Ok((outcomes, summary))
+    if summary.worker_deaths > 0 || summary.respawns > 0 {
+        eprintln!(
+            "fleet: {} worker death(s), {} respawn(s); {}",
+            summary.worker_deaths, summary.respawns, summary.coverage
+        );
+    }
+    Ok(outcomes)
 }
 
 /// Builds the quarantine outcome for a cell that killed `strikes` workers.
@@ -279,13 +256,14 @@ fn poisoned_outcome(strikes: u32, reassigned: u32) -> CellOutcome {
         faults: Default::default(),
         retries: Vec::new(),
         reassigned,
+        events: Vec::new(),
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn perform(
     actions: Vec<Action>,
-    cfg: &FleetConfig,
+    cfg: &ExecConfig,
     keys: &[CellKey],
     engine: &mut Engine,
     procs: &mut HashMap<WorkerId, WorkerProc>,
@@ -398,7 +376,7 @@ fn perform(
 
 fn spawn_worker(
     id: WorkerId,
-    cfg: &FleetConfig,
+    cfg: &ExecConfig,
     tx: &mpsc::Sender<Note>,
     procs: &mut HashMap<WorkerId, WorkerProc>,
 ) -> Result<(), String> {
@@ -418,8 +396,8 @@ fn spawn_worker(
     let hello = ToWorker::Hello {
         info: HelloInfo {
             worker: id,
-            retries: cfg.retries,
-            timeout_ms: cfg.timeout_ms.unwrap_or(0),
+            retries: cfg.policy.retries,
+            timeout_ms: cfg.policy.timeout.map_or(0, |t| t.as_millis() as u64),
             heartbeat_ms: cfg.heartbeat_ms,
         },
     };
@@ -458,6 +436,8 @@ fn spawn_worker(
     Ok(())
 }
 
-fn emit(cfg: &FleetConfig, kind: TraceEventKind) {
-    cfg.trace.emit(TraceEvent::new(Cycles::ZERO, 0, kind));
+fn emit(cfg: &ExecConfig, kind: TraceEventKind) {
+    cfg.policy
+        .trace
+        .emit(TraceEvent::new(Cycles::ZERO, 0, kind));
 }

@@ -1,5 +1,8 @@
-//! Crash-resilient multi-process sweep service (`tb serve` /
-//! `sweep --workers N`).
+//! The cell executor and its crash-resilient multi-process fleet
+//! (`tb serve` / `--workers N`).
+//!
+//! [`execute`] runs every list of cells the command line runs: journal,
+//! reachability check, in-process harness or worker fleet ([`ExecConfig`]).
 //!
 //! PR 5's supervised harness made a sweep survive *cells* misbehaving —
 //! panics, livelocks, deadline overruns — inside one process. This crate
@@ -9,17 +12,17 @@
 //! ([`proto`]), tracks per-worker heartbeats and per-cell leases, and on
 //! any worker death — crash, `kill -9`, or a missed-heartbeat kill —
 //! revokes the lease and requeues the cell. A cell that kills workers
-//! [`poison_strikes`](FleetConfig::poison_strikes) times in a row is
-//! quarantined as poison ([`CellError::Poisoned`]
-//! (tb_machine::CellError::Poisoned)): recorded in coverage, never
-//! dispatched again, so one bad cell cannot spin the fleet forever.
+//! [`POISON_STRIKES`] times in a row is quarantined as poison
+//! ([`CellError::Poisoned`](tb_machine::CellError::Poisoned)): recorded in
+//! coverage, never dispatched again, so one bad cell cannot spin the fleet
+//! forever.
 //!
 //! Termination uses Dijkstra–Scholten-style deficit counting over
 //! dispatched/resolved leases (see [`engine`]), so the coordinator exits
 //! exactly when every cell is completed-or-poisoned with nothing in
 //! flight. Results land in the caller's `on_complete` hook in completion
-//! order — the CLI wires this to the fsync'd sweep journal, which is what
-//! makes a *coordinator* crash recoverable via `sweep --resume` — and the
+//! order — [`execute`] wires this to the fsync'd sweep journal, which is
+//! what makes a *coordinator* crash recoverable via `--resume` — and the
 //! returned outcome vector is in sweep-cell order, so rendered output is
 //! byte-identical to an in-process run at any worker count.
 //!
@@ -28,14 +31,16 @@
 //! * [`proto`] — frame format and message types;
 //! * [`engine`] — the pure scheduling/termination state machine;
 //! * [`worker`] — the child-process entry point (`tb __worker`);
-//! * [`fleet`] — process spawning, pipe pumping, heartbeat deadlines.
+//! * [`fleet`] — process spawning, pipe pumping, heartbeat deadlines;
+//! * [`exec`] — [`execute`], which runs cells in process or on a fleet.
 
 pub mod engine;
+pub mod exec;
 pub mod fleet;
 pub mod proto;
 pub mod worker;
 
-pub use engine::{Action, Engine, EngineConfig, WorkerId};
-pub use fleet::{run_fleet, FleetConfig, FleetSummary};
+pub use engine::{Action, Engine, EngineConfig, WorkerId, MAX_RESPAWNS, POISON_STRIKES};
+pub use exec::{execute, ExecConfig, ExecError, JournalMode};
 pub use proto::{FromWorker, ToWorker};
 pub use worker::worker_main;

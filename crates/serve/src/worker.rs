@@ -128,11 +128,11 @@ pub fn worker_main() -> i32 {
     // exactly as the in-process sweep's shared harness does. A timed-out
     // attempt stops inside the simulator, so its retry never shares the
     // worker's CPU with it.
-    let harness = Harness::serial().with_policy(
-        SupervisionPolicy::default()
-            .with_retries(hello.retries)
-            .with_timeout((hello.timeout_ms > 0).then(|| Duration::from_millis(hello.timeout_ms))),
-    );
+    let harness = Harness::serial().with_policy(SupervisionPolicy {
+        retries: hello.retries,
+        timeout: (hello.timeout_ms > 0).then(|| Duration::from_millis(hello.timeout_ms)),
+        ..SupervisionPolicy::default()
+    });
 
     loop {
         let msg = match read_frame(&mut input) {

@@ -15,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 use tb_core::SystemConfig;
 use tb_machine::aggregate;
 use tb_machine::harness::{Cell, CellOutcome, Harness};
-use tb_serve::{Action, Engine, EngineConfig, WorkerId};
+use tb_serve::{execute, Action, Engine, EngineConfig, ExecConfig, WorkerId};
 use tb_workloads::AppSpec;
 
 const NODES: u16 = 4;
@@ -37,11 +37,14 @@ fn aggregate_bytes(outcomes: &[CellOutcome]) -> String {
     json::to_string(&aggregate(&cells(), outcomes))
 }
 
-/// The uninterrupted reference at a given harness parallelism.
+/// The uninterrupted reference at a given harness parallelism, run by
+/// the executor the CLI uses.
 fn reference_bytes(jobs: usize) -> String {
-    let harness = Harness::new(jobs);
-    let outcomes = harness.run_cells_isolated(&cells());
-    aggregate_bytes(&outcomes)
+    let cfg = ExecConfig {
+        jobs,
+        ..ExecConfig::default()
+    };
+    aggregate_bytes(&execute(&cells(), &cfg).expect("reachable targets"))
 }
 
 /// Drives the engine + a simulated fleet through `deaths`: each `true`

@@ -7,8 +7,9 @@
 
 use thrifty_barrier::core::SystemConfig;
 use thrifty_barrier::energy::EnergyCategory;
-use thrifty_barrier::machine::harness::{Cell, Harness};
 use thrifty_barrier::machine::run::PAPER_SEED;
+use thrifty_barrier::machine::{Cell, RunReport};
+use thrifty_barrier::serve::{execute, ExecConfig};
 use thrifty_barrier::workloads::AppSpec;
 
 fn main() {
@@ -32,7 +33,14 @@ fn main() {
     // The five configurations share one trace and one Baseline run.
     let apps = std::slice::from_ref(&app);
     let cells = Cell::matrix(apps, &SystemConfig::ALL, threads, &[PAPER_SEED]);
-    let reports = Harness::new(0).run_cells(&cells).expect("fault-free cells");
+    let outcomes = execute(&cells, &ExecConfig::default()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let reports: Vec<RunReport> = outcomes
+        .into_iter()
+        .map(|outcome| outcome.report.expect("fault-free cell"))
+        .collect();
     let baseline = &reports[0];
 
     println!(

@@ -13,13 +13,13 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `tb-core` | the thrifty barrier algorithm: BIT prediction, BRTS timing, sleep policy, wake-up planning |
-//! | [`machine`] | `tb-machine` | the simulated 64-node machine and experiment runners |
+//! | [`machine`] | `tb-machine` | the simulated 64-node machine and the cell harness |
 //! | [`mem`] | `tb-mem` | caches, directory MESI coherence, hypercube network |
 //! | [`energy`] | `tb-energy` | Wattch-style power model, sleep states, energy ledgers |
 //! | [`workloads`] | `tb-workloads` | calibrated SPLASH-2-like barrier workloads |
 //! | [`runtime`] | `tb-runtime` | the real-threads thrifty barrier |
 //! | [`msg`] | `tb-msg` | the thrifty barrier on a message-passing cluster |
-//! | [`serve`] | `tb-serve` | crash-resilient multi-process sweep service: worker fleet, leases, heartbeats, poison quarantine |
+//! | [`serve`] | `tb-serve` | the cell executor (`execute`: journal, in-process harness or worker fleet, recording) and its crash-resilient fleet: leases, heartbeats, poison quarantine |
 //! | [`trace`] | `tb-trace` | per-episode event tracing: ring-buffer capture, Perfetto/JSONL export, accuracy analysis |
 //! | [`sim`] | `tb-sim` | discrete-event kernel, statistics, deterministic RNG |
 //!
@@ -27,14 +27,16 @@
 //!
 //! ```
 //! use thrifty_barrier::core::SystemConfig;
-//! use thrifty_barrier::machine::harness::{Cell, Harness};
+//! use thrifty_barrier::machine::Cell;
+//! use thrifty_barrier::serve::{execute, ExecConfig};
 //! use thrifty_barrier::workloads::AppSpec;
 //!
 //! let app = AppSpec::by_name("FMM").unwrap();
 //! let configs = [SystemConfig::Baseline, SystemConfig::Thrifty];
 //! let cells = Cell::matrix(&[app], &configs, 16, &[42]);
-//! let reports = Harness::serial().run_cells(&cells).unwrap();
-//! let (baseline, thrifty) = (&reports[0], &reports[1]);
+//! let outcomes = execute(&cells, &ExecConfig::default()).unwrap();
+//! let report = |i: usize| outcomes[i].report.as_ref().unwrap();
+//! let (baseline, thrifty) = (report(0), report(1));
 //! println!(
 //!     "FMM: thrifty saves {:.1}% energy at {:+.2}% runtime",
 //!     thrifty.energy_savings_vs(baseline) * 100.0,

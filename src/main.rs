@@ -16,10 +16,12 @@
 //! Each subcommand takes only the flags listed for it; any other is
 //! refused with "does not apply to <command>".
 //!
-//! `run`, `sweep` and `reproduce` run their cells through one journaled
-//! executor (`execute`). In process it fans the cells out across a
-//! [`Harness`] worker pool: `--jobs J` sets the pool size (default: one
-//! worker per hardware thread). `--seeds K` replicates every cell over K
+//! Every subcommand that runs cells — `run`, `sweep`, `serve`,
+//! `reproduce` and `trace` — maps its options to an [`ExecConfig`] and
+//! runs them through the library's one journaled executor,
+//! [`tb_serve::execute`], then renders. In process it fans the cells out
+//! across a harness worker pool: `--jobs J` sets the pool size (default:
+//! one worker per hardware thread). `--seeds K` replicates every cell over K
 //! consecutive seeds, reporting mean ± σ. Each (app, nodes, seed)
 //! generates its trace once and simulates Baseline exactly once, no matter
 //! how many configurations consume it; results are emitted in matrix
@@ -42,52 +44,25 @@
 //! journaled executor, so the executor flags mean the same thing for
 //! every experiment.
 //!
+//! `trace` runs its one cell through the same executor, recorded
+//! (`ExecConfig::record`, the `--ring` capacity).
+//!
 //! Exit status: 0 on success, 1 for rejected options or a failed run, and
 //! 2 for a usage error or a Table 2 imbalance the machine size cannot
-//! reach (Volrend at 2 nodes), which `run`, `sweep` and `reproduce` check
-//! before any cell runs, whichever executor runs the cells.
+//! reach (Volrend at 2 nodes), which the executor checks before any cell
+//! runs, whichever subcommand and executor run the cells.
 
-use std::collections::HashMap;
 use std::time::Duration;
 use thrifty_barrier::cli::{
     app_by_name, config_by_name, parse_options, Options, DEFAULT_SERVE_WORKERS,
 };
 use thrifty_barrier::core::{FaultPlan, SystemConfig};
-use thrifty_barrier::machine::harness::{check_reachable, Cell, Harness, SupervisionPolicy};
-use thrifty_barrier::machine::journal::{CellKey, StoredOutcome, SweepJournal};
-use thrifty_barrier::machine::run::run_trace_recording;
+use thrifty_barrier::machine::harness::{Cell, SupervisionPolicy};
 use thrifty_barrier::machine::{aggregate, AggregateReport, CellCoverage, CellOutcome, RunReport};
 use thrifty_barrier::reproduce;
+use thrifty_barrier::serve::{execute, ExecConfig, ExecError, JournalMode};
 use thrifty_barrier::trace::PredictionAccuracyReport;
-use thrifty_barrier::workloads::calibrate::Unreachable;
 use thrifty_barrier::workloads::AppSpec;
-
-/// Why a command failed, with the exit status that says so.
-struct Failure {
-    message: String,
-    status: i32,
-}
-
-impl From<String> for Failure {
-    fn from(message: String) -> Self {
-        Failure { message, status: 1 }
-    }
-}
-
-impl From<&str> for Failure {
-    fn from(message: &str) -> Self {
-        Failure::from(message.to_string())
-    }
-}
-
-impl From<Unreachable> for Failure {
-    fn from(e: Unreachable) -> Self {
-        Failure {
-            message: e.to_string(),
-            status: 2,
-        }
-    }
-}
 
 /// The short column label used in the sweep table (derived from the
 /// config, never from a position).
@@ -160,9 +135,9 @@ fn cmd_list() {
 }
 
 /// One application under every configuration, or under Baseline and the
-/// `--config` choice: its cells run through the journaled executor
-/// ([`execute`]), and each row is normalized to the same seed's Baseline.
-fn cmd_run(app_name: &str, opts: &Options) -> Result<(), Failure> {
+/// `--config` choice: its cells run through the journaled executor, and
+/// each row is normalized to the same seed's Baseline.
+fn cmd_run(app_name: &str, opts: &Options) -> Result<(), ExecError> {
     let app = app_by_name(app_name)?;
     let chosen = opts.config.as_deref().map(config_by_name).transpose()?;
     let configs = match chosen {
@@ -181,7 +156,7 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), Failure> {
         opts.seeds,
         chosen.map_or("-", SystemConfig::name)
     );
-    let outcomes = execute(&cells, &params, opts)?;
+    let outcomes = execute(&cells, &exec_config(opts, params))?;
     let reports = reports_of(&outcomes, &cells)?;
     let rows: Vec<&RunReport> = (cells.iter().zip(&reports))
         .filter(|(cell, _)| shown(cell.config.name()))
@@ -209,10 +184,10 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), Failure> {
 
 /// The sweep: every (app × config × seed) cell runs as an isolated
 /// [`CellOutcome`], optionally under a named fault scenario, through the
-/// journaled executor ([`execute`]). A disabled scenario ("none") — or no
+/// journaled executor. A disabled scenario ("none") — or no
 /// scenario at all — renders the ordinary sweep table, byte-for-byte, so
 /// the zero-cost-when-disabled guarantee is directly observable.
-fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
+fn cmd_sweep(opts: &Options) -> Result<(), ExecError> {
     let configs = SystemConfig::ALL;
     let seeds = opts.seed_list();
     let apps = AppSpec::splash2();
@@ -235,7 +210,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
         opts.seeds,
         scenario.unwrap_or("-")
     );
-    let outcomes = execute(&cells, &params, opts)?;
+    let outcomes = execute(&cells, &exec_config(opts, params))?;
     let aggs = aggregate(&cells, &outcomes);
 
     let faulted = scenario.filter(|name| {
@@ -260,7 +235,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), Failure> {
 /// One paper artifact ([`reproduce::EXPERIMENTS`]): its cells run through
 /// the same journaled executor as `sweep`, and [`reproduce::render`]
 /// prints the result.
-fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
+fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), ExecError> {
     let exp = reproduce::by_id(id).ok_or_else(|| {
         let ids: Vec<&str> = reproduce::EXPERIMENTS.iter().map(|e| e.id).collect();
         format!("unknown experiment {id:?} (options: {})", ids.join(", "))
@@ -270,7 +245,7 @@ fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
         "reproduce {} nodes={} seed={}",
         exp.id, opts.nodes, opts.seed
     );
-    let outcomes = execute(&cells, &params, opts)?;
+    let outcomes = execute(&cells, &exec_config(opts, params))?;
     let reports = reports_of(&outcomes, &cells)?;
     let run = reproduce::Run {
         nodes: opts.nodes,
@@ -282,106 +257,29 @@ fn cmd_reproduce(id: &str, opts: &Options) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The one journaled executor `run`, `sweep` and `reproduce` share.
-/// Cells whose outcome the journal (`--resume`) already holds are replayed
-/// verbatim; an unreachable imbalance target is refused before any cell
-/// runs; the rest run on the in-process harness (`--jobs`, `--retries`,
-/// `--timeout-ms`) or a process fleet (`--workers`), and each completed
-/// cell is appended to the journal. Outcomes come back in `cells` order.
-///
-/// `params` pins everything that changes the cells or their results.
-/// `--jobs`, `--workers`, `--retries` and `--timeout-ms` are deliberately
-/// excluded: a journal may be resumed at a different parallelism or
-/// patience level and still produce identical output.
-fn execute(cells: &[Cell], params: &str, opts: &Options) -> Result<Vec<CellOutcome>, Failure> {
+/// The executor settings `opts` asks for. `params` pins everything that
+/// changes the cells or their results, so a journal resumes only under
+/// the command that wrote it.
+fn exec_config(opts: &Options, params: String) -> ExecConfig {
     // (`--journal` with `--resume` is rejected at parse.)
-    let mut replayed = HashMap::new();
-    let mut journal = match (&opts.journal, &opts.resume) {
-        (Some(path), _) => Some(
-            SweepJournal::create(path, params).map_err(|e| format!("--journal {path:?}: {e}"))?,
-        ),
-        (None, Some(path)) => {
-            let (journal, records) = SweepJournal::resume(path, params)
-                .map_err(|e| format!("--resume {path:?}: {e}"))?;
-            replayed = records;
-            Some(journal)
-        }
-        (None, None) => None,
+    let journal = match (&opts.journal, &opts.resume) {
+        (Some(path), _) => JournalMode::Create(path.clone()),
+        (None, Some(path)) => JournalMode::Resume(path.clone()),
+        (None, None) => JournalMode::Off,
     };
-    let keys: Vec<CellKey> = match journal {
-        Some(_) => cells.iter().map(CellKey::of).collect(),
-        None => Vec::new(),
-    };
-
-    // The resume note goes to stderr so resumed stdout stays
-    // byte-identical to an uninterrupted run.
-    let mut outcomes: Vec<Option<CellOutcome>> = cells.iter().map(|_| None).collect();
-    for (slot, key) in outcomes.iter_mut().zip(&keys) {
-        *slot = replayed
-            .remove(&key.canonical())
-            .and_then(StoredOutcome::into_outcome);
-    }
-    let todo: Vec<usize> = (0..cells.len())
-        .filter(|&i| outcomes[i].is_none())
-        .collect();
-    if opts.resume.is_some() {
-        eprintln!(
-            "resume: {} of {} cells replayed from journal, {} left to run",
-            cells.len() - todo.len(),
-            cells.len(),
-            todo.len()
-        );
-    }
-
-    // Both executors call `on_complete` on this thread as each cell
-    // finishes, so the journal needs no locking.
-    let todo_cells: Vec<Cell> = todo.iter().map(|&i| cells[i].clone()).collect();
-    let mut append_err: Option<String> = None;
-    let on_complete = |t: usize, outcome: &CellOutcome| {
-        if let Some(journal) = journal.as_mut() {
-            if let Err(e) = journal.append(&keys[todo[t]], outcome) {
-                append_err.get_or_insert(format!("journal append failed: {e}"));
-            }
-        }
-    };
-    check_reachable(&todo_cells)?;
-    let fresh = if opts.workers > 0 {
-        // Fleet health goes to stderr — stdout must stay byte-identical
-        // to an in-process run.
-        let fleet_cfg = tb_serve::FleetConfig {
-            workers: opts.workers,
+    ExecConfig {
+        jobs: opts.jobs,
+        workers: opts.workers,
+        heartbeat_ms: opts.heartbeat_ms,
+        policy: SupervisionPolicy {
             retries: opts.retries,
-            timeout_ms: opts.timeout_ms,
-            heartbeat_ms: opts.heartbeat_ms,
-            ..tb_serve::FleetConfig::default()
-        };
-        let (fresh, summary) = tb_serve::run_fleet(&todo_cells, &fleet_cfg, on_complete)
-            .map_err(|e| format!("sweep fleet failed: {e}"))?;
-        if summary.worker_deaths > 0 || summary.respawns > 0 {
-            eprintln!(
-                "fleet: {} worker death(s), {} respawn(s); {}",
-                summary.worker_deaths, summary.respawns, summary.coverage
-            );
-        }
-        fresh
-    } else {
-        let policy = SupervisionPolicy::default()
-            .with_retries(opts.retries)
-            .with_timeout(opts.timeout_ms.map(Duration::from_millis));
-        Harness::new(opts.jobs)
-            .with_policy(policy)
-            .run_cells_with(&todo_cells, on_complete)
-    };
-    if let Some(e) = append_err {
-        return Err(e.into());
+            timeout: opts.timeout_ms.map(Duration::from_millis),
+            ..SupervisionPolicy::default()
+        },
+        journal,
+        params,
+        record: None,
     }
-    for (t, outcome) in fresh.into_iter().enumerate() {
-        outcomes[todo[t]] = Some(outcome);
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every cell is either replayed or run"))
-        .collect())
 }
 
 /// The reports of fault-free cells. A failed cell (a timeout that
@@ -518,28 +416,35 @@ fn render_fault_sweep(
     }
 }
 
-fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), Failure> {
+/// One cell, recorded: its events go to `--out` as Perfetto or JSONL, and
+/// stdout gets the wake-up latency and prediction-accuracy summaries.
+fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), ExecError> {
     let app = app_by_name(app_name)?;
-    let out = opts
-        .out
-        .as_deref()
-        .ok_or("trace needs --out FILE (the export destination)")?;
+    let out = opts.out.as_deref().ok_or(ExecError::Failed(
+        "trace needs --out FILE (the export destination)".into(),
+    ))?;
     let sys = match &opts.config {
         Some(name) => config_by_name(name)?,
         None => SystemConfig::Thrifty,
     };
-    let app_trace = app.try_generate(opts.nodes as usize, opts.seed)?;
-    let traced = run_trace_recording(&app_trace, opts.nodes, sys, opts.ring);
+    let cells = [Cell::new(app, opts.nodes, opts.seed, sys)];
+    let cfg = ExecConfig {
+        record: Some(opts.ring),
+        ..exec_config(opts, String::new())
+    };
+    let outcomes = execute(&cells, &cfg)?;
+    let report = reports_of(&outcomes, &cells)?[0];
+    let events = &outcomes[0].events;
     let body = match opts.format.as_str() {
-        "jsonl" => thrifty_barrier::trace::to_jsonl(&traced.events),
+        "jsonl" => thrifty_barrier::trace::to_jsonl(events),
         _ => {
-            let name = format!("{} / {} / {} nodes", app.name, sys.name(), opts.nodes);
-            thrifty_barrier::trace::to_perfetto(&traced.events, &name)
+            let name = format!("{} / {} / {} nodes", report.app, sys.name(), opts.nodes);
+            thrifty_barrier::trace::to_perfetto(events, &name)
         }
     };
     std::fs::write(out, &body).map_err(|e| format!("writing {out:?}: {e}"))?;
 
-    let summary = traced.report.trace.as_ref().expect("recording run");
+    let summary = report.trace.as_ref().expect("recording run");
     println!(
         "wrote {} ({}: {} events, {} dropped)",
         out, opts.format, summary.events, summary.dropped
@@ -549,7 +454,7 @@ fn cmd_trace(app_name: &str, opts: &Options) -> Result<(), Failure> {
         "wake-up latency over {} sleeper departures: p50 {:.0} p95 {:.0} p99 {:.0} max {} cycles",
         wl.samples, wl.p50, wl.p95, wl.p99, wl.max
     );
-    print!("{}", PredictionAccuracyReport::from_events(&traced.events));
+    print!("{}", PredictionAccuracyReport::from_events(events));
     Ok(())
 }
 
@@ -581,20 +486,18 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
+    // The application or experiment `run`, `reproduce` and `trace` name.
+    let target = || args.get(1).unwrap_or_else(|| usage());
+    let parse = |skip: usize| {
+        parse_options(command, args.get(skip..).unwrap_or_default()).map_err(ExecError::from)
+    };
     let result = match command.as_str() {
         "list" => {
             cmd_list();
             Ok(())
         }
-        "run" => {
-            let Some(app) = args.get(1) else { usage() };
-            parse_options("run", &args[2..])
-                .map_err(Failure::from)
-                .and_then(|o| cmd_run(app, &o))
-        }
-        "sweep" => parse_options("sweep", &args[1..])
-            .map_err(Failure::from)
-            .and_then(|o| cmd_sweep(&o)),
+        "run" => parse(2).and_then(|o| cmd_run(target(), &o)),
+        "sweep" => parse(1).and_then(|o| cmd_sweep(&o)),
         "serve" => {
             // `serve` is `sweep` with a worker fleet by default. The
             // default is injected *before* parsing so the fleet-only
@@ -605,31 +508,20 @@ fn main() {
                 argv.insert(1, DEFAULT_SERVE_WORKERS.to_string());
             }
             parse_options("serve", &argv)
-                .map_err(Failure::from)
+                .map_err(ExecError::from)
                 .and_then(|o| cmd_sweep(&o))
         }
         // Hidden: the worker half of `sweep --workers` / `serve`. Spawned
         // by the coordinator with pipes on stdin/stdout; never typed by a
         // person.
         "__worker" => std::process::exit(tb_serve::worker_main()),
-        "reproduce" => {
-            let Some(id) = args.get(1) else { usage() };
-            parse_options("reproduce", &args[2..])
-                .map_err(Failure::from)
-                .and_then(|o| cmd_reproduce(id, &o))
-        }
-        "trace" => {
-            let Some(app) = args.get(1) else { usage() };
-            parse_options("trace", &args[2..])
-                .map_err(Failure::from)
-                .and_then(|o| cmd_trace(app, &o))
-        }
-        _ => {
-            usage();
-        }
+        "reproduce" => parse(2).and_then(|o| cmd_reproduce(target(), &o)),
+        "trace" => parse(2).and_then(|o| cmd_trace(target(), &o)),
+        _ => usage(),
     };
-    if let Err(Failure { message, status }) = result {
-        eprintln!("error: {message}");
-        std::process::exit(status);
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        let unreachable = matches!(e, ExecError::Unreachable(_));
+        std::process::exit(if unreachable { 2 } else { 1 });
     }
 }

@@ -809,8 +809,8 @@ pub fn ascii_bar(b: &CategoryBreakdown, scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_machine::harness::Harness;
     use tb_machine::run::PAPER_SEED;
+    use tb_serve::{execute, ExecConfig};
 
     #[test]
     fn ids_are_unique_and_found_case_insensitively() {
@@ -846,15 +846,18 @@ mod tests {
     /// configurations after Baseline in reverse changes nothing.
     #[test]
     fn target_mean_is_independent_of_config_order() {
-        let harness = Harness::new(0);
         let means = |configs: &[SystemConfig]| {
             let cells = matrix(configs, 8, PAPER_SEED);
-            let reports = harness.run_cells(&cells).expect("fault-free cells");
+            let outcomes = execute(&cells, &ExecConfig::default()).unwrap();
+            let reports: Vec<&RunReport> = outcomes
+                .iter()
+                .map(|outcome| outcome.report.as_ref().expect("fault-free cell"))
+                .collect();
             let run = Run {
                 nodes: 8,
                 seed: PAPER_SEED,
                 cells: &cells,
-                reports: &reports.iter().collect::<Vec<_>>(),
+                reports: &reports,
             };
             let mut means: Vec<f64> = SystemConfig::ALL[1..]
                 .iter()

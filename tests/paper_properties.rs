@@ -6,21 +6,33 @@
 
 use thrifty_barrier::core::SystemConfig;
 use thrifty_barrier::energy::EnergyCategory;
-use thrifty_barrier::machine::harness::{Cell, Harness, Knob, Variant};
+use thrifty_barrier::machine::harness::{Cell, Knob, Variant};
 use thrifty_barrier::machine::run::run_trace;
 use thrifty_barrier::machine::RunReport;
+use thrifty_barrier::serve::{execute, ExecConfig};
 use thrifty_barrier::workloads::AppSpec;
 
 const NODES: u16 = 16;
 const SEED: u64 = 0x7B41;
 
+/// The reports of fault-free cells, run one at a time through the
+/// executor the CLI uses.
+fn run_cells(cells: &[Cell]) -> Vec<RunReport> {
+    let serial = ExecConfig {
+        jobs: 1,
+        ..ExecConfig::default()
+    };
+    execute(cells, &serial)
+        .expect("reachable targets")
+        .into_iter()
+        .map(|outcome| outcome.report.expect("fault-free cell"))
+        .collect()
+}
+
 /// The five configurations of one application, in figure order.
 fn matrix(name: &str) -> Vec<RunReport> {
     let app = AppSpec::by_name(name).expect("known app");
-    let cells = Cell::matrix(&[app], &SystemConfig::ALL, NODES, &[SEED]);
-    Harness::serial()
-        .run_cells(&cells)
-        .expect("fault-free cells")
+    run_cells(&Cell::matrix(&[app], &SystemConfig::ALL, NODES, &[SEED]))
 }
 
 #[test]
@@ -156,9 +168,7 @@ fn ocean_needs_the_cutoff() {
         cell(SystemConfig::Thrifty),
         cell(SystemConfig::Thrifty).with_variant(no_cutoff),
     ];
-    let reports = Harness::serial()
-        .run_cells(&cells)
-        .expect("fault-free cells");
+    let reports = run_cells(&cells);
     let [base, with, without] = &reports[..] else {
         unreachable!("three cells, three reports")
     };
