@@ -7,10 +7,9 @@ use tb_machine::journal::{CellKey, SweepJournal};
 use tb_workloads::calibrate::Unreachable;
 
 /// Whether, and how, [`execute`] checkpoints completed cells.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalMode {
     /// No journal.
-    #[default]
     Off,
     /// Create a journal at this path (`--journal`).
     Create(String),
@@ -18,6 +17,9 @@ pub enum JournalMode {
     /// (`--resume`).
     Resume(String),
 }
+
+/// The default fleet heartbeat period, in milliseconds.
+pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
 
 /// How [`execute`] runs a list of cells.
 #[derive(Debug, Clone)]
@@ -48,7 +50,7 @@ impl Default for ExecConfig {
         ExecConfig {
             jobs: 0,
             workers: 0,
-            heartbeat_ms: 500,
+            heartbeat_ms: DEFAULT_HEARTBEAT_MS,
             policy: SupervisionPolicy::default(),
             journal: JournalMode::Off,
             params: String::new(),

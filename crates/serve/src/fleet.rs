@@ -63,12 +63,12 @@ struct WorkerProc {
 
 /// Runs `cells` across a fleet of `cfg.workers` worker processes, each
 /// under `cfg.policy`'s retries and deadline; worker lifecycle and lease
-/// events go to `cfg.policy.trace`. Returns the outcomes
-/// **in `cells` order** (byte-compatible with the in-process harness), and
-/// prints the fleet's health to stderr if a worker died; `on_complete`
-/// fires with each cell's
-/// index and final outcome as soon as it is durable-worthy, from the
-/// coordinator thread (so a `FnMut` journal writer needs no locking).
+/// events go to `cfg.policy.trace`. Returns the outcomes **in `cells`
+/// order** (byte-compatible with the in-process harness), and prints the
+/// fleet's health to stderr if a worker died. `on_complete` fires with
+/// each cell's index and final outcome as soon as it is durable-worthy,
+/// from the coordinator thread (so a `FnMut` journal writer needs no
+/// locking).
 ///
 /// Fails only when progress is impossible: worker spawn failure with an
 /// empty fleet, respawn budget exhaustion, or a worker rejecting the

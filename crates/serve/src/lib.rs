@@ -41,6 +41,6 @@ pub mod proto;
 pub mod worker;
 
 pub use engine::{Action, Engine, EngineConfig, WorkerId, MAX_RESPAWNS, POISON_STRIKES};
-pub use exec::{execute, ExecConfig, ExecError, JournalMode};
+pub use exec::{execute, ExecConfig, ExecError, JournalMode, DEFAULT_HEARTBEAT_MS};
 pub use proto::{FromWorker, ToWorker};
 pub use worker::worker_main;

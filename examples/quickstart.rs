@@ -33,10 +33,7 @@ fn main() {
     // The five configurations share one trace and one Baseline run.
     let apps = std::slice::from_ref(&app);
     let cells = Cell::matrix(apps, &SystemConfig::ALL, threads, &[PAPER_SEED]);
-    let outcomes = execute(&cells, &ExecConfig::default()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let outcomes = execute(&cells, &ExecConfig::default()).expect("reachable target");
     let reports: Vec<RunReport> = outcomes
         .into_iter()
         .map(|outcome| outcome.report.expect("fault-free cell"))

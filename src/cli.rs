@@ -67,8 +67,8 @@ pub const MAX_WORKERS: usize = 64;
 /// Fleet size `serve` uses when `--workers` is not given.
 pub const DEFAULT_SERVE_WORKERS: usize = 4;
 
-/// Default `--heartbeat-ms`.
-pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
+/// Default `--heartbeat-ms`: the executor's own default.
+pub use tb_serve::DEFAULT_HEARTBEAT_MS;
 
 /// The subcommands that run cells through the journaled executor, and so
 /// take its flags.
