@@ -17,7 +17,7 @@ const SEED: u64 = 0x7B41;
 
 /// The reports of fault-free cells, run one at a time through the
 /// executor the CLI uses.
-fn run_cells(cells: &[Cell]) -> Vec<RunReport> {
+fn run_all(cells: &[Cell]) -> Vec<RunReport> {
     let serial = ExecConfig {
         jobs: 1,
         ..ExecConfig::default()
@@ -32,7 +32,7 @@ fn run_cells(cells: &[Cell]) -> Vec<RunReport> {
 /// The five configurations of one application, in figure order.
 fn matrix(name: &str) -> Vec<RunReport> {
     let app = AppSpec::by_name(name).expect("known app");
-    run_cells(&Cell::matrix(&[app], &SystemConfig::ALL, NODES, &[SEED]))
+    run_all(&Cell::matrix(&[app], &SystemConfig::ALL, NODES, &[SEED]))
 }
 
 #[test]
@@ -168,7 +168,7 @@ fn ocean_needs_the_cutoff() {
         cell(SystemConfig::Thrifty),
         cell(SystemConfig::Thrifty).with_variant(no_cutoff),
     ];
-    let reports = run_cells(&cells);
+    let reports = run_all(&cells);
     let [base, with, without] = &reports[..] else {
         unreachable!("three cells, three reports")
     };
