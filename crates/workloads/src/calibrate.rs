@@ -9,8 +9,14 @@
 //! which matches the full machine simulation to well under a percentage
 //! point because barrier entry/exit overheads are microseconds against
 //! millisecond intervals.
+//!
+//! The random stream does not depend on `w`, so a trace is drawn once
+//! and every bisection step evaluates that one draw at its spread:
+//! arithmetic only, returning exactly the imbalance of the trace the draw
+//! builds at that spread. The trace is then built from the same draw.
 
 use crate::spec::AppSpec;
+use crate::trace::Draw;
 use std::fmt;
 
 /// Upper bound of the spread parameter (exclusive); at `w → 1` every
@@ -56,18 +62,21 @@ impl std::error::Error for Unreachable {}
 
 /// Checks that the widest spread reaches `spec.target_imbalance` with
 /// `threads` threads at `seed`. This is the first step of
-/// [`calibrate_spread`], and costs one trace draw instead of calibration's
-/// forty-one, so a caller can check a whole matrix before running any of it.
+/// [`calibrate_spread`], and costs one trace draw and no bisection, so a
+/// caller can check a whole matrix before running any of it.
 pub fn check_reachable(spec: &AppSpec, threads: usize, seed: u64) -> Result<(), Unreachable> {
-    let max = spec
-        .generate_with_spread(threads, seed, W_MAX)
-        .analytic_imbalance();
+    reachable(spec, &Draw::new(spec, threads, seed), seed)
+}
+
+/// [`check_reachable`] on an existing draw.
+fn reachable(spec: &AppSpec, draw: &Draw, seed: u64) -> Result<(), Unreachable> {
+    let max = draw.imbalance(W_MAX);
     if max < spec.target_imbalance {
         return Err(Unreachable {
             app: spec.name.clone(),
             target: spec.target_imbalance,
             max,
-            threads,
+            threads: draw.threads(),
             seed,
         });
     }
@@ -78,16 +87,17 @@ pub fn check_reachable(spec: &AppSpec, threads: usize, seed: u64) -> Result<(), 
 /// `spec.target_imbalance`, or reports that even the widest spread falls
 /// short of it.
 pub fn calibrate_spread(spec: &AppSpec, threads: usize, seed: u64) -> Result<f64, Unreachable> {
-    check_reachable(spec, threads, seed)?;
-    let imbalance_at = |w: f64| {
-        spec.generate_with_spread(threads, seed, w)
-            .analytic_imbalance()
-    };
+    calibrate(spec, &Draw::new(spec, threads, seed), seed)
+}
+
+/// [`calibrate_spread`] on an existing draw of `spec` from `seed`.
+pub(crate) fn calibrate(spec: &AppSpec, draw: &Draw, seed: u64) -> Result<f64, Unreachable> {
+    reachable(spec, draw, seed)?;
     let target = spec.target_imbalance;
     let (mut lo, mut hi) = (0.0_f64, W_MAX);
     for _ in 0..ITERATIONS {
         let mid = 0.5 * (lo + hi);
-        if imbalance_at(mid) < target {
+        if draw.imbalance(mid) < target {
             lo = mid;
         } else {
             hi = mid;

@@ -18,7 +18,7 @@
 //! is calibrated by [`crate::calibrate`] so the trace's measured imbalance
 //! matches Table 2.
 
-use crate::calibrate::{calibrate_spread, Unreachable};
+use crate::calibrate::{calibrate, Unreachable};
 use crate::spec::{AppSpec, PhaseSpec, Variability};
 use serde::{Deserialize, Serialize};
 use tb_sim::{Cycles, SimRng};
@@ -65,20 +65,11 @@ impl AppTrace {
     /// The barrier imbalance of this trace under ideal (zero-overhead)
     /// barriers: total stall time over total CPU time.
     pub fn analytic_imbalance(&self) -> f64 {
-        let mut stall = 0.0;
-        let mut total = 0.0;
-        for step in &self.steps {
-            let max = step.max_compute().as_u64() as f64;
-            for c in &step.compute {
-                stall += max - c.as_u64() as f64;
-                total += max;
-            }
-        }
-        if total == 0.0 {
-            0.0
-        } else {
-            stall / total
-        }
+        imbalance(
+            self.steps
+                .iter()
+                .map(|step| step.compute.iter().map(|c| c.as_u64())),
+        )
     }
 
     /// Wall-clock time of an ideal execution: the sum of interval floors.
@@ -121,34 +112,144 @@ impl AppTrace {
     }
 }
 
-/// Generates one phase instance's per-thread compute times.
-pub(crate) fn instance_compute(
-    phase: &PhaseSpec,
-    iteration: u32,
-    threads: usize,
-    spread: f64,
-    skew: f64,
-    rng: &mut SimRng,
-) -> Vec<Cycles> {
-    let is_low = match phase.variability {
-        Variability::Swing { low_prob, .. } => rng.chance(low_prob),
-        _ => false,
-    };
-    let jitter = phase.variability.jitter();
-    let jitter_scale = if jitter > 0.0 {
-        (1.0 + rng.normal(0.0, jitter)).max(0.05)
+/// Stall time over CPU time under ideal barriers, summed over steps and
+/// then over each step's threads. `steps` yields each step's per-thread
+/// compute cycles; it is walked twice, once for the step's maximum.
+fn imbalance<S, C>(steps: S) -> f64
+where
+    S: Iterator<Item = C>,
+    C: Iterator<Item = u64> + Clone,
+{
+    let mut stall = 0.0;
+    let mut total = 0.0;
+    for compute in steps {
+        let max = compute.clone().max().unwrap_or(0) as f64;
+        for c in compute {
+            stall += max - c as f64;
+            total += max;
+        }
+    }
+    if total == 0.0 {
+        0.0
     } else {
-        1.0
-    };
-    let scale = phase.variability.base_scale(iteration, is_low) * jitter_scale;
-    let base = phase.base_interval.as_u64() as f64 * scale;
-    (0..threads)
-        .map(|_| {
-            let x = rng.uniform().powf(skew);
-            let t = base * ((1.0 - spread) + spread * x);
-            Cycles::new(t.max(1.0).round() as u64)
-        })
-        .collect()
+        stall / total
+    }
+}
+
+/// One thread's compute time: the step's `base` spread by `spread` around
+/// the thread's work share `x`.
+fn spread_compute(base: f64, spread: f64, x: f64) -> u64 {
+    let t = base * ((1.0 - spread) + spread * x);
+    t.max(1.0).round() as u64
+}
+
+/// The spread-independent part of one barrier episode.
+struct DrawnStep {
+    pc: u64,
+    dirty_lines: u32,
+    /// The phase's base interval, scaled for this instance, in cycles.
+    base: f64,
+}
+
+/// Everything a trace takes from its random stream, before the spread is
+/// applied: the swing coin, the jitter and each thread's work share
+/// `X = U^skew`. Calibration evaluates one draw at many spreads, and the
+/// trace is then built from the same draw, so the stream is drawn once.
+pub(crate) struct Draw {
+    threads: usize,
+    steps: Vec<DrawnStep>,
+    /// Work shares, `threads` per step, in step order.
+    shares: Vec<f64>,
+}
+
+impl Draw {
+    /// Draws the trace of `spec` for `threads` processors from `seed`.
+    pub(crate) fn new(spec: &AppSpec, threads: usize, seed: u64) -> Draw {
+        let root = SimRng::new(seed).derive(&spec.name, 0);
+        let instances = spec.total_instances();
+        let mut draw = Draw {
+            threads,
+            steps: Vec::with_capacity(instances),
+            shares: Vec::with_capacity(instances * threads),
+        };
+        for (i, phase) in spec.setup_phases.iter().enumerate() {
+            let rng = &mut root.derive("setup", i as u64);
+            draw.push(phase, 0, spec.skew, rng);
+        }
+        for iter in 0..spec.iterations {
+            for (p, phase) in spec.loop_phases.iter().enumerate() {
+                let rng = &mut root.derive("loop", (iter as u64) << 16 | p as u64);
+                draw.push(phase, iter, spec.skew, rng);
+            }
+        }
+        draw
+    }
+
+    /// Draws one phase instance.
+    fn push(&mut self, phase: &PhaseSpec, iteration: u32, skew: f64, rng: &mut SimRng) {
+        let is_low = match phase.variability {
+            Variability::Swing { low_prob, .. } => rng.chance(low_prob),
+            _ => false,
+        };
+        let jitter = phase.variability.jitter();
+        let jitter_scale = if jitter > 0.0 {
+            (1.0 + rng.normal(0.0, jitter)).max(0.05)
+        } else {
+            1.0
+        };
+        let scale = phase.variability.base_scale(iteration, is_low) * jitter_scale;
+        self.steps.push(DrawnStep {
+            pc: phase.pc,
+            dirty_lines: phase.dirty_lines,
+            base: phase.base_interval.as_u64() as f64 * scale,
+        });
+        self.shares
+            .extend((0..self.threads).map(|_| rng.uniform().powf(skew)));
+    }
+
+    /// The thread count the draw was made for.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Each step with its threads' work shares.
+    fn steps(&self) -> impl Iterator<Item = (&DrawnStep, &[f64])> {
+        let n = self.threads;
+        self.steps
+            .iter()
+            .enumerate()
+            .map(move |(i, step)| (step, &self.shares[i * n..(i + 1) * n]))
+    }
+
+    /// The [`AppTrace::analytic_imbalance`] of the trace this draw builds
+    /// at `spread`, without building it.
+    pub(crate) fn imbalance(&self, spread: f64) -> f64 {
+        imbalance(self.steps().map(|(step, shares)| {
+            let base = step.base;
+            shares.iter().map(move |&x| spread_compute(base, spread, x))
+        }))
+    }
+
+    /// Builds the trace at `spread`.
+    pub(crate) fn build(&self, app_name: &str, spread: f64) -> AppTrace {
+        let steps = self
+            .steps()
+            .map(|(step, shares)| TraceStep {
+                pc: step.pc,
+                compute: shares
+                    .iter()
+                    .map(|&x| Cycles::new(spread_compute(step.base, spread, x)))
+                    .collect(),
+                dirty_lines: step.dirty_lines,
+            })
+            .collect();
+        AppTrace {
+            app_name: app_name.to_string(),
+            threads: self.threads,
+            steps,
+            spread,
+        }
+    }
 }
 
 impl AppSpec {
@@ -174,8 +275,9 @@ impl AppSpec {
     pub fn try_generate(&self, threads: usize, seed: u64) -> Result<AppTrace, Unreachable> {
         self.validate();
         assert!(threads >= 2, "imbalance needs at least two threads");
-        let spread = calibrate_spread(self, threads, seed)?;
-        Ok(self.generate_with_spread(threads, seed, spread))
+        let draw = Draw::new(self, threads, seed);
+        let spread = calibrate(self, &draw, seed)?;
+        Ok(draw.build(&self.name, spread))
     }
 
     /// Like [`AppSpec::generate`], but returns the trace behind an
@@ -186,37 +288,10 @@ impl AppSpec {
         std::sync::Arc::new(self.generate(threads, seed))
     }
 
-    /// Generates the trace with an explicit spread (used by calibration
-    /// itself and by tests).
+    /// Generates the trace with an explicit spread instead of the
+    /// calibrated one.
     pub fn generate_with_spread(&self, threads: usize, seed: u64, spread: f64) -> AppTrace {
-        let root = SimRng::new(seed).derive(&self.name, 0);
-        let mut steps = Vec::with_capacity(
-            self.setup_phases.len() + self.loop_phases.len() * self.iterations as usize,
-        );
-        for (i, phase) in self.setup_phases.iter().enumerate() {
-            let mut rng = root.derive("setup", i as u64);
-            steps.push(TraceStep {
-                pc: phase.pc,
-                compute: instance_compute(phase, 0, threads, spread, self.skew, &mut rng),
-                dirty_lines: phase.dirty_lines,
-            });
-        }
-        for iter in 0..self.iterations {
-            for (p, phase) in self.loop_phases.iter().enumerate() {
-                let mut rng = root.derive("loop", (iter as u64) << 16 | p as u64);
-                steps.push(TraceStep {
-                    pc: phase.pc,
-                    compute: instance_compute(phase, iter, threads, spread, self.skew, &mut rng),
-                    dirty_lines: phase.dirty_lines,
-                });
-            }
-        }
-        AppTrace {
-            app_name: self.name.clone(),
-            threads,
-            steps,
-            spread,
-        }
+        Draw::new(self, threads, seed).build(&self.name, spread)
     }
 }
 
