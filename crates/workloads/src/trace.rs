@@ -65,11 +65,10 @@ impl AppTrace {
     /// The barrier imbalance of this trace under ideal (zero-overhead)
     /// barriers: total stall time over total CPU time.
     pub fn analytic_imbalance(&self) -> f64 {
-        imbalance(
-            self.steps
-                .iter()
-                .map(|step| step.compute.iter().map(|c| c.as_u64())),
-        )
+        imbalance(self.steps.iter().map(|step| {
+            let max = step.max_compute().as_u64() as f64;
+            (max, step.compute.iter().map(|c| c.as_u64() as f64))
+        }))
     }
 
     /// Wall-clock time of an ideal execution: the sum of interval floors.
@@ -112,20 +111,18 @@ impl AppTrace {
     }
 }
 
-/// Stall time over CPU time under ideal barriers, summed over steps and
-/// then over each step's threads. `steps` yields each step's per-thread
-/// compute cycles; it is walked twice, once for the step's maximum.
-fn imbalance<S, C>(steps: S) -> f64
+/// Stall time over CPU time under ideal barriers. `steps` yields each
+/// step's slowest compute time and then every thread's, in cycles; the
+/// sums run over steps and then over each step's threads.
+fn imbalance<C>(steps: impl Iterator<Item = (f64, C)>) -> f64
 where
-    S: Iterator<Item = C>,
-    C: Iterator<Item = u64> + Clone,
+    C: Iterator<Item = f64>,
 {
     let mut stall = 0.0;
     let mut total = 0.0;
-    for compute in steps {
-        let max = compute.clone().max().unwrap_or(0) as f64;
+    for (max, compute) in steps {
         for c in compute {
-            stall += max - c as f64;
+            stall += max - c;
             total += max;
         }
     }
@@ -136,11 +133,16 @@ where
     }
 }
 
-/// One thread's compute time: the step's `base` spread by `spread` around
-/// the thread's work share `x`.
-fn spread_compute(base: f64, spread: f64, x: f64) -> u64 {
+/// One thread's compute time in cycles: the step's `base` spread by
+/// `spread` around the thread's work share `x`, at least one cycle and
+/// rounded half away from zero. It comes back as the f64 the stored
+/// `u64` converts to (`as u64` saturates at `u64::MAX`, which converts to
+/// 2^64), so the imbalance sums see the same values from a draw as from
+/// the trace it builds. For a spread in `[0, 1]` it never decreases as
+/// `x` grows, so a step's largest share gives its slowest thread.
+fn compute_cycles(base: f64, spread: f64, x: f64) -> f64 {
     let t = base * ((1.0 - spread) + spread * x);
-    t.max(1.0).round() as u64
+    t.max(1.0).round().min(u64::MAX as f64)
 }
 
 /// The spread-independent part of one barrier episode.
@@ -149,6 +151,8 @@ struct DrawnStep {
     dirty_lines: u32,
     /// The phase's base interval, scaled for this instance, in cycles.
     base: f64,
+    /// The largest of the step's work shares.
+    peak: f64,
 }
 
 /// Everything a trace takes from its random stream, before the spread is
@@ -198,13 +202,15 @@ impl Draw {
             1.0
         };
         let scale = phase.variability.base_scale(iteration, is_low) * jitter_scale;
+        let start = self.shares.len();
+        self.shares
+            .extend((0..self.threads).map(|_| rng.uniform().powf(skew)));
         self.steps.push(DrawnStep {
             pc: phase.pc,
             dirty_lines: phase.dirty_lines,
             base: phase.base_interval.as_u64() as f64 * scale,
+            peak: self.shares[start..].iter().copied().fold(0.0, f64::max),
         });
-        self.shares
-            .extend((0..self.threads).map(|_| rng.uniform().powf(skew)));
     }
 
     /// The thread count the draw was made for.
@@ -222,11 +228,12 @@ impl Draw {
     }
 
     /// The [`AppTrace::analytic_imbalance`] of the trace this draw builds
-    /// at `spread`, without building it.
+    /// at `spread`, without building it. `spread` must lie in `[0, 1]`.
     pub(crate) fn imbalance(&self, spread: f64) -> f64 {
         imbalance(self.steps().map(|(step, shares)| {
             let base = step.base;
-            shares.iter().map(move |&x| spread_compute(base, spread, x))
+            let cycles = move |x| compute_cycles(base, spread, x);
+            (cycles(step.peak), shares.iter().map(move |&x| cycles(x)))
         }))
     }
 
@@ -238,7 +245,7 @@ impl Draw {
                 pc: step.pc,
                 compute: shares
                     .iter()
-                    .map(|&x| Cycles::new(spread_compute(step.base, spread, x)))
+                    .map(|&x| Cycles::new(compute_cycles(step.base, spread, x) as u64))
                     .collect(),
                 dirty_lines: step.dirty_lines,
             })
@@ -378,6 +385,42 @@ mod tests {
             "calibrated imbalance {} vs target 0.16",
             t.analytic_imbalance()
         );
+    }
+
+    #[test]
+    fn draw_imbalance_is_the_built_traces_at_clamped_and_saturated_cycles() {
+        // One-cycle phases clamp every thread to the one-cycle floor at
+        // some spreads; a phase growing elevenfold per iteration passes
+        // u64::MAX cycles. The draw's evaluation must still return the
+        // built trace's imbalance bit for bit.
+        let mut s = spec();
+        s.setup_phases = vec![PhaseSpec::new(
+            1,
+            Cycles::new(1),
+            0,
+            Variability::Stable { jitter: 0.3 },
+        )];
+        s.loop_phases = vec![PhaseSpec::new(
+            10,
+            Cycles::new(1 << 40),
+            0,
+            Variability::Drift {
+                per_iter: 10.0,
+                jitter: 0.0,
+            },
+        )];
+        s.iterations = 12;
+        let draw = Draw::new(&s, 8, 5);
+        let saturated = draw.build(&s.name, 0.5).steps.last().unwrap().max_compute();
+        assert_eq!(saturated, Cycles::new(u64::MAX));
+        for spread in [0.0, 1e-9, 0.25, 0.5, 0.999, 1.0] {
+            let built = draw.build(&s.name, spread).analytic_imbalance();
+            assert_eq!(
+                draw.imbalance(spread).to_bits(),
+                built.to_bits(),
+                "{spread}"
+            );
+        }
     }
 
     #[test]
