@@ -460,6 +460,24 @@ impl BarrierAlgorithm {
         pc: BarrierPc,
         wakeup_timestamp: Cycles,
     ) -> FinishInfo {
+        self.finish(thread, pc, Some(wakeup_timestamp))
+    }
+
+    /// Call point 3 for a thread that did not sleep: as
+    /// [`BarrierAlgorithm::finish_barrier`], but without the §3.3.3
+    /// cut-off, which judges how late a sleeper woke. On real threads a
+    /// spinner or the releaser sees the flip late only when the host
+    /// deschedules it, which says nothing about the prediction.
+    pub fn finish_awake(&mut self, thread: ThreadId, pc: BarrierPc) -> FinishInfo {
+        self.finish(thread, pc, None)
+    }
+
+    fn finish(
+        &mut self,
+        thread: ThreadId,
+        pc: BarrierPc,
+        wakeup_timestamp: Option<Cycles>,
+    ) -> FinishInfo {
         let published = self
             .sites
             .get(&pc)
@@ -467,10 +485,12 @@ impl BarrierAlgorithm {
             .published_bit;
         let timing = &mut self.timings[thread.index()];
         let new_brts = timing.advance(published);
-        let penalty = timing.overprediction_penalty(wakeup_timestamp);
+        let penalty = wakeup_timestamp.map_or(Cycles::ZERO, |ts| timing.overprediction_penalty(ts));
         let mut disabled = false;
         if self.cfg.thrifty {
-            if self.policy.penalty_trips_cutoff(penalty, published) {
+            if let Some(wakeup_timestamp) =
+                wakeup_timestamp.filter(|_| self.policy.penalty_trips_cutoff(penalty, published))
+            {
                 self.predictor.as_dyn_mut().disable(pc, thread);
                 disabled = true;
                 let instance = self
@@ -657,6 +677,24 @@ mod tests {
         let f = algo.finish_barrier(t(0), PC, us(2050));
         assert_eq!(f.penalty, us(50));
         assert!(!f.disabled);
+    }
+
+    #[test]
+    fn finishing_awake_never_trips_cutoff() {
+        // However late the host lets a spinner depart, the cut-off judges
+        // sleepers only: the spinner's prediction stays enabled.
+        let mut algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 2);
+        algo.on_early_arrival(t(0), PC, us(100));
+        algo.on_last_arrival(t(1), PC, us(1000));
+        let f = algo.finish_awake(t(0), PC);
+        assert_eq!(f.penalty, Cycles::ZERO);
+        assert_eq!(f.new_brts, us(1000));
+        assert!(!f.disabled);
+        assert!(!algo.is_disabled(PC, t(0)));
+        algo.finish_awake(t(1), PC);
+        let d = algo.on_early_arrival(t(0), PC, us(1100));
+        assert_eq!(d.predicted_bit, Some(us(1000)));
+        assert!(d.choice.is_sleep());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! condvar; the *internal wake-up* analog is the park timeout derived from
 //! the predicted stall. Time in each state is tracked per thread as the
 //! energy proxy (a parked thread frees its core; a spinning thread burns
-//! it).
+//! it). Only a thread that slept feeds the §3.3.3 cut-off: a spinner or
+//! the releaser sees the flip late only when the host deschedules it.
 //!
 //! # Examples
 //!
