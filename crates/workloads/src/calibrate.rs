@@ -61,9 +61,9 @@ impl fmt::Display for Unreachable {
 impl std::error::Error for Unreachable {}
 
 /// Checks that the widest spread reaches `spec.target_imbalance` with
-/// `threads` threads at `seed`. This is the first step of
-/// [`calibrate_spread`], and costs one trace draw and no bisection, so a
-/// caller can check a whole matrix before running any of it.
+/// `threads` threads at `seed`. This is the first step of a trace's
+/// calibration, and costs one trace draw and no bisection, so a caller can
+/// check a whole matrix before running any of it.
 pub fn check_reachable(spec: &AppSpec, threads: usize, seed: u64) -> Result<(), Unreachable> {
     reachable(spec, &Draw::new(spec, threads, seed), seed)
 }
@@ -83,15 +83,10 @@ fn reachable(spec: &AppSpec, draw: &Draw, seed: u64) -> Result<(), Unreachable> 
     Ok(())
 }
 
-/// Solves the spread `w` for which the generated trace's imbalance matches
-/// `spec.target_imbalance`, or reports that even the widest spread falls
-/// short of it.
-pub fn calibrate_spread(spec: &AppSpec, threads: usize, seed: u64) -> Result<f64, Unreachable> {
-    calibrate(spec, &Draw::new(spec, threads, seed), seed)
-}
-
-/// [`calibrate_spread`] on an existing draw of `spec` from `seed`.
-pub(crate) fn calibrate(spec: &AppSpec, draw: &Draw, seed: u64) -> Result<f64, Unreachable> {
+/// Solves the spread `w` at which `draw`, a draw of `spec` from `seed`,
+/// builds a trace whose imbalance matches `spec.target_imbalance`, or
+/// reports that even the widest spread falls short of it.
+pub(crate) fn calibrate_spread(spec: &AppSpec, draw: &Draw, seed: u64) -> Result<f64, Unreachable> {
     reachable(spec, draw, seed)?;
     let target = spec.target_imbalance;
     let (mut lo, mut hi) = (0.0_f64, W_MAX);
@@ -133,19 +128,20 @@ mod tests {
     fn hits_low_and_high_targets() {
         for target in [0.01, 0.05, 0.16, 0.30, 0.482] {
             let s = spec(target);
-            let w = calibrate_spread(&s, 64, 11).unwrap();
-            let got = s.generate_with_spread(64, 11, w).analytic_imbalance();
+            let t = s.try_generate(64, 11).unwrap();
+            let got = t.analytic_imbalance();
             assert!(
                 (got - target).abs() < 0.005,
-                "target {target}: got {got} at w={w}"
+                "target {target}: got {got} at w={}",
+                t.spread
             );
         }
     }
 
     #[test]
     fn spread_grows_with_target() {
-        let w_small = calibrate_spread(&spec(0.05), 32, 3).unwrap();
-        let w_large = calibrate_spread(&spec(0.30), 32, 3).unwrap();
+        let w_small = spec(0.05).try_generate(32, 3).unwrap().spread;
+        let w_large = spec(0.30).try_generate(32, 3).unwrap().spread;
         assert!(w_small < w_large);
     }
 
@@ -154,19 +150,19 @@ mod tests {
         // The same target should be achievable at different machine sizes.
         for threads in [16, 32, 64] {
             let s = spec(0.20);
-            let w = calibrate_spread(&s, threads, 5).unwrap();
-            let got = s.generate_with_spread(threads, 5, w).analytic_imbalance();
+            let got = s.try_generate(threads, 5).unwrap().analytic_imbalance();
             assert!((got - 0.20).abs() < 0.01, "threads={threads}: {got}");
         }
     }
 
     #[test]
     fn unreachable_target_is_a_typed_error() {
-        let err = calibrate_spread(&spec(0.99), 2, 7).unwrap_err();
+        // Two threads stall at most half the interval.
+        let err = spec(0.6).try_generate(2, 7).unwrap_err();
         assert_eq!((err.app.as_str(), err.threads, err.seed), ("Cal", 2, 7));
         assert!(err.max < err.target);
         let msg = err.to_string();
-        assert!(msg.starts_with("Cal: its Table 2 imbalance of 99.0% is unreachable"));
+        assert!(msg.starts_with("Cal: its Table 2 imbalance of 60.0% is unreachable"));
         assert!(msg.contains("with 2 threads at seed 7"), "{msg}");
     }
 }

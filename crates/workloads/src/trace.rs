@@ -18,7 +18,7 @@
 //! is calibrated by [`crate::calibrate`] so the trace's measured imbalance
 //! matches Table 2.
 
-use crate::calibrate::{calibrate, Unreachable};
+use crate::calibrate::{calibrate_spread, Unreachable};
 use crate::spec::{AppSpec, PhaseSpec, Variability};
 use serde::{Deserialize, Serialize};
 use tb_sim::{Cycles, SimRng};
@@ -283,7 +283,7 @@ impl AppSpec {
         self.validate();
         assert!(threads >= 2, "imbalance needs at least two threads");
         let draw = Draw::new(self, threads, seed);
-        let spread = calibrate(self, &draw, seed)?;
+        let spread = calibrate_spread(self, &draw, seed)?;
         Ok(draw.build(&self.name, spread))
     }
 
