@@ -10,6 +10,11 @@
 //! lines, and bursts issued at the same instant (bus contention). Half the
 //! ops come from two nodes, whose full L2 sets make the digests sensitive
 //! to LRU order, such as whether an upgrade refreshes the line's recency.
+//!
+//! A second pair of pins replays barrier episodes: every node rewrites its
+//! working set (runs long enough that the count and flag lines thrash
+//! their L1 sets), checks in on one count line and reads the flag that
+//! one releaser writes, and some rounds flush before the release.
 
 use tb_mem::{Addr, CoherentMemory, InvalidationFaults, MachineConfig, NodeId};
 use tb_sim::digest::fnv1a64_hex;
@@ -80,6 +85,85 @@ fn digest_run(mut mem: CoherentMemory) -> String {
     out.push('\n');
     out.push_str(&format!("{:?}", mem.drain_fault_log()));
     fnv1a64_hex(out.as_bytes())
+}
+
+/// Working-set sizes, in lines, that an episode's rewrite draws from.
+const RUN_LINES: [u32; 7] = [32, 48, 64, 96, 128, 192, 256];
+const ROUNDS: usize = 24;
+
+/// Runs barrier-episode rounds and returns their digest. Each node's
+/// working set starts at its own fixed base (its first line maps to L1 set
+/// 0), the count line to set 0 and the flag line to set 64, as in the
+/// simulator's layout, so rewrites of more than 64 or 128 lines compete
+/// with them for the 2-way L1 sets.
+fn episode_digest(mut mem: CoherentMemory) -> String {
+    let mut rng = SimRng::new(0xE915);
+    let count = mem.layout().shared_addr(2, 0);
+    let flag = mem.layout().shared_addr(3, 0);
+    let bases: Vec<Addr> = (0..NODES as u64)
+        .map(|n| mem.layout().shared_addr(64 + n * 8, 0))
+        .collect();
+    let mut out = String::new();
+    let mut t = Cycles::ZERO;
+    for _ in 0..ROUNDS {
+        let releaser = NodeId::new(rng.below(NODES as u64) as u16);
+        // A flush round: every waiter flushes before it sleeps.
+        let flush = rng.chance(0.3);
+        let mut lock_free = t;
+        let mut last = t;
+        for n in 0..NODES {
+            let node = NodeId::new(n);
+            let lines = RUN_LINES[rng.below(RUN_LINES.len() as u64) as usize];
+            let start = t + Cycles::from_nanos(rng.below(2000));
+            let end = mem.write_line_run(node, bases[n as usize], lines, start);
+            out.push_str(&serde::json::to_string(&end));
+            let checkin = mem.write(node, count, end.max(lock_free));
+            lock_free = checkin.completion + Cycles::from_nanos(10);
+            last = last.max(checkin.completion);
+            out.push_str(&serde::json::to_string(&checkin));
+            if node != releaser {
+                let spin = mem.read(node, flag, checkin.completion);
+                out.push_str(&serde::json::to_string(&spin));
+                if flush {
+                    let f = mem.flush_dirty_shared(node, spin.completion);
+                    out.push_str(&serde::json::to_string(&f));
+                }
+            }
+            out.push('\n');
+        }
+        let release = mem.write(releaser, flag, last);
+        out.push_str(&serde::json::to_string(&release));
+        for n in (0..NODES).map(NodeId::new).filter(|&n| n != releaser) {
+            let wake = mem.read(n, flag, release.completion);
+            out.push_str(&serde::json::to_string(&wake));
+        }
+        out.push('\n');
+        t = release.completion + Cycles::from_micros(1);
+    }
+    out.push_str(&serde::json::to_string(mem.stats()));
+    fnv1a64_hex(out.as_bytes())
+}
+
+#[test]
+fn directory_n16_episodes_match_fixture() {
+    let got = episode_digest(CoherentMemory::directory(MachineConfig::table1_with_nodes(
+        NODES,
+    )));
+    assert_eq!(
+        got,
+        fixture("directory_n16_episodes.digest").trim(),
+        "directory episodes drifted from tests/golden/directory_n16_episodes.digest"
+    );
+}
+
+#[test]
+fn bus_n16_episodes_match_fixture() {
+    let got = episode_digest(CoherentMemory::directory(MachineConfig::bus_smp(NODES)));
+    assert_eq!(
+        got,
+        fixture("bus_n16_episodes.digest").trim(),
+        "bus episodes drifted from tests/golden/bus_n16_episodes.digest"
+    );
 }
 
 #[test]
