@@ -120,6 +120,11 @@ impl LineAddr {
     pub const fn base_addr(self) -> Addr {
         Addr(self.0 * LINE_BYTES)
     }
+
+    /// The line `lines` lines later.
+    pub(crate) const fn offset(self, lines: u64) -> LineAddr {
+        LineAddr(self.0 + lines)
+    }
 }
 
 impl fmt::Display for LineAddr {

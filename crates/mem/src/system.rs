@@ -373,6 +373,14 @@ impl CoherentMemory {
             .all(|nc| nc.l1.dirty_index_is_exact() && nc.l2.dirty_index_is_exact())
     }
 
+    /// `true` when every cache's verified line ranges hold only resident
+    /// `Modified` lines — for invariant checks.
+    pub fn verified_is_exact(&self) -> bool {
+        self.nodes
+            .iter()
+            .all(|nc| nc.l1.verified_is_exact() && nc.l2.verified_is_exact())
+    }
+
     /// When the bus is next free (`None` on the hypercube), without
     /// touching it — for reference models of bus timing.
     pub fn bus_free_at(&self) -> Option<Cycles> {
@@ -466,28 +474,36 @@ impl CoherentMemory {
     /// write's issue time, and returns the final completion.
     ///
     /// This is the compute phase's working-set rewrite loop, pulled below
-    /// the dispatch layer: the (overwhelmingly common) silent-write case is
-    /// decided right here from the L1 probe, without materializing an
-    /// [`Access`] per line, and so is the directory check that sends a
-    /// post-flush rewrite straight to the upgrade. The sequence of
-    /// coherence actions — and thus every timestamp and counter — is
-    /// identical to calling [`write`](Self::write) once per line.
+    /// the dispatch layer: the L1's [`Cache::write_run`] writes each
+    /// (overwhelmingly common) silent stretch of the run, one step per
+    /// fragment it has already verified, without materializing an
+    /// [`Access`] per line. Only the lines it stops at take the per-line
+    /// path, including the directory check that sends a post-flush
+    /// rewrite straight to the upgrade. The sequence of coherence actions
+    /// — and thus every timestamp and counter — is identical to calling
+    /// [`write`](Self::write) once per line.
     pub fn write_line_run(&mut self, node: NodeId, base: Addr, lines: u32, now: Cycles) -> Cycles {
         self.stats.writes += lines as u64;
         let mut t = now;
         // Silent writes since `t` last advanced: each adds one L1 round
         // trip, settled in one step before the next non-silent write.
         let mut silent = 0;
-        for i in 0..lines as u64 {
-            let line = base.offset(i * crate::addr::LINE_BYTES).line();
-            let l1 = self.nodes[node.index()].l1.write_access(line);
+        let mut line = base.line();
+        let mut left = lines;
+        while left > 0 {
+            let (written, l1) = self.nodes[node.index()].l1.write_run(line, left);
+            left -= written;
             if l1.can_write_silently() {
-                silent += 1;
+                silent += written as u64;
             } else {
+                // The run stopped at its last written line.
+                silent += written as u64 - 1;
                 self.stats.l1_hits += silent;
-                t = self.write_run_line(node, line, l1, t + self.cfg.l1_round_trip * silent);
+                let stopped = line.offset(written as u64 - 1);
+                t = self.write_run_line(node, stopped, l1, t + self.cfg.l1_round_trip * silent);
                 silent = 0;
             }
+            line = line.offset(written as u64);
         }
         self.stats.l1_hits += silent;
         t + self.cfg.l1_round_trip * silent
@@ -1328,6 +1344,43 @@ mod tests {
             assert_eq!(end_b4, end_l4, "{cfg}");
             assert_eq!(batched.stats(), looped.stats(), "{cfg}");
             assert!(batched.dirty_index_is_exact() && looped.dirty_index_is_exact());
+
+            // Episodes: rewrites longer than the L1's 128 sets, each
+            // followed by a check-in on a count line another node also
+            // writes (L1 set 0) and a flag read (L1 set 64). Those two
+            // lines thrash the run's lines in their 2-way sets, so each
+            // rewrite splits into fragments: verified ones written as one
+            // stamp, and the lines between them missing again.
+            let count = batched.layout().shared_addr(2, 0);
+            let flag = batched.layout().shared_addr(1, 0);
+            let ws = batched.layout().shared_addr(64, 0);
+            let (mut tb, mut tl) = (end_b4, end_l4);
+            for round in 0..8u64 {
+                let lines = [192, 256, 160, 256][round as usize % 4];
+                tb = batched.write_line_run(node, ws, lines, tb);
+                for i in 0..lines as u64 {
+                    tl = looped.write(node, ws.offset(i * 64), tl).completion;
+                }
+                assert_eq!(tb, tl, "{cfg} round {round}");
+                for (mem, t) in [(&mut batched, &mut tb), (&mut looped, &mut tl)] {
+                    *t = mem.write(node, count, *t).completion;
+                    *t = mem.write(n(5), count, *t).completion;
+                    *t = mem.read(node, flag, *t).completion;
+                    if round == 5 {
+                        *t += mem.flush_dirty_shared(node, *t).duration;
+                    }
+                }
+                assert_eq!(batched.stats(), looped.stats(), "{cfg} round {round}");
+                assert!(batched.verified_is_exact(), "{cfg} round {round}");
+            }
+            for i in 0..256u64 {
+                let line = ws.offset(i * 64).line();
+                assert_eq!(
+                    batched.probe_levels(node, line),
+                    looped.probe_levels(node, line),
+                    "{cfg}"
+                );
+            }
         }
     }
 
