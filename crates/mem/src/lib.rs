@@ -9,9 +9,10 @@
 //!   policy (shared pages round-robin across nodes, private pages local).
 //! * [`mesi`] — MESI line states, the full-map directory state, and sharer
 //!   bit-sets.
-//! * [`cache`] — set-associative write-back caches with LRU replacement and
-//!   a dirty-way index, so a deep-sleep cache flush visits only the lines
-//!   it writes back.
+//! * [`cache`] — set-associative write-back caches with LRU replacement, a
+//!   dirty-way index, so a deep-sleep cache flush visits only the lines it
+//!   writes back, and verified line ranges, so a steady-state working-set
+//!   rewrite costs one step per run fragment.
 //! * [`dir`] — the full-map sharer directory (dense window plus sparse
 //!   overflow).
 //! * [`network`] — the [`Interconnect`] choice: the hypercube latency model
