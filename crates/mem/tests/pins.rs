@@ -15,6 +15,14 @@
 //! working set (runs long enough that the count and flag lines thrash
 //! their L1 sets), checks in on one count line and reads the flag that
 //! one releaser writes, and some rounds flush before the release.
+//!
+//! A third pair replays the post-flush refill on 64 nodes: every waiter
+//! flushes in every round, so each of its rewrites upgrades the lines its
+//! last flush left behind. The runs start mid-page and cross two to five
+//! pages, so a refill changes home as it goes. Between rounds another node
+//! reads a line in the middle of some flushed runs, so the refill meets a
+//! line with a second sharer, and a conflicting read evicts a flushed line
+//! from some owners' L1s, so the refill meets a line only the L2 holds.
 
 use tb_mem::{Addr, CoherentMemory, InvalidationFaults, MachineConfig, NodeId};
 use tb_sim::digest::fnv1a64_hex;
@@ -142,6 +150,106 @@ fn episode_digest(mut mem: CoherentMemory) -> String {
     }
     out.push_str(&serde::json::to_string(mem.stats()));
     fnv1a64_hex(out.as_bytes())
+}
+
+const REFILL_NODES: u16 = 64;
+const REFILL_ROUNDS: usize = 12;
+/// Lines between two lines that share an L1 and an L2 set: a multiple of
+/// both levels' 128 sets, and far above every working set.
+const CONFLICT_STRIDE: u64 = 1024 * 64;
+
+/// Runs refill rounds on 64 nodes and returns their digest. Each node's
+/// working set starts at a fixed mid-page offset; the run lengths range
+/// from 96 to 256 lines.
+fn refill_digest(mut mem: CoherentMemory) -> String {
+    let mut rng = SimRng::new(0x5EF1);
+    let count = mem.layout().shared_addr(2, 0);
+    let flag = mem.layout().shared_addr(3, 0);
+    let bases: Vec<Addr> = (0..REFILL_NODES as u64)
+        .map(|n| {
+            mem.layout()
+                .shared_addr(64 + n * 8, (1 + rng.below(63)) * 64)
+        })
+        .collect();
+    let pick = |rng: &mut SimRng| NodeId::new(rng.below(REFILL_NODES as u64) as u16);
+    let mut out = String::new();
+    let mut t = Cycles::ZERO;
+    for round in 0..REFILL_ROUNDS {
+        let releaser = pick(&mut rng);
+        let mut lock_free = t;
+        let mut last = t;
+        for n in 0..REFILL_NODES {
+            let node = NodeId::new(n);
+            let lines = 96 + rng.below(161) as u32;
+            let start = t + Cycles::from_nanos(rng.below(2000));
+            let end = mem.write_line_run(node, bases[n as usize], lines, start);
+            out.push_str(&serde::json::to_string(&end));
+            let checkin = mem.write(node, count, end.max(lock_free));
+            lock_free = checkin.completion + Cycles::from_nanos(10);
+            last = last.max(checkin.completion);
+            out.push_str(&serde::json::to_string(&checkin));
+            if node != releaser {
+                let spin = mem.read(node, flag, checkin.completion);
+                let f = mem.flush_dirty_shared(node, spin.completion);
+                out.push_str(&serde::json::to_string(&spin));
+                out.push_str(&serde::json::to_string(&f));
+            }
+            out.push('\n');
+        }
+        // Two rounds in three disturb some flushed runs before their
+        // refill: a remote read adds a sharer to a line in the middle of
+        // a run, and a conflicting read evicts a line from its owner's L1.
+        if round % 3 != 2 {
+            for _ in 0..8 {
+                let owner = pick(&mut rng);
+                let mid = bases[owner.index()].offset(rng.below(96) * 64);
+                let reader = pick(&mut rng);
+                if reader != owner {
+                    let r = mem.read(reader, mid, last);
+                    out.push_str(&serde::json::to_string(&r));
+                }
+                let mid = bases[owner.index()].offset(rng.below(96) * 64);
+                let r = mem.read(owner, mid.offset(CONFLICT_STRIDE * 64), last);
+                out.push_str(&serde::json::to_string(&r));
+            }
+            out.push('\n');
+        }
+        let release = mem.write(releaser, flag, last);
+        out.push_str(&serde::json::to_string(&release));
+        for n in (0..REFILL_NODES)
+            .map(NodeId::new)
+            .filter(|&n| n != releaser)
+        {
+            let wake = mem.read(n, flag, release.completion);
+            out.push_str(&serde::json::to_string(&wake));
+        }
+        out.push('\n');
+        t = release.completion + Cycles::from_micros(1);
+    }
+    out.push_str(&serde::json::to_string(mem.stats()));
+    fnv1a64_hex(out.as_bytes())
+}
+
+#[test]
+fn directory_n64_refills_match_fixture() {
+    let got = refill_digest(CoherentMemory::directory(MachineConfig::table1()));
+    assert_eq!(
+        got,
+        fixture("directory_n64_refills.digest").trim(),
+        "directory refills drifted from tests/golden/directory_n64_refills.digest"
+    );
+}
+
+#[test]
+fn bus_n64_refills_match_fixture() {
+    let got = refill_digest(CoherentMemory::directory(MachineConfig::bus_smp(
+        REFILL_NODES,
+    )));
+    assert_eq!(
+        got,
+        fixture("bus_n64_refills.digest").trim(),
+        "bus refills drifted from tests/golden/bus_n64_refills.digest"
+    );
 }
 
 #[test]
