@@ -125,6 +125,12 @@ impl LineAddr {
     pub(crate) const fn offset(self, lines: u64) -> LineAddr {
         LineAddr(self.0 + lines)
     }
+
+    /// The first line of the next page: every line from this one up to
+    /// it shares this line's page, and so its home.
+    pub(crate) const fn next_page(self) -> LineAddr {
+        LineAddr((self.0 | (PAGE_BYTES / LINE_BYTES - 1)) + 1)
+    }
 }
 
 impl fmt::Display for LineAddr {

@@ -11,6 +11,10 @@
 //! two caches: one writes runs with [`Cache::write_run`] (verified ranges
 //! and stamps), the other line by line with [`Cache::write_access`]. Every
 //! return value, every `insert` victim and the resident lines must agree.
+//! At the memory level, a second one runs long line runs, flushes and
+//! remote accesses on two memories: one writes each run with
+//! `write_line_run` (post-flush refills included), the other line by line
+//! with `write`.
 
 use proptest::prelude::*;
 use tb_mem::{
@@ -383,8 +387,193 @@ fn clean(cache: &mut Cache, modulus: u64) -> Vec<(LineAddr, bool)> {
     seen
 }
 
+/// Nodes of the run-level differential test.
+const RUN_NODES: u16 = 4;
+/// Longest run of the run-level differential test.
+const LONG_RUN: u32 = 160;
+/// Where its runs start, as (shared page, line in page): near page ends
+/// and overlapping, so a run crosses up to three page (home) boundaries
+/// and rewrites lines that other runs and remote accesses touched.
+const RUN_STARTS: [(u64, u64); 4] = [(1, 63), (1, 50), (2, 60), (2, 33)];
+/// Lines between a line and its conflict line: the same L1 and L2 set,
+/// far above every run.
+const CONFLICT: u64 = 1024 * 128;
+
+/// One op of the run-level differential test; `line` indexes the lines
+/// the runs cover.
+#[derive(Debug, Clone)]
+enum RunOp {
+    Run {
+        node: u16,
+        start: usize,
+        lines: u32,
+    },
+    Flush {
+        node: u16,
+    },
+    Read {
+        node: u16,
+        line: usize,
+    },
+    Write {
+        node: u16,
+        line: usize,
+    },
+    /// `node` reads the conflict line of a run line, evicting one line of
+    /// that set from its L1.
+    Evict {
+        node: u16,
+        line: usize,
+    },
+}
+
+fn run_op() -> impl Strategy<Value = RunOp> {
+    // Node 0 writes, flushes and evicts most often, so its runs refill
+    // the lines its flushes left behind; any node reads or writes them.
+    let owner = || prop_oneof![3 => Just(0), 1 => 1..RUN_NODES];
+    let line = 0..512usize;
+    prop_oneof![
+        6 => (owner(), 0..RUN_STARTS.len(), 1..=LONG_RUN)
+            .prop_map(|(node, start, lines)| RunOp::Run { node, start, lines }),
+        3 => owner().prop_map(|node| RunOp::Flush { node }),
+        2 => (0..RUN_NODES, line.clone()).prop_map(|(node, line)| RunOp::Read { node, line }),
+        1 => (0..RUN_NODES, line.clone()).prop_map(|(node, line)| RunOp::Write { node, line }),
+        2 => (owner(), line).prop_map(|(node, line)| RunOp::Evict { node, line }),
+    ]
+}
+
+/// The first line of each run start, and every line a run covers.
+fn run_lines(mem: &CoherentMemory) -> (Vec<Addr>, Vec<Addr>) {
+    let starts: Vec<Addr> = RUN_STARTS
+        .iter()
+        .map(|&(page, line)| mem.layout().shared_addr(page, line * 64))
+        .collect();
+    let mut lines: Vec<Addr> = starts
+        .iter()
+        .flat_map(|a| (0..LONG_RUN as u64).map(move |i| a.offset(i * 64)))
+        .collect();
+    lines.sort_unstable_by_key(|a| a.as_u64());
+    lines.dedup();
+    (starts, lines)
+}
+
+/// `lines` per-line writes by `node` from `base`, each issued at the
+/// previous one's completion; returns the last completion.
+fn write_by_lines(
+    mem: &mut CoherentMemory,
+    node: NodeId,
+    base: Addr,
+    lines: u32,
+    t: Cycles,
+) -> Cycles {
+    (0..lines as u64).fold(t, |t, i| mem.write(node, base.offset(i * 64), t).completion)
+}
+
+/// Compares the two memories of the run-level test: counters, every
+/// universe line's states at every node and in the directory, and the
+/// verified ranges.
+fn same_memories(
+    runs: &CoherentMemory,
+    lines: &CoherentMemory,
+    universe: &[LineAddr],
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(runs.stats(), lines.stats(), "{}", ctx);
+    prop_assert_eq!(
+        line_states(runs, universe),
+        line_states(lines, universe),
+        "{}",
+        ctx
+    );
+    prop_assert!(
+        runs.verified_is_exact() && lines.verified_is_exact(),
+        "{}",
+        ctx
+    );
+    prop_assert!(runs.dirty_index_is_exact(), "{}", ctx);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `write_line_run` is per-line `write` over long runs: on both
+    /// interconnects, after every op the run's completion, every access
+    /// and flush, the counters, every line's cache and directory states
+    /// and the verified ranges agree. Flushes turn later runs into
+    /// refills, which cross pages, meet lines a remote read shared or a
+    /// conflict evicted from the L1, and meet lines a remote write took.
+    /// A closing conflict sweep compares the LRU victims of both levels.
+    #[test]
+    fn write_line_run_matches_per_line_writes_over_refills(
+        ops in proptest::collection::vec(run_op(), 1..48),
+    ) {
+        for (mut runs, mut lines) in both(RUN_NODES).into_iter().zip(both(RUN_NODES)) {
+            let (starts, run_lines) = run_lines(&runs);
+            let conflict = |a: Addr| a.offset(CONFLICT * 64);
+            let mut universe: Vec<LineAddr> = run_lines
+                .iter()
+                .flat_map(|&a| [a.line(), conflict(a).line()])
+                .collect();
+            universe.sort_unstable();
+            let cfg = runs.config().to_string();
+            let mut t = Cycles::ZERO;
+            for (step, op) in ops.iter().enumerate() {
+                t += Cycles::from_nanos(150);
+                let ctx = format!("{cfg}, op {step} {op:?}");
+                match *op {
+                    RunOp::Run { node, start, lines: n } => {
+                        let node = NodeId::new(node);
+                        let got = runs.write_line_run(node, starts[start], n, t);
+                        let want = write_by_lines(&mut lines, node, starts[start], n, t);
+                        prop_assert_eq!(got, want, "{}", ctx);
+                        t = t.max(got);
+                    }
+                    RunOp::Flush { node } => {
+                        let node = NodeId::new(node);
+                        prop_assert_eq!(
+                            runs.flush_dirty_shared(node, t),
+                            lines.flush_dirty_shared(node, t),
+                            "{}", ctx
+                        );
+                    }
+                    RunOp::Read { node, line } | RunOp::Evict { node, line } => {
+                        let mut addr = run_lines[line % run_lines.len()];
+                        if matches!(op, RunOp::Evict { .. }) {
+                            addr = conflict(addr);
+                        }
+                        let node = NodeId::new(node);
+                        prop_assert_eq!(runs.read(node, addr, t), lines.read(node, addr, t), "{}", ctx);
+                    }
+                    RunOp::Write { node, line } => {
+                        let addr = run_lines[line % run_lines.len()];
+                        let node = NodeId::new(node);
+                        prop_assert_eq!(runs.write(node, addr, t), lines.write(node, addr, t), "{}", ctx);
+                    }
+                }
+                same_memories(&runs, &lines, &universe, &ctx)?;
+            }
+            // The conflict sweep: each node first reads one line per set,
+            // which evicts the least recent of two lines from each full L1
+            // set, then writes six more per set, which evicts the least
+            // recent lines from each L2 set that holds three or more.
+            let sweep = runs.layout().shared_addr(4096, 0);
+            for n in 0..RUN_NODES {
+                let node = NodeId::new(n);
+                for i in 0..128u64 {
+                    let addr = sweep.offset(i * 64);
+                    prop_assert_eq!(runs.read(node, addr, t), lines.read(node, addr, t), "{}", cfg);
+                }
+                let ctx = format!("{cfg}, L1 sweep of {node}");
+                same_memories(&runs, &lines, &universe, &ctx)?;
+                let next = sweep.offset(128 * 64);
+                let got = runs.write_line_run(node, next, 6 * 128, t);
+                prop_assert_eq!(got, write_by_lines(&mut lines, node, next, 6 * 128, t), "{}", cfg);
+                let ctx = format!("{cfg}, L2 sweep of {node}");
+                same_memories(&runs, &lines, &universe, &ctx)?;
+            }
+        }
+    }
 
     /// `write_run` is per-line `write_access`: on 2-way x 8 sets, 4-way x
     /// 4 sets and Table 1's L1, after any op sequence every return value,
