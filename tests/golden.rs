@@ -100,6 +100,18 @@ fn sweep_n8_json_digest_matches_fixture() {
     );
 }
 
+/// The paper-scale (64-node) report stream, pinned by the digest the
+/// benchmark's gate checks. The text fixture rounds every figure, so only
+/// this catches a small timing drift, such as one in a post-flush refill.
+#[test]
+fn sweep_n64_json_digest_matches_fixture() {
+    assert_eq!(
+        json_digest(&["sweep", "--nodes", "64", "--json"]),
+        digest_fixture("sweep_n64_json.digest"),
+        "sweep --nodes 64 --json digest drifted from tests/golden/sweep_n64_json.digest"
+    );
+}
+
 /// Fault plumbing must be provably zero-cost when disabled: `sweep
 /// --faults none` routes every cell through the fault-aware, panic-isolated
 /// path with a disabled plan, and its bytes must equal the plain sweep
