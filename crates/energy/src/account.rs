@@ -147,29 +147,11 @@ impl fmt::Display for CategoryBreakdown {
     }
 }
 
-/// One logged sleep-state power transition, tagged with the barrier
-/// episode that caused it (for cross-referencing energy against a trace).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransitionRecord {
-    /// The barrier episode the transition belongs to.
-    pub episode: u64,
-    /// Transition duration.
-    pub duration: Cycles,
-    /// Power at the start of the ramp, watts.
-    pub from_watts: f64,
-    /// Power at the end of the ramp, watts.
-    pub to_watts: f64,
-}
-
 /// The energy/time ledger of one CPU.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CpuLedger {
     energy_joules: CategoryBreakdown,
     time_cycles: CategoryBreakdown,
-    /// Per-transition log (empty unless enabled — aggregate accounting
-    /// must stay O(1) memory for long runs).
-    transition_log: Vec<TransitionRecord>,
-    log_transitions: bool,
 }
 
 impl CpuLedger {
@@ -203,39 +185,6 @@ impl CpuLedger {
         );
     }
 
-    /// Like [`record_transition`](CpuLedger::record_transition), but also
-    /// appends a [`TransitionRecord`] tagged with the barrier `episode` when
-    /// transition logging is enabled.
-    pub fn record_transition_tagged(
-        &mut self,
-        duration: Cycles,
-        from_watts: f64,
-        to_watts: f64,
-        episode: u64,
-    ) {
-        self.record_transition(duration, from_watts, to_watts);
-        if self.log_transitions {
-            self.transition_log.push(TransitionRecord {
-                episode,
-                duration,
-                from_watts,
-                to_watts,
-            });
-        }
-    }
-
-    /// Turns on per-transition logging (off by default; the log grows by
-    /// one record per tagged transition).
-    pub fn enable_transition_log(&mut self) {
-        self.log_transitions = true;
-    }
-
-    /// The tagged transitions recorded so far (empty unless logging was
-    /// enabled before they happened).
-    pub fn transition_log(&self) -> &[TransitionRecord] {
-        &self.transition_log
-    }
-
     /// Energy per category, joules.
     pub fn energy(&self) -> &CategoryBreakdown {
         &self.energy_joules
@@ -256,12 +205,10 @@ impl CpuLedger {
         self.time_cycles.total()
     }
 
-    /// Merges another CPU's ledger into this one (including any logged
-    /// transitions).
+    /// Merges another CPU's ledger into this one.
     pub fn merge(&mut self, other: &CpuLedger) {
         self.energy_joules.add(&other.energy_joules);
         self.time_cycles.add(&other.time_cycles);
-        self.transition_log.extend_from_slice(&other.transition_log);
     }
 }
 
@@ -315,13 +262,6 @@ impl MachineLedger {
     /// Iterates over per-CPU ledgers.
     pub fn iter(&self) -> std::slice::Iter<'_, CpuLedger> {
         self.cpus.iter()
-    }
-
-    /// Turns on per-transition logging on every CPU's ledger.
-    pub fn enable_transition_log(&mut self) {
-        for cpu in &mut self.cpus {
-            cpu.enable_transition_log();
-        }
     }
 
     /// Machine-wide energy per category, joules.
@@ -425,34 +365,6 @@ mod tests {
         assert!((m.total_energy() - 4.0 * 0.025).abs() < 1e-12);
         assert_eq!(m.time()[EnergyCategory::Compute], 4e6);
         assert_eq!(m.iter().count(), 4);
-    }
-
-    #[test]
-    fn transition_log_is_opt_in_and_tagged() {
-        let mut l = CpuLedger::new();
-        // Not enabled: charged but not logged.
-        l.record_transition_tagged(Cycles::from_micros(10), 60.0, 20.0, 0);
-        assert!(l.transition_log().is_empty());
-        l.enable_transition_log();
-        l.record_transition_tagged(Cycles::from_micros(10), 60.0, 20.0, 7);
-        assert_eq!(l.transition_log().len(), 1);
-        assert_eq!(l.transition_log()[0].episode, 7);
-        // Both calls charged energy identically.
-        assert!((l.energy()[EnergyCategory::Transition] - 2.0 * 4e-4).abs() < 1e-12);
-        // Merging carries the log along.
-        let mut sum = CpuLedger::new();
-        sum.merge(&l);
-        assert_eq!(sum.transition_log().len(), 1);
-    }
-
-    #[test]
-    fn machine_wide_transition_log_enable() {
-        let mut m = MachineLedger::new(2);
-        m.enable_transition_log();
-        m.cpu_mut(1)
-            .record_transition_tagged(Cycles::from_micros(5), 10.0, 1.0, 3);
-        assert!(m.cpu(0).transition_log().is_empty());
-        assert_eq!(m.cpu(1).transition_log().len(), 1);
     }
 
     #[test]

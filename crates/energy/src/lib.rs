@@ -35,6 +35,6 @@ pub mod account;
 pub mod sleep;
 pub mod wattch;
 
-pub use account::{CategoryBreakdown, CpuLedger, EnergyCategory, MachineLedger, TransitionRecord};
+pub use account::{CategoryBreakdown, CpuLedger, EnergyCategory, MachineLedger};
 pub use sleep::{SleepState, SleepStateId, SleepTable};
 pub use wattch::{PowerModel, WattchModel};

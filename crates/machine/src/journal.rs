@@ -42,7 +42,7 @@ pub const JOURNAL_MAGIC: &str = "thrifty-barrier-sweep-journal";
 /// plus the journal format revision. Changing either invalidates existing
 /// journals on resume.
 pub fn code_version() -> String {
-    format!("{}+journal-v3", env!("CARGO_PKG_VERSION"))
+    format!("{}+journal-v4", env!("CARGO_PKG_VERSION"))
 }
 
 /// The journal's first line.
@@ -563,21 +563,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Keys gained the cell variant in format v3, so a v2 journal (whose
-    /// keys lack it) is refused rather than replayed.
+    /// Format v4 reports no longer carry the energy ledger's transition
+    /// log, so a v3 journal is refused rather than replayed.
     #[test]
-    fn v2_journals_are_refused() {
+    fn v3_journals_are_refused() {
         assert!(
-            code_version().ends_with("+journal-v3"),
+            code_version().ends_with("+journal-v4"),
             "{}",
             code_version()
         );
-        let path = tmp("v2");
+        let path = tmp("v3");
         let mut journal = SweepJournal::create(&path, "p").unwrap();
         journal.append(&key(), &outcome()).unwrap();
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("+journal-v3", "+journal-v2")).unwrap();
+        std::fs::write(&path, text.replace("+journal-v4", "+journal-v3")).unwrap();
         let err = SweepJournal::resume(&path, "p").unwrap_err();
         assert!(
             matches!(

@@ -380,13 +380,9 @@ impl Simulator {
     pub fn new(cfg: SimulatorConfig, trace: AppTrace, mut algo: BarrierAlgorithm) -> Self {
         let threads = trace.threads;
         // The algorithm shares the executor's sink: semantic and physical
-        // events interleave in one capture. With tracing on, the energy
-        // ledger also logs per-transition records for cross-referencing.
+        // events interleave in one capture.
         algo.set_trace(cfg.trace.clone());
-        let mut ledger = MachineLedger::new(threads);
-        if cfg.trace.is_enabled() {
-            ledger.enable_transition_log();
-        }
+        let ledger = MachineLedger::new(threads);
         assert!(
             cfg.machine.nodes as usize >= threads,
             "machine has {} nodes but the trace needs {threads}",
@@ -761,12 +757,9 @@ impl Simulator {
                 let st = self.algo.policy().state(state);
                 let entry_latency = st.transition_latency();
                 let p_sleep = st.power_watts(self.cfg.power.tdp_max());
-                self.ledger.cpu_mut(tid).record_transition_tagged(
-                    entry_latency,
-                    self.p_compute,
-                    p_sleep,
-                    step as u64,
-                );
+                self.ledger
+                    .cpu_mut(tid)
+                    .record_transition(entry_latency, self.p_compute, p_sleep);
                 self.emit(
                     tid,
                     t,
@@ -994,13 +987,9 @@ impl Simulator {
         self.ledger
             .cpu_mut(tid)
             .record(EnergyCategory::Sleep, at.saturating_sub(since), p_sleep);
-        let episode = self.procs[tid].step as u64;
-        self.ledger.cpu_mut(tid).record_transition_tagged(
-            exit_latency,
-            p_sleep,
-            self.p_compute,
-            episode,
-        );
+        self.ledger
+            .cpu_mut(tid)
+            .record_transition(exit_latency, p_sleep, self.p_compute);
         self.procs[tid].state = ProcState::ExitingSleep;
         self.queue
             .schedule(at + exit_latency, Event::TransitionDone { tid });

@@ -77,6 +77,26 @@ fn with(variant: Variant, cell: Cell) -> Cell {
     cell.with_variant(variant)
 }
 
+/// Recording a cell adds its trace summary and changes nothing else its
+/// report serializes.
+#[test]
+fn recorded_report_equals_unrecorded_apart_from_its_trace() {
+    let app = AppSpec::by_name("Ocean").unwrap();
+    let cells = [SystemConfig::Baseline, SystemConfig::Thrifty]
+        .map(|c| Cell::new(app.clone(), NODES, SEED, c));
+    let recorded = run_all(&Harness::serial().with_record(Some(1 << 16)), &cells);
+    let plain = run_all(&Harness::serial(), &cells);
+    assert!(plain[1].counts.total_sleeps() > 0, "Thrifty transitions");
+    for (mut report, unrecorded) in recorded.into_iter().zip(&plain) {
+        assert!(
+            report.trace.take().is_some(),
+            "{} was recorded",
+            report.config
+        );
+        assert_eq!(json(&report), json(unrecorded), "{}", report.config);
+    }
+}
+
 /// A time-sharing Baseline cell runs its own simulation: it is neither
 /// served from nor stored in the plain Baseline cache.
 #[test]
