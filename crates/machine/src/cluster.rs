@@ -1,29 +1,157 @@
-//! The message-passing barrier executor.
+//! The thrifty barrier on a **message-passing** machine — the environment
+//! the paper names as the natural extension ("the idea is conceptually
+//! viable in other environments such as message-passing machines", §1;
+//! "extending this concept to other parallel computing environments, such
+//! as message-passing systems", §7).
 //!
-//! A coordinator barrier: every node finishing its compute phase sends an
-//! *arrival* message to the coordinator (the coordinator checks in with
-//! itself for free). When the count completes, the coordinator measures
-//! the BIT against its own previous-release timestamp and broadcasts a
-//! *release* message that carries the measured BIT — the message-passing
-//! realization of §3.2.1's "shared BIT variable".
+//! The mapping is direct, and in one respect *simpler* than shared memory:
 //!
-//! Non-coordinator nodes that arrive early run the unmodified
-//! [`tb_core::BarrierAlgorithm`]: predict the BIT, derive their stall,
-//! pick a sleep state, and arm the hybrid wake-up — the external signal
-//! being the release message's NIC interrupt, the internal one a NIC
-//! timer. The coordinator itself never sleeps (it must service arrival
-//! messages); it polls, and its stall is charged as spin energy.
+//! | Shared-memory mechanism | Message-passing analog |
+//! |---|---|
+//! | barrier flag + spin | arrival message to a coordinator + NIC polling |
+//! | flag invalidation = external wake-up | release-message delivery = NIC interrupt wake-up |
+//! | shared BIT variable (§3.2.1) | the release message **carries** the measured BIT |
+//! | cache-controller timer | NIC-local countdown timer |
+//! | dirty-data flush before deep sleep | — (no coherent caches to flush) |
 //!
+//! [`ClusterConfig`] models the distributed machine: nodes exchange
+//! point-to-point messages over a full crossbar, where a message sent at
+//! `t` is delivered at `t + latency` and a node broadcasting to many
+//! destinations serializes its sends with a per-message dispatch gap (the
+//! NIC's injection rate). Latencies default to a tightly-coupled cluster of
+//! the paper's era (a few microseconds per message — an order of magnitude
+//! above the CC-NUMA machine's coherence messages, which is exactly why the
+//! trade-offs shift).
+//!
+//! [`MsgSimulator`] runs a coordinator barrier: every node finishing its
+//! compute phase sends an *arrival* message to the coordinator (the
+//! coordinator checks in with itself for free). When the count completes,
+//! the coordinator measures the BIT against its own previous-release
+//! timestamp and broadcasts a *release* message that carries the measured
+//! BIT — the message-passing realization of §3.2.1's "shared BIT
+//! variable".
+//!
+//! Non-coordinator nodes that arrive early run the *unmodified*
+//! [`tb_core::BarrierAlgorithm`] that drives the shared-memory machine —
+//! the strongest form of the paper's portability claim: predict the BIT,
+//! derive their stall, pick a sleep state, and arm the hybrid wake-up, the
+//! external signal being the release message's NIC interrupt, the internal
+//! one a NIC timer. The coordinator itself never sleeps (it must service
+//! arrival messages); it polls, and its stall is charged as spin energy.
 //! There are no coherent caches, so the deep states' flush requirement is
 //! vacuous here; `needs_flush` is ignored.
+//!
+//! A run yields the same [`RunReport`] as the shared-memory machine: polls
+//! are its `counts.spins`, and it records no per-instance records. In the
+//! harness, a cell runs here when its variant's substrate is
+//! [`Substrate::Cluster`](crate::harness::Substrate::Cluster).
+//!
+//! # Examples
+//!
+//! ```
+//! use tb_core::AlgorithmConfig;
+//! use tb_machine::cluster::{ClusterConfig, MsgSimulator};
+//! use tb_workloads::AppSpec;
+//!
+//! let trace = AppSpec::by_name("FMM").unwrap().generate(16, 7);
+//! let run = |name, algo| {
+//!     MsgSimulator::new(ClusterConfig::default_cluster(16), trace.clone(), name, algo)
+//!         .run(None)
+//!         .unwrap()
+//! };
+//! let base = run("Baseline", AlgorithmConfig::baseline());
+//! let thrifty = run("Thrifty", AlgorithmConfig::thrifty());
+//! assert!(thrifty.total_energy() < base.total_energy());
+//! ```
 
-use crate::cluster::ClusterConfig;
+use crate::report::{BarrierEventCounts, RunReport};
+use crate::sim::{CellError, Deadline};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tb_core::{AlgorithmConfig, BarrierAlgorithm, BarrierPc, SleepChoice, ThreadId};
 use tb_energy::{EnergyCategory, MachineLedger, PowerModel, SleepStateId};
 use tb_sim::{Cycles, EventId, EventQueue, OnlineStats};
 use tb_workloads::AppTrace;
+
+/// Cluster parameters.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ClusterConfig {
+    /// Number of nodes (one process per node).
+    pub nodes: u16,
+    /// One-way small-message latency between any two distinct nodes.
+    pub msg_latency: Cycles,
+    /// Serialization gap between successive sends from one node (NIC
+    /// injection rate).
+    pub dispatch_gap: Cycles,
+    /// Time for a polling loop iteration to notice a delivered message.
+    pub poll_grain: Cycles,
+    /// Which node coordinates the barrier (collects arrivals, broadcasts
+    /// releases).
+    pub coordinator: u16,
+}
+
+impl ClusterConfig {
+    /// A tightly-coupled cluster: 5 µs messages, 200 ns injection gap,
+    /// 100 ns polling grain, node 0 coordinating.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= nodes <= 1024`.
+    pub fn default_cluster(nodes: u16) -> Self {
+        assert!(
+            (2..=1024).contains(&nodes),
+            "cluster size must be in 2..=1024, got {nodes}"
+        );
+        ClusterConfig {
+            nodes,
+            msg_latency: Cycles::from_micros(5),
+            dispatch_gap: Cycles::from_nanos(200),
+            poll_grain: Cycles::from_nanos(100),
+            coordinator: 0,
+        }
+    }
+
+    /// Delivery time of a message sent from `from` to `to` at `sent`,
+    /// as the `index`-th message of a batch (broadcasts serialize).
+    ///
+    /// A self-message (coordinator checking in with itself) is free.
+    pub fn delivery(&self, from: u16, to: u16, sent: Cycles, index: u64) -> Cycles {
+        if from == to {
+            sent
+        } else {
+            sent + self.dispatch_gap * index + self.msg_latency
+        }
+    }
+
+    /// Validates the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinator is out of range or latencies are zero.
+    pub fn validate(&self) {
+        assert!(
+            self.coordinator < self.nodes,
+            "coordinator {} outside the {}-node cluster",
+            self.coordinator,
+            self.nodes
+        );
+        assert!(
+            self.msg_latency > Cycles::ZERO,
+            "messages cannot be instant"
+        );
+        assert!(self.poll_grain > Cycles::ZERO, "polling cannot be instant");
+    }
+}
+
+impl fmt::Display for ClusterConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} nodes, {} msg latency, {} dispatch gap, coordinator n{}",
+            self.nodes, self.msg_latency, self.dispatch_gap, self.coordinator
+        )
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -62,72 +190,11 @@ struct Node {
     predicted_bit: Option<Cycles>,
 }
 
-/// Results of one message-passing run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MsgRunReport {
-    /// Application name.
-    pub app: String,
-    /// Node count.
-    pub nodes: usize,
-    /// Wall-clock execution time.
-    pub wall_time: Cycles,
-    /// Per-node energy/time ledgers.
-    pub ledger: MachineLedger,
-    /// Barrier episodes completed.
-    pub episodes: u64,
-    /// Sleep episodes per state.
-    pub sleeps_by_state: Vec<u64>,
-    /// Early arrivals that polled instead of sleeping.
-    pub polls: u64,
-    /// Sleep episodes ended by the NIC timer.
-    pub internal_wakeups: u64,
-    /// Sleep episodes ended by the release-message interrupt.
-    pub external_wakeups: u64,
-    /// Relative BIT prediction error over predicted arrivals.
-    pub prediction_error: OnlineStats,
-}
-
-impl MsgRunReport {
-    /// Total energy, joules.
-    pub fn total_energy(&self) -> f64 {
-        self.ledger.total_energy()
-    }
-
-    /// Total sleeps across states.
-    pub fn total_sleeps(&self) -> u64 {
-        self.sleeps_by_state.iter().sum()
-    }
-
-    /// Relative energy savings vs another run (positive = this one saves).
-    pub fn energy_savings_vs(&self, other: &MsgRunReport) -> f64 {
-        1.0 - self.total_energy() / other.total_energy()
-    }
-
-    /// Relative wall-clock slowdown vs another run.
-    pub fn slowdown_vs(&self, other: &MsgRunReport) -> f64 {
-        self.wall_time.as_u64() as f64 / other.wall_time.as_u64() as f64 - 1.0
-    }
-}
-
-impl fmt::Display for MsgRunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} on {} msg-passing nodes: wall {}, {:.3} J, {} sleeps, {} polls",
-            self.app,
-            self.nodes,
-            self.wall_time,
-            self.total_energy(),
-            self.total_sleeps(),
-            self.polls
-        )
-    }
-}
-
 /// The message-passing cluster simulator.
 #[derive(Debug)]
 pub struct MsgSimulator {
     cluster: ClusterConfig,
+    config_name: String,
     trace: AppTrace,
     algo: BarrierAlgorithm,
     power: PowerModel,
@@ -138,23 +205,26 @@ pub struct MsgSimulator {
     episode_release: Vec<Cycles>,
     episode_bits: Vec<Cycles>,
     ledger: MachineLedger,
-    sleeps_by_state: Vec<u64>,
-    polls: u64,
-    internal_wakeups: u64,
-    external_wakeups: u64,
+    counts: BarrierEventCounts,
     prediction_error: OnlineStats,
     p_compute: f64,
     p_spin: f64,
 }
 
 impl MsgSimulator {
-    /// Creates a simulator for `trace` on `cluster` under `algo_cfg`.
+    /// Creates a simulator for `trace` on `cluster` under `algo_cfg`, whose
+    /// report is labelled `config_name`.
     ///
     /// # Panics
     ///
     /// Panics if the cluster is smaller than the trace's thread count or
     /// the configuration is invalid.
-    pub fn new(cluster: ClusterConfig, trace: AppTrace, algo_cfg: AlgorithmConfig) -> Self {
+    pub fn new(
+        cluster: ClusterConfig,
+        trace: AppTrace,
+        config_name: impl Into<String>,
+        algo_cfg: AlgorithmConfig,
+    ) -> Self {
         cluster.validate();
         assert!(
             cluster.nodes as usize >= trace.threads,
@@ -183,15 +253,16 @@ impl MsgSimulator {
             episode_release: vec![Cycles::MAX; episodes],
             episode_bits: vec![Cycles::ZERO; episodes],
             ledger: MachineLedger::new(trace.threads),
-            sleeps_by_state: vec![0; n_states],
-            polls: 0,
-            internal_wakeups: 0,
-            external_wakeups: 0,
+            counts: BarrierEventCounts {
+                sleeps_by_state: vec![0; n_states],
+                ..BarrierEventCounts::default()
+            },
             prediction_error: OnlineStats::new(),
             p_compute: power.compute_watts(),
             p_spin: power.spin_watts(),
             power,
             cluster,
+            config_name: config_name.into(),
             trace,
             algo,
         }
@@ -205,13 +276,20 @@ impl MsgSimulator {
         BarrierPc::new(self.trace.steps[step].pc)
     }
 
-    /// Runs to completion.
-    pub fn run(mut self) -> MsgRunReport {
+    /// Runs to completion, or until `deadline` passes
+    /// ([`CellError::Timeout`], noticed at the next poll of the wall clock,
+    /// every 1024 events). Polls are the report's `counts.spins`, and it
+    /// has no instance records.
+    pub fn run(mut self, deadline: Option<Deadline>) -> Result<RunReport, CellError> {
         for node in 0..self.trace.threads {
             let dur = self.trace.steps[0].compute[node];
             self.queue.schedule(dur, Event::ComputeDone { node });
         }
+        let mut events = 0u64;
         while let Some((now, ev)) = self.queue.pop() {
+            if let Some(d) = &deadline {
+                d.poll(&mut events)?;
+            }
             match ev {
                 Event::ComputeDone { node } => self.on_compute_done(node, now),
                 Event::ArriveAtCoordinator { episode } => self.on_arrive(episode, now),
@@ -229,18 +307,19 @@ impl MsgSimulator {
             .map(|n| n.depart_time)
             .max()
             .unwrap_or(Cycles::ZERO);
-        MsgRunReport {
+        self.counts.episodes = self.released.iter().filter(|&&r| r).count() as u64;
+        Ok(RunReport {
             app: self.trace.app_name.clone(),
-            nodes: self.trace.threads,
+            config: self.config_name,
+            threads: self.trace.threads,
             wall_time,
             ledger: self.ledger,
-            episodes: self.released.iter().filter(|&&r| r).count() as u64,
-            sleeps_by_state: self.sleeps_by_state,
-            polls: self.polls,
-            internal_wakeups: self.internal_wakeups,
-            external_wakeups: self.external_wakeups,
+            counts: self.counts,
             prediction_error: self.prediction_error,
-        }
+            instances: Vec::new(),
+            observed_thread: 0,
+            trace: None,
+        })
     }
 
     fn on_compute_done(&mut self, node: usize, now: Cycles) {
@@ -267,11 +346,12 @@ impl MsgSimulator {
         // Early-arrival decision with the *unmodified* algorithm.
         let pc = self.pc_of(step);
         let decision = self.algo.on_early_arrival(ThreadId::new(node), pc, now);
+        self.counts.early_arrivals += 1;
         self.nodes[node].predicted_bit = decision.predicted_bit;
         match decision.choice {
             SleepChoice::Spin => {
                 self.nodes[node].state = NodeState::Polling { since: now };
-                self.polls += 1;
+                self.counts.spins += 1;
             }
             SleepChoice::Sleep { state, .. } => {
                 // No caches to flush in a message-passing node.
@@ -298,7 +378,7 @@ impl MsgSimulator {
                     );
                     self.nodes[node].timer = Some(id);
                 }
-                self.sleeps_by_state[state.index()] += 1;
+                self.counts.sleeps_by_state[state.index()] += 1;
             }
         }
     }
@@ -356,7 +436,7 @@ impl MsgSimulator {
             NodeState::Sleeping { state, since } => {
                 if self.nodes[node].interrupt_armed {
                     self.begin_exit(node, state, since, now);
-                    self.external_wakeups += 1;
+                    self.counts.external_wakeups += 1;
                 }
             }
             NodeState::EnteringSleep { state, .. } => {
@@ -365,7 +445,7 @@ impl MsgSimulator {
                         state,
                         wake_pending: true,
                     };
-                    self.external_wakeups += 1;
+                    self.counts.external_wakeups += 1;
                 }
             }
             NodeState::ExitingSleep => {}
@@ -383,14 +463,14 @@ impl MsgSimulator {
         match self.nodes[node].state {
             NodeState::Sleeping { state, since } => {
                 self.begin_exit(node, state, since, now);
-                self.internal_wakeups += 1;
+                self.counts.internal_wakeups += 1;
             }
             NodeState::EnteringSleep { state, .. } => {
                 self.nodes[node].state = NodeState::EnteringSleep {
                     state,
                     wake_pending: true,
                 };
-                self.internal_wakeups += 1;
+                self.counts.internal_wakeups += 1;
             }
             _ => {}
         }
@@ -484,7 +564,54 @@ impl MsgSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use tb_workloads::{AppSpec, PhaseSpec, Variability};
+
+    #[test]
+    fn default_cluster_is_valid() {
+        let c = ClusterConfig::default_cluster(64);
+        c.validate();
+        assert_eq!(c.nodes, 64);
+    }
+
+    #[test]
+    fn delivery_adds_latency_and_gap() {
+        let c = ClusterConfig::default_cluster(4);
+        let t = Cycles::from_micros(100);
+        assert_eq!(c.delivery(0, 1, t, 0), t + c.msg_latency);
+        assert_eq!(
+            c.delivery(0, 2, t, 3),
+            t + c.dispatch_gap * 3 + c.msg_latency
+        );
+    }
+
+    #[test]
+    fn self_messages_are_free() {
+        let c = ClusterConfig::default_cluster(4);
+        let t = Cycles::from_micros(7);
+        assert_eq!(c.delivery(2, 2, t, 5), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster size")]
+    fn one_node_rejected() {
+        let _ = ClusterConfig::default_cluster(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn bad_coordinator_rejected() {
+        let mut c = ClusterConfig::default_cluster(4);
+        c.coordinator = 4;
+        c.validate();
+    }
+
+    #[test]
+    fn display_mentions_coordinator() {
+        assert!(ClusterConfig::default_cluster(8)
+            .to_string()
+            .contains("coordinator n0"));
+    }
 
     fn app(iterations: u32, base_us: u64, imbalance: f64) -> AppSpec {
         AppSpec {
@@ -503,21 +630,37 @@ mod tests {
         }
     }
 
-    fn run(trace: &AppTrace, cfg: AlgorithmConfig) -> MsgRunReport {
-        MsgSimulator::new(
-            ClusterConfig::default_cluster(trace.threads as u16),
-            trace.clone(),
-            cfg,
-        )
-        .run()
+    fn simulator(trace: &AppTrace, cfg: AlgorithmConfig) -> MsgSimulator {
+        let cluster = ClusterConfig::default_cluster(trace.threads as u16);
+        MsgSimulator::new(cluster, trace.clone(), "MsgTest", cfg)
+    }
+
+    fn run(trace: &AppTrace, cfg: AlgorithmConfig) -> RunReport {
+        simulator(trace, cfg).run(None).expect("no deadline")
+    }
+
+    #[test]
+    fn deadline_stops_the_run_and_never_alters_a_completed_one() {
+        // 200 episodes × 16 nodes is several thousand events, so an
+        // hour-away deadline is polled several times before the run ends.
+        let trace = app(200, 2000, 0.25).generate(16, 9);
+        let thrifty = || simulator(&trace, AlgorithmConfig::thrifty());
+        let expired = thrifty().run(Some(Deadline::after(Duration::ZERO)));
+        assert_eq!(expired.unwrap_err(), CellError::Timeout { limit_ms: 0 });
+
+        let timed = thrifty()
+            .run(Some(Deadline::after(Duration::from_secs(3600))))
+            .expect("an hour is ample");
+        let json = |r: &RunReport| serde::json::to_string(r);
+        assert_eq!(json(&timed), json(&run(&trace, AlgorithmConfig::thrifty())));
     }
 
     #[test]
     fn baseline_completes_and_polls() {
         let trace = app(8, 2000, 0.25).generate(8, 1);
         let r = run(&trace, AlgorithmConfig::baseline());
-        assert_eq!(r.episodes, 8);
-        assert_eq!(r.total_sleeps(), 0);
+        assert_eq!(r.counts.episodes, 8);
+        assert_eq!(r.counts.total_sleeps(), 0);
         assert!(r.ledger.energy()[EnergyCategory::Spin] > 0.0);
         assert!(r.wall_time >= trace.ideal_duration());
     }
@@ -527,7 +670,7 @@ mod tests {
         let trace = app(12, 4000, 0.30).generate(8, 2);
         let base = run(&trace, AlgorithmConfig::baseline());
         let thrifty = run(&trace, AlgorithmConfig::thrifty());
-        assert!(thrifty.total_sleeps() > 0);
+        assert!(thrifty.counts.total_sleeps() > 0);
         assert!(
             thrifty.total_energy() < base.total_energy(),
             "thrifty {} vs base {}",
@@ -569,8 +712,8 @@ mod tests {
         let trace = app(12, 4000, 0.30).generate(8, 5);
         let r = run(&trace, AlgorithmConfig::thrifty());
         assert_eq!(
-            r.internal_wakeups + r.external_wakeups,
-            r.total_sleeps(),
+            r.counts.internal_wakeups + r.counts.external_wakeups,
+            r.counts.total_sleeps(),
             "every sleep ends exactly once"
         );
     }
@@ -605,6 +748,7 @@ mod tests {
         let _ = MsgSimulator::new(
             ClusterConfig::default_cluster(4),
             trace,
+            "Baseline",
             AlgorithmConfig::baseline(),
         );
     }

@@ -16,10 +16,10 @@
 //! interning both inputs in content-keyed caches: each (app, nodes, seed)
 //! generates its trace once and simulates Baseline exactly once, no matter
 //! how many configurations, workers, or calls consume it. A cell's
-//! [`Variant`] (an ablation's knob, the bus, time-sharing, a disturbed
-//! trace) joins those keys only where it changes the shared input: a
-//! disturbed trace is cached apart from the clean one, and each trace and
-//! interconnect has its own Baseline. Results come
+//! [`Variant`] (an ablation's knob, the [`Substrate`], time-sharing, a
+//! disturbed trace) joins those keys only where it changes the shared
+//! input: a disturbed trace is cached apart from the clean one, and each
+//! trace and substrate has its own Baseline. Results come
 //! back in the caller's cell order (workers fill indexed slots, so
 //! completion order never shows), which keeps parallel output byte-for-byte
 //! identical to a serial run.
@@ -46,6 +46,7 @@
 //!   Livelocks are deterministic (same seed → same wedge schedule), so
 //!   they are never retried.
 
+use crate::cluster::{ClusterConfig, MsgSimulator};
 use crate::report::{pair_with_baselines, AggregateReport, RunReport, View};
 use crate::run::oracle_from_baseline;
 pub use crate::sim::CellError;
@@ -75,13 +76,26 @@ use tb_workloads::{AppSpec, AppTrace};
 pub struct Variant {
     /// The one algorithm setting the ablation overrides, if any.
     pub knob: Option<Knob>,
-    /// Run on a snooping bus ([`MachineConfig::bus_smp`]) instead of the
-    /// directory machine.
-    pub bus: bool,
+    /// The machine the cell's barrier runs on.
+    pub substrate: Substrate,
     /// Replace the barrier's sleep decisions with §3.4.1 spin-then-yield.
     pub time_sharing: Option<TimeSharing>,
     /// Inject the §3.4.2 preemptions into the trace ([`PREEMPTIONS`]).
     pub disturbed: bool,
+}
+
+/// The machine a cell runs on. Every substrate runs the same
+/// [`tb_core::BarrierAlgorithm`] and reports a [`RunReport`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+pub enum Substrate {
+    /// The Table 1 CC-NUMA directory machine.
+    #[default]
+    Directory,
+    /// A snooping-bus SMP ([`MachineConfig::bus_smp`]).
+    Bus,
+    /// A message-passing cluster ([`ClusterConfig::default_cluster`]) run by
+    /// [`MsgSimulator`]. It takes no fault plan, time-sharing or oracle.
+    Cluster,
 }
 
 /// One algorithm setting an ablation overrides.
@@ -162,7 +176,7 @@ impl Cell {
     }
 
     /// Whether the cell is the plain Baseline run of its trace and
-    /// interconnect (no knob, no time-sharing): the run the harness caches
+    /// substrate (no knob, no time-sharing): the run the harness caches
     /// and other cells are normalized against.
     pub fn is_plain_baseline(&self) -> bool {
         self.config == SystemConfig::Baseline
@@ -296,14 +310,37 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The paper machine of `nodes` processors running `config`, on the
-/// snooping bus if `bus`.
-fn simulator_config(config: SystemConfig, nodes: u16, bus: bool) -> SimulatorConfig {
-    let mut cfg = SimulatorConfig::paper_with_nodes(config.name(), nodes);
-    if bus {
-        cfg.machine = MachineConfig::bus_smp(nodes);
+/// Runs `trace` under `algo` on `substrate`, where `cfg` is the paper
+/// machine of the cell's size with the cell's fault plan, time-sharing and
+/// sink: the harness's one dispatch on the substrate.
+///
+/// # Panics
+///
+/// Panics if a cluster cell asks for a fault plan, time-sharing or an
+/// oracle, which the message-passing simulator does not model.
+fn simulate_on(
+    substrate: Substrate,
+    mut cfg: SimulatorConfig,
+    trace: &AppTrace,
+    algo: AlgorithmConfig,
+    oracle: Option<RecordedBitOracle>,
+    deadline: Option<Deadline>,
+) -> Result<(RunReport, FaultSummary), CellError> {
+    let nodes = cfg.machine.nodes;
+    match substrate {
+        Substrate::Directory => {}
+        Substrate::Bus => cfg.machine = MachineConfig::bus_smp(nodes),
+        Substrate::Cluster => {
+            assert!(
+                cfg.faults.is_none() && cfg.time_sharing.is_none() && oracle.is_none(),
+                "a cluster cell runs no fault plan, time-sharing or oracle"
+            );
+            let cluster = ClusterConfig::default_cluster(nodes);
+            let sim = MsgSimulator::new(cluster, trace.clone(), cfg.config_name, algo);
+            return Ok((sim.run(deadline)?, FaultSummary::default()));
+        }
     }
-    cfg
+    try_simulate_faulted(cfg, trace, algo, oracle, deadline)
 }
 
 /// The Baseline run of one (app, nodes, seed) triple together with the
@@ -323,8 +360,8 @@ pub struct BaselineBundle {
 /// under one name would already be ambiguous everywhere else.
 type TraceKey = (String, u16, u64, bool);
 
-/// Baseline cache key: the trace it runs and whether it runs on the bus.
-type BaselineKey = (TraceKey, bool);
+/// Baseline cache key: the trace it runs and the substrate it runs on.
+type BaselineKey = (TraceKey, Substrate);
 
 /// One cache entry: empty until a fill succeeds.
 type Slot<T> = Mutex<Option<Arc<T>>>;
@@ -517,9 +554,9 @@ impl Harness {
     }
 
     /// The one place the harness runs Baseline, so each trace and
-    /// interconnect runs it exactly once — unless an attempt fails (a
+    /// substrate runs it exactly once — unless an attempt fails (a
     /// `deadline` expires), which leaves the cache empty for the next one.
-    /// Of the variant, only the disturbed trace and the interconnect matter.
+    /// Of the variant, only the disturbed trace and the substrate matter.
     fn try_baseline(
         &self,
         app: &AppSpec,
@@ -531,12 +568,12 @@ impl Harness {
         let trace = self.cell_trace(app, nodes, seed, variant.disturbed);
         let key = (
             (app.name.clone(), nodes, seed, variant.disturbed),
-            variant.bus,
+            variant.substrate,
         );
         self.baselines.get_or_try_compute(key, || {
-            let cfg = simulator_config(SystemConfig::Baseline, nodes, variant.bus);
+            let cfg = SimulatorConfig::paper_with_nodes(SystemConfig::Baseline.name(), nodes);
             let algo = SystemConfig::Baseline.algorithm_config();
-            let (report, _) = try_simulate_faulted(cfg, &trace, algo, None, deadline)?;
+            let (report, _) = simulate_on(variant.substrate, cfg, &trace, algo, None, deadline)?;
             let oracle = oracle_from_baseline(&report);
             Ok(BaselineBundle { report, oracle })
         })
@@ -545,7 +582,7 @@ impl Harness {
     /// Runs one attempt of a cell under the harness policy's deadline,
     /// reusing the cached trace and (for Baseline and cells predicting
     /// from an oracle) the cached Baseline run of the cell's trace and
-    /// interconnect. Panics are caught, so every way the attempt can fail
+    /// substrate. Panics are caught, so every way the attempt can fail
     /// comes back as a [`CellError`].
     ///
     /// A cell whose plan is absent or disabled takes exactly the clean
@@ -584,7 +621,7 @@ impl Harness {
                 None
             };
             let app_trace = self.cell_trace(&cell.app, cell.nodes, cell.seed, v.disturbed);
-            let mut cfg = simulator_config(cell.config, cell.nodes, v.bus);
+            let mut cfg = SimulatorConfig::paper_with_nodes(cell.config.name(), cell.nodes);
             if plan.is_some() {
                 // Under injected faults the predictor needs its misprediction
                 // backstop; quarantine is part of the hardened configuration.
@@ -593,7 +630,7 @@ impl Harness {
             cfg.faults = plan;
             cfg.time_sharing = v.time_sharing;
             cfg.trace = trace;
-            try_simulate_faulted(cfg, &app_trace, algo, oracle, deadline)
+            simulate_on(v.substrate, cfg, &app_trace, algo, oracle, deadline)
         };
         catch_unwind(AssertUnwindSafe(attempt))
             .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload))))

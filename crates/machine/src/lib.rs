@@ -25,12 +25,16 @@
 //!   event counts, prediction accuracy, and the per-instance records behind
 //!   Figure 3 and the oracle tables.
 //! * [`sim`] — the discrete-event executor itself.
+//! * [`cluster`] — the same barrier on a message-passing cluster (the
+//!   paper's §1/§7 extension): a coordinator barrier whose release message
+//!   carries the measured interval time, reporting a [`RunReport`] too.
 //! * [`run`] — a single run outside the harness: a trace under a named
 //!   [`tb_core::SystemConfig`] (transparently performing the Baseline
 //!   pre-run that feeds the Oracle-Halt/Ideal predictors), and the oracle
 //!   table built from a Baseline run.
 //! * [`harness`] — the parallel experiment runner: fans cells (app ×
-//!   config × seed, each with an ablation [`Variant`]) out across a scoped
+//!   config × seed, each with an ablation [`Variant`] that can move it to
+//!   the snooping bus or the cluster) out across a scoped
 //!   worker pool with shared trace and Baseline/oracle caches,
 //!   deterministic result order, optional per-cell event recording, and
 //!   mean/σ aggregation across replicated seeds. `tb-serve`'s `execute`
@@ -51,6 +55,7 @@
 //! assert!(energy(1) < energy(0));
 //! ```
 
+pub mod cluster;
 pub mod harness;
 pub mod journal;
 pub mod report;
@@ -58,8 +63,8 @@ pub mod run;
 pub mod sim;
 
 pub use harness::{
-    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Harness, Knob, SupervisionPolicy,
-    Variant,
+    retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Harness, Knob, Substrate,
+    SupervisionPolicy, Variant,
 };
 pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{

@@ -220,6 +220,20 @@ impl Deadline {
             limit_ms: limit.as_millis() as u64,
         }
     }
+
+    /// Counts one event of a run, reading the wall clock on the first and
+    /// then every 1024th: a run past the deadline stops with
+    /// [`CellError::Timeout`].
+    pub(crate) fn poll(&self, events: &mut u64) -> Result<(), CellError> {
+        let expired = events.is_multiple_of(DEADLINE_POLL_EVENTS) && Instant::now() >= self.at;
+        *events += 1;
+        if expired {
+            return Err(CellError::Timeout {
+                limit_ms: self.limit_ms,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Parameters of the §3.4.1 time-sharing alternative.
@@ -507,12 +521,7 @@ impl Simulator {
                 }
             }
             if let Some(d) = &deadline {
-                if events.is_multiple_of(DEADLINE_POLL_EVENTS) && Instant::now() >= d.at {
-                    return Err(CellError::Timeout {
-                        limit_ms: d.limit_ms,
-                    });
-                }
-                events += 1;
+                d.poll(&mut events)?;
             }
             match ev {
                 Event::ComputeDone { tid } => self.on_compute_done(tid, now),

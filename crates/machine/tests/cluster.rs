@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use tb_core::AlgorithmConfig;
 use tb_energy::EnergyCategory;
-use tb_msg::{ClusterConfig, MsgSimulator};
+use tb_machine::cluster::{ClusterConfig, MsgSimulator};
+use tb_machine::RunReport;
 use tb_sim::Cycles;
-use tb_workloads::{AppSpec, PhaseSpec, Variability};
+use tb_workloads::{AppSpec, AppTrace, PhaseSpec, Variability};
 
 fn arb_app() -> impl Strategy<Value = AppSpec> {
     (1usize..3, 2u32..8, 1_000u64..8_000, 0.05f64..0.35).prop_map(
@@ -30,6 +31,13 @@ fn arb_app() -> impl Strategy<Value = AppSpec> {
     )
 }
 
+/// `trace` on `cluster` under `algo`.
+fn run(cluster: ClusterConfig, trace: &AppTrace, algo: AlgorithmConfig) -> RunReport {
+    MsgSimulator::new(cluster, trace.clone(), "MsgProp", algo)
+        .run(None)
+        .expect("no deadline")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -38,22 +46,15 @@ proptest! {
     #[test]
     fn msg_runs_complete_and_are_deterministic(app in arb_app(), seed in any::<u64>()) {
         let trace = app.generate(8, seed);
-        let mk = || {
-            MsgSimulator::new(
-                ClusterConfig::default_cluster(8),
-                trace.clone(),
-                AlgorithmConfig::thrifty(),
-            )
-            .run()
-        };
+        let mk = || run(ClusterConfig::default_cluster(8), &trace, AlgorithmConfig::thrifty());
         let a = mk();
         let b = mk();
-        prop_assert_eq!(a.episodes as usize, trace.len());
+        prop_assert_eq!(a.counts.episodes as usize, trace.len());
         prop_assert_eq!(a.wall_time, b.wall_time);
         prop_assert!((a.total_energy() - b.total_energy()).abs() < 1e-12);
         prop_assert_eq!(
-            a.internal_wakeups + a.external_wakeups,
-            a.total_sleeps()
+            a.counts.internal_wakeups + a.counts.external_wakeups,
+            a.counts.total_sleeps()
         );
     }
 
@@ -62,22 +63,12 @@ proptest! {
     #[test]
     fn msg_thrifty_bounded_by_polling(app in arb_app(), seed in any::<u64>()) {
         let trace = app.generate(8, seed);
-        let base = MsgSimulator::new(
-            ClusterConfig::default_cluster(8),
-            trace.clone(),
-            AlgorithmConfig::baseline(),
-        )
-        .run();
-        let thrifty = MsgSimulator::new(
-            ClusterConfig::default_cluster(8),
-            trace,
-            AlgorithmConfig::thrifty(),
-        )
-        .run();
+        let base = run(ClusterConfig::default_cluster(8), &trace, AlgorithmConfig::baseline());
+        let thrifty = run(ClusterConfig::default_cluster(8), &trace, AlgorithmConfig::thrifty());
         prop_assert!(thrifty.total_energy() <= base.total_energy() * 1.05);
         prop_assert!(thrifty.slowdown_vs(&base) < 0.05);
         // Polling cluster never sleeps or transitions.
-        prop_assert_eq!(base.total_sleeps(), 0);
+        prop_assert_eq!(base.counts.total_sleeps(), 0);
         prop_assert_eq!(base.ledger.energy()[EnergyCategory::Transition], 0.0);
     }
 
@@ -87,7 +78,7 @@ proptest! {
         let trace = app.generate(8, seed);
         let cluster = ClusterConfig::default_cluster(8);
         let latency = cluster.msg_latency;
-        let base = MsgSimulator::new(cluster, trace.clone(), AlgorithmConfig::baseline()).run();
+        let base = run(cluster, &trace, AlgorithmConfig::baseline());
         prop_assert!(
             base.wall_time >= trace.ideal_duration() + latency.scale(trace.len() as f64 * 0.5),
             "release messages must cost wall-clock"

@@ -1,8 +1,9 @@
 //! The parallel harness must be a pure speed-up: identical results to the
 //! serial path, with the shared caches making Baseline exactly-once.
 
-use tb_core::{AlgorithmConfig, PredictorChoice, SystemConfig};
-use tb_machine::harness::{Cell, Harness, Knob, Variant, PREEMPTIONS};
+use tb_core::{AlgorithmConfig, FaultPlan, PredictorChoice, SystemConfig};
+use tb_machine::cluster::{ClusterConfig, MsgSimulator};
+use tb_machine::harness::{Cell, Harness, Knob, Substrate, Variant, PREEMPTIONS};
 use tb_machine::run::{oracle_from_baseline, run_trace};
 use tb_machine::sim::{simulate, SimulatorConfig, TimeSharing};
 use tb_machine::{aggregate, AggregateReport, CellError, RunReport};
@@ -134,7 +135,7 @@ fn time_sharing_baseline_is_not_the_cached_baseline() {
 fn bus_cells_use_the_bus_baseline() {
     let app = AppSpec::by_name("Volrend").unwrap();
     let bus = Variant {
-        bus: true,
+        substrate: Substrate::Bus,
         ..Variant::default()
     };
     let cell = |c| Cell::new(app.clone(), NODES, SEED, c);
@@ -170,6 +171,68 @@ fn bus_cells_use_the_bus_baseline() {
         let oracle = Some(oracle_from_baseline(&base));
         let reference = simulate(bus_cfg(sys.name()), &trace, sys.algorithm_config(), oracle);
         assert_eq!(json(report), json(&reference), "{sys}");
+    }
+}
+
+/// Cluster cells run the message-passing simulator on the cached trace,
+/// with a Baseline cached apart from the directory machine's. A fault
+/// plan, time-sharing or an oracle, which that simulator does not model,
+/// fails the cell.
+#[test]
+fn cluster_cells_run_the_message_passing_simulator() {
+    let app = AppSpec::by_name("FMM").unwrap();
+    let cluster = Variant {
+        substrate: Substrate::Cluster,
+        ..Variant::default()
+    };
+    let cell = |c| Cell::new(app.clone(), NODES, SEED, c);
+    let cells = [
+        cell(SystemConfig::Baseline),
+        with(cluster.clone(), cell(SystemConfig::Baseline)),
+        with(cluster.clone(), cell(SystemConfig::Thrifty)),
+    ];
+    let harness = Harness::serial();
+    let reports = run_all(&harness, &cells);
+    assert_eq!(harness.trace_generations(), 1);
+    assert_eq!(harness.baseline_runs(), 2);
+
+    let trace = app.generate(NODES as usize, SEED);
+    let direct = |name, algo| {
+        MsgSimulator::new(
+            ClusterConfig::default_cluster(NODES),
+            trace.clone(),
+            name,
+            algo,
+        )
+        .run(None)
+        .expect("no deadline")
+    };
+    let base = direct("Baseline", AlgorithmConfig::baseline());
+    assert_eq!(json(&reports[1]), json(&base));
+    assert_eq!(
+        json(&reports[2]),
+        json(&direct("Thrifty", AlgorithmConfig::thrifty()))
+    );
+    assert_ne!(reports[0].wall_time, reports[1].wall_time);
+
+    let time_sharing = Variant {
+        time_sharing: Some(TimeSharing {
+            spin_before_yield: Cycles::from_micros(50),
+            quantum: Cycles::from_millis(1),
+        }),
+        ..cluster.clone()
+    };
+    let storm = FaultPlan::by_name("storm", SEED).unwrap();
+    let unsupported = [
+        with(cluster.clone(), cell(SystemConfig::OracleHalt)),
+        with(cluster, cell(SystemConfig::Thrifty)).with_faults(storm),
+        with(time_sharing, cell(SystemConfig::Baseline)),
+    ];
+    for outcome in harness.run_cells_isolated(&unsupported) {
+        match outcome.report {
+            Err(CellError::Panic(msg)) => assert!(msg.contains("cluster cell"), "{msg}"),
+            other => panic!("expected the cluster assertion, got {other:?}"),
+        }
     }
 }
 

@@ -184,7 +184,7 @@ mod tests {
     use super::*;
     use tb_core::{PredictorChoice, WakeupMode};
     use tb_machine::sim::TimeSharing;
-    use tb_machine::{Knob, Variant};
+    use tb_machine::{Knob, Substrate, Variant};
     use tb_sim::Cycles;
 
     #[test]
@@ -214,7 +214,11 @@ mod tests {
             knob(Knob::Anticipation(Cycles::from_micros(50))),
             knob(Knob::Underprediction(None)),
             Variant {
-                bus: true,
+                substrate: Substrate::Bus,
+                ..Variant::default()
+            },
+            Variant {
+                substrate: Substrate::Cluster,
                 ..Variant::default()
             },
             Variant {

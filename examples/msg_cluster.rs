@@ -1,15 +1,19 @@
 //! The thrifty barrier on a message-passing cluster (the paper's §1/§7
 //! extension): the *unmodified* algorithm drives a coordinator barrier
 //! whose release message both wakes sleepers and carries the measured
-//! interval time.
+//! interval time. A Baseline and a Thrifty cell run on the cluster
+//! substrate through the same executor as every other cell.
 //!
 //! ```text
 //! cargo run --release --example msg_cluster [app-name] [nodes]
 //! ```
 
-use thrifty_barrier::core::AlgorithmConfig;
+use thrifty_barrier::core::SystemConfig;
 use thrifty_barrier::energy::EnergyCategory;
-use thrifty_barrier::msg::{ClusterConfig, MsgSimulator};
+use thrifty_barrier::machine::cluster::ClusterConfig;
+use thrifty_barrier::machine::run::PAPER_SEED;
+use thrifty_barrier::machine::{Cell, RunReport, Substrate, Variant};
+use thrifty_barrier::serve::{execute, ExecConfig};
 use thrifty_barrier::workloads::AppSpec;
 
 fn main() {
@@ -23,15 +27,26 @@ fn main() {
         eprintln!("unknown application {name:?}");
         std::process::exit(1);
     });
-    let cluster = ClusterConfig::default_cluster(nodes);
-    println!("== {app}\ncluster: {cluster}\n");
-    let trace = app.generate(nodes as usize, 0x7B41);
+    println!(
+        "== {app}\ncluster: {}\n",
+        ClusterConfig::default_cluster(nodes)
+    );
 
-    let base = MsgSimulator::new(cluster.clone(), trace.clone(), AlgorithmConfig::baseline()).run();
-    let thrifty = MsgSimulator::new(cluster, trace, AlgorithmConfig::thrifty()).run();
+    let cluster = Variant {
+        substrate: Substrate::Cluster,
+        ..Variant::default()
+    };
+    let cells = [SystemConfig::Baseline, SystemConfig::Thrifty]
+        .map(|c| Cell::new(app.clone(), nodes, PAPER_SEED, c).with_variant(cluster.clone()));
+    let outcomes = execute(&cells, &ExecConfig::default()).expect("reachable target");
+    let reports: Vec<RunReport> = outcomes
+        .into_iter()
+        .map(|outcome| outcome.report.expect("cluster cell"))
+        .collect();
+    let (base, thrifty) = (&reports[0], &reports[1]);
 
-    for (label, r) in [("polling", &base), ("thrifty", &thrifty)] {
-        let e = r.ledger.energy().fractions();
+    for (label, r) in [("polling", base), ("thrifty", thrifty)] {
+        let e = r.energy().fractions();
         println!(
             "{label:<8} wall {}  energy {:>8.2} J  (compute {:.1}% poll {:.1}% trans {:.1}% sleep {:.1}%)",
             r.wall_time,
@@ -45,10 +60,10 @@ fn main() {
     println!(
         "\nthrifty saves {:.1}% energy at {:+.2}% wall-clock \
          ({} sleeps: {} timer wake-ups, {} message wake-ups)",
-        thrifty.energy_savings_vs(&base) * 100.0,
-        thrifty.slowdown_vs(&base) * 100.0,
-        thrifty.total_sleeps(),
-        thrifty.internal_wakeups,
-        thrifty.external_wakeups,
+        thrifty.energy_savings_vs(base) * 100.0,
+        thrifty.slowdown_vs(base) * 100.0,
+        thrifty.counts.total_sleeps(),
+        thrifty.counts.internal_wakeups,
+        thrifty.counts.external_wakeups,
     );
 }

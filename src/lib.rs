@@ -13,12 +13,11 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `tb-core` | the thrifty barrier algorithm: BIT prediction, BRTS timing, sleep policy, wake-up planning |
-//! | [`machine`] | `tb-machine` | the simulated 64-node machine and the cell harness |
+//! | [`machine`] | `tb-machine` | the simulated 64-node machine, its bus and message-passing substrates, and the cell harness |
 //! | [`mem`] | `tb-mem` | caches, directory MESI coherence, hypercube network |
 //! | [`energy`] | `tb-energy` | Wattch-style power model, sleep states, energy ledgers |
 //! | [`workloads`] | `tb-workloads` | calibrated SPLASH-2-like barrier workloads |
 //! | [`runtime`] | `tb-runtime` | the real-threads thrifty barrier |
-//! | [`msg`] | `tb-msg` | the thrifty barrier on a message-passing cluster |
 //! | [`serve`] | `tb-serve` | the cell executor (`execute`: journal, in-process harness or worker fleet, recording) and its crash-resilient fleet: leases, heartbeats, poison quarantine |
 //! | [`trace`] | `tb-trace` | per-episode event tracing: ring-buffer capture, Perfetto/JSONL export, accuracy analysis |
 //! | [`sim`] | `tb-sim` | discrete-event kernel, statistics, deterministic RNG |
@@ -52,7 +51,6 @@ pub use tb_core as core;
 pub use tb_energy as energy;
 pub use tb_machine as machine;
 pub use tb_mem as mem;
-pub use tb_msg as msg;
 pub use tb_runtime as runtime;
 pub use tb_serve as serve;
 pub use tb_sim as sim;

@@ -7,12 +7,11 @@
 //! prints every experiment's banner, header, rows and trailer.
 //!
 //! An ablation's cells differ from the sweep's only in their
-//! [`Variant`]: a knob of the algorithm, the snooping bus, time-sharing or
-//! a disturbed trace. Each Baseline an ablation normalizes against is a
-//! plain Baseline cell that opens its group of cells, so the harness's
-//! Baseline cache serves it. Tables 1 and 3 and the message-passing
-//! extension (X1, a separate simulator) have no cells and compute their
-//! rows directly.
+//! [`Variant`]: a knob of the algorithm, the substrate (the snooping bus
+//! or the message-passing cluster), time-sharing or a disturbed trace. Each
+//! Baseline an ablation normalizes against is a plain Baseline cell that
+//! opens its group of cells, so the harness's Baseline cache serves it.
+//! Tables 1 and 3 have no cells and compute their rows directly.
 //!
 //! # The experiments
 //!
@@ -55,18 +54,18 @@
 //!   resumes only at a scheduling-quantum boundary after the release.
 //! * **X1** — the message-passing extension (§1/§7): the unmodified
 //!   algorithm on a 64-node cluster, where the release message both wakes
-//!   sleepers and carries the measured BIT, on `tb-msg`'s own simulator.
+//!   sleepers and carries the measured BIT; its cells run on the cluster
+//!   substrate.
 //! * **X2** — a 16-processor snooping-bus SMP against the directory
 //!   machine at the same size: on a bus the flag flip's invalidation is one
 //!   broadcast every sleeper observes at once.
 
-use tb_core::{AlgorithmConfig, PredictorChoice, SystemConfig, WakeupMode};
+use tb_core::{PredictorChoice, SystemConfig, WakeupMode};
 use tb_energy::{CategoryBreakdown, EnergyCategory, PowerModel, SleepTable};
-use tb_machine::harness::{Cell, Knob, Variant};
+use tb_machine::harness::{Cell, Knob, Substrate, Variant};
 use tb_machine::sim::TimeSharing;
 use tb_machine::{BarrierEventCounts, RunReport};
 use tb_mem::MachineConfig;
-use tb_msg::{ClusterConfig, MsgSimulator};
 use tb_sim::{Cycles, OnlineStats};
 use tb_workloads::AppSpec;
 
@@ -104,14 +103,14 @@ pub struct Run<'a> {
 }
 
 /// Prints an experiment: the banner, then its header, rule, rows and
-/// trailer. The banner names the machine sizes the cells run (A3 and X2
-/// run fixed sizes), X1's cluster size, or the requested size.
+/// trailer. The banner names the machine sizes the cells run (A3, X1 and
+/// X2 run fixed sizes), or the requested size.
 pub fn render(exp: &Experiment, run: &Run) -> String {
     let mut sizes: Vec<u16> = run.cells.iter().map(|c| c.nodes).collect();
     sizes.sort_unstable();
     sizes.dedup();
     if sizes.is_empty() {
-        sizes.push(if exp.id == "X1" { X1_NODES } else { run.nodes });
+        sizes.push(run.nodes);
     }
     let sizes: Vec<String> = sizes.iter().map(u16::to_string).collect();
     let bar = "=".repeat(78);
@@ -452,8 +451,26 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         title: "X1 (message passing): thrifty coordinator barrier on a 5 µs-latency cluster",
         header: "app          imbalance    energy   slowdown   sleeps    polls  pred err",
         rule: 72,
-        cells: |_, _| Vec::new(),
-        rows: x1_rows,
+        cells: |_, seed| {
+            let cluster = Variant {
+                substrate: Substrate::Cluster,
+                ..Variant::default()
+            };
+            let mut apps = AppSpec::targets();
+            apps.extend(["Ocean", "Radiosity"].map(app));
+            let thrifty = [(SystemConfig::Thrifty, cluster.clone())];
+            let per_app = |app| group(app, 64, seed, cluster.clone(), thrifty.clone());
+            apps.iter().flat_map(per_app).collect()
+        },
+        rows: |run| {
+            let lead = |c: &Cell, _: &_, _: &_| {
+                let trace = c.app.generate(c.nodes as usize, c.seed);
+                let imbalance = trace.analytic_imbalance() * 100.0;
+                format!("{:<11} {imbalance:>9.2}%", c.app.name)
+            };
+            let polls = Col::Count(|c| c.spins, 8);
+            table(&groups(run), lead, &[SLEEPS, polls, Col::PredErr(8)], 0)
+        },
         trailer: "\nexpected shape: the same savings ordering as the shared-memory machine — \
                   the algorithm\nis substrate-agnostic (paper §1: \"conceptually viable in \
                   other environments such as\nmessage-passing machines\")",
@@ -465,7 +482,7 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         rule: 64,
         cells: |_, seed| {
             let bus = Variant {
-                bus: true,
+                substrate: Substrate::Bus,
                 ..Variant::default()
             };
             let per_app = ["Volrend", "FMM", "Water-Nsq", "Ocean"].map(|name| {
@@ -477,7 +494,10 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         },
         rows: |run| {
             let lead = |c: &Cell, _: &_, _: &_| {
-                let substrate = if c.variant.bus { "bus" } else { "directory" };
+                let substrate = match c.variant.substrate {
+                    Substrate::Bus => "bus",
+                    _ => "directory",
+                };
                 format!("{:<11} {substrate:<11}", c.app.name)
             };
             let sleeps = Col::Count(|c| c.total_sleeps(), 9);
@@ -746,35 +766,6 @@ fn target_mean(run: &Run, config: SystemConfig, f: fn(&RunReport, &RunReport) ->
         .map(|(_, r, base)| f(r, base))
         .collect();
     values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// X1's cluster size, whatever `--nodes` asks for.
-const X1_NODES: u16 = 64;
-
-fn x1_rows(run: &Run) -> Vec<String> {
-    let nodes = X1_NODES;
-    let mut apps = AppSpec::targets();
-    apps.extend(["Ocean", "Radiosity"].map(app));
-    apps.iter()
-        .map(|app| {
-            let trace = app.generate(nodes as usize, run.seed);
-            let cluster = |algo| {
-                MsgSimulator::new(ClusterConfig::default_cluster(nodes), trace.clone(), algo).run()
-            };
-            let base = cluster(AlgorithmConfig::baseline());
-            let thrifty = cluster(AlgorithmConfig::thrifty());
-            format!(
-                "{:<11} {:>9.2}% {:>8.1}% {:>+9.2}% {:>8} {:>8} {:>8.1}%",
-                app.name,
-                trace.analytic_imbalance() * 100.0,
-                (1.0 - thrifty.energy_savings_vs(&base)) * 100.0,
-                thrifty.slowdown_vs(&base) * 100.0,
-                thrifty.total_sleeps(),
-                thrifty.polls,
-                thrifty.prediction_error.mean() * 100.0,
-            )
-        })
-        .collect()
 }
 
 /// One normalized stacked-bar row (Figures 5 and 6).

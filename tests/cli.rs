@@ -259,36 +259,39 @@ fn unreachable_imbalance_target_exits_2_before_any_cell() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A reproduce journal names its experiment: resuming an A2 journal as
-/// A1 is refused, and resuming it as A2 after a crash is byte-identical.
+/// A reproduce journal names its experiment: resuming an A2 or X1
+/// journal as A1 is refused, and resuming it as itself after a crash is
+/// byte-identical.
 #[test]
 fn reproduce_journal_names_its_experiment() {
     let dir = tmp_dir("reproduce");
-    let journal = dir.join("a2.jsonl");
-    let journal = journal.to_str().unwrap();
-    let full = bin(&["reproduce", "A2", "--nodes", "8", "--journal", journal]);
-    assert!(full.status.success(), "{}", stderr(&full));
+    for (id, done, cells) in [("A2", 6, 24), ("X1", 5, 14)] {
+        let journal = dir.join(format!("{id}.jsonl"));
+        let journal = journal.to_str().unwrap();
+        let full = bin(&["reproduce", id, "--nodes", "8", "--journal", journal]);
+        assert!(full.status.success(), "{}", stderr(&full));
 
-    let out = bin(&["reproduce", "A1", "--nodes", "8", "--resume", journal]);
-    assert!(!out.status.success(), "A1 must not replay A2's cells");
-    let err = stderr(&out);
-    assert!(err.contains("params mismatch"), "{err}");
-    assert!(
-        err.contains("reproduce A2") && err.contains("reproduce A1"),
-        "stderr quotes both sides: {err}"
-    );
+        let out = bin(&["reproduce", "A1", "--nodes", "8", "--resume", journal]);
+        assert!(!out.status.success(), "A1 must not replay {id}'s cells");
+        let err = stderr(&out);
+        assert!(err.contains("params mismatch"), "{err}");
+        assert!(
+            err.contains(&format!("reproduce {id}")) && err.contains("reproduce A1"),
+            "stderr quotes both sides: {err}"
+        );
 
-    // A crash after six completed cells: header plus six records.
-    let text = std::fs::read_to_string(journal).unwrap();
-    let kept: Vec<&str> = text.lines().take(7).collect();
-    std::fs::write(journal, kept.join("\n") + "\n").unwrap();
-    let resumed = bin(&["reproduce", "A2", "--nodes", "8", "--resume", journal]);
-    assert!(resumed.status.success(), "{}", stderr(&resumed));
-    assert!(
-        stderr(&resumed).contains("6 of 24 cells replayed"),
-        "{}",
-        stderr(&resumed)
-    );
-    assert_eq!(resumed.stdout, full.stdout);
+        // A crash after `done` completed cells: header plus `done` records.
+        let text = std::fs::read_to_string(journal).unwrap();
+        let kept: Vec<&str> = text.lines().take(done + 1).collect();
+        std::fs::write(journal, kept.join("\n") + "\n").unwrap();
+        let resumed = bin(&["reproduce", id, "--nodes", "8", "--resume", journal]);
+        assert!(resumed.status.success(), "{}", stderr(&resumed));
+        assert!(
+            stderr(&resumed).contains(&format!("{done} of {cells} cells replayed")),
+            "{}",
+            stderr(&resumed)
+        );
+        assert_eq!(resumed.stdout, full.stdout, "{id}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

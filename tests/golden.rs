@@ -199,11 +199,12 @@ fn reproduce_n8_matches_fixtures() {
 }
 
 /// Variant-heavy experiments (A2: five predictors, one fed by the oracle;
-/// X2: the bus and its own Baselines) are byte-identical at every
-/// worker-pool size and on a worker fleet, where the cells travel as keys.
+/// X1 and X2: the cluster and the bus, each with its own Baselines) are
+/// byte-identical at every worker-pool size and on a worker fleet, where
+/// the cells travel as keys.
 #[test]
 fn reproduce_variants_match_fixtures_at_every_jobs_level_and_on_a_fleet() {
-    for id in ["A2", "X2"] {
+    for id in ["A2", "X1", "X2"] {
         let want = fixture(&format!("reproduce/{id}_n8.txt"));
         for executor in [
             ["--jobs", "1"],

@@ -6,8 +6,8 @@
 use thrifty_barrier::core::{AlgorithmConfig, SystemConfig};
 use thrifty_barrier::machine::run::{run_trace, PAPER_SEED};
 use thrifty_barrier::machine::sim::{simulate, SimulatorConfig};
+use thrifty_barrier::machine::{Cell, Harness, Substrate, Variant};
 use thrifty_barrier::mem::MachineConfig;
-use thrifty_barrier::msg::{ClusterConfig, MsgSimulator};
 use thrifty_barrier::sim::digest::fnv1a64_hex;
 use thrifty_barrier::workloads::AppSpec;
 
@@ -39,15 +39,21 @@ fn bus_numbers(app: &AppSpec) -> (f64, f64, f64) {
     )
 }
 
+/// A Baseline and a Thrifty cell on the message-passing cluster.
 fn msg_numbers(app: &AppSpec) -> (f64, f64, f64) {
-    let trace = app.generate(NODES as usize, SEED);
-    let cluster = ClusterConfig::default_cluster(NODES);
-    let base = MsgSimulator::new(cluster.clone(), trace.clone(), AlgorithmConfig::baseline()).run();
-    let thrifty = MsgSimulator::new(cluster, trace, AlgorithmConfig::thrifty()).run();
+    let cluster = Variant {
+        substrate: Substrate::Cluster,
+        ..Variant::default()
+    };
+    let cells = [SystemConfig::Baseline, SystemConfig::Thrifty]
+        .map(|c| Cell::new(app.clone(), NODES, SEED, c).with_variant(cluster.clone()));
+    let outcomes = Harness::serial().run_cells_isolated(&cells);
+    let report = |i: usize| outcomes[i].report.as_ref().expect("cluster cell runs");
+    let (base, thrifty) = (report(0), report(1));
     (
         base.total_energy(),
         thrifty.total_energy(),
-        thrifty.slowdown_vs(&base),
+        thrifty.slowdown_vs(base),
     )
 }
 
