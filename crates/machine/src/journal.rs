@@ -563,8 +563,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Format v4 reports no longer carry the energy ledger's transition
-    /// log, so a v3 journal is refused rather than replayed.
+    /// Format v4 keys name the cell's substrate and its reports no longer
+    /// carry the energy ledger's transition log, so a v3 journal is
+    /// refused rather than replayed.
     #[test]
     fn v3_journals_are_refused() {
         assert!(

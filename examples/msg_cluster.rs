@@ -12,7 +12,7 @@ use thrifty_barrier::core::SystemConfig;
 use thrifty_barrier::energy::EnergyCategory;
 use thrifty_barrier::machine::cluster::ClusterConfig;
 use thrifty_barrier::machine::run::PAPER_SEED;
-use thrifty_barrier::machine::{Cell, RunReport, Substrate, Variant};
+use thrifty_barrier::machine::{Cell, Substrate, Variant};
 use thrifty_barrier::serve::{execute, ExecConfig};
 use thrifty_barrier::workloads::AppSpec;
 
@@ -39,11 +39,8 @@ fn main() {
     let cells = [SystemConfig::Baseline, SystemConfig::Thrifty]
         .map(|c| Cell::new(app.clone(), nodes, PAPER_SEED, c).with_variant(cluster.clone()));
     let outcomes = execute(&cells, &ExecConfig::default()).expect("reachable target");
-    let reports: Vec<RunReport> = outcomes
-        .into_iter()
-        .map(|outcome| outcome.report.expect("cluster cell"))
-        .collect();
-    let (base, thrifty) = (&reports[0], &reports[1]);
+    let report = |i: usize| outcomes[i].report.as_ref().expect("cluster cell");
+    let (base, thrifty) = (report(0), report(1));
 
     for (label, r) in [("polling", base), ("thrifty", thrifty)] {
         let e = r.energy().fractions();
