@@ -165,6 +165,27 @@ fn fault_sweep_n8_matches_fixture_at_every_jobs_level() {
     );
 }
 
+/// The report streams of the other named fault scenarios, and of `storm`
+/// at paper scale, pinned by digest. These are the runs in which late
+/// wake-ups trip the §3.3.3 cut-off for every configuration, the oracle's
+/// included. Each fixture line is `<nodes> <scenario> <digest>`.
+#[test]
+fn fault_scenario_json_digests_match_fixture() {
+    let table = String::from_utf8(fixture("fault_scenarios_json.digest")).unwrap();
+    for line in table.lines() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        let [nodes, scenario, digest] = fields[..] else {
+            panic!("`<nodes> <scenario> <digest>` lines, got {line:?}");
+        };
+        assert_eq!(
+            json_digest(&["sweep", "--nodes", nodes, "--faults", scenario, "--json"]),
+            digest,
+            "sweep --nodes {nodes} --faults {scenario} --json digest drifted from \
+             tests/golden/fault_scenarios_json.digest"
+        );
+    }
+}
+
 /// The paper-scale (64-node) sweep table, serial vs. parallel, against its
 /// fixture. Slower than the 8-node tests but still the tier-1 gate for the
 /// exact workload the performance numbers are quoted on.
