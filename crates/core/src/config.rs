@@ -42,29 +42,6 @@ impl fmt::Display for PredictorChoice {
     }
 }
 
-/// Predictor-quarantine thresholds (fault hardening): after
-/// `consecutive` gross mispredictions in a row at one barrier PC — each
-/// off by more than `tolerance` relative error — the site stops offering
-/// predictions (falls back to plain spinning) until the 2-bit confidence
-/// counter saturates again on accurate measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QuarantineConfig {
-    /// Consecutive gross mispredictions before the site is quarantined.
-    pub consecutive: u32,
-    /// Relative error `|predicted − measured| / measured` above which a
-    /// prediction counts as gross.
-    pub tolerance: f64,
-}
-
-impl Default for QuarantineConfig {
-    fn default() -> Self {
-        QuarantineConfig {
-            consecutive: 3,
-            tolerance: 0.5,
-        }
-    }
-}
-
 /// A deterministic fault-injection plan (see `tb-faults`).
 ///
 /// Every field is a per-opportunity probability (or a mean magnitude for
@@ -239,9 +216,11 @@ pub struct AlgorithmConfig {
     /// latency`, trading a little residual spin for keeping the exit
     /// latency off the critical path when the prediction is exact.
     pub wakeup_anticipation: tb_sim::Cycles,
-    /// Predictor quarantine (fault hardening): `None` disables it, which
-    /// is the default so clean runs are untouched.
-    pub quarantine: Option<QuarantineConfig>,
+    /// Predictor quarantine (fault hardening): after three gross
+    /// mispredictions in a row at a site, the site's threads spin until two
+    /// accurate shadow predictions in a row. Off by default, so clean runs
+    /// are untouched.
+    pub quarantine: bool,
 }
 
 impl AlgorithmConfig {
@@ -257,7 +236,7 @@ impl AlgorithmConfig {
             underprediction_factor: Some(8.0),
             flush_overhead: true,
             wakeup_anticipation: tb_sim::Cycles::from_micros(3),
-            quarantine: None,
+            quarantine: false,
         }
     }
 
@@ -320,8 +299,9 @@ impl AlgorithmConfig {
         self.predictor == PredictorChoice::Oracle
     }
 
-    /// Returns a copy with predictor quarantine enabled (fault hardening).
-    pub fn with_quarantine(mut self, quarantine: Option<QuarantineConfig>) -> Self {
+    /// Returns a copy with predictor quarantine on or off (fault
+    /// hardening).
+    pub fn with_quarantine(mut self, quarantine: bool) -> Self {
         self.quarantine = quarantine;
         self
     }
@@ -486,11 +466,8 @@ mod tests {
 
     #[test]
     fn quarantine_defaults() {
-        assert!(AlgorithmConfig::thrifty().quarantine.is_none());
-        let q = QuarantineConfig::default();
-        assert_eq!(q.consecutive, 3);
-        let c = AlgorithmConfig::thrifty().with_quarantine(Some(q));
-        assert_eq!(c.quarantine, Some(q));
+        assert!(!AlgorithmConfig::thrifty().quarantine);
+        assert!(AlgorithmConfig::thrifty().with_quarantine(true).quarantine);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod timing;
 pub mod wakeup;
 
 pub use barrier::{ArrivalDecision, BarrierAlgorithm, ReleaseInfo, ThreadId};
-pub use config::{AlgorithmConfig, FaultPlan, PredictorChoice, QuarantineConfig, SystemConfig};
+pub use config::{AlgorithmConfig, FaultPlan, PredictorChoice, SystemConfig};
 pub use policy::{SleepChoice, SleepPolicy};
 pub use predictor::{
     AveragingPredictor, BarrierPc, BitPredictor, ConfidencePredictor, DirectBstPredictor,

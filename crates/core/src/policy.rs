@@ -4,8 +4,10 @@
 //! that scans a table for the deepest state usable within the estimated
 //! stall time, returning immediately (the thread then spins) when not even
 //! the shallowest state fits. [`SleepPolicy`] is that call, with the
-//! profitability margin and the §3.3.3 overprediction threshold as explicit
-//! knobs so the evaluation can sweep them.
+//! profitability margin as an explicit knob so the evaluation can sweep it.
+//! Whether a thread gets a prediction to decide on at all — the §3.3.3
+//! overprediction cut-off — is the per-site gate's call in
+//! [`BarrierAlgorithm`](crate::BarrierAlgorithm), not this policy's.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -62,13 +64,12 @@ impl fmt::Display for SleepChoice {
     }
 }
 
-/// The sleep-selection policy: a sleep-state table plus the two thresholds
-/// the paper discusses.
+/// The sleep-selection policy: a sleep-state table plus the profitability
+/// margin.
 #[derive(Debug, Clone)]
 pub struct SleepPolicy {
     table: SleepTable,
     min_stall_multiple: f64,
-    overprediction_threshold: Option<f64>,
 }
 
 impl SleepPolicy {
@@ -77,41 +78,24 @@ impl SleepPolicy {
     /// * `min_stall_multiple` — how many round-trip transition latencies of
     ///   predicted stall must lie ahead for a state to be considered
     ///   (≥ 1.0; 2.0 by default elsewhere).
-    /// * `overprediction_threshold` — the §3.3.3 cut-off: a wake-up later
-    ///   than `threshold × BIT` disables prediction for that (thread,
-    ///   barrier). The paper found 10 % to work well; `None` disables the
-    ///   cut-off (the Ocean ablation).
     ///
     /// # Panics
     ///
-    /// Panics if `min_stall_multiple < 1.0` or the threshold is not
-    /// positive.
-    pub fn new(
-        table: SleepTable,
-        min_stall_multiple: f64,
-        overprediction_threshold: Option<f64>,
-    ) -> Self {
+    /// Panics if `min_stall_multiple < 1.0`.
+    pub fn new(table: SleepTable, min_stall_multiple: f64) -> Self {
         assert!(
             min_stall_multiple >= 1.0,
             "min stall multiple must be >= 1.0, got {min_stall_multiple}"
         );
-        if let Some(th) = overprediction_threshold {
-            assert!(
-                th > 0.0,
-                "overprediction threshold must be positive, got {th}"
-            );
-        }
         SleepPolicy {
             table,
             min_stall_multiple,
-            overprediction_threshold,
         }
     }
 
-    /// The paper's configuration: Table 3 states, 2× profitability margin,
-    /// 10 % overprediction threshold.
+    /// The paper's configuration: Table 3 states, 2× profitability margin.
     pub fn paper() -> Self {
-        SleepPolicy::new(SleepTable::paper(), 2.0, Some(0.10))
+        SleepPolicy::new(SleepTable::paper(), 2.0)
     }
 
     /// The sleep-state table.
@@ -122,11 +106,6 @@ impl SleepPolicy {
     /// The profitability margin.
     pub fn min_stall_multiple(&self) -> f64 {
         self.min_stall_multiple
-    }
-
-    /// The §3.3.3 cut-off threshold (fraction of BIT), if enabled.
-    pub fn overprediction_threshold(&self) -> Option<f64> {
-        self.overprediction_threshold
     }
 
     /// The `sleep()` call: given the predicted stall (or `None` when no
@@ -151,15 +130,6 @@ impl SleepPolicy {
     /// Panics if the id came from a different (larger) table.
     pub fn state(&self, id: SleepStateId) -> &SleepState {
         self.table.state(id)
-    }
-
-    /// Whether a measured overprediction `penalty` on a barrier whose
-    /// interval was `bit` trips the §3.3.3 cut-off.
-    pub fn penalty_trips_cutoff(&self, penalty: Cycles, bit: Cycles) -> bool {
-        match self.overprediction_threshold {
-            Some(th) => penalty > bit.scale(th),
-            None => false,
-        }
     }
 }
 
@@ -213,25 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_uses_fraction_of_bit() {
-        let p = SleepPolicy::paper(); // 10%
-        let bit = Cycles::from_micros(1000);
-        assert!(
-            !p.penalty_trips_cutoff(Cycles::from_micros(100), bit),
-            "at threshold: no trip"
-        );
-        assert!(p.penalty_trips_cutoff(Cycles::from_micros(101), bit));
-        assert!(!p.penalty_trips_cutoff(Cycles::ZERO, bit));
-    }
-
-    #[test]
-    fn disabled_cutoff_never_trips() {
-        let p = SleepPolicy::new(SleepTable::paper(), 2.0, None);
-        assert!(!p.penalty_trips_cutoff(Cycles::from_secs(1), Cycles::from_micros(1)));
-        assert_eq!(p.overprediction_threshold(), None);
-    }
-
-    #[test]
     fn choice_accessors() {
         let p = SleepPolicy::paper();
         let c = p.decide(Some(Cycles::from_millis(1)));
@@ -246,12 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "min stall multiple")]
     fn margin_below_one_rejected() {
-        let _ = SleepPolicy::new(SleepTable::paper(), 0.9, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "overprediction threshold")]
-    fn zero_threshold_rejected() {
-        let _ = SleepPolicy::new(SleepTable::paper(), 2.0, Some(0.0));
+        let _ = SleepPolicy::new(SleepTable::paper(), 0.9);
     }
 }

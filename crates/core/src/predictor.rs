@@ -13,15 +13,16 @@
 //! why the paper's indirection wins), and a recorded-trace oracle used for
 //! the Oracle-Halt and Ideal configurations.
 //!
-//! Two guard mechanisms from the paper are built in:
+//! The paper's **underprediction filter (§3.4.2)** is built in: when the
+//! measured BIT is inordinately larger than the table entry (context
+//! switch, I/O), the entry is left unchanged so one outlier does not poison
+//! prediction.
 //!
-//! * **Overprediction cut-off (§3.3.3)** — when a thread's wake-up lands
-//!   more than a threshold fraction of the BIT after the release, a per-
-//!   (thread, barrier) disable bit is set and that thread stops sleeping at
-//!   that barrier.
-//! * **Underprediction filter (§3.4.2)** — when the measured BIT is
-//!   inordinately larger than the table entry (context switch, I/O), the
-//!   entry is left unchanged so one outlier does not poison prediction.
+//! A predictor only answers *what* the next BIT will be. *Whether* a thread
+//! may use an answer — the §3.3.3 overprediction cut-off and the fault
+//! quarantine — is decided by one per-site gate in
+//! [`BarrierAlgorithm`](crate::BarrierAlgorithm), which asks the gate before
+//! it calls [`BitPredictor::predict`].
 
 use crate::barrier::ThreadId;
 use serde::{Deserialize, Serialize};
@@ -73,8 +74,7 @@ pub enum UpdateOutcome {
 /// on it.
 pub trait BitPredictor: fmt::Debug {
     /// Predicts the BIT for the upcoming instance of `pc` as observed by
-    /// `thread`, or `None` when no usable history exists or prediction is
-    /// disabled for this (thread, site).
+    /// `thread`, or `None` when no usable history exists.
     fn predict(&self, pc: BarrierPc, instance: u64, thread: ThreadId) -> Option<Cycles>;
 
     /// Offers the measured BIT of the just-released instance (called by the
@@ -84,26 +84,13 @@ pub trait BitPredictor: fmt::Debug {
     /// Offers a thread's measured BST for the just-released instance.
     /// Only direct-BST predictors use this; the default ignores it.
     fn update_bst(&mut self, _pc: BarrierPc, _thread: ThreadId, _measured: Cycles) {}
-
-    /// Sets the per-(thread, site) disable bit (§3.3.3).
-    fn disable(&mut self, pc: BarrierPc, thread: ThreadId);
-
-    /// Whether prediction is disabled for this (thread, site).
-    fn is_disabled(&self, pc: BarrierPc, thread: ThreadId) -> bool;
 }
 
-#[derive(Debug, Clone, Default)]
-struct SiteEntry {
-    last_bit: Option<Cycles>,
-    disabled: Vec<bool>,
-}
-
-/// The paper's predictor: PC-indexed last-value prediction with per-thread
-/// disable bits and the underprediction filter.
+/// The paper's predictor: PC-indexed last-value prediction with the
+/// underprediction filter.
 #[derive(Debug, Clone)]
 pub struct LastValuePredictor {
-    entries: HashMap<BarrierPc, SiteEntry>,
-    threads: usize,
+    entries: HashMap<BarrierPc, Cycles>,
     /// Measurements larger than `underprediction_factor ×` the current
     /// entry are treated as inordinate and skipped. `None` disables the
     /// filter.
@@ -111,79 +98,52 @@ pub struct LastValuePredictor {
 }
 
 impl LastValuePredictor {
-    /// Creates a predictor for `threads` threads with the underprediction
-    /// filter at the given factor (the paper tunes this per system; 8× is
-    /// our default — an interval eight times longer than the previous one
-    /// for the *same* barrier almost certainly contains a preemption).
+    /// Creates a predictor with the underprediction filter at the given
+    /// factor (the paper tunes this per system; 8× is our default — an
+    /// interval eight times longer than the previous one for the *same*
+    /// barrier almost certainly contains a preemption).
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or the factor is not greater than 1.
-    pub fn new(threads: usize, underprediction_factor: Option<f64>) -> Self {
-        assert!(threads > 0, "need at least one thread");
+    /// Panics if the factor is not greater than 1.
+    pub fn new(underprediction_factor: Option<f64>) -> Self {
         if let Some(f) = underprediction_factor {
             assert!(f > 1.0, "underprediction factor must exceed 1, got {f}");
         }
         LastValuePredictor {
             entries: HashMap::new(),
-            threads,
             underprediction_factor,
         }
     }
 
     /// The default configuration used by the evaluation.
-    pub fn with_defaults(threads: usize) -> Self {
-        LastValuePredictor::new(threads, Some(8.0))
+    pub fn with_defaults() -> Self {
+        LastValuePredictor::new(Some(8.0))
     }
 
-    /// The site's current table entry, ignoring the per-thread disable
-    /// bits (which gate *prediction*, not the table's existence).
+    /// The site's current table entry.
     pub fn last_bit(&self, pc: BarrierPc) -> Option<Cycles> {
-        self.entries.get(&pc).and_then(|e| e.last_bit)
-    }
-
-    fn entry_mut(&mut self, pc: BarrierPc) -> &mut SiteEntry {
-        let threads = self.threads;
-        self.entries.entry(pc).or_insert_with(|| SiteEntry {
-            last_bit: None,
-            disabled: vec![false; threads],
-        })
+        self.entries.get(&pc).copied()
     }
 }
 
 impl BitPredictor for LastValuePredictor {
-    fn predict(&self, pc: BarrierPc, _instance: u64, thread: ThreadId) -> Option<Cycles> {
-        let e = self.entries.get(&pc)?;
-        if *e.disabled.get(thread.index())? {
-            return None;
-        }
-        e.last_bit
+    fn predict(&self, pc: BarrierPc, _instance: u64, _thread: ThreadId) -> Option<Cycles> {
+        self.last_bit(pc)
     }
 
     fn update(&mut self, pc: BarrierPc, _instance: u64, measured: Cycles) -> UpdateOutcome {
-        let factor = self.underprediction_factor;
-        let e = self.entry_mut(pc);
-        if let (Some(f), Some(prev)) = (factor, e.last_bit) {
-            if prev > Cycles::ZERO && measured.as_u64() as f64 > prev.as_u64() as f64 * f {
+        let Some(prev) = self.entries.get_mut(&pc) else {
+            self.entries.insert(pc, measured);
+            return UpdateOutcome::Applied;
+        };
+        if let Some(f) = self.underprediction_factor {
+            if *prev > Cycles::ZERO && measured.as_u64() as f64 > prev.as_u64() as f64 * f {
                 return UpdateOutcome::SkippedInordinate;
             }
         }
-        e.last_bit = Some(measured);
+        *prev = measured;
         UpdateOutcome::Applied
-    }
-
-    fn disable(&mut self, pc: BarrierPc, thread: ThreadId) {
-        let e = self.entry_mut(pc);
-        if let Some(slot) = e.disabled.get_mut(thread.index()) {
-            *slot = true;
-        }
-    }
-
-    fn is_disabled(&self, pc: BarrierPc, thread: ThreadId) -> bool {
-        self.entries
-            .get(&pc)
-            .and_then(|e| e.disabled.get(thread.index()).copied())
-            .unwrap_or(false)
     }
 }
 
@@ -203,13 +163,13 @@ impl AveragingPredictor {
     /// # Panics
     ///
     /// Panics unless `0 < alpha <= 1`.
-    pub fn new(threads: usize, alpha: f64) -> Self {
+    pub fn new(alpha: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
             "alpha must be in (0,1], got {alpha}"
         );
         AveragingPredictor {
-            inner: LastValuePredictor::new(threads, Some(8.0)),
+            inner: LastValuePredictor::with_defaults(),
             averages: HashMap::new(),
             alpha,
         }
@@ -217,10 +177,9 @@ impl AveragingPredictor {
 }
 
 impl BitPredictor for AveragingPredictor {
-    fn predict(&self, pc: BarrierPc, instance: u64, thread: ThreadId) -> Option<Cycles> {
-        // Reuse the disable bits and history-existence logic of the inner
-        // predictor, then substitute the average.
-        self.inner.predict(pc, instance, thread)?;
+    fn predict(&self, pc: BarrierPc, _instance: u64, _thread: ThreadId) -> Option<Cycles> {
+        // The inner predictor accepts every first measurement, so an
+        // average exists exactly when the inner table has history.
         self.averages
             .get(&pc)
             .map(|&a| Cycles::new(a.round() as u64))
@@ -237,46 +196,25 @@ impl BitPredictor for AveragingPredictor {
         }
         outcome
     }
-
-    fn disable(&mut self, pc: BarrierPc, thread: ThreadId) {
-        self.inner.disable(pc, thread);
-    }
-
-    fn is_disabled(&self, pc: BarrierPc, thread: ThreadId) -> bool {
-        self.inner.is_disabled(pc, thread)
-    }
 }
 
 /// Ablation variant: *direct* last-value prediction of each thread's BST,
 /// the strawman §3.2 argues against. Thread-dependent and therefore noisy
 /// when work shifts among threads across instances.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DirectBstPredictor {
     last_bst: HashMap<(BarrierPc, ThreadId), Cycles>,
-    disabled: HashMap<(BarrierPc, ThreadId), bool>,
 }
 
 impl DirectBstPredictor {
     /// Creates an empty direct-BST predictor.
     pub fn new() -> Self {
-        DirectBstPredictor {
-            last_bst: HashMap::new(),
-            disabled: HashMap::new(),
-        }
-    }
-}
-
-impl Default for DirectBstPredictor {
-    fn default() -> Self {
-        DirectBstPredictor::new()
+        DirectBstPredictor::default()
     }
 }
 
 impl BitPredictor for DirectBstPredictor {
     fn predict(&self, pc: BarrierPc, _instance: u64, thread: ThreadId) -> Option<Cycles> {
-        if self.is_disabled(pc, thread) {
-            return None;
-        }
         // NOTE: callers treat the returned value as a BIT and subtract
         // compute time; the executor using this variant must call
         // `predicts_stall_directly` and skip the subtraction.
@@ -289,14 +227,6 @@ impl BitPredictor for DirectBstPredictor {
 
     fn update_bst(&mut self, pc: BarrierPc, thread: ThreadId, measured: Cycles) {
         self.last_bst.insert((pc, thread), measured);
-    }
-
-    fn disable(&mut self, pc: BarrierPc, thread: ThreadId) {
-        self.disabled.insert((pc, thread), true);
-    }
-
-    fn is_disabled(&self, pc: BarrierPc, thread: ThreadId) -> bool {
-        self.disabled.get(&(pc, thread)).copied().unwrap_or(false)
     }
 }
 
@@ -322,13 +252,13 @@ impl ConfidencePredictor {
     /// # Panics
     ///
     /// Panics if `tolerance` is not positive.
-    pub fn new(threads: usize, tolerance: f64) -> Self {
+    pub fn new(tolerance: f64) -> Self {
         assert!(
             tolerance > 0.0,
             "tolerance must be positive, got {tolerance}"
         );
         ConfidencePredictor {
-            inner: LastValuePredictor::new(threads, Some(8.0)),
+            inner: LastValuePredictor::with_defaults(),
             confidence: HashMap::new(),
             tolerance,
         }
@@ -349,10 +279,8 @@ impl BitPredictor for ConfidencePredictor {
     }
 
     fn update(&mut self, pc: BarrierPc, instance: u64, measured: Cycles) -> UpdateOutcome {
-        // Compare against the site's raw table entry, not a thread-filtered
-        // prediction: going through `predict` with an arbitrary thread
-        // would return `None` forever once that thread's disable bit is
-        // set, permanently resetting confidence to 1 for *every* thread.
+        // Compare against the site's table entry: confidence is a property
+        // of the site, whichever threads the gate lets predict there.
         let prev = self.inner.last_bit(pc).filter(|p| *p > Cycles::ZERO);
         let outcome = self.inner.update(pc, instance, measured);
         let slot = self.confidence.entry(pc).or_insert(0);
@@ -373,14 +301,6 @@ impl BitPredictor for ConfidencePredictor {
             }
         }
         outcome
-    }
-
-    fn disable(&mut self, pc: BarrierPc, thread: ThreadId) {
-        self.inner.disable(pc, thread);
-    }
-
-    fn is_disabled(&self, pc: BarrierPc, thread: ThreadId) -> bool {
-        self.inner.is_disabled(pc, thread)
     }
 }
 
@@ -425,14 +345,6 @@ impl BitPredictor for RecordedBitOracle {
     fn update(&mut self, _pc: BarrierPc, _instance: u64, _measured: Cycles) -> UpdateOutcome {
         UpdateOutcome::Applied
     }
-
-    fn disable(&mut self, _pc: BarrierPc, _thread: ThreadId) {
-        // An oracle never mispredicts, so the cut-off never fires; ignore.
-    }
-
-    fn is_disabled(&self, _pc: BarrierPc, _thread: ThreadId) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -448,13 +360,13 @@ mod tests {
 
     #[test]
     fn no_history_predicts_none() {
-        let p = LastValuePredictor::with_defaults(4);
+        let p = LastValuePredictor::with_defaults();
         assert_eq!(p.predict(PC, 0, t(0)), None);
     }
 
     #[test]
     fn last_value_roundtrip() {
-        let mut p = LastValuePredictor::with_defaults(4);
+        let mut p = LastValuePredictor::with_defaults();
         assert_eq!(
             p.update(PC, 0, Cycles::from_micros(100)),
             UpdateOutcome::Applied
@@ -466,7 +378,7 @@ mod tests {
 
     #[test]
     fn sites_are_independent() {
-        let mut p = LastValuePredictor::with_defaults(2);
+        let mut p = LastValuePredictor::with_defaults();
         p.update(PC, 0, Cycles::from_micros(100));
         p.update(PC2, 0, Cycles::from_micros(900));
         assert_eq!(p.predict(PC, 1, t(0)), Some(Cycles::from_micros(100)));
@@ -474,20 +386,8 @@ mod tests {
     }
 
     #[test]
-    fn disable_bit_is_per_thread_per_site() {
-        let mut p = LastValuePredictor::with_defaults(4);
-        p.update(PC, 0, Cycles::from_micros(100));
-        p.update(PC2, 0, Cycles::from_micros(100));
-        p.disable(PC, t(1));
-        assert!(p.is_disabled(PC, t(1)));
-        assert_eq!(p.predict(PC, 1, t(1)), None, "disabled thread gets None");
-        assert!(p.predict(PC, 1, t(0)).is_some(), "other threads unaffected");
-        assert!(p.predict(PC2, 1, t(1)).is_some(), "other sites unaffected");
-    }
-
-    #[test]
     fn underprediction_filter_skips_inordinate_bit() {
-        let mut p = LastValuePredictor::new(2, Some(4.0));
+        let mut p = LastValuePredictor::new(Some(4.0));
         p.update(PC, 0, Cycles::from_micros(100));
         // 10x the entry: a preemption happened; must be skipped.
         assert_eq!(
@@ -508,7 +408,7 @@ mod tests {
 
     #[test]
     fn filter_disabled_accepts_everything() {
-        let mut p = LastValuePredictor::new(2, None);
+        let mut p = LastValuePredictor::new(None);
         p.update(PC, 0, Cycles::from_micros(10));
         assert_eq!(
             p.update(PC, 1, Cycles::from_secs(10)),
@@ -518,7 +418,7 @@ mod tests {
 
     #[test]
     fn first_measurement_never_filtered() {
-        let mut p = LastValuePredictor::new(2, Some(2.0));
+        let mut p = LastValuePredictor::new(Some(2.0));
         assert_eq!(
             p.update(PC, 0, Cycles::from_secs(100)),
             UpdateOutcome::Applied
@@ -527,7 +427,7 @@ mod tests {
 
     #[test]
     fn averaging_predictor_smooths() {
-        let mut p = AveragingPredictor::new(2, 0.5);
+        let mut p = AveragingPredictor::new(0.5);
         p.update(PC, 0, Cycles::from_micros(100));
         p.update(PC, 1, Cycles::from_micros(200));
         // EWMA: 100, then 0.5*100 + 0.5*200 = 150.
@@ -536,19 +436,10 @@ mod tests {
 
     #[test]
     fn averaging_alpha_one_is_last_value() {
-        let mut p = AveragingPredictor::new(2, 1.0);
+        let mut p = AveragingPredictor::new(1.0);
         p.update(PC, 0, Cycles::from_micros(100));
         p.update(PC, 1, Cycles::from_micros(250));
         assert_eq!(p.predict(PC, 2, t(0)), Some(Cycles::from_micros(250)));
-    }
-
-    #[test]
-    fn averaging_respects_disable() {
-        let mut p = AveragingPredictor::new(2, 0.5);
-        p.update(PC, 0, Cycles::from_micros(100));
-        p.disable(PC, t(0));
-        assert_eq!(p.predict(PC, 1, t(0)), None);
-        assert!(p.is_disabled(PC, t(0)));
     }
 
     #[test]
@@ -559,8 +450,6 @@ mod tests {
         assert_eq!(p.predict(PC, 5, t(0)), Some(Cycles::from_micros(30)));
         assert_eq!(p.predict(PC, 5, t(1)), Some(Cycles::from_micros(70)));
         assert_eq!(p.predict(PC, 5, t(2)), None);
-        p.disable(PC, t(1));
-        assert_eq!(p.predict(PC, 6, t(1)), None);
     }
 
     #[test]
@@ -573,13 +462,11 @@ mod tests {
         assert_eq!(o.predict(PC, 0, t(3)), Some(Cycles::from_micros(100)));
         assert_eq!(o.predict(PC, 1, t(0)), Some(Cycles::from_micros(170)));
         assert_eq!(o.predict(PC, 2, t(0)), None);
-        o.disable(PC, t(0)); // no-op
-        assert!(!o.is_disabled(PC, t(0)));
     }
 
     #[test]
     fn confidence_gates_until_stable() {
-        let mut p = ConfidencePredictor::new(2, 0.10);
+        let mut p = ConfidencePredictor::new(0.10);
         assert_eq!(p.confidence(PC), 0);
         p.update(PC, 0, Cycles::from_micros(100));
         assert_eq!(p.confidence(PC), 1);
@@ -591,7 +478,7 @@ mod tests {
 
     #[test]
     fn confidence_drops_on_swings_and_recovers() {
-        let mut p = ConfidencePredictor::new(2, 0.10);
+        let mut p = ConfidencePredictor::new(0.10);
         for i in 0..3 {
             p.update(PC, i, Cycles::from_micros(100));
         }
@@ -608,67 +495,29 @@ mod tests {
     }
 
     #[test]
-    fn confidence_respects_disable_bits() {
-        let mut p = ConfidencePredictor::new(2, 0.10);
-        for i in 0..3 {
-            p.update(PC, i, Cycles::from_micros(100));
-        }
-        p.disable(PC, t(1));
-        assert!(p.is_disabled(PC, t(1)));
-        assert_eq!(p.predict(PC, 3, t(1)), None);
-        assert!(p.predict(PC, 3, t(0)).is_some());
-    }
-
-    #[test]
-    fn confidence_survives_thread0_disable() {
-        // Regression: `update` used to probe history through
-        // `predict(pc, _, ThreadId::new(0))`, so setting thread 0's disable
-        // bit made `prev` permanently `None`, pinning confidence at 1 and
-        // silently disabling prediction for every thread at the site.
-        let mut p = ConfidencePredictor::new(4, 0.10);
-        p.update(PC, 0, Cycles::from_micros(100));
-        p.disable(PC, t(0));
-        p.update(PC, 1, Cycles::from_micros(102));
-        p.update(PC, 2, Cycles::from_micros(101));
-        assert!(
-            p.confidence(PC) >= 2,
-            "stable history must build confidence even with thread 0 disabled (got {})",
-            p.confidence(PC)
-        );
-        assert_eq!(p.predict(PC, 3, t(0)), None, "thread 0 stays disabled");
-        assert_eq!(
-            p.predict(PC, 3, t(1)),
-            Some(Cycles::from_micros(101)),
-            "other threads keep predicting"
-        );
-    }
-
-    #[test]
-    fn last_bit_ignores_disable_bits() {
-        let mut p = LastValuePredictor::with_defaults(2);
+    fn last_bit_reads_the_table_entry() {
+        let mut p = LastValuePredictor::with_defaults();
         assert_eq!(p.last_bit(PC), None);
         p.update(PC, 0, Cycles::from_micros(100));
-        p.disable(PC, t(0));
-        p.disable(PC, t(1));
         assert_eq!(p.last_bit(PC), Some(Cycles::from_micros(100)));
     }
 
     #[test]
     #[should_panic(expected = "tolerance must be positive")]
     fn confidence_rejects_bad_tolerance() {
-        let _ = ConfidencePredictor::new(2, 0.0);
+        let _ = ConfidencePredictor::new(0.0);
     }
 
     #[test]
     #[should_panic(expected = "underprediction factor")]
     fn bad_filter_factor_rejected() {
-        let _ = LastValuePredictor::new(2, Some(1.0));
+        let _ = LastValuePredictor::new(Some(1.0));
     }
 
     #[test]
     #[should_panic(expected = "alpha")]
     fn bad_alpha_rejected() {
-        let _ = AveragingPredictor::new(2, 0.0);
+        let _ = AveragingPredictor::new(0.0);
     }
 
     #[test]

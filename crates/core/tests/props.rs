@@ -107,15 +107,14 @@ proptest! {
         }
     }
 
-    /// Last-value prediction returns exactly the last accepted update,
-    /// and disable bits are sticky and thread-local.
+    /// Last-value prediction returns exactly the last accepted update, to
+    /// every thread.
     #[test]
     fn last_value_returns_last_accepted(
         updates_us in proptest::collection::vec(1u64..1_000_000, 1..30),
-        disable_thread in 0usize..8,
     ) {
         let pc = BarrierPc::new(0x10);
-        let mut p = LastValuePredictor::new(8, None);
+        let mut p = LastValuePredictor::new(None);
         let mut last = None;
         for (i, &u) in updates_us.iter().enumerate() {
             p.update(pc, i as u64, Cycles::from_micros(u));
@@ -123,11 +122,6 @@ proptest! {
         }
         for t in 0..8 {
             prop_assert_eq!(p.predict(pc, 99, ThreadId::new(t)), last);
-        }
-        p.disable(pc, ThreadId::new(disable_thread));
-        for t in 0..8 {
-            let expected = if t == disable_thread { None } else { last };
-            prop_assert_eq!(p.predict(pc, 99, ThreadId::new(t)), expected);
         }
     }
 
@@ -139,7 +133,7 @@ proptest! {
         factor in 1.5f64..16.0,
     ) {
         let pc = BarrierPc::new(0x20);
-        let mut p = LastValuePredictor::new(2, Some(factor));
+        let mut p = LastValuePredictor::new(Some(factor));
         let mut entry: Option<u64> = None;
         for (i, &u) in updates_us.iter().enumerate() {
             let outcome = p.update(pc, i as u64, Cycles::from_micros(u));

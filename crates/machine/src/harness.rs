@@ -59,8 +59,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 use tb_core::{
-    AlgorithmConfig, FaultPlan, PredictorChoice, QuarantineConfig, RecordedBitOracle, SystemConfig,
-    WakeupMode,
+    AlgorithmConfig, FaultPlan, PredictorChoice, RecordedBitOracle, SystemConfig, WakeupMode,
 };
 use tb_faults::FaultSummary;
 use tb_mem::MachineConfig;
@@ -625,7 +624,7 @@ impl Harness {
             if plan.is_some() {
                 // Under injected faults the predictor needs its misprediction
                 // backstop; quarantine is part of the hardened configuration.
-                algo = algo.with_quarantine(Some(QuarantineConfig::default()));
+                algo = algo.with_quarantine(true);
             }
             cfg.faults = plan;
             cfg.time_sharing = v.time_sharing;

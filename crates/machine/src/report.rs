@@ -36,7 +36,8 @@ pub struct BarrierEventCounts {
     /// Spurious (injected) wake-ups taken while sleeping (§3.3.1's false
     /// wake-up; the residual spin absorbs them).
     pub false_wakeups: u64,
-    /// §3.3.3 disable bits set during the run.
+    /// §3.3.3 cut-off trips during the run. The oracle's trips count too,
+    /// though they disable nothing.
     pub cutoff_disables: u64,
     /// Predictor updates skipped by the §3.4.2 underprediction filter.
     pub updates_skipped: u64,

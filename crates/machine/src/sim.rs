@@ -1749,8 +1749,7 @@ mod tests {
         for scenario in tb_core::FaultPlan::scenario_names() {
             for seed in [1u64, 42, 1234] {
                 let c = fault_cfg("Thrifty", scenario, seed);
-                let algo = AlgorithmConfig::thrifty()
-                    .with_quarantine(Some(tb_core::QuarantineConfig::default()));
+                let algo = AlgorithmConfig::thrifty().with_quarantine(true);
                 if *scenario == "hang" {
                     continue; // covered by hang_scenario_trips_the_watchdog
                 }
@@ -1840,8 +1839,7 @@ mod tests {
         let sink = std::sync::Arc::new(tb_trace::MemorySink::new(16, 65536));
         let mut c = fault_cfg("Thrifty", "storm", 11);
         c.trace = SinkHandle::new(sink.clone());
-        let algo =
-            AlgorithmConfig::thrifty().with_quarantine(Some(tb_core::QuarantineConfig::default()));
+        let algo = AlgorithmConfig::thrifty().with_quarantine(true);
         let (r, summary) = run_faulted(c, &trace, algo, None);
         assert_eq!(r.counts.episodes, 20);
         assert!(summary.injected() > 0, "storm injects across classes");
