@@ -282,3 +282,36 @@ fn trace_ocean_n8_matches_fixtures() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The message-passing cluster's reports at paper scale, pinned by digest:
+/// the JSON of X1's 14 cells at 64 nodes and the paper seed. X1's text
+/// fixture rounds every figure; this holds the exact times and energies.
+/// The wait-lifecycle counters the cluster did not always fill
+/// (`cutoff_disables`, `updates_skipped`, `early_wakeups`,
+/// `late_wakeups`) and the recorded-trace summary are cleared first.
+#[test]
+fn cluster_x1_json_digest_matches_fixture() {
+    use thrifty_barrier::machine::{run::PAPER_SEED, Harness, RunReport};
+    let x1 = thrifty_barrier::reproduce::by_id("X1").expect("X1 exists");
+    let cells = (x1.cells)(64, PAPER_SEED);
+    assert_eq!(cells.len(), 14, "7 apps x (Baseline, Thrifty)");
+    let reports: Vec<RunReport> = Harness::new(2)
+        .run_cells_isolated(&cells)
+        .into_iter()
+        .map(|outcome| {
+            let mut report = outcome.report.expect("cluster cells complete");
+            let counts = &mut report.counts;
+            counts.cutoff_disables = 0;
+            counts.updates_skipped = 0;
+            counts.early_wakeups = 0;
+            counts.late_wakeups = 0;
+            report.trace = None;
+            report
+        })
+        .collect();
+    assert_eq!(
+        fnv1a64_hex(serde::json::to_string(&reports).as_bytes()),
+        digest_fixture("cluster_x1_json.digest"),
+        "X1's 64-node cluster reports drifted from tests/golden/cluster_x1_json.digest"
+    );
+}
