@@ -36,14 +36,25 @@
 //! the strongest form of the paper's portability claim: predict the BIT,
 //! derive their stall, pick a sleep state, and arm the hybrid wake-up, the
 //! external signal being the release message's NIC interrupt, the internal
-//! one a NIC timer. The coordinator itself never sleeps (it must service
-//! arrival messages); it polls, and its stall is charged as spin energy.
-//! There are no coherent caches, so the deep states' flush requirement is
-//! vacuous here; `needs_flush` is ignored.
+//! one a NIC timer. They also run the shared-memory machine's own per-CPU
+//! wait state machine: this module supplies only the messages (arrival
+//! delivery, the coordinator, the release broadcast and the poll grain).
+//! A node back from sleep sees the release once its message can have been
+//! delivered, `msg_latency` after the last arrival landed; before that it
+//! polls out the residue. The coordinator itself never sleeps (it must
+//! service arrival messages); it polls, and its stall is charged as spin
+//! energy. There are no coherent caches, so the deep states' flush
+//! requirement is vacuous here: nothing is flushed.
 //!
-//! A run yields the same [`RunReport`] as the shared-memory machine: polls
-//! are its `counts.spins`, and it records no per-instance records. In the
-//! harness, a cell runs here when its variant's substrate is
+//! A run yields the same [`RunReport`] as the shared-memory machine, with
+//! the same barrier event counts: polls are its `counts.spins`, and it
+//! fills the early arrivals, the sleeps by state, the internal and
+//! external wake-ups, the early and late wake-ups (at the residual check),
+//! the §3.3.3 cut-off trips and the skipped predictor updates. `flushes`,
+//! `flushed_lines` and `false_wakeups` stay zero, and it records no
+//! per-instance records. With a sink set ([`MsgSimulator::set_trace`]) it
+//! emits the same trace events as the shared-memory machine, bar flushes.
+//! In the harness, a cell runs here when its variant's substrate is
 //! [`Substrate::Cluster`](crate::harness::Substrate::Cluster).
 //!
 //! # Examples
@@ -64,13 +75,15 @@
 //! assert!(thrifty.total_energy() < base.total_energy());
 //! ```
 
-use crate::report::{BarrierEventCounts, RunReport};
+use crate::cpu::{Cpus, Event, Settled, State};
+use crate::report::RunReport;
 use crate::sim::{CellError, Deadline};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tb_core::{AlgorithmConfig, BarrierAlgorithm, BarrierPc, SleepChoice, ThreadId};
-use tb_energy::{EnergyCategory, MachineLedger, PowerModel, SleepStateId};
-use tb_sim::{Cycles, EventId, EventQueue, OnlineStats};
+use tb_core::{AlgorithmConfig, BarrierAlgorithm, SleepChoice};
+use tb_energy::{EnergyCategory, PowerModel};
+use tb_sim::Cycles;
+use tb_trace::SinkHandle;
 use tb_workloads::AppTrace;
 
 /// Cluster parameters.
@@ -153,41 +166,13 @@ impl fmt::Display for ClusterConfig {
     }
 }
 
+/// The cluster's own events, beside the wait lifecycle's.
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    ComputeDone { node: usize },
-    ArriveAtCoordinator { episode: usize },
-    ReleaseDelivered { node: usize, episode: usize },
-    TimerFired { node: usize, episode: usize },
-    TransitionDone { node: usize },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeState {
-    Computing,
-    Polling {
-        since: Cycles,
-    },
-    EnteringSleep {
-        state: SleepStateId,
-        wake_pending: bool,
-    },
-    Sleeping {
-        state: SleepStateId,
-        since: Cycles,
-    },
-    ExitingSleep,
-    Done,
-}
-
-#[derive(Debug)]
-struct Node {
-    state: NodeState,
-    step: usize,
-    depart_time: Cycles,
-    timer: Option<EventId>,
-    interrupt_armed: bool,
-    predicted_bit: Option<Cycles>,
+enum MsgEvent {
+    /// An arrival message for `episode` reached the coordinator.
+    Arrive { episode: usize },
+    /// The release message of `episode` reached node `tid`.
+    ReleaseDelivered { tid: usize, episode: usize },
 }
 
 /// The message-passing cluster simulator.
@@ -195,20 +180,7 @@ struct Node {
 pub struct MsgSimulator {
     cluster: ClusterConfig,
     config_name: String,
-    trace: AppTrace,
-    algo: BarrierAlgorithm,
-    power: PowerModel,
-    queue: EventQueue<Event>,
-    nodes: Vec<Node>,
-    arrivals: Vec<u32>,
-    released: Vec<bool>,
-    episode_release: Vec<Cycles>,
-    episode_bits: Vec<Cycles>,
-    ledger: MachineLedger,
-    counts: BarrierEventCounts,
-    prediction_error: OnlineStats,
-    p_compute: f64,
-    p_spin: f64,
+    cpus: Cpus<MsgEvent>,
 }
 
 impl MsgSimulator {
@@ -232,48 +204,31 @@ impl MsgSimulator {
             cluster.nodes,
             trace.threads
         );
-        let power = PowerModel::paper();
-        let episodes = trace.steps.len();
-        let n_states = algo_cfg.sleep_table.len();
         let algo = BarrierAlgorithm::new(algo_cfg, trace.threads);
+        // A node back from sleep sees the release once its message can
+        // have arrived.
+        let lag = cluster.msg_latency;
         MsgSimulator {
-            queue: EventQueue::new(),
-            nodes: (0..trace.threads)
-                .map(|_| Node {
-                    state: NodeState::Computing,
-                    step: 0,
-                    depart_time: Cycles::ZERO,
-                    timer: None,
-                    interrupt_armed: false,
-                    predicted_bit: None,
-                })
-                .collect(),
-            arrivals: vec![0; episodes],
-            released: vec![false; episodes],
-            episode_release: vec![Cycles::MAX; episodes],
-            episode_bits: vec![Cycles::ZERO; episodes],
-            ledger: MachineLedger::new(trace.threads),
-            counts: BarrierEventCounts {
-                sleeps_by_state: vec![0; n_states],
-                ..BarrierEventCounts::default()
-            },
-            prediction_error: OnlineStats::new(),
-            p_compute: power.compute_watts(),
-            p_spin: power.spin_watts(),
-            power,
+            cpus: Cpus::new(
+                trace,
+                algo,
+                &PowerModel::paper(),
+                lag,
+                SinkHandle::disabled(),
+            ),
             cluster,
             config_name: config_name.into(),
-            trace,
-            algo,
         }
+    }
+
+    /// Sends the run's events, the nodes' and the algorithm's, to `trace`
+    /// (by default they go nowhere).
+    pub fn set_trace(&mut self, trace: SinkHandle) {
+        self.cpus.set_trace(trace);
     }
 
     fn coordinator(&self) -> usize {
         self.cluster.coordinator as usize
-    }
-
-    fn pc_of(&self, step: usize) -> BarrierPc {
-        BarrierPc::new(self.trace.steps[step].pc)
     }
 
     /// Runs to completion, or until `deadline` passes
@@ -281,282 +236,118 @@ impl MsgSimulator {
     /// every 1024 events). Polls are the report's `counts.spins`, and it
     /// has no instance records.
     pub fn run(mut self, deadline: Option<Deadline>) -> Result<RunReport, CellError> {
-        for node in 0..self.trace.threads {
-            let dur = self.trace.steps[0].compute[node];
-            self.queue.schedule(dur, Event::ComputeDone { node });
-        }
+        self.cpus.start();
         let mut events = 0u64;
-        while let Some((now, ev)) = self.queue.pop() {
+        while let Some((now, ev)) = self.cpus.queue.pop() {
             if let Some(d) = &deadline {
                 d.poll(&mut events)?;
             }
             match ev {
-                Event::ComputeDone { node } => self.on_compute_done(node, now),
-                Event::ArriveAtCoordinator { episode } => self.on_arrive(episode, now),
-                Event::ReleaseDelivered { node, episode } => {
-                    self.on_release_delivered(node, episode, now)
+                Event::ComputeDone { tid } => self.on_compute_done(tid, now),
+                Event::TimerFired { tid, episode } => self.cpus.on_timer(tid, episode, now),
+                Event::TransitionDone { tid } => self.on_transition_done(tid, now),
+                Event::Substrate(MsgEvent::Arrive { episode }) => self.on_arrive(episode, now),
+                Event::Substrate(MsgEvent::ReleaseDelivered { tid, episode }) => {
+                    self.on_release_delivered(tid, episode, now)
                 }
-                Event::TimerFired { node, episode } => self.on_timer(node, episode, now),
-                Event::TransitionDone { node } => self.on_transition_done(node, now),
             }
         }
-        debug_assert!(self.nodes.iter().all(|n| n.state == NodeState::Done));
-        let wall_time = self
-            .nodes
-            .iter()
-            .map(|n| n.depart_time)
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        self.counts.episodes = self.released.iter().filter(|&&r| r).count() as u64;
-        Ok(RunReport {
-            app: self.trace.app_name.clone(),
-            config: self.config_name,
-            threads: self.trace.threads,
-            wall_time,
-            ledger: self.ledger,
-            counts: self.counts,
-            prediction_error: self.prediction_error,
-            instances: Vec::new(),
-            observed_thread: 0,
-            trace: None,
-        })
+        debug_assert!(self.cpus.all_done());
+        Ok(self.cpus.into_report(self.config_name, Vec::new(), 0).0)
     }
 
-    fn on_compute_done(&mut self, node: usize, now: Cycles) {
-        let step = self.nodes[node].step;
-        // Charge the compute segment.
-        let depart = self.nodes[node].depart_time;
-        self.ledger.cpu_mut(node).record(
-            EnergyCategory::Compute,
-            now.saturating_sub(depart),
-            self.p_compute,
-        );
+    fn on_compute_done(&mut self, tid: usize, now: Cycles) {
+        let step = self.cpus.cpu[tid].step;
+        self.cpus.charge_compute(tid, now);
         // Send the arrival message (free for the coordinator itself).
         let delivered = self
             .cluster
-            .delivery(node as u16, self.cluster.coordinator, now, 0);
-        self.queue
-            .schedule(delivered, Event::ArriveAtCoordinator { episode: step });
-        if node == self.coordinator() {
+            .delivery(tid as u16, self.cluster.coordinator, now, 0);
+        self.cpus
+            .schedule(delivered, MsgEvent::Arrive { episode: step });
+        if tid == self.coordinator() {
             // The coordinator waits in a polling loop servicing arrivals;
             // its own barrier bookkeeping happens as arrivals land.
-            self.nodes[node].state = NodeState::Polling { since: now };
+            self.cpus.cpu[tid].state = State::Spinning { since: now };
             return;
         }
         // Early-arrival decision with the *unmodified* algorithm.
-        let pc = self.pc_of(step);
-        let decision = self.algo.on_early_arrival(ThreadId::new(node), pc, now);
-        self.counts.early_arrivals += 1;
-        self.nodes[node].predicted_bit = decision.predicted_bit;
+        let decision = self.cpus.arrive_early(tid, now);
         match decision.choice {
-            SleepChoice::Spin => {
-                self.nodes[node].state = NodeState::Polling { since: now };
-                self.counts.spins += 1;
-            }
+            SleepChoice::Spin => self.cpus.spin(tid, now),
+            // No caches to flush in a message-passing node.
             SleepChoice::Sleep { state, .. } => {
-                // No caches to flush in a message-passing node.
-                let st = self.algo.policy().state(state);
-                let entry = st.transition_latency();
-                let p_sleep = st.power_watts(self.power.tdp_max());
-                self.ledger
-                    .cpu_mut(node)
-                    .record_transition(entry, self.p_compute, p_sleep);
-                self.nodes[node].state = NodeState::EnteringSleep {
-                    state,
-                    wake_pending: false,
-                };
-                self.nodes[node].interrupt_armed = decision.wakeup.external;
-                self.queue
-                    .schedule(now + entry, Event::TransitionDone { node });
-                if let Some(at) = decision.wakeup.internal_at {
-                    let id = self.queue.schedule(
-                        at.max(now),
-                        Event::TimerFired {
-                            node,
-                            episode: step,
-                        },
-                    );
-                    self.nodes[node].timer = Some(id);
-                }
-                self.counts.sleeps_by_state[state.index()] += 1;
+                self.cpus
+                    .sleep(tid, state, false, decision.wakeup, now, now)
             }
         }
     }
 
     fn on_arrive(&mut self, episode: usize, now: Cycles) {
-        self.arrivals[episode] += 1;
-        if self.arrivals[episode] < self.trace.threads as u32 {
+        if !self.cpus.check_in(episode) {
             return;
         }
         // All arrived: the coordinator measures the BIT against its own
         // previous-release timestamp and broadcasts the release.
         let coord = self.coordinator();
-        let pc = self.pc_of(episode);
-        let release = self.algo.on_last_arrival(ThreadId::new(coord), pc, now);
-        self.released[episode] = true;
-        self.episode_release[episode] = now;
-        self.episode_bits[episode] = release.measured_bit;
+        debug_assert_eq!(self.cpus.cpu[coord].step, episode);
+        self.cpus.release(coord, now);
         let mut index = 0u64;
-        for node in 0..self.trace.threads {
-            if node == coord {
+        for tid in 0..self.cpus.cpu.len() {
+            if tid == coord {
                 continue;
             }
-            let delivered =
-                self.cluster
-                    .delivery(self.cluster.coordinator, node as u16, now, index);
+            let delivered = self
+                .cluster
+                .delivery(self.cluster.coordinator, tid as u16, now, index);
             index += 1;
-            self.queue
-                .schedule(delivered, Event::ReleaseDelivered { node, episode });
+            self.cpus
+                .schedule(delivered, MsgEvent::ReleaseDelivered { tid, episode });
         }
         // Coordinator's own stall was a poll from its check-in to now.
-        if let NodeState::Polling { since } = self.nodes[coord].state {
-            self.ledger.cpu_mut(coord).record(
+        if let State::Spinning { since } = self.cpus.cpu[coord].state {
+            self.cpus.ledger.cpu_mut(coord).record(
                 EnergyCategory::Spin,
                 now.saturating_sub(since),
-                self.p_spin,
+                self.cpus.p_spin,
             );
         }
-        self.depart(coord, now, now);
+        self.cpus.depart(coord, now, now);
     }
 
-    fn on_release_delivered(&mut self, node: usize, episode: usize, now: Cycles) {
-        if self.nodes[node].step != episode {
-            return; // stale (cannot happen with one outstanding episode)
+    fn on_release_delivered(&mut self, tid: usize, episode: usize, now: Cycles) {
+        if self.cpus.cpu[tid].step != episode {
+            return; // a second delivery to a node that already departed
         }
-        match self.nodes[node].state {
-            NodeState::Polling { since } => {
-                let seen = now + self.cluster.poll_grain;
-                self.ledger.cpu_mut(node).record(
-                    EnergyCategory::Spin,
-                    seen.saturating_sub(since),
-                    self.p_spin,
-                );
-                self.depart(node, seen, seen);
-            }
-            NodeState::Sleeping { state, since } => {
-                if self.nodes[node].interrupt_armed {
-                    self.begin_exit(node, state, since, now);
-                    self.counts.external_wakeups += 1;
-                }
-            }
-            NodeState::EnteringSleep { state, .. } => {
-                if self.nodes[node].interrupt_armed {
-                    self.nodes[node].state = NodeState::EnteringSleep {
-                        state,
-                        wake_pending: true,
-                    };
-                    self.counts.external_wakeups += 1;
-                }
-            }
-            NodeState::ExitingSleep => {}
-            NodeState::Computing | NodeState::Done => {
-                unreachable!("release delivered to a non-waiting node")
-            }
-        }
-    }
-
-    fn on_timer(&mut self, node: usize, episode: usize, now: Cycles) {
-        if self.nodes[node].step != episode {
-            return;
-        }
-        self.nodes[node].timer = None;
-        match self.nodes[node].state {
-            NodeState::Sleeping { state, since } => {
-                self.begin_exit(node, state, since, now);
-                self.counts.internal_wakeups += 1;
-            }
-            NodeState::EnteringSleep { state, .. } => {
-                self.nodes[node].state = NodeState::EnteringSleep {
-                    state,
-                    wake_pending: true,
-                };
-                self.counts.internal_wakeups += 1;
-            }
-            _ => {}
-        }
-    }
-
-    fn begin_exit(&mut self, node: usize, state: SleepStateId, since: Cycles, at: Cycles) {
-        if let Some(timer) = self.nodes[node].timer.take() {
-            self.queue.cancel(timer);
-        }
-        let st = self.algo.policy().state(state);
-        let p_sleep = st.power_watts(self.power.tdp_max());
-        self.ledger
-            .cpu_mut(node)
-            .record(EnergyCategory::Sleep, at.saturating_sub(since), p_sleep);
-        self.ledger.cpu_mut(node).record_transition(
-            st.transition_latency(),
-            p_sleep,
-            self.p_compute,
-        );
-        self.nodes[node].state = NodeState::ExitingSleep;
-        self.queue
-            .schedule(at + st.transition_latency(), Event::TransitionDone { node });
-    }
-
-    fn on_transition_done(&mut self, node: usize, now: Cycles) {
-        match self.nodes[node].state {
-            NodeState::EnteringSleep {
-                state,
-                wake_pending,
-            } => {
-                if wake_pending {
-                    self.begin_exit(node, state, now, now);
-                } else {
-                    self.nodes[node].state = NodeState::Sleeping { state, since: now };
-                }
-            }
-            NodeState::ExitingSleep => {
-                let step = self.nodes[node].step;
-                // A release *message* is observable on arrival; if it has
-                // already been delivered (we were woken by it, or the
-                // timer raced it), the node departs; otherwise it polls
-                // for it.
-                if self.released[step]
-                    && now >= self.episode_release[step] + self.cluster.msg_latency
-                {
-                    self.depart(node, now, now);
-                } else {
-                    self.nodes[node].state = NodeState::Polling { since: now };
-                    if self.released[step] {
-                        // Release in flight: poll until its delivery.
-                        let at = (self.episode_release[step] + self.cluster.msg_latency).max(now);
-                        self.queue.schedule(
-                            at,
-                            Event::ReleaseDelivered {
-                                node,
-                                episode: step,
-                            },
-                        );
-                    }
-                }
-            }
-            _ => unreachable!("TransitionDone in a non-transition state"),
-        }
-    }
-
-    fn depart(&mut self, node: usize, wake_ts: Cycles, depart_time: Cycles) {
-        let step = self.nodes[node].step;
-        let pc = self.pc_of(step);
-        self.algo.finish_barrier(ThreadId::new(node), pc, wake_ts);
-        if let Some(predicted) = self.nodes[node].predicted_bit.take() {
-            let actual = self.episode_bits[step].as_u64() as f64;
-            if actual > 0.0 {
-                self.prediction_error
-                    .push((predicted.as_u64() as f64 - actual).abs() / actual);
-            }
-        }
-        self.nodes[node].interrupt_armed = false;
-        self.nodes[node].depart_time = depart_time;
-        self.nodes[node].step += 1;
-        if self.nodes[node].step < self.trace.steps.len() {
-            self.nodes[node].state = NodeState::Computing;
-            let dur = self.trace.steps[self.nodes[node].step].compute[node];
-            self.queue
-                .schedule(depart_time + dur, Event::ComputeDone { node });
+        if let State::Spinning { since } = self.cpus.cpu[tid].state {
+            let seen = now + self.cluster.poll_grain;
+            self.cpus.ledger.cpu_mut(tid).record(
+                EnergyCategory::Spin,
+                seen.saturating_sub(since),
+                self.cpus.p_spin,
+            );
+            self.cpus.depart(tid, seen, seen);
         } else {
-            self.nodes[node].state = NodeState::Done;
+            // The NIC interrupt: wakes a sleeper whose wake-up it arms.
+            self.cpus.external_wake(tid, now);
+        }
+    }
+
+    fn on_transition_done(&mut self, tid: usize, now: Cycles) {
+        let step = self.cpus.cpu[tid].step;
+        match self.cpus.on_transition_done(tid, now) {
+            // A release *message* is observable on arrival: the node
+            // departs once it can have been delivered (it woke the node,
+            // or the timer raced it) …
+            Settled::Released => self.cpus.depart(tid, now, now),
+            // … and polls for it otherwise, until its delivery when it is
+            // already in flight.
+            Settled::ResidualSpin if self.cpus.released[step] => {
+                let at = self.cpus.episode_release[step] + self.cluster.msg_latency;
+                let delivered = MsgEvent::ReleaseDelivered { tid, episode: step };
+                self.cpus.schedule(at, delivered);
+            }
+            Settled::ResidualSpin | Settled::Exiting | Settled::Asleep => {}
         }
     }
 }

@@ -335,7 +335,8 @@ fn simulate_on(
                 "a cluster cell runs no fault plan, time-sharing or oracle"
             );
             let cluster = ClusterConfig::default_cluster(nodes);
-            let sim = MsgSimulator::new(cluster, trace.clone(), cfg.config_name, algo);
+            let mut sim = MsgSimulator::new(cluster, trace.clone(), cfg.config_name, algo);
+            sim.set_trace(cfg.trace);
             return Ok((sim.run(deadline)?, FaultSummary::default()));
         }
     }
@@ -1101,45 +1102,64 @@ mod tests {
     #[test]
     fn recorded_trace_agrees_with_event_counters() {
         let app = AppSpec::by_name("Ocean").unwrap();
-        let cell = Cell::new(app, 16, crate::run::PAPER_SEED, SystemConfig::Thrifty);
-        let outcome = Harness::serial()
-            .with_record(Some(1 << 16))
-            .run_cells_isolated(&[cell])
-            .remove(0);
-        let report = outcome.report.as_ref().unwrap();
-        let summary = report.trace.as_ref().unwrap();
-        assert_eq!(summary.dropped, 0, "capacity should be ample");
-        assert_eq!(summary.events as usize, outcome.events.len());
+        let directory = Cell::new(app, 16, crate::run::PAPER_SEED, SystemConfig::Thrifty);
+        let cluster = directory.clone().with_variant(Variant {
+            substrate: Substrate::Cluster,
+            ..Variant::default()
+        });
+        for cell in [directory, cluster] {
+            let substrate = cell.variant.substrate;
+            let outcome = Harness::serial()
+                .with_record(Some(1 << 16))
+                .run_cells_isolated(&[cell])
+                .remove(0);
+            let report = outcome.report.as_ref().unwrap();
+            let summary = report.trace.as_ref().unwrap();
+            assert_eq!(
+                summary.dropped, 0,
+                "{substrate:?}: capacity should be ample"
+            );
+            assert_eq!(summary.events as usize, outcome.events.len());
 
-        // Every physical counter in BarrierEventCounts must be visible as
-        // the same number of trace events.
-        let c = &report.counts;
-        let k = &summary.counts;
-        assert_eq!(k.releases, c.episodes);
-        assert_eq!(k.arrivals, c.early_arrivals);
-        assert_eq!(k.last_arrivals, c.episodes);
-        assert_eq!(k.spin_starts, c.spins);
-        assert_eq!(k.sleep_starts, c.total_sleeps());
-        assert_eq!(k.flushes, c.flushes);
-        assert_eq!(k.internal_wakes, c.internal_wakeups);
-        assert_eq!(k.external_wakes, c.external_wakeups);
-        assert_eq!(k.false_wakes, c.false_wakeups);
-        assert_eq!(k.residual_spins, c.early_wakeups);
-        assert_eq!(k.cutoff_disables, c.cutoff_disables);
-        assert_eq!(k.releases_update_skipped, c.updates_skipped);
-        // Every thread departs every episode.
-        assert_eq!(k.departs, c.episodes * 16);
+            // Every physical counter in BarrierEventCounts must be visible
+            // as the same number of trace events.
+            let c = &report.counts;
+            let k = &summary.counts;
+            let pairs = [
+                ("releases", k.releases, c.episodes),
+                ("arrivals", k.arrivals, c.early_arrivals),
+                ("last arrivals", k.last_arrivals, c.episodes),
+                ("spin starts", k.spin_starts, c.spins),
+                ("sleep starts", k.sleep_starts, c.total_sleeps()),
+                ("flushes", k.flushes, c.flushes),
+                ("internal wakes", k.internal_wakes, c.internal_wakeups),
+                ("external wakes", k.external_wakes, c.external_wakeups),
+                ("false wakes", k.false_wakes, c.false_wakeups),
+                ("residual spins", k.residual_spins, c.early_wakeups),
+                ("cut-off trips", k.cutoff_disables, c.cutoff_disables),
+                (
+                    "skipped updates",
+                    k.releases_update_skipped,
+                    c.updates_skipped,
+                ),
+                // Every thread departs every episode.
+                ("departs", k.departs, c.episodes * 16),
+            ];
+            for (what, events, counter) in pairs {
+                assert_eq!(events, counter, "{substrate:?}: {what}");
+            }
 
-        // The §3.4.2 accuracy report derives the same skip count from the
-        // semantic stream alone.
-        let acc = tb_trace::PredictionAccuracyReport::from_events(&outcome.events);
-        assert_eq!(acc.skipped_updates, c.updates_skipped);
-        assert_eq!(acc.unmatched_predictions, 0);
-        assert!(acc.total_predictions() > 0);
+            // The §3.4.2 accuracy report derives the same skip count from
+            // the semantic stream alone.
+            let acc = tb_trace::PredictionAccuracyReport::from_events(&outcome.events);
+            assert_eq!(acc.skipped_updates, c.updates_skipped, "{substrate:?}");
+            assert_eq!(acc.unmatched_predictions, 0, "{substrate:?}");
+            assert!(acc.total_predictions() > 0, "{substrate:?}");
 
-        // Something actually slept, so the latency histogram has sleeper
-        // samples.
-        assert!(summary.wake_latency.samples > 0);
+            // Something actually slept, so the latency histogram has
+            // sleeper samples.
+            assert!(summary.wake_latency.samples > 0, "{substrate:?}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub const JOURNAL_MAGIC: &str = "thrifty-barrier-sweep-journal";
 /// plus the journal format revision. Changing either invalidates existing
 /// journals on resume.
 pub fn code_version() -> String {
-    format!("{}+journal-v4", env!("CARGO_PKG_VERSION"))
+    format!("{}+journal-v5", env!("CARGO_PKG_VERSION"))
 }
 
 /// The journal's first line.
@@ -563,22 +563,23 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Format v4 keys name the cell's substrate and its reports no longer
-    /// carry the energy ledger's transition log, so a v3 journal is
-    /// refused rather than replayed.
+    /// Format v5 cluster outcomes carry the cut-off trips, skipped
+    /// updates and early and late wake-ups the message-passing substrate
+    /// did not count before, so a v4 journal is refused rather than
+    /// replayed.
     #[test]
-    fn v3_journals_are_refused() {
+    fn v4_journals_are_refused() {
         assert!(
-            code_version().ends_with("+journal-v4"),
+            code_version().ends_with("+journal-v5"),
             "{}",
             code_version()
         );
-        let path = tmp("v3");
+        let path = tmp("v4");
         let mut journal = SweepJournal::create(&path, "p").unwrap();
         journal.append(&key(), &outcome()).unwrap();
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("+journal-v4", "+journal-v3")).unwrap();
+        std::fs::write(&path, text.replace("+journal-v5", "+journal-v4")).unwrap();
         let err = SweepJournal::resume(&path, "p").unwrap_err();
         assert!(
             matches!(

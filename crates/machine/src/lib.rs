@@ -20,6 +20,13 @@
 //!            (residual spin)      exit transition, residual check
 //! ```
 //!
+//! Both simulators drive one copy of that per-CPU state machine (the
+//! private `cpu` module): the spin-or-sleep decision, the sleep entry,
+//! the timer and external wake-ups, the exit and the residual check, and
+//! departure, with their energy charges, counters and trace events. Each
+//! simulator supplies only its transport: the coherent barrier flag, or
+//! the cluster's messages.
+//!
 //! * [`report`] — per-run results: wall-clock, the Compute / Spin /
 //!   Transition / Sleep energy and time breakdowns of Figures 5-6, barrier
 //!   event counts, prediction accuracy, and the per-instance records behind
@@ -56,6 +63,7 @@
 //! ```
 
 pub mod cluster;
+mod cpu;
 pub mod harness;
 pub mod journal;
 pub mod report;

@@ -17,14 +17,15 @@
 //!   the thread's dirty working set through the memory system, so deep
 //!   sleeps pay real flush time and real upgrade misses afterwards.
 
-use crate::report::{BarrierEventCounts, InstanceRecord, RunReport};
+use crate::cpu::{Cpus, Event, Settled, State};
+use crate::report::{InstanceRecord, RunReport};
 use std::time::{Duration, Instant};
-use tb_core::{AlgorithmConfig, BarrierAlgorithm, BarrierPc, FaultPlan, SleepChoice, ThreadId};
-use tb_energy::{EnergyCategory, MachineLedger, PowerModel, SleepStateId};
+use tb_core::{AlgorithmConfig, BarrierAlgorithm, FaultPlan, SleepChoice};
+use tb_energy::{EnergyCategory, PowerModel};
 use tb_faults::{FaultInjector, FaultSummary};
 use tb_mem::{Addr, CoherentMemory, InvalidationFaults, LineAddr, MachineConfig, NodeId};
-use tb_sim::{Cycles, EventId, EventQueue, OnlineStats};
-use tb_trace::{FaultKind, SinkHandle, TraceEvent, TraceEventKind};
+use tb_sim::Cycles;
+use tb_trace::{FaultKind, SinkHandle, TraceEventKind};
 use tb_workloads::AppTrace;
 
 /// How long one spin-loop iteration takes to notice an invalidated flag
@@ -273,58 +274,10 @@ impl SimulatorConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProcState {
-    Computing,
-    Spinning {
-        since: Cycles,
-    },
-    /// §3.4.1 time-sharing: the CPU is running another process; the
-    /// barrier thread resumes at a quantum boundary.
-    Yielded {
-        since: Cycles,
-    },
-    EnteringSleep {
-        state: SleepStateId,
-        wake_pending: bool,
-    },
-    Sleeping {
-        state: SleepStateId,
-        since: Cycles,
-    },
-    ExitingSleep,
-    Done,
-}
-
-#[derive(Debug)]
-struct Proc {
-    state: ProcState,
-    /// Index of the next/current trace step.
-    step: usize,
-    /// When the thread departed the previous barrier.
-    depart_time: Cycles,
-    /// Whether the cache controller watches the flag line for this sleep.
-    watcher_armed: bool,
-    /// Pending internal-timer event, if armed.
-    timer: Option<EventId>,
-    /// The BIT predicted at this episode's arrival (for accuracy stats).
-    predicted_bit: Option<Cycles>,
-    /// Guard-timer re-arm interval for this episode (fault runs only).
-    guard_interval: Cycles,
-}
-
+/// The directory machine's own events, beside the wait lifecycle's.
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    ComputeDone {
-        tid: usize,
-    },
-    TimerFired {
-        tid: usize,
-        episode: usize,
-    },
-    TransitionDone {
-        tid: usize,
-    },
+enum SimEvent {
+    /// A spinner (or a yielded thread back on its CPU) reads the flag.
     Observe {
         tid: usize,
         episode: usize,
@@ -350,37 +303,22 @@ enum Event {
 #[derive(Debug)]
 pub struct Simulator {
     cfg: SimulatorConfig,
-    trace: AppTrace,
-    algo: BarrierAlgorithm,
+    cpus: Cpus<SimEvent>,
     mem: CoherentMemory,
-    ledger: MachineLedger,
-    queue: EventQueue<Event>,
-    procs: Vec<Proc>,
     lock_free_at: Cycles,
     count_addr: Addr,
     flag_addr: Addr,
     flag_line: LineAddr,
-    arrivals: Vec<u32>,
-    released: Vec<bool>,
-    /// Semantic release time of each episode: the last thread's check-in.
-    episode_release: Vec<Cycles>,
     /// Completion time of each episode's flag-flip write (all
     /// invalidation acknowledgments collected).
     episode_flip_done: Vec<Cycles>,
-    episode_bits: Vec<Cycles>,
-    counts: BarrierEventCounts,
-    prediction_error: OnlineStats,
     instances: Vec<InstanceRecord>,
     false_wake_rng: Option<tb_sim::SimRng>,
-    /// Executor-side fault source (`None` unless a fault plan is enabled).
-    injector: Option<FaultInjector>,
-    /// Injected-fault and recovery tallies (all zero in fault-free runs).
-    fault_summary: FaultSummary,
+    /// Guard-timer re-arm interval of each thread's episode (fault runs
+    /// only).
+    guard_intervals: Vec<Cycles>,
     /// Livelock watchdog: events processed since the last departure.
     events_since_progress: u64,
-    // Cached power values.
-    p_compute: f64,
-    p_spin: f64,
 }
 
 impl Simulator {
@@ -391,12 +329,8 @@ impl Simulator {
     /// Panics if the machine has fewer nodes than the trace has threads,
     /// if the algorithm was built for a different thread count, or if the
     /// observed thread is out of range.
-    pub fn new(cfg: SimulatorConfig, trace: AppTrace, mut algo: BarrierAlgorithm) -> Self {
+    pub fn new(cfg: SimulatorConfig, trace: AppTrace, algo: BarrierAlgorithm) -> Self {
         let threads = trace.threads;
-        // The algorithm shares the executor's sink: semantic and physical
-        // events interleave in one capture.
-        algo.set_trace(cfg.trace.clone());
-        let ledger = MachineLedger::new(threads);
         assert!(
             cfg.machine.nodes as usize >= threads,
             "machine has {} nodes but the trace needs {threads}",
@@ -434,38 +368,18 @@ impl Simulator {
             mem.set_faults(inv_faults);
         }
         let episodes = trace.steps.len();
-        let p_compute = cfg.power.compute_watts();
-        let p_spin = cfg.power.spin_watts();
-        let n_states = algo.policy().table().len();
-        let counts = BarrierEventCounts {
-            sleeps_by_state: vec![0; n_states],
-            ..BarrierEventCounts::default()
-        };
+        // The flag is observable from the last check-in onward; the
+        // algorithm shares the executor's sink, so semantic and physical
+        // events interleave in one capture.
+        let mut cpus = Cpus::new(trace, algo, &cfg.power, Cycles::ZERO, cfg.trace.clone());
+        cpus.injector = injector;
         Simulator {
-            ledger,
-            queue: EventQueue::new(),
-            procs: (0..threads)
-                .map(|_| Proc {
-                    state: ProcState::Computing,
-                    step: 0,
-                    depart_time: Cycles::ZERO,
-                    watcher_armed: false,
-                    timer: None,
-                    predicted_bit: None,
-                    guard_interval: Cycles::ZERO,
-                })
-                .collect(),
+            cpus,
             lock_free_at: Cycles::ZERO,
             count_addr,
             flag_addr,
             flag_line: flag_addr.line(),
-            arrivals: vec![0; episodes],
-            released: vec![false; episodes],
-            episode_release: vec![Cycles::MAX; episodes],
             episode_flip_done: vec![Cycles::MAX; episodes],
-            episode_bits: vec![Cycles::ZERO; episodes],
-            counts,
-            prediction_error: OnlineStats::new(),
             instances: Vec::with_capacity(episodes),
             false_wake_rng: cfg.false_wakeup.map(|(p, seed)| {
                 assert!(
@@ -474,14 +388,9 @@ impl Simulator {
                 );
                 tb_sim::SimRng::new(seed).derive("false-wake", 0)
             }),
-            injector,
-            fault_summary: FaultSummary::default(),
+            guard_intervals: vec![Cycles::ZERO; threads],
             events_since_progress: 0,
-            p_compute,
-            p_spin,
             cfg,
-            trace,
-            algo,
             mem,
         }
     }
@@ -508,12 +417,9 @@ impl Simulator {
         mut self,
         deadline: Option<Deadline>,
     ) -> Result<(RunReport, FaultSummary), CellError> {
-        for tid in 0..self.trace.threads {
-            let dur = self.trace.steps[0].compute[tid];
-            self.queue.schedule(dur, Event::ComputeDone { tid });
-        }
+        self.cpus.start();
         let mut events = 0u64;
-        while let Some((now, ev)) = self.queue.pop() {
+        while let Some((now, ev)) = self.cpus.queue.pop() {
             self.events_since_progress += 1;
             if let Some(budget) = self.cfg.progress_budget {
                 if self.events_since_progress > budget {
@@ -525,55 +431,41 @@ impl Simulator {
             }
             match ev {
                 Event::ComputeDone { tid } => self.on_compute_done(tid, now),
-                Event::TimerFired { tid, episode } => self.on_timer(tid, episode, now),
+                Event::TimerFired { tid, episode } => self.cpus.on_timer(tid, episode, now),
                 Event::TransitionDone { tid } => self.on_transition_done(tid, now),
-                Event::Observe { tid, episode } => self.on_observe(tid, episode, now),
-                Event::FalseWake { tid, episode } => self.on_false_wake(tid, episode, now),
-                Event::YieldNow { tid, episode } => self.on_yield_now(tid, episode, now),
-                Event::GuardTimer { tid, episode } => self.on_guard_timer(tid, episode, now),
+                Event::Substrate(ev) => match ev {
+                    SimEvent::Observe { tid, episode } => self.on_observe(tid, episode, now),
+                    SimEvent::FalseWake { tid, episode } => self.on_false_wake(tid, episode, now),
+                    SimEvent::YieldNow { tid, episode } => self.on_yield_now(tid, episode, now),
+                    SimEvent::GuardTimer { tid, episode } => self.on_guard_timer(tid, episode, now),
+                },
             }
         }
         // The termination oracle for fault runs: a lost wake-up that every
         // recovery path failed to rescue drains the queue with a thread
         // still waiting.
-        if !self.procs.iter().all(|p| p.state == ProcState::Done) {
+        if !self.cpus.all_done() {
             return Err(CellError::Livelock(self.livelock_diagnostics(0)));
         }
-        let wall_time = self
-            .procs
-            .iter()
-            .map(|p| p.depart_time)
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        self.counts.episodes = self.instances.len() as u64;
-        let summary = self.fault_summary;
-        let report = RunReport {
-            app: self.trace.app_name.clone(),
-            config: self.cfg.config_name.clone(),
-            threads: self.trace.threads,
-            wall_time,
-            ledger: self.ledger,
-            counts: self.counts,
-            prediction_error: self.prediction_error,
-            instances: self.instances,
-            observed_thread: self.cfg.observed_thread,
-            trace: None,
-        };
-        Ok((report, summary))
+        let name = self.cfg.config_name;
+        Ok(self
+            .cpus
+            .into_report(name, self.instances, self.cfg.observed_thread))
     }
 
     /// Snapshot of the stuck state for the watchdog's error report.
     fn livelock_diagnostics(&self, budget: u64) -> LivelockDiagnostics {
         let live: Vec<_> = self
-            .procs
+            .cpus
+            .cpu
             .iter()
-            .filter(|p| p.state != ProcState::Done)
+            .filter(|c| c.state != State::Done)
             .collect();
         LivelockDiagnostics {
             events_since_progress: self.events_since_progress,
             budget,
-            episode: live.iter().map(|p| p.step).min().unwrap_or(0) as u64,
-            queue_len: self.queue.len() as u64,
+            episode: live.iter().map(|c| c.step).min().unwrap_or(0) as u64,
+            queue_len: self.cpus.queue.len() as u64,
             live_threads: live.len() as u64,
         }
     }
@@ -589,35 +481,25 @@ impl Simulator {
             .shared_addr(page, ((line_idx as u64) % 64) * 64)
     }
 
-    fn pc_of(&self, step: usize) -> BarrierPc {
-        BarrierPc::new(self.trace.steps[step].pc)
-    }
-
-    /// Emits one physical trace event (a no-op when tracing is off).
-    #[inline]
-    fn emit(&self, tid: usize, at: Cycles, kind: TraceEventKind) {
-        self.cfg.trace.emit(TraceEvent::new(at, tid, kind));
-    }
-
     /// Arms the watchdog for a thread entering a wait state. Only fault
     /// runs arm guards: a fault-free run's event schedule must stay
     /// byte-identical with the plumbing present.
     fn arm_guard(&mut self, tid: usize, episode: usize, now: Cycles, stall: Option<Cycles>) {
-        if self.injector.is_none() {
+        if self.cpus.injector.is_none() {
             return;
         }
         let deadline = tb_faults::guard_deadline(now, stall);
-        self.procs[tid].guard_interval = deadline.saturating_sub(now);
-        self.queue
-            .schedule(deadline, Event::GuardTimer { tid, episode });
+        self.guard_intervals[tid] = deadline.saturating_sub(now);
+        self.cpus
+            .schedule(deadline, SimEvent::GuardTimer { tid, episode });
     }
 
     // ---- event handlers ---------------------------------------------------
 
     fn on_compute_done(&mut self, tid: usize, now: Cycles) {
         let node = self.node(tid);
-        let step = self.procs[tid].step;
-        let dirty = self.trace.steps[step].dirty_lines;
+        let step = self.cpus.cpu[tid].step;
+        let dirty = self.cpus.trace.steps[step].dirty_lines;
         // Rewrite the working set; the access latencies extend the compute
         // segment (this is where post-flush upgrade misses hurt). The dirty
         // lines are consecutive (`dirty_addr` strides one line at a time
@@ -634,16 +516,8 @@ impl Simulator {
         let access = self.mem.write(node, self.count_addr, grant);
         let checkin = access.completion;
         self.lock_free_at = checkin + LOCK_HANDOFF;
-        // Everything from departure to check-in is Compute (§5.2: lock and
-        // memory stalls fall into Compute).
-        let depart = self.procs[tid].depart_time;
-        self.ledger.cpu_mut(tid).record(
-            EnergyCategory::Compute,
-            checkin.saturating_sub(depart),
-            self.p_compute,
-        );
-        self.arrivals[step] += 1;
-        if self.arrivals[step] == self.trace.threads as u32 {
+        self.cpus.charge_compute(tid, checkin);
+        if self.cpus.check_in(step) {
             self.on_last_arrival(tid, checkin);
         } else {
             self.on_early_arrival(tid, checkin);
@@ -651,205 +525,97 @@ impl Simulator {
     }
 
     fn on_early_arrival(&mut self, tid: usize, now: Cycles) {
-        self.counts.early_arrivals += 1;
         let node = self.node(tid);
-        let step = self.procs[tid].step;
-        let pc = self.pc_of(step);
-        self.emit(
-            tid,
-            now,
-            TraceEventKind::Arrival {
-                episode: step as u64,
-                pc: pc.as_u64(),
-                last: false,
-            },
-        );
+        let step = self.cpus.cpu[tid].step;
+        let decision = self.cpus.arrive_early(tid, now);
         if let Some(ts) = self.cfg.time_sharing {
             // §3.4.1: spin briefly, then hand the CPU to another process.
             self.mem.read(node, self.flag_addr, now);
-            self.procs[tid].state = ProcState::Spinning { since: now };
-            self.counts.spins += 1;
-            self.emit(
-                tid,
-                now,
-                TraceEventKind::SpinStart {
-                    episode: step as u64,
-                    pc: pc.as_u64(),
-                },
-            );
-            self.queue.schedule(
-                now + ts.spin_before_yield,
-                Event::YieldNow { tid, episode: step },
-            );
-            // Keep the timing bookkeeping consistent for BIT measurement.
-            let _ = self.algo.on_early_arrival(ThreadId::new(tid), pc, now);
+            self.cpus.spin(tid, now);
+            let yield_now = SimEvent::YieldNow { tid, episode: step };
+            self.cpus.schedule(now + ts.spin_before_yield, yield_now);
             return;
         }
-        let decision = self.algo.on_early_arrival(ThreadId::new(tid), pc, now);
-        self.procs[tid].predicted_bit = decision.predicted_bit;
-        // Fault (b): skew the countdown timer before it is armed.
-        let wakeup = {
-            let skew = match (&mut self.injector, decision.wakeup.internal_at) {
-                (Some(inj), Some(at)) => inj.timer_skew(at.saturating_sub(now)),
-                _ => None,
-            };
-            if let Some((skew, fault)) = skew {
-                self.fault_summary.record(fault);
-                self.emit(
-                    tid,
-                    now,
-                    TraceEventKind::FaultInjected {
-                        episode: step as u64,
-                        pc: pc.as_u64(),
-                        fault,
-                    },
-                );
-                decision.wakeup.with_skew(now, skew)
-            } else {
-                decision.wakeup
-            }
-        };
         match decision.choice {
             SleepChoice::Spin => {
                 // Conventional path: pull a Shared copy of the flag and
                 // spin on it locally.
                 self.mem.read(node, self.flag_addr, now);
-                self.procs[tid].state = ProcState::Spinning { since: now };
-                self.counts.spins += 1;
-                self.emit(
-                    tid,
-                    now,
-                    TraceEventKind::SpinStart {
-                        episode: step as u64,
-                        pc: pc.as_u64(),
-                    },
-                );
-                self.arm_guard(tid, step, now, decision.predicted_stall);
+                self.cpus.spin(tid, now);
             }
             SleepChoice::Sleep { state, needs_flush } => {
-                let mut t = now;
-                if needs_flush {
-                    self.counts.flushes += 1;
-                    let mut flushed = (0u64, Cycles::ZERO);
-                    if self.algo.config().flush_overhead {
-                        let f = self.mem.flush_dirty_shared(node, t);
-                        self.counts.flushed_lines += f.lines as u64;
-                        self.ledger.cpu_mut(tid).record(
-                            EnergyCategory::Compute,
-                            f.duration,
-                            self.p_compute,
-                        );
-                        t += f.duration;
-                        flushed = (f.lines as u64, f.duration);
-                    }
-                    // Ideal configuration (§5.1): "no flushing overhead for
-                    // any low-power sleep state" — neither the flush time
-                    // nor the post-flush upgrade misses are charged, so the
-                    // cache state is left untouched.
-                    self.emit(
-                        tid,
-                        now,
-                        TraceEventKind::Flush {
-                            episode: step as u64,
-                            pc: pc.as_u64(),
-                            lines: flushed.0,
-                            duration: flushed.1,
-                        },
-                    );
-                }
+                let t = if needs_flush {
+                    self.flush(tid, now)
+                } else {
+                    now
+                };
                 // The sleep() call programs the cache controller with the
                 // flag address: read the flag in (registering as sharer so
                 // the release invalidation reaches this node).
                 self.mem.read(node, self.flag_addr, t);
-                self.procs[tid].watcher_armed = wakeup.external;
-                // Entry transition.
-                let st = self.algo.policy().state(state);
-                let entry_latency = st.transition_latency();
-                let p_sleep = st.power_watts(self.cfg.power.tdp_max());
-                self.ledger
-                    .cpu_mut(tid)
-                    .record_transition(entry_latency, self.p_compute, p_sleep);
-                self.emit(
-                    tid,
-                    t,
-                    TraceEventKind::SleepStart {
-                        episode: step as u64,
-                        pc: pc.as_u64(),
-                        state: state.index() as u32,
-                        needs_flush,
-                    },
-                );
-                let entry_end = t + entry_latency;
-                self.procs[tid].state = ProcState::EnteringSleep {
-                    state,
-                    wake_pending: false,
-                };
-                self.queue
-                    .schedule(entry_end, Event::TransitionDone { tid });
-                if let Some(at) = wakeup.internal_at {
-                    let id = self
-                        .queue
-                        .schedule(at.max(now), Event::TimerFired { tid, episode: step });
-                    self.procs[tid].timer = Some(id);
-                }
-                self.counts.sleeps_by_state[state.index()] += 1;
-                self.arm_guard(tid, step, now, decision.predicted_stall);
+                self.cpus
+                    .sleep(tid, state, needs_flush, decision.wakeup, t, now);
             }
         }
+        self.arm_guard(tid, step, now, decision.predicted_stall);
+    }
+
+    /// Writes `tid`'s dirty shared lines back before a non-snoopable sleep
+    /// that begins at `now`; returns when the write-back ends.
+    fn flush(&mut self, tid: usize, now: Cycles) -> Cycles {
+        self.cpus.counts.flushes += 1;
+        let mut flushed = (0u64, Cycles::ZERO);
+        // Ideal configuration (§5.1): "no flushing overhead for any
+        // low-power sleep state" — neither the flush time nor the
+        // post-flush upgrade misses are charged, so the cache state is
+        // left untouched.
+        if self.cpus.algo.config().flush_overhead {
+            let f = self.mem.flush_dirty_shared(self.node(tid), now);
+            self.cpus.counts.flushed_lines += f.lines as u64;
+            self.cpus.ledger.cpu_mut(tid).record(
+                EnergyCategory::Compute,
+                f.duration,
+                self.cpus.p_compute,
+            );
+            flushed = (f.lines as u64, f.duration);
+        }
+        let step = self.cpus.cpu[tid].step;
+        let flush = TraceEventKind::Flush {
+            episode: step as u64,
+            pc: self.cpus.pc(step),
+            lines: flushed.0,
+            duration: flushed.1,
+        };
+        self.cpus.emit(tid, now, flush);
+        now + flushed.1
     }
 
     fn on_last_arrival(&mut self, tid: usize, now: Cycles) {
         let node = self.node(tid);
-        let step = self.procs[tid].step;
-        let pc = self.pc_of(step);
-        self.emit(
-            tid,
-            now,
-            TraceEventKind::Arrival {
-                episode: step as u64,
-                pc: pc.as_u64(),
-                last: true,
-            },
-        );
-        let release = self.algo.on_last_arrival(ThreadId::new(tid), pc, now);
-        if release.update == tb_core::UpdateOutcome::SkippedInordinate {
-            self.counts.updates_skipped += 1;
-        }
-        match release.quarantine {
-            Some(true) => self.fault_summary.quarantine_entries += 1,
-            Some(false) => self.fault_summary.quarantine_exits += 1,
-            None => {}
-        }
-        self.episode_bits[step] = release.measured_bit;
-        self.released[step] = true;
-        self.episode_release[step] = now;
+        let step = self.cpus.cpu[tid].step;
+        let pc = self.cpus.pc(step);
+        let release = self.cpus.release(tid, now);
         // Flip the flag: the coherence protocol invalidates every sharer.
         // Under a fault plan the substrate may drop or delay some of the
         // resulting wake-up signals; attribute those injections now.
         let write = self.mem.write(node, self.flag_addr, now);
-        if self.injector.is_some() {
+        if self.cpus.injector.is_some() {
             for rec in self.mem.drain_fault_log() {
                 let fault = match rec.kind {
                     tb_mem::InvalidationFaultKind::Lost => FaultKind::LostWakeup,
                     tb_mem::InvalidationFaultKind::Delayed(_) => FaultKind::DelayedWakeup,
                 };
-                self.fault_summary.record(fault);
-                self.emit(
-                    rec.node.index(),
-                    rec.at,
-                    TraceEventKind::FaultInjected {
-                        episode: step as u64,
-                        pc: pc.as_u64(),
-                        fault,
-                    },
-                );
+                self.cpus.faults.record(fault);
+                let episode = step as u64;
+                let injected = TraceEventKind::FaultInjected { episode, pc, fault };
+                self.cpus.emit(rec.node.index(), rec.at, injected);
             }
         }
         self.episode_flip_done[step] = write.completion;
         let obs = self.cfg.observed_thread;
-        let observed_compute = self.trace.steps[step].compute[obs];
+        let observed_compute = self.cpus.trace.steps[step].compute[obs];
         self.instances.push(InstanceRecord {
-            pc: pc.as_u64(),
+            pc,
             site_instance: release.instance,
             episode: step,
             release_time: write.completion,
@@ -861,53 +627,15 @@ impl Simulator {
         for inv in &write.invalidations {
             debug_assert_eq!(inv.line, self.flag_line);
             let target = inv.node.index();
-            match self.procs[target].state {
-                ProcState::Spinning { .. } => {
-                    self.queue.schedule(
-                        inv.at + SPIN_GRAIN,
-                        Event::Observe {
-                            tid: target,
-                            episode: step,
-                        },
-                    );
+            let observe = SimEvent::Observe {
+                tid: target,
+                episode: step,
+            };
+            match self.cpus.cpu[target].state {
+                State::Spinning { .. } => {
+                    self.cpus.schedule(inv.at + SPIN_GRAIN, observe);
                 }
-                ProcState::ExitingSleep => {
-                    // Already waking (first-wins); if a residual spin
-                    // follows, it schedules its own observation from the
-                    // recorded flip time.
-                }
-                ProcState::Sleeping { state, since } => {
-                    if self.procs[target].watcher_armed {
-                        self.begin_exit(target, state, since, inv.at);
-                        self.counts.external_wakeups += 1;
-                        self.emit(
-                            target,
-                            inv.at,
-                            TraceEventKind::ExternalWake {
-                                episode: step as u64,
-                                pc: pc.as_u64(),
-                            },
-                        );
-                    }
-                }
-                ProcState::EnteringSleep { state, .. } => {
-                    if self.procs[target].watcher_armed {
-                        self.procs[target].state = ProcState::EnteringSleep {
-                            state,
-                            wake_pending: true,
-                        };
-                        self.counts.external_wakeups += 1;
-                        self.emit(
-                            target,
-                            inv.at,
-                            TraceEventKind::ExternalWake {
-                                episode: step as u64,
-                                pc: pc.as_u64(),
-                            },
-                        );
-                    }
-                }
-                ProcState::Yielded { since } => {
+                State::Yielded { since } => {
                     // The barrier is released, but the thread lacks a CPU
                     // until the next scheduling-quantum boundary (§3.4.1:
                     // "the barrier may be released but some threads may
@@ -915,166 +643,56 @@ impl Simulator {
                     let ts = self.cfg.time_sharing.expect("yielded implies time-sharing");
                     let waited = inv.at.saturating_sub(since).as_u64();
                     let quanta = waited / ts.quantum.as_u64() + 1;
-                    let resume = since + ts.quantum * quanta;
-                    self.queue.schedule(
-                        resume,
-                        Event::Observe {
-                            tid: target,
-                            episode: step,
-                        },
-                    );
+                    self.cpus.schedule(since + ts.quantum * quanta, observe);
                 }
-                ProcState::Computing | ProcState::Done => {
-                    // A stale sharer; nothing to wake.
-                }
+                // A sleeper wakes if its controller watches the flag; a
+                // CPU already waking (first wins) schedules its own
+                // observation, and a stale sharer has nothing to wake.
+                _ => self.cpus.external_wake(target, inv.at),
             }
         }
         // The releaser departs as soon as its write completes.
         self.depart(tid, write.completion, write.completion);
     }
 
-    fn on_timer(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.procs[tid].step != episode {
-            return; // stale timer from a previous episode
-        }
-        self.procs[tid].timer = None;
-        let wake = TraceEventKind::InternalWake {
-            episode: episode as u64,
-            pc: self.trace.steps[episode].pc,
-        };
-        match self.procs[tid].state {
-            ProcState::Sleeping { state, since } => {
-                self.begin_exit(tid, state, since, now);
-                self.counts.internal_wakeups += 1;
-                self.emit(tid, now, wake);
-            }
-            ProcState::EnteringSleep { state, .. } => {
-                // The timer expired before the entry transition finished:
-                // exit immediately afterwards.
-                self.procs[tid].state = ProcState::EnteringSleep {
-                    state,
-                    wake_pending: true,
-                };
-                self.counts.internal_wakeups += 1;
-                self.emit(tid, now, wake);
-            }
-            _ => {}
-        }
-    }
-
-    /// Starts the exit transition at `at`, accounting the completed sleep
-    /// residency.
-    fn begin_exit(&mut self, tid: usize, state: SleepStateId, since: Cycles, at: Cycles) {
-        if let Some(timer) = self.procs[tid].timer.take() {
-            self.queue.cancel(timer);
-        }
-        // Fault (c): this exit transition may oversleep — stall past the
-        // state's rated latency.
-        let oversleep = self
-            .injector
-            .as_mut()
-            .and_then(FaultInjector::oversleep_extra);
-        if oversleep.is_some() {
-            self.fault_summary.record(FaultKind::Oversleep);
-            let episode = self.procs[tid].step;
-            self.emit(
-                tid,
-                at,
-                TraceEventKind::FaultInjected {
-                    episode: episode as u64,
-                    pc: self.trace.steps[episode].pc,
-                    fault: FaultKind::Oversleep,
-                },
-            );
-        }
-        let st = self.algo.policy().state(state);
-        let p_sleep = st.power_watts(self.cfg.power.tdp_max());
-        let exit_latency = match oversleep {
-            Some(extra) => st.stalled_exit(extra),
-            None => st.transition_latency(),
-        };
-        self.ledger
-            .cpu_mut(tid)
-            .record(EnergyCategory::Sleep, at.saturating_sub(since), p_sleep);
-        self.ledger
-            .cpu_mut(tid)
-            .record_transition(exit_latency, p_sleep, self.p_compute);
-        self.procs[tid].state = ProcState::ExitingSleep;
-        self.queue
-            .schedule(at + exit_latency, Event::TransitionDone { tid });
-    }
-
     fn on_transition_done(&mut self, tid: usize, now: Cycles) {
-        match self.procs[tid].state {
-            ProcState::EnteringSleep {
-                state,
-                wake_pending,
-            } => {
-                if wake_pending {
-                    // Woken (externally or by an immediate timer) during
-                    // entry: zero residency, exit right away.
-                    self.begin_exit(tid, state, now, now);
-                } else {
-                    self.procs[tid].state = ProcState::Sleeping { state, since: now };
-                    if let Some(rng) = &mut self.false_wake_rng {
-                        let (p, _) = self.cfg.false_wakeup.expect("rng implies config");
-                        if rng.chance(p) {
-                            // A spurious wake lands some tens of µs into
-                            // the residency (if the CPU is already awake by
-                            // then, the stale-event guards drop it).
-                            let delay = Cycles::from_nanos(
-                                rng.exponential(30_000.0).round().max(1.0) as u64,
-                            );
-                            let episode = self.procs[tid].step;
-                            self.queue
-                                .schedule(now + delay, Event::FalseWake { tid, episode });
-                        }
-                    }
+        let step = self.cpus.cpu[tid].step;
+        match self.cpus.on_transition_done(tid, now) {
+            Settled::Exiting => {}
+            Settled::Asleep => {
+                let Some(rng) = &mut self.false_wake_rng else {
+                    return;
+                };
+                let (p, _) = self.cfg.false_wakeup.expect("rng implies config");
+                if rng.chance(p) {
+                    // A spurious wake lands some tens of µs into the
+                    // residency (if the CPU is already awake by then, the
+                    // stale-event guards drop it).
+                    let delay =
+                        Cycles::from_nanos(rng.exponential(30_000.0).round().max(1.0) as u64);
+                    let wake = SimEvent::FalseWake { tid, episode: step };
+                    self.cpus.schedule(now + delay, wake);
                 }
             }
-            ProcState::ExitingSleep => {
-                // CPU is back up. Residual check of the flag (§3.3.1): the
-                // release is observable only from the semantic release
-                // (the last thread's check-in) onward.
-                let step = self.procs[tid].step;
-                if self.released[step] && now >= self.episode_release[step] {
-                    let node = self.node(tid);
-                    let access = self.mem.read(node, self.flag_addr, now);
-                    // The wake-up timestamp annotated for §3.3.3 is the
-                    // moment the CPU came back up.
-                    if now > self.episode_release[step] {
-                        self.counts.late_wakeups += 1;
-                    }
-                    self.depart(tid, now, access.completion);
-                } else {
-                    // Early wake-up: residual spin until the release.
-                    self.counts.early_wakeups += 1;
-                    self.emit(
-                        tid,
-                        now,
-                        TraceEventKind::ResidualSpin {
-                            episode: step as u64,
-                            pc: self.trace.steps[step].pc,
-                        },
-                    );
-                    self.procs[tid].state = ProcState::Spinning { since: now };
-                    if self.released[step] {
-                        // The release is already in flight (it was issued
-                        // while this CPU was mid-transition), so no future
-                        // invalidation will target this thread: observe
-                        // once the flip's propagation completes.
-                        let at = now.max(self.episode_flip_done[step]) + SPIN_GRAIN;
-                        self.queue
-                            .schedule(at, Event::Observe { tid, episode: step });
-                    } else {
-                        // The release is still ahead, and under a fault
-                        // plan its wake-up signal may be dropped: the
-                        // residual spin needs its own watchdog.
-                        self.arm_guard(tid, step, now, None);
-                    }
-                }
+            Settled::Released => {
+                // The residual check reads the flag; the wake-up timestamp
+                // annotated for §3.3.3 is the moment the CPU came back up.
+                let access = self.mem.read(self.node(tid), self.flag_addr, now);
+                self.depart(tid, now, access.completion);
             }
-            _ => unreachable!("TransitionDone in a non-transition state"),
+            Settled::ResidualSpin if self.cpus.released[step] => {
+                // The release is already in flight (it was issued while
+                // this CPU was mid-transition), so no future invalidation
+                // will target this thread: observe once the flip's
+                // propagation completes.
+                let at = now.max(self.episode_flip_done[step]) + SPIN_GRAIN;
+                self.cpus
+                    .schedule(at, SimEvent::Observe { tid, episode: step });
+            }
+            // The release is still ahead, and under a fault plan its
+            // wake-up signal may be dropped: the residual spin needs its
+            // own watchdog.
+            Settled::ResidualSpin => self.arm_guard(tid, step, now, None),
         }
     }
 
@@ -1083,98 +701,82 @@ impl Simulator {
     /// delivery is grossly late — force the recovery path; otherwise the
     /// barrier is simply long, so re-arm and keep waiting.
     fn on_guard_timer(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.procs[tid].step != episode {
+        if self.cpus.cpu[tid].step != episode {
             return; // stale guard from a departed episode
         }
-        let pc = self.trace.steps[episode].pc;
+        let pc = self.cpus.pc(episode);
         // Fault (e): the firing guard may wedge — it neither rescues nor
         // re-arms, killing the last recovery path for this thread. The
         // harness-level watchdog, not the barrier, must catch what follows.
         if self
+            .cpus
             .injector
             .as_mut()
             .is_some_and(FaultInjector::wedge_guard)
         {
-            self.fault_summary.record(FaultKind::WedgedGuard);
-            self.emit(
-                tid,
-                now,
-                TraceEventKind::FaultInjected {
-                    episode: episode as u64,
-                    pc,
-                    fault: FaultKind::WedgedGuard,
-                },
-            );
+            self.cpus.faults.record(FaultKind::WedgedGuard);
+            let fault = FaultKind::WedgedGuard;
+            let wedged = TraceEventKind::FaultInjected {
+                episode: episode as u64,
+                pc,
+                fault,
+            };
+            self.cpus.emit(tid, now, wedged);
             return;
         }
-        let released = self.released[episode];
+        let state = self.cpus.cpu[tid].state;
+        let waiting = matches!(
+            state,
+            State::Spinning { .. } | State::Sleeping { .. } | State::EnteringSleep { .. }
+        );
+        if !(waiting && self.cpus.released[episode]) {
+            // The barrier is simply long, or the thread is already waking
+            // (the transition's completion departs or re-arms): keep the
+            // watchdog alive, one interval further out.
+            if waiting || state == State::ExitingSleep {
+                let at = now + self.guard_intervals[tid];
+                self.cpus
+                    .schedule(at, SimEvent::GuardTimer { tid, episode });
+            }
+            return;
+        }
+        self.cpus.faults.guard_recoveries += 1;
         let recovery = TraceEventKind::GuardRecovery {
             episode: episode as u64,
             pc,
-            slept: !matches!(self.procs[tid].state, ProcState::Spinning { .. }),
+            slept: !matches!(state, State::Spinning { .. }),
         };
-        match self.procs[tid].state {
-            ProcState::Spinning { .. } => {
-                if released {
-                    // The spinner never observed the flipped flag: its
-                    // invalidation was dropped. Re-read the flag now.
-                    self.fault_summary.guard_recoveries += 1;
-                    self.emit(tid, now, recovery);
-                    self.queue
-                        .schedule(now + SPIN_GRAIN, Event::Observe { tid, episode });
-                } else {
-                    self.rearm_guard(tid, episode, now);
-                }
+        self.cpus.emit(tid, now, recovery);
+        match state {
+            // The spinner never observed the flipped flag: its
+            // invalidation was dropped. Re-read the flag now.
+            State::Spinning { .. } => {
+                let observe = SimEvent::Observe { tid, episode };
+                self.cpus.schedule(now + SPIN_GRAIN, observe);
             }
-            ProcState::Sleeping { state, since } => {
-                if released {
-                    self.fault_summary.guard_recoveries += 1;
-                    self.emit(tid, now, recovery);
-                    self.begin_exit(tid, state, since, now);
-                } else {
-                    self.rearm_guard(tid, episode, now);
-                }
+            State::Sleeping { state, since } => self.cpus.begin_exit(tid, state, since, now),
+            State::EnteringSleep { state, .. } => {
+                self.cpus.cpu[tid].state = State::EnteringSleep {
+                    state,
+                    wake_pending: true,
+                };
             }
-            ProcState::EnteringSleep { state, .. } => {
-                if released {
-                    self.fault_summary.guard_recoveries += 1;
-                    self.emit(tid, now, recovery);
-                    self.procs[tid].state = ProcState::EnteringSleep {
-                        state,
-                        wake_pending: true,
-                    };
-                } else {
-                    self.rearm_guard(tid, episode, now);
-                }
-            }
-            ProcState::ExitingSleep => {
-                // Already waking; the transition's completion departs or
-                // re-arms (residual spin). Keep the watchdog alive in case
-                // that path stalls again.
-                self.rearm_guard(tid, episode, now);
-            }
-            ProcState::Computing | ProcState::Yielded { .. } | ProcState::Done => {}
+            _ => unreachable!("only a waiting thread is rescued"),
         }
-    }
-
-    /// Re-arms the watchdog one interval further out.
-    fn rearm_guard(&mut self, tid: usize, episode: usize, now: Cycles) {
-        let at = now + self.procs[tid].guard_interval;
-        self.queue.schedule(at, Event::GuardTimer { tid, episode });
     }
 
     /// The §3.4.1 spin budget expired: hand the CPU to another process.
     fn on_yield_now(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.procs[tid].step != episode {
+        if self.cpus.cpu[tid].step != episode {
             return;
         }
-        if let ProcState::Spinning { since } = self.procs[tid].state {
-            self.ledger.cpu_mut(tid).record(
+        if let State::Spinning { since } = self.cpus.cpu[tid].state {
+            self.cpus.ledger.cpu_mut(tid).record(
                 EnergyCategory::Spin,
                 now.saturating_sub(since),
-                self.p_spin,
+                self.cpus.p_spin,
             );
-            self.procs[tid].state = ProcState::Yielded { since: now };
+            self.cpus.cpu[tid].state = State::Yielded { since: now };
         }
     }
 
@@ -1182,21 +784,18 @@ impl Simulator {
     /// still asleep with its watcher armed, it wakes; the residual spin
     /// after the exit keeps the barrier correct — "suboptimal but correct".
     fn on_false_wake(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.procs[tid].step != episode {
+        if self.cpus.cpu[tid].step != episode {
             return;
         }
-        if let ProcState::Sleeping { state, since } = self.procs[tid].state {
-            if self.procs[tid].watcher_armed {
-                self.counts.false_wakeups += 1;
-                self.emit(
-                    tid,
-                    now,
-                    TraceEventKind::FalseWake {
-                        episode: episode as u64,
-                        pc: self.trace.steps[episode].pc,
-                    },
-                );
-                self.begin_exit(tid, state, since, now);
+        if let State::Sleeping { state, since } = self.cpus.cpu[tid].state {
+            if self.cpus.cpu[tid].wake_armed {
+                self.cpus.counts.false_wakeups += 1;
+                let wake = TraceEventKind::FalseWake {
+                    episode: episode as u64,
+                    pc: self.cpus.pc(episode),
+                };
+                self.cpus.emit(tid, now, wake);
+                self.cpus.begin_exit(tid, state, since, now);
             }
         }
     }
@@ -1206,27 +805,26 @@ impl Simulator {
         // and fetches the flipped value. The event may be stale: the thread
         // can have departed through the exit-transition path (or even be
         // busy with a later episode) by the time it pops.
-        if self.procs[tid].step != episode {
+        if self.cpus.cpu[tid].step != episode {
             return;
         }
-        match self.procs[tid].state {
-            ProcState::Spinning { since } => {
-                let node = self.node(tid);
+        let node = self.node(tid);
+        match self.cpus.cpu[tid].state {
+            State::Spinning { since } => {
                 let access = self.mem.read(node, self.flag_addr, now);
-                self.ledger.cpu_mut(tid).record(
+                self.cpus.ledger.cpu_mut(tid).record(
                     EnergyCategory::Spin,
                     access.completion.saturating_sub(since),
-                    self.p_spin,
+                    self.cpus.p_spin,
                 );
                 self.depart(tid, access.completion, access.completion);
             }
-            ProcState::Yielded { since } => {
+            State::Yielded { since } => {
                 // The quantum boundary arrived: the CPU comes back to this
                 // thread. The yielded window costs this application no
                 // energy (another process used the core usefully); it is
                 // accounted as zero-power Sleep time.
-                let node = self.node(tid);
-                self.ledger.cpu_mut(tid).record(
+                self.cpus.ledger.cpu_mut(tid).record(
                     EnergyCategory::Sleep,
                     now.saturating_sub(since),
                     0.0,
@@ -1240,44 +838,10 @@ impl Simulator {
         }
     }
 
-    /// Thread `tid` is awake, the barrier released: run the §3.2.1/§3.3.3
-    /// bookkeeping and move on to the next phase.
+    /// Every departure is forward progress for the livelock watchdog.
     fn depart(&mut self, tid: usize, wake_ts: Cycles, depart_time: Cycles) {
-        // Every departure is forward progress for the livelock watchdog.
         self.events_since_progress = 0;
-        let step = self.procs[tid].step;
-        let pc = self.pc_of(step);
-        let finish = self.algo.finish_barrier(ThreadId::new(tid), pc, wake_ts);
-        if finish.disabled {
-            self.counts.cutoff_disables += 1;
-        }
-        self.emit(
-            tid,
-            depart_time,
-            TraceEventKind::Depart {
-                episode: step as u64,
-                pc: pc.as_u64(),
-                wake_latency: wake_ts.saturating_sub(self.episode_release[step]),
-            },
-        );
-        if let Some(predicted) = self.procs[tid].predicted_bit.take() {
-            let actual = self.episode_bits[step].as_u64() as f64;
-            if actual > 0.0 {
-                let err = (predicted.as_u64() as f64 - actual).abs() / actual;
-                self.prediction_error.push(err);
-            }
-        }
-        self.procs[tid].watcher_armed = false;
-        self.procs[tid].depart_time = depart_time;
-        self.procs[tid].step += 1;
-        if self.procs[tid].step < self.trace.steps.len() {
-            self.procs[tid].state = ProcState::Computing;
-            let dur = self.trace.steps[self.procs[tid].step].compute[tid];
-            self.queue
-                .schedule(depart_time + dur, Event::ComputeDone { tid });
-        } else {
-            self.procs[tid].state = ProcState::Done;
-        }
+        self.cpus.depart(tid, wake_ts, depart_time);
     }
 }
 
@@ -1321,7 +885,7 @@ pub fn try_simulate_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_core::AlgorithmConfig;
+    use tb_core::BarrierPc;
     use tb_workloads::{AppSpec, PhaseSpec, Variability};
 
     fn tiny_app(iterations: u32, base_us: u64, imbalance: f64) -> AppSpec {

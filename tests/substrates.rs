@@ -163,3 +163,28 @@ fn trace_reuse_is_exact_across_substrates() {
     assert_eq!(t1, t2);
     assert_eq!(t1.threads, NODES as usize);
 }
+
+/// The cluster fills the wait-lifecycle counters the directory machine
+/// fills: on X1's 64-node cells every early arrival polls or sleeps, every
+/// sleep ends in one wake-up and at most one early or late one, and
+/// Thrifty on Ocean, the paper's cut-off case, trips the §3.3.3 cut-off.
+#[test]
+fn cluster_counts_what_the_directory_counts() {
+    let x1 = thrifty_barrier::reproduce::by_id("X1").expect("X1 exists");
+    let cells = (x1.cells)(64, PAPER_SEED);
+    let outcomes = Harness::new(2).run_cells_isolated(&cells);
+    let mut ocean_trips = None;
+    for (cell, outcome) in cells.iter().zip(&outcomes) {
+        let c = &outcome.report.as_ref().expect("cluster cell runs").counts;
+        let label = format!("{} {}", cell.app.name, cell.config.name());
+        assert_eq!(c.early_arrivals, c.spins + c.total_sleeps(), "{label}");
+        let sleeps = c.total_sleeps();
+        assert_eq!(c.internal_wakeups + c.external_wakeups, sleeps, "{label}");
+        assert!(c.early_wakeups + c.late_wakeups <= sleeps, "{label}");
+        if (cell.app.name.as_str(), cell.config) == ("Ocean", SystemConfig::Thrifty) {
+            ocean_trips = Some(c.cutoff_disables);
+        }
+    }
+    let trips = ocean_trips.expect("X1 runs Thrifty on Ocean");
+    assert!(trips > 0, "Ocean's cut-off never tripped on the cluster");
+}
