@@ -119,11 +119,10 @@ struct Quarantine {
 /// The per-site prediction gate: the §3.3.3 cut-off and the quarantine.
 #[derive(Debug, Clone)]
 struct Gate {
-    /// §3.3.3 cut-off as a fraction of the BIT; `None` disables it.
+    /// §3.3.3 cut-off as a fraction of the BIT; `None` disables it. The
+    /// oracle has none: the cut-off judges a prediction, and the oracle's
+    /// is exact.
     cutoff: Option<f64>,
-    /// Whether a trip sets the thread's disable bit. `false` for the
-    /// oracle: its trips are reported, but it keeps predicting.
-    binding: bool,
     /// Per-thread disable bits, grown on the first trip.
     disabled: Vec<bool>,
     /// `None` when quarantine is off.
@@ -133,8 +132,7 @@ struct Gate {
 impl Gate {
     fn new(cfg: &AlgorithmConfig) -> Self {
         Gate {
-            cutoff: cfg.overprediction_threshold,
-            binding: !cfg.needs_oracle(),
+            cutoff: cfg.overprediction_threshold.filter(|_| !cfg.needs_oracle()),
             disabled: Vec::new(),
             quarantine: cfg.quarantine.then(Quarantine::default),
         }
@@ -203,11 +201,11 @@ impl Gate {
     }
 
     /// The §3.3.3 trip test: whether a sleeper that woke `penalty` after
-    /// the release of an interval of `bit` overslept. On a binding gate a
-    /// trip disables `thread` here for good.
+    /// the release of an interval of `bit` overslept. A trip disables
+    /// `thread` here for good.
     fn trip(&mut self, thread: ThreadId, penalty: Cycles, bit: Cycles) -> bool {
         let tripped = self.cutoff.is_some_and(|th| penalty > bit.scale(th));
-        if tripped && self.binding {
+        if tripped {
             let i = thread.index();
             if self.disabled.len() <= i {
                 self.disabled.resize(i + 1, false);
@@ -584,7 +582,7 @@ impl BarrierAlgorithm {
     }
 
     /// Whether the §3.3.3 cut-off has disabled prediction for `(thread,
-    /// pc)`. Never true for the oracle, whose trips disable nothing.
+    /// pc)`.
     pub fn is_disabled(&self, pc: BarrierPc, thread: ThreadId) -> bool {
         self.sites
             .get(&pc)
@@ -970,14 +968,15 @@ mod tests {
                 algo.on_last_arrival(t(2), pc, release);
                 let late = if k == 0 { us(200) } else { Cycles::ZERO };
                 let f0 = algo.finish_barrier(t(0), pc, release + late);
-                assert_eq!(f0.disabled, k == 0, "{choice}: only the late wake trips");
+                let trips = k == 0 && !oracle;
+                assert_eq!(f0.disabled, trips, "{choice}: only the late wake trips");
                 algo.finish_barrier(t(1), pc, release);
                 algo.finish_barrier(t(2), pc, release);
                 predicted.push((d0.predicted_bit, d1.predicted_bit));
             }
-            // The oracle's trip is reported and traced like any other.
+            // The oracle has no cut-off: its late wake trips nothing.
             let c = TraceKindCounts::from_events(&sink.drain_sorted());
-            assert_eq!(c.cutoff_disables, 1, "{choice}");
+            assert_eq!(c.cutoff_disables, u64::from(!oracle), "{choice}");
             // Only (thread 0, PC) is gated, and the oracle never is.
             assert_eq!(algo.is_disabled(PC, t(0)), !oracle, "{choice}");
             assert!(!algo.is_disabled(PC, t(1)), "{choice}");
@@ -1046,8 +1045,11 @@ mod tests {
         let mut off = Gate::new(&AlgorithmConfig::thrifty().with_overprediction_threshold(None));
         assert!(!off.trip(t(0), Cycles::from_secs(1), us(1)));
         let mut oracle = Gate::new(&AlgorithmConfig::ideal());
-        assert!(oracle.trip(t(0), us(101), bit), "the oracle's trips count");
-        assert!(!oracle.is_disabled(t(0)), "but gate nothing");
+        assert!(
+            !oracle.trip(t(0), us(101), bit),
+            "the oracle has no cut-off"
+        );
+        assert!(!oracle.is_disabled(t(0)));
     }
 
     #[test]

@@ -208,8 +208,8 @@ pub struct AlgorithmConfig {
     /// §3.4.2 filter: measured BITs larger than this factor × the table
     /// entry are not installed; `None` disables it.
     pub underprediction_factor: Option<f64>,
-    /// Whether deep-sleep cache flushes cost time/energy (`false` only for
-    /// Ideal).
+    /// Whether non-snoopable sleeps flush the dirty shared lines first
+    /// (`false` only for Ideal, which has no flushing overhead).
     pub flush_overhead: bool,
     /// Internal-timer anticipation margin (§3.3.2): the timer starts the
     /// exit transition this much *before* `predicted release − exit

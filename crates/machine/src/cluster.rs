@@ -50,9 +50,8 @@
 //! the same barrier event counts: polls are its `counts.spins`, and it
 //! fills the early arrivals, the sleeps by state, the internal and
 //! external wake-ups, the early and late wake-ups (at the residual check),
-//! the §3.3.3 cut-off trips and the skipped predictor updates. `flushes`,
-//! `flushed_lines` and `false_wakeups` stay zero, and it records no
-//! per-instance records. With a sink set ([`MsgSimulator::set_trace`]) it
+//! the §3.3.3 cut-off trips and the skipped predictor updates. `flushes`
+//! and `flushed_lines` stay zero, and it records no per-instance records. With a sink set ([`MsgSimulator::set_trace`]) it
 //! emits the same trace events as the shared-memory machine, bar flushes.
 //! In the harness, a cell runs here when its variant's substrate is
 //! [`Substrate::Cluster`](crate::harness::Substrate::Cluster).
@@ -347,7 +346,7 @@ impl MsgSimulator {
                 let delivered = MsgEvent::ReleaseDelivered { tid, episode: step };
                 self.cpus.schedule(at, delivered);
             }
-            Settled::ResidualSpin | Settled::Exiting | Settled::Asleep => {}
+            Settled::ResidualSpin | Settled::Entered => {}
         }
     }
 }

@@ -78,7 +78,7 @@ pub(crate) struct Cpu {
     pub depart_time: Cycles,
     /// Whether the external signal (the flag invalidation or the release
     /// message) may end this sleep.
-    pub wake_armed: bool,
+    wake_armed: bool,
     /// Pending internal-timer event, if armed.
     timer: Option<EventId>,
     /// The BIT predicted at this episode's arrival (for accuracy stats).
@@ -88,10 +88,9 @@ pub(crate) struct Cpu {
 /// What a finished transition leaves to the substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Settled {
-    /// An entry ended with a wake-up pending: the exit began at once.
-    Exiting,
-    /// An entry ended: the CPU sleeps.
-    Asleep,
+    /// An entry ended: the CPU sleeps, or, with a wake-up pending, has
+    /// begun its exit.
+    Entered,
     /// An exit ended with the release visible: the CPU departs.
     Released,
     /// An exit ended before the release was visible: the CPU spins out the
@@ -411,11 +410,11 @@ impl<X> Cpus<X> {
                 // Woken (externally or by an immediate timer) during
                 // entry: zero residency, exit right away.
                 self.begin_exit(tid, state, now, now);
-                Settled::Exiting
+                Settled::Entered
             }
             State::EnteringSleep { state, .. } => {
                 self.cpu[tid].state = State::Sleeping { state, since: now };
-                Settled::Asleep
+                Settled::Entered
             }
             State::ExitingSleep => {
                 let step = self.cpu[tid].step;

@@ -1134,7 +1134,6 @@ mod tests {
                 ("flushes", k.flushes, c.flushes),
                 ("internal wakes", k.internal_wakes, c.internal_wakeups),
                 ("external wakes", k.external_wakes, c.external_wakeups),
-                ("false wakes", k.false_wakes, c.false_wakeups),
                 ("residual spins", k.residual_spins, c.early_wakeups),
                 ("cut-off trips", k.cutoff_disables, c.cutoff_disables),
                 (

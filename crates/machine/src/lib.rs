@@ -77,7 +77,6 @@ pub use harness::{
 pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{
     aggregate, AggregateReport, BarrierEventCounts, CellCoverage, InstanceRecord, RunReport,
-    SiteSummary,
 };
 pub use sim::{
     simulate, try_simulate_faulted, CellError, Deadline, LivelockDiagnostics, Simulator,

@@ -33,11 +33,8 @@ pub struct BarrierEventCounts {
     /// Wake-ups that landed after the release (the CPU came back up late;
     /// overprediction or external-only wake-up).
     pub late_wakeups: u64,
-    /// Spurious (injected) wake-ups taken while sleeping (§3.3.1's false
-    /// wake-up; the residual spin absorbs them).
-    pub false_wakeups: u64,
-    /// §3.3.3 cut-off trips during the run. The oracle's trips count too,
-    /// though they disable nothing.
+    /// §3.3.3 cut-off trips during the run, each of which disabled
+    /// prediction for one (thread, site).
     pub cutoff_disables: u64,
     /// Predictor updates skipped by the §3.4.2 underprediction filter.
     pub updates_skipped: u64,
@@ -70,7 +67,6 @@ impl BarrierEventCounts {
         self.external_wakeups += other.external_wakeups;
         self.early_wakeups += other.early_wakeups;
         self.late_wakeups += other.late_wakeups;
-        self.false_wakeups += other.false_wakeups;
         self.cutoff_disables += other.cutoff_disables;
         self.updates_skipped += other.updates_skipped;
     }
@@ -84,16 +80,19 @@ pub struct InstanceRecord {
     pub pc: u64,
     /// The site's dynamic instance index.
     pub site_instance: u64,
-    /// Global episode index within the trace.
-    pub episode: usize,
     /// Absolute release time.
     pub release_time: Cycles,
     /// Measured barrier interval time.
     pub bit: Cycles,
     /// The observed thread's compute time in this interval (trace value).
     pub observed_compute: Cycles,
+}
+
+impl InstanceRecord {
     /// The observed thread's stall: `bit − observed_compute` (saturating).
-    pub observed_bst: Cycles,
+    pub fn observed_bst(&self) -> Cycles {
+        self.bit.saturating_sub(self.observed_compute)
+    }
 }
 
 /// The complete result of one simulation run.
@@ -114,7 +113,8 @@ pub struct RunReport {
     /// Relative BIT prediction error `|predicted − actual| / actual` over
     /// all early arrivals that had a prediction.
     pub prediction_error: OnlineStats,
-    /// Every released barrier instance.
+    /// Every released barrier instance, in release order: record `i` is
+    /// the trace's episode `i`.
     pub instances: Vec<InstanceRecord>,
     /// The thread whose compute/BST decomposition `instances` records.
     pub observed_thread: usize,
@@ -175,23 +175,6 @@ impl RunReport {
     /// Relative energy savings vs a baseline run (positive = saves).
     pub fn energy_savings_vs(&self, baseline: &RunReport) -> f64 {
         1.0 - self.total_energy() / baseline.total_energy()
-    }
-
-    /// Per-barrier-site statistics over the run's instances, ordered by
-    /// PC: the data behind the paper's per-barrier analyses (Figure 3's
-    /// stability claim, §5.2's Ocean discussion).
-    pub fn site_summaries(&self) -> Vec<SiteSummary> {
-        let mut by_pc: std::collections::BTreeMap<u64, (OnlineStats, OnlineStats)> =
-            std::collections::BTreeMap::new();
-        for inst in &self.instances {
-            let (bit, bst) = by_pc.entry(inst.pc).or_default();
-            bit.push(inst.bit.as_u64() as f64);
-            bst.push(inst.observed_bst.as_u64() as f64);
-        }
-        by_pc
-            .into_iter()
-            .map(|(pc, (bit, bst))| SiteSummary { pc, bit, bst })
-            .collect()
     }
 }
 
@@ -324,10 +307,8 @@ pub struct AggregateReport {
     /// Injected-fault and recovery tallies summed over all seeds (all zero
     /// for fault-free sweeps).
     pub faults: FaultSummary,
-    /// Cells that panicked instead of completing; their panic messages are
-    /// in `failures` and their metrics are absent from every statistic.
-    pub failed_cells: u64,
-    /// Panic messages of the failed cells, in cell order.
+    /// Messages of the cells that failed instead of completing, in cell
+    /// order; their metrics are absent from every statistic.
     pub failures: Vec<String>,
     /// Per-failure-class cell accounting (completed / retried / panicked /
     /// timed out / livelocked). Driven by [`AggregateReport::push`] and
@@ -350,7 +331,6 @@ impl AggregateReport {
             imbalance: OnlineStats::new(),
             counts: BarrierEventCounts::default(),
             faults: FaultSummary::default(),
-            failed_cells: 0,
             failures: Vec::new(),
             coverage: CellCoverage::default(),
         }
@@ -374,10 +354,14 @@ impl AggregateReport {
         self.faults.merge(faults);
     }
 
-    /// Records a cell that panicked instead of completing.
+    /// Records a cell that failed instead of completing.
     pub fn record_failure(&mut self, message: impl Into<String>) {
-        self.failed_cells += 1;
         self.failures.push(message.into());
+    }
+
+    /// Cells that failed instead of completing.
+    pub fn failed_cells(&self) -> u64 {
+        self.failures.len() as u64
     }
 
     /// Records a cell whose final supervised attempt failed with a typed
@@ -471,24 +455,6 @@ pub(crate) fn pair_with_baselines(cells: &[Cell], views: &[View]) -> Vec<Aggrega
     aggs
 }
 
-/// Per-site BIT/BST statistics (the observed thread's BST, as in Figure 3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SiteSummary {
-    /// The barrier site's PC.
-    pub pc: u64,
-    /// Interval-time statistics across the site's dynamic instances.
-    pub bit: OnlineStats,
-    /// The observed thread's stall-time statistics at this site.
-    pub bst: OnlineStats,
-}
-
-impl SiteSummary {
-    /// Number of dynamic instances of this site.
-    pub fn instances(&self) -> u64 {
-        self.bit.count()
-    }
-}
-
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let e = self.energy().fractions();
@@ -563,30 +529,16 @@ mod tests {
     }
 
     #[test]
-    fn site_summaries_group_by_pc() {
-        let mut r = report(1.0, 1.0, 100);
-        for (i, (pc, bit, bst)) in [(7u64, 100u64, 30u64), (7, 120, 10), (9, 500, 50)]
-            .into_iter()
-            .enumerate()
-        {
-            r.instances.push(InstanceRecord {
-                pc,
-                site_instance: i as u64,
-                episode: i,
-                release_time: Cycles::new((i as u64 + 1) * 1000),
-                bit: Cycles::new(bit),
-                observed_compute: Cycles::new(bit - bst),
-                observed_bst: Cycles::new(bst),
-            });
-        }
-        let sites = r.site_summaries();
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[0].pc, 7);
-        assert_eq!(sites[0].instances(), 2);
-        assert!((sites[0].bit.mean() - 110.0).abs() < 1e-9);
-        assert!((sites[0].bst.mean() - 20.0).abs() < 1e-9);
-        assert_eq!(sites[1].pc, 9);
-        assert_eq!(sites[1].instances(), 1);
+    fn observed_bst_saturates_at_zero() {
+        let inst = |bit, compute| InstanceRecord {
+            pc: 7,
+            site_instance: 0,
+            release_time: Cycles::new(1000),
+            bit: Cycles::new(bit),
+            observed_compute: Cycles::new(compute),
+        };
+        assert_eq!(inst(100, 30).observed_bst(), Cycles::new(70));
+        assert_eq!(inst(100, 130).observed_bst(), Cycles::ZERO);
     }
 
     #[test]
@@ -611,7 +563,6 @@ mod tests {
             external_wakeups: 1,
             early_wakeups: 1,
             late_wakeups: 0,
-            false_wakeups: 0,
             cutoff_disables: 1,
             updates_skipped: 1,
         };
@@ -666,7 +617,7 @@ mod tests {
         agg.record_error(&CellError::Timeout { limit_ms: 5 });
         agg.record_retries(2);
         agg.record_retries(0);
-        assert_eq!(agg.failed_cells, 2);
+        assert_eq!(agg.failed_cells(), 2);
         assert_eq!(agg.failures[0], "panic: boom");
         assert_eq!(agg.coverage.completed, 1);
         assert_eq!(agg.coverage.failed(), 2);

@@ -65,12 +65,6 @@ pub struct SimulatorConfig {
     pub observed_thread: usize,
     /// Label stored in the report.
     pub config_name: String,
-    /// Optional false-wake-up injection: `(probability, seed)`. With
-    /// probability `p`, a sleeping CPU receives a spurious wake-up signal
-    /// (the paper's §3.3.1 "unfortunate (but correct) type of exclusive
-    /// prefetch by another thread") partway through its residency. The
-    /// residual spin-loop guarantees correctness regardless.
-    pub false_wakeup: Option<(f64, u64)>,
     /// Optional §3.4.1 time-sharing policy: instead of the thrifty
     /// mechanism, early threads spin briefly and then *yield the CPU to
     /// another process*, resuming only at scheduling-quantum boundaries.
@@ -255,7 +249,6 @@ impl SimulatorConfig {
             power: PowerModel::paper(),
             observed_thread: 5,
             config_name: config_name.into(),
-            false_wakeup: None,
             time_sharing: None,
             faults: None,
             trace: SinkHandle::disabled(),
@@ -279,10 +272,6 @@ impl SimulatorConfig {
 enum SimEvent {
     /// A spinner (or a yielded thread back on its CPU) reads the flag.
     Observe {
-        tid: usize,
-        episode: usize,
-    },
-    FalseWake {
         tid: usize,
         episode: usize,
     },
@@ -313,7 +302,6 @@ pub struct Simulator {
     /// invalidation acknowledgments collected).
     episode_flip_done: Vec<Cycles>,
     instances: Vec<InstanceRecord>,
-    false_wake_rng: Option<tb_sim::SimRng>,
     /// Guard-timer re-arm interval of each thread's episode (fault runs
     /// only).
     guard_intervals: Vec<Cycles>,
@@ -381,13 +369,6 @@ impl Simulator {
             flag_line: flag_addr.line(),
             episode_flip_done: vec![Cycles::MAX; episodes],
             instances: Vec::with_capacity(episodes),
-            false_wake_rng: cfg.false_wakeup.map(|(p, seed)| {
-                assert!(
-                    (0.0..=1.0).contains(&p),
-                    "false-wakeup rate must be in [0,1]"
-                );
-                tb_sim::SimRng::new(seed).derive("false-wake", 0)
-            }),
             guard_intervals: vec![Cycles::ZERO; threads],
             events_since_progress: 0,
             cfg,
@@ -435,7 +416,6 @@ impl Simulator {
                 Event::TransitionDone { tid } => self.on_transition_done(tid, now),
                 Event::Substrate(ev) => match ev {
                     SimEvent::Observe { tid, episode } => self.on_observe(tid, episode, now),
-                    SimEvent::FalseWake { tid, episode } => self.on_false_wake(tid, episode, now),
                     SimEvent::YieldNow { tid, episode } => self.on_yield_now(tid, episode, now),
                     SimEvent::GuardTimer { tid, episode } => self.on_guard_timer(tid, episode, now),
                 },
@@ -544,7 +524,10 @@ impl Simulator {
                 self.cpus.spin(tid, now);
             }
             SleepChoice::Sleep { state, needs_flush } => {
-                let t = if needs_flush {
+                // Ideal (§5.1) has "no flushing overhead for any low-power
+                // sleep state": it flushes nothing, so the cache state and
+                // the post-flush upgrade misses are left untouched.
+                let t = if needs_flush && self.cpus.algo.config().flush_overhead {
                     self.flush(tid, now)
                 } else {
                     now
@@ -563,31 +546,24 @@ impl Simulator {
     /// Writes `tid`'s dirty shared lines back before a non-snoopable sleep
     /// that begins at `now`; returns when the write-back ends.
     fn flush(&mut self, tid: usize, now: Cycles) -> Cycles {
-        self.cpus.counts.flushes += 1;
-        let mut flushed = (0u64, Cycles::ZERO);
-        // Ideal configuration (§5.1): "no flushing overhead for any
-        // low-power sleep state" — neither the flush time nor the
-        // post-flush upgrade misses are charged, so the cache state is
-        // left untouched.
-        if self.cpus.algo.config().flush_overhead {
-            let f = self.mem.flush_dirty_shared(self.node(tid), now);
-            self.cpus.counts.flushed_lines += f.lines as u64;
-            self.cpus.ledger.cpu_mut(tid).record(
-                EnergyCategory::Compute,
-                f.duration,
-                self.cpus.p_compute,
-            );
-            flushed = (f.lines as u64, f.duration);
-        }
+        let f = self.mem.flush_dirty_shared(self.node(tid), now);
+        let counts = &mut self.cpus.counts;
+        counts.flushes += 1;
+        counts.flushed_lines += f.lines as u64;
+        self.cpus.ledger.cpu_mut(tid).record(
+            EnergyCategory::Compute,
+            f.duration,
+            self.cpus.p_compute,
+        );
         let step = self.cpus.cpu[tid].step;
         let flush = TraceEventKind::Flush {
             episode: step as u64,
             pc: self.cpus.pc(step),
-            lines: flushed.0,
-            duration: flushed.1,
+            lines: f.lines as u64,
+            duration: f.duration,
         };
         self.cpus.emit(tid, now, flush);
-        now + flushed.1
+        now + f.duration
     }
 
     fn on_last_arrival(&mut self, tid: usize, now: Cycles) {
@@ -617,11 +593,9 @@ impl Simulator {
         self.instances.push(InstanceRecord {
             pc,
             site_instance: release.instance,
-            episode: step,
             release_time: write.completion,
             bit: release.measured_bit,
             observed_compute,
-            observed_bst: release.measured_bit.saturating_sub(observed_compute),
         });
         // Deliver external wake-up signals.
         for inv in &write.invalidations {
@@ -658,22 +632,7 @@ impl Simulator {
     fn on_transition_done(&mut self, tid: usize, now: Cycles) {
         let step = self.cpus.cpu[tid].step;
         match self.cpus.on_transition_done(tid, now) {
-            Settled::Exiting => {}
-            Settled::Asleep => {
-                let Some(rng) = &mut self.false_wake_rng else {
-                    return;
-                };
-                let (p, _) = self.cfg.false_wakeup.expect("rng implies config");
-                if rng.chance(p) {
-                    // A spurious wake lands some tens of µs into the
-                    // residency (if the CPU is already awake by then, the
-                    // stale-event guards drop it).
-                    let delay =
-                        Cycles::from_nanos(rng.exponential(30_000.0).round().max(1.0) as u64);
-                    let wake = SimEvent::FalseWake { tid, episode: step };
-                    self.cpus.schedule(now + delay, wake);
-                }
-            }
+            Settled::Entered => {}
             Settled::Released => {
                 // The residual check reads the flag; the wake-up timestamp
                 // annotated for §3.3.3 is the moment the CPU came back up.
@@ -777,26 +736,6 @@ impl Simulator {
                 self.cpus.p_spin,
             );
             self.cpus.cpu[tid].state = State::Yielded { since: now };
-        }
-    }
-
-    /// A spurious wake-up signal (§3.3.1's false wake-up). If the CPU is
-    /// still asleep with its watcher armed, it wakes; the residual spin
-    /// after the exit keeps the barrier correct — "suboptimal but correct".
-    fn on_false_wake(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.cpus.cpu[tid].step != episode {
-            return;
-        }
-        if let State::Sleeping { state, since } = self.cpus.cpu[tid].state {
-            if self.cpus.cpu[tid].wake_armed {
-                self.cpus.counts.false_wakeups += 1;
-                let wake = TraceEventKind::FalseWake {
-                    episode: episode as u64,
-                    pc: self.cpus.pc(episode),
-                };
-                self.cpus.emit(tid, now, wake);
-                self.cpus.begin_exit(tid, state, since, now);
-            }
         }
     }
 
@@ -911,7 +850,6 @@ mod tests {
             power: PowerModel::paper(),
             observed_thread: 3,
             config_name: name.into(),
-            false_wakeup: None,
             time_sharing: None,
             faults: None,
             trace: SinkHandle::disabled(),
@@ -1075,10 +1013,9 @@ mod tests {
         let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
         assert_eq!(r.instances.len(), 9);
         for (i, inst) in r.instances.iter().enumerate() {
-            assert_eq!(inst.episode, i);
             assert_eq!(inst.site_instance, i as u64);
             assert_eq!(inst.pc, 0x10);
-            assert_eq!(inst.bit, inst.observed_compute + inst.observed_bst);
+            assert_eq!(inst.bit, inst.observed_compute + inst.observed_bst());
         }
         // Release times strictly increase.
         for w in r.instances.windows(2) {
@@ -1208,35 +1145,29 @@ mod tests {
     }
 
     #[test]
-    fn false_wakeups_are_absorbed_by_residual_spin() {
-        // §3.3.1: a false wake-up leaves the thread "spinning on the flag
-        // for the duration of the barrier" — suboptimal but correct. Force
-        // a spurious wake in every sleep episode and check correctness.
+    fn spurious_timer_wakes_are_absorbed_by_residual_spin() {
+        // §3.3.1: a thread woken before the release is left "spinning on
+        // the flag for the duration of the barrier" — suboptimal but
+        // correct. The `spurious-timer` scenario fires countdown timers
+        // early; the residual spin keeps every barrier correct.
         let trace = tiny_app(12, 3000, 0.30).generate(16, 30);
         let mut c = cfg("Thrifty");
-        c.false_wakeup = Some((1.0, 99));
-        let r = simulate(c, &trace, AlgorithmConfig::thrifty(), None);
+        c.faults = FaultPlan::by_name("spurious-timer", 99);
+        let (r, faults) = run_faulted(c, &trace, AlgorithmConfig::thrifty(), None);
         assert_eq!(r.counts.episodes, 12, "all barriers complete");
-        assert!(r.counts.false_wakeups > 0, "spurious wakes injected");
+        assert!(faults.spurious_timers > 0, "spurious fires injected");
+        assert!(
+            r.counts.early_wakeups > 0,
+            "early wakes spin out the residue"
+        );
         let clean = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
         assert!(
             r.ledger.energy()[EnergyCategory::Spin] >= clean.ledger.energy()[EnergyCategory::Spin],
-            "false wakes cost residual spin energy"
+            "early wakes cost residual spin energy"
         );
         // Execution remains essentially as fast (spinning threads still
         // observe the release promptly).
         assert!(r.slowdown_vs(&clean) < 0.01);
-    }
-
-    #[test]
-    fn false_wakeup_rate_zero_is_identical() {
-        let trace = tiny_app(8, 2000, 0.25).generate(16, 31);
-        let mut c = cfg("Thrifty");
-        c.false_wakeup = Some((0.0, 1));
-        let a = simulate(c, &trace, AlgorithmConfig::thrifty(), None);
-        let b = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
-        assert_eq!(a.wall_time, b.wall_time);
-        assert_eq!(a.counts.false_wakeups, 0);
     }
 
     #[test]

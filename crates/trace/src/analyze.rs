@@ -32,8 +32,6 @@ pub struct TraceKindCounts {
     pub internal_wakes: u64,
     /// Release-invalidation wake-ups.
     pub external_wakes: u64,
-    /// Spurious wake-ups.
-    pub false_wakes: u64,
     /// Wake-ups early enough to fall into the residual spin.
     pub residual_spins: u64,
     /// Barrier releases (episodes).
@@ -81,7 +79,6 @@ impl TraceKindCounts {
                 TraceEventKind::Flush { .. } => c.flushes += 1,
                 TraceEventKind::InternalWake { .. } => c.internal_wakes += 1,
                 TraceEventKind::ExternalWake { .. } => c.external_wakes += 1,
-                TraceEventKind::FalseWake { .. } => c.false_wakes += 1,
                 TraceEventKind::ResidualSpin { .. } => c.residual_spins += 1,
                 TraceEventKind::Release { update_skipped, .. } => {
                     c.releases += 1;
@@ -116,7 +113,6 @@ impl TraceKindCounts {
             + self.flushes
             + self.internal_wakes
             + self.external_wakes
-            + self.false_wakes
             + self.residual_spins
             + self.releases
             + self.departs

@@ -122,13 +122,6 @@ pub enum TraceEventKind {
         /// Barrier site PC.
         pc: u64,
     },
-    /// A sleeping thread took a spurious wake-up signal (§3.3.1).
-    FalseWake {
-        /// Episode index.
-        episode: u64,
-        /// Barrier site PC.
-        pc: u64,
-    },
     /// A thread woke before the release and fell into the residual spin.
     ResidualSpin {
         /// Episode index.
@@ -277,7 +270,6 @@ impl TraceEventKind {
             TraceEventKind::Flush { .. } => "flush",
             TraceEventKind::InternalWake { .. } => "internal_wake",
             TraceEventKind::ExternalWake { .. } => "external_wake",
-            TraceEventKind::FalseWake { .. } => "false_wake",
             TraceEventKind::ResidualSpin { .. } => "residual_spin",
             TraceEventKind::Release { .. } => "release",
             TraceEventKind::Depart { .. } => "depart",
@@ -304,7 +296,6 @@ impl TraceEventKind {
             | TraceEventKind::Flush { episode, .. }
             | TraceEventKind::InternalWake { episode, .. }
             | TraceEventKind::ExternalWake { episode, .. }
-            | TraceEventKind::FalseWake { episode, .. }
             | TraceEventKind::ResidualSpin { episode, .. }
             | TraceEventKind::Release { episode, .. }
             | TraceEventKind::Depart { episode, .. }
@@ -331,7 +322,6 @@ impl TraceEventKind {
             | TraceEventKind::Flush { pc, .. }
             | TraceEventKind::InternalWake { pc, .. }
             | TraceEventKind::ExternalWake { pc, .. }
-            | TraceEventKind::FalseWake { pc, .. }
             | TraceEventKind::ResidualSpin { pc, .. }
             | TraceEventKind::Release { pc, .. }
             | TraceEventKind::Depart { pc, .. }
@@ -405,7 +395,6 @@ mod tests {
             },
             TraceEventKind::InternalWake { episode: 3, pc: 7 },
             TraceEventKind::ExternalWake { episode: 3, pc: 7 },
-            TraceEventKind::FalseWake { episode: 3, pc: 7 },
             TraceEventKind::ResidualSpin { episode: 3, pc: 7 },
             TraceEventKind::Release {
                 episode: 3,
@@ -477,7 +466,7 @@ mod tests {
             assert_eq!(k.pc(), 7);
             names.insert(k.name());
         }
-        assert_eq!(names.len(), 21, "names are distinct");
+        assert_eq!(names.len(), 20, "names are distinct");
     }
 
     #[test]

@@ -120,7 +120,6 @@ fn args_for(kind: &TraceEventKind) -> Value {
         TraceEventKind::SpinStart { .. }
         | TraceEventKind::InternalWake { .. }
         | TraceEventKind::ExternalWake { .. }
-        | TraceEventKind::FalseWake { .. }
         | TraceEventKind::ResidualSpin { .. } => {}
     }
     obj(fields)
@@ -135,7 +134,6 @@ fn span_action(kind: &TraceEventKind) -> SpanAction {
         TraceEventKind::ResidualSpin { .. } => SpanAction::Open("residual spin".to_string()),
         TraceEventKind::InternalWake { .. }
         | TraceEventKind::ExternalWake { .. }
-        | TraceEventKind::FalseWake { .. }
         | TraceEventKind::Depart { .. } => SpanAction::Close,
         _ => SpanAction::None,
     }

@@ -383,7 +383,7 @@ fn render_fault_sweep(
             sum(|r| r.faults.injected()),
             sum(|r| r.faults.guard_recoveries),
             sum(|r| r.faults.quarantine_entries),
-            sum(|r| r.failed_cells),
+            sum(AggregateReport::failed_cells),
         ]
     };
     for rows in aggs.chunks(configs.len()) {

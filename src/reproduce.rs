@@ -703,7 +703,7 @@ fn e4_rows(run: &Run) -> Vec<String> {
     for (iter, barrier, inst) in &shown {
         let bit = inst.bit.as_u64() as f64 / avg_bit;
         let compute = inst.observed_compute.as_u64() as f64 / avg_bit;
-        let bst = inst.observed_bst.as_u64() as f64 / avg_bit;
+        let bst = inst.observed_bst().as_u64() as f64 / avg_bit;
         rows.push(format!(
             "i+{:<10} {:<8} {:>8.2} {:>9.2} {:>9.2}   {}{}",
             iter - FIRST_ITERATION,
@@ -727,7 +727,7 @@ fn e4_rows(run: &Run) -> Vec<String> {
         let mut bst = OnlineStats::new();
         for i in report.instances.iter().filter(|i| i.pc == pc) {
             bit.push(i.bit.as_u64() as f64);
-            bst.push(i.observed_bst.as_u64() as f64);
+            bst.push(i.observed_bst().as_u64() as f64);
         }
         rows.push(format!(
             "{:<9} {:>9.3} {:>12.3} {:>8.1}x",

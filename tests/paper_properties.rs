@@ -4,12 +4,13 @@
 //! These run at 16 nodes to stay fast; `thrifty-barrier reproduce`
 //! regenerates the 64-node figures.
 
-use thrifty_barrier::core::SystemConfig;
-use thrifty_barrier::energy::EnergyCategory;
+use thrifty_barrier::core::{FaultPlan, SystemConfig};
+use thrifty_barrier::energy::{EnergyCategory, SleepTable};
 use thrifty_barrier::machine::harness::{Cell, Knob, Variant};
 use thrifty_barrier::machine::run::run_trace;
 use thrifty_barrier::machine::RunReport;
 use thrifty_barrier::serve::{execute, ExecConfig};
+use thrifty_barrier::trace::TraceEventKind;
 use thrifty_barrier::workloads::AppSpec;
 
 const NODES: u16 = 16;
@@ -189,6 +190,49 @@ fn ocean_needs_the_cutoff() {
     );
 }
 
+/// §3.3.3's cut-off judges a prediction, and the oracle's is exact: under
+/// late wake-up signals at 8 nodes, Ocean's Oracle-Halt and Ideal cells
+/// trip nothing and record no cut-off event.
+#[test]
+fn oracle_configurations_have_no_cutoff() {
+    let app = AppSpec::by_name("Ocean").unwrap();
+    let configs = [
+        SystemConfig::Baseline,
+        SystemConfig::OracleHalt,
+        SystemConfig::Ideal,
+    ];
+    let cells: Vec<Cell> = Cell::matrix(&[app], &configs, 8, &[SEED])
+        .into_iter()
+        .map(|cell| {
+            let plan = FaultPlan::by_name("late-wakeup", cell.seed).unwrap();
+            cell.with_faults(plan)
+        })
+        .collect();
+    let recorded = ExecConfig {
+        jobs: 1,
+        record: Some(1 << 14),
+        ..ExecConfig::default()
+    };
+    let outcomes = execute(&cells, &recorded).expect("reachable targets");
+    for (cell, outcome) in cells.iter().zip(&outcomes).skip(1) {
+        let name = cell.config.name();
+        let report = outcome.report.as_ref().expect("late-wakeup cells complete");
+        assert!(
+            outcome.faults.delayed_wakeups > 0,
+            "{name}: faults injected"
+        );
+        assert!(report.counts.total_sleeps() > 0, "{name}: threads slept");
+        assert_eq!(report.trace.as_ref().map(|t| t.dropped), Some(0), "{name}");
+        assert_eq!(report.counts.cutoff_disables, 0, "{name}");
+        let trips = outcome
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::CutoffDisable { .. }))
+            .count();
+        assert_eq!(trips, 0, "{name}: cut-off events");
+    }
+}
+
 #[test]
 fn energy_breakdown_structure_matches_figures() {
     // Figure 5's structural claims: Baseline has no Transition/Sleep;
@@ -214,9 +258,18 @@ fn deep_sleep_flushes_show_up_in_compute() {
     // energy/time increases for many applications, mainly due to cache
     // flush overheads associated with deep sleep states."
     let reports = matrix("Water-Nsq");
-    let (base, halt, thrifty) = (&reports[0], &reports[1], &reports[3]);
+    let (base, halt, thrifty, ideal) = (&reports[0], &reports[1], &reports[3], &reports[4]);
     assert!(thrifty.counts.flushes > 0);
     assert_eq!(halt.counts.flushes, 0);
+    // §5.1: Ideal has "no flushing overhead", so its deep sleeps flush
+    // nothing.
+    let sleep3 = SleepTable::paper().deepest().index();
+    assert!(
+        ideal.counts.sleeps_by_state[sleep3] > 0,
+        "Ideal sleeps in Sleep3"
+    );
+    assert_eq!(ideal.counts.flushes, 0);
+    assert_eq!(ideal.counts.flushed_lines, 0);
     let base_compute = base.energy()[EnergyCategory::Compute];
     let thrifty_compute = thrifty.energy()[EnergyCategory::Compute];
     assert!(
