@@ -23,6 +23,16 @@
 //! reads a line in the middle of some flushed runs, so the refill meets a
 //! line with a second sharer, and a conflicting read evicts a flushed line
 //! from some owners' L1s, so the refill meets a line only the L2 holds.
+//!
+//! A fourth pair replays, on 64 nodes, what can happen to flushed lines
+//! between a flush and their owner's next rewrite: another node writes
+//! into a flushed run, the owner reads a flushed line, a conflict sweep
+//! evicts flushed lines from the owner's L2, lines that only the L2 holds
+//! dirty are flushed, a node flushes a second time before rewriting, and
+//! the releaser's flag write meets lost and delayed invalidations. After
+//! each phase the digest takes `probe_levels` at the owner and `dir_state`
+//! of every run line, so a flushed line's cache and directory states are
+//! pinned, not only the completions and counters.
 
 use tb_mem::{Addr, CoherentMemory, InvalidationFaults, MachineConfig, NodeId};
 use tb_sim::digest::fnv1a64_hex;
@@ -228,6 +238,168 @@ fn refill_digest(mut mem: CoherentMemory) -> String {
     }
     out.push_str(&serde::json::to_string(mem.stats()));
     fnv1a64_hex(out.as_bytes())
+}
+
+const PENDING_ROUNDS: usize = 12;
+
+/// Appends `probe_levels` at each owner and `dir_state` of every line of
+/// the owners' runs to `out`, one line of text per phase.
+fn run_states(mem: &CoherentMemory, runs: &[(Addr, u32)], out: &mut String) {
+    for (n, &(base, lines)) in runs.iter().enumerate() {
+        let owner = NodeId::new(n as u16);
+        for i in 0..lines as u64 {
+            let line = base.offset(i * 64).line();
+            let (l1, l2) = mem.probe_levels(owner, line);
+            out.push_str(&format!("{l1}{l2}{} ", mem.dir_state(line)));
+        }
+    }
+    out.push('\n');
+}
+
+/// The lines that share an L1 and an L2 set with `line`, `k` of them:
+/// reading them all evicts `line` from the L1, and the eighth evicts it
+/// from the L2 too, unless it was used more recently than they were.
+fn conflicts(line: Addr, k: u64) -> impl Iterator<Item = Addr> {
+    (1..=k).map(move |j| line.offset(j * CONFLICT_STRIDE * 64))
+}
+
+/// Runs flush rounds on 64 nodes that disturb flushed lines before their
+/// owners rewrite them, and returns their digest.
+fn pending_digest(mut mem: CoherentMemory) -> String {
+    let mut rng = SimRng::new(0x9E4D);
+    let count = mem.layout().shared_addr(2, 0);
+    let flag = mem.layout().shared_addr(3, 0);
+    let mut faults = InvalidationFaults::new(0xFA17, 0.3, 0.3, 300.0);
+    faults.watch(flag.line());
+    mem.set_faults(faults);
+    let bases: Vec<Addr> = (0..REFILL_NODES as u64)
+        .map(|n| {
+            mem.layout()
+                .shared_addr(64 + n * 8, (1 + rng.below(63)) * 64)
+        })
+        .collect();
+    let pick = |rng: &mut SimRng| NodeId::new(rng.below(REFILL_NODES as u64) as u16);
+    let mut runs: Vec<(Addr, u32)> = bases.iter().map(|&b| (b, 0)).collect();
+    let mut out = String::new();
+    let mut t = Cycles::ZERO;
+    let record = |out: &mut String, value: String| {
+        out.push_str(&value);
+        out.push('\n');
+    };
+    for round in 0..PENDING_ROUNDS {
+        let releaser = pick(&mut rng);
+        let mut lock_free = t;
+        let mut last = t;
+        for n in 0..REFILL_NODES {
+            let node = NodeId::new(n);
+            let lines = 96 + rng.below(161) as u32;
+            runs[n as usize].1 = runs[n as usize].1.max(lines);
+            let start = t + Cycles::from_nanos(rng.below(2000));
+            let end = mem.write_line_run(node, bases[n as usize], lines, start);
+            record(&mut out, serde::json::to_string(&end));
+            // One node in four pushes part of its run out of its L1 before
+            // flushing: those lines are then dirty in the L2 only.
+            if rng.below(4) == 0 {
+                for _ in 0..4 {
+                    let victim = bases[n as usize].offset(rng.below(lines as u64) * 64);
+                    for c in conflicts(victim, 2) {
+                        let r = mem.read(node, c, end);
+                        record(&mut out, serde::json::to_string(&r));
+                    }
+                }
+            }
+            let checkin = mem.write(node, count, end.max(lock_free));
+            lock_free = checkin.completion + Cycles::from_nanos(10);
+            last = last.max(checkin.completion);
+            record(&mut out, serde::json::to_string(&checkin));
+            if node != releaser {
+                let spin = mem.read(node, flag, checkin.completion);
+                let f = mem.flush_dirty_shared(node, spin.completion);
+                record(&mut out, serde::json::to_string(&spin));
+                record(&mut out, serde::json::to_string(&f));
+            }
+        }
+        run_states(&mem, &runs, &mut out);
+        // Between the flushes and the rewrites, in turn by round: remote
+        // writes and owner reads, L2 conflict sweeps, second flushes.
+        for _ in 0..10 {
+            let owner = pick(&mut rng);
+            let (base, lines) = runs[owner.index()];
+            let mid = base.offset(rng.below(lines.max(1) as u64) * 64);
+            match round % 3 {
+                0 => {
+                    let writer = pick(&mut rng);
+                    let w = mem.write(writer, mid, last);
+                    record(&mut out, serde::json::to_string(&w));
+                    let (l1, l2) = mem.probe_levels(writer, mid.line());
+                    record(&mut out, format!("{writer} {l1}{l2}"));
+                    let mid = base.offset(rng.below(lines.max(1) as u64) * 64);
+                    let r = mem.read(owner, mid, last);
+                    record(&mut out, serde::json::to_string(&r));
+                }
+                1 => {
+                    for c in conflicts(mid, 9) {
+                        let r = mem.write(owner, c, last);
+                        record(&mut out, serde::json::to_string(&r));
+                    }
+                    let r = mem.read(owner, mid.offset(64), last);
+                    record(&mut out, serde::json::to_string(&r));
+                }
+                _ => {
+                    let w = mem.write(owner, mid, last);
+                    record(&mut out, serde::json::to_string(&w));
+                    let f = mem.flush_dirty_shared(owner, w.completion);
+                    record(&mut out, serde::json::to_string(&f));
+                    let f = mem.flush_dirty_shared(owner, w.completion + f.duration);
+                    record(&mut out, serde::json::to_string(&f));
+                }
+            }
+        }
+        run_states(&mem, &runs, &mut out);
+        let release = mem.write(releaser, flag, last);
+        record(&mut out, serde::json::to_string(&release));
+        for n in (0..REFILL_NODES)
+            .map(NodeId::new)
+            .filter(|&n| n != releaser)
+        {
+            let wake = mem.read(n, flag, release.completion);
+            record(&mut out, serde::json::to_string(&wake));
+        }
+        record(&mut out, format!("{:?}", mem.drain_fault_log()));
+        run_states(&mem, &runs, &mut out);
+        t = release.completion + Cycles::from_micros(1);
+    }
+    for line in [flag.line(), count.line()] {
+        for n in (0..REFILL_NODES).map(NodeId::new) {
+            let (l1, l2) = mem.probe_levels(n, line);
+            out.push_str(&format!("{l1}{l2}"));
+        }
+        out.push_str(&format!(" {}\n", mem.dir_state(line)));
+    }
+    out.push_str(&serde::json::to_string(mem.stats()));
+    fnv1a64_hex(out.as_bytes())
+}
+
+#[test]
+fn directory_n64_pending_matches_fixture() {
+    let got = pending_digest(CoherentMemory::directory(MachineConfig::table1()));
+    assert_eq!(
+        got,
+        fixture("directory_n64_pending.digest").trim(),
+        "directory flushed-line disturbances drifted from tests/golden/directory_n64_pending.digest"
+    );
+}
+
+#[test]
+fn bus_n64_pending_matches_fixture() {
+    let got = pending_digest(CoherentMemory::directory(MachineConfig::bus_smp(
+        REFILL_NODES,
+    )));
+    assert_eq!(
+        got,
+        fixture("bus_n64_pending.digest").trim(),
+        "bus flushed-line disturbances drifted from tests/golden/bus_n64_pending.digest"
+    );
 }
 
 #[test]
