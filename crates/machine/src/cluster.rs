@@ -39,9 +39,9 @@
 //! one a NIC timer. They also run the shared-memory machine's own per-CPU
 //! wait state machine: this module supplies only the messages (arrival
 //! delivery, the coordinator, the release broadcast and the poll grain).
-//! A node back from sleep sees the release once its message can have been
-//! delivered, `msg_latency` after the last arrival landed; before that it
-//! polls out the residue. The coordinator itself never sleeps (it must
+//! A node back from sleep sees the release once its own copy of the
+//! broadcast can have been delivered ([`ClusterConfig::release_offset`]
+//! after the last arrival landed); before that it polls out the residue. The coordinator itself never sleeps (it must
 //! service arrival messages); it polls, and its stall is charged as spin
 //! energy. There are no coherent caches, so the deep states' flush
 //! requirement is vacuous here: nothing is flushed.
@@ -135,6 +135,14 @@ impl ClusterConfig {
         }
     }
 
+    /// How long after the coordinator broadcasts a release node `to`'s
+    /// copy is delivered: the broadcast sends to every other node in node
+    /// order, one dispatch gap apart.
+    pub fn release_offset(&self, to: u16) -> Cycles {
+        let index = if to > self.coordinator { to - 1 } else { to };
+        self.delivery(self.coordinator, to, Cycles::ZERO, index as u64)
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
@@ -206,13 +214,15 @@ impl MsgSimulator {
         let algo = BarrierAlgorithm::new(algo_cfg, trace.threads);
         // A node back from sleep sees the release once its message can
         // have arrived.
-        let lag = cluster.msg_latency;
+        let lags = (0..trace.threads as u16)
+            .map(|tid| cluster.release_offset(tid))
+            .collect();
         MsgSimulator {
             cpus: Cpus::new(
                 trace,
                 algo,
                 &PowerModel::paper(),
-                lag,
+                lags,
                 SinkHandle::disabled(),
             ),
             cluster,
@@ -291,15 +301,8 @@ impl MsgSimulator {
         let coord = self.coordinator();
         debug_assert_eq!(self.cpus.cpu[coord].step, episode);
         self.cpus.release(coord, now);
-        let mut index = 0u64;
-        for tid in 0..self.cpus.cpu.len() {
-            if tid == coord {
-                continue;
-            }
-            let delivered = self
-                .cluster
-                .delivery(self.cluster.coordinator, tid as u16, now, index);
-            index += 1;
+        for tid in (0..self.cpus.cpu.len()).filter(|&tid| tid != coord) {
+            let delivered = now + self.cluster.release_offset(tid as u16);
             self.cpus
                 .schedule(delivered, MsgEvent::ReleaseDelivered { tid, episode });
         }
@@ -342,7 +345,7 @@ impl MsgSimulator {
             // … and polls for it otherwise, until its delivery when it is
             // already in flight.
             Settled::ResidualSpin if self.cpus.released[step] => {
-                let at = self.cpus.episode_release[step] + self.cluster.msg_latency;
+                let at = self.cpus.episode_release[step] + self.cluster.release_offset(tid as u16);
                 let delivered = MsgEvent::ReleaseDelivered { tid, episode: step };
                 self.cpus.schedule(at, delivered);
             }
@@ -354,8 +357,67 @@ impl MsgSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
+    use tb_trace::{MemorySink, TraceEventKind};
     use tb_workloads::{AppSpec, PhaseSpec, Variability};
+
+    #[test]
+    fn release_offset_follows_the_broadcast_order() {
+        let mut c = ClusterConfig::default_cluster(8);
+        c.coordinator = 3;
+        let offsets: Vec<Cycles> = (0..8).map(|to| c.release_offset(to)).collect();
+        let gap = |i: u64| c.msg_latency + c.dispatch_gap * i;
+        assert_eq!(
+            offsets,
+            vec![
+                gap(0),
+                gap(1),
+                gap(2),
+                Cycles::ZERO,
+                gap(3),
+                gap(4),
+                gap(5),
+                gap(6)
+            ]
+        );
+    }
+
+    #[test]
+    fn no_node_departs_before_its_release_message_is_delivered() {
+        // 64 nodes put the last broadcast copy 62 dispatch gaps behind the
+        // first, so a node late in the order that wakes between the two
+        // must poll until its own copy lands.
+        let trace = app(40, 3000, 0.30).generate(64, 5);
+        let cluster = ClusterConfig::default_cluster(64);
+        let sink = Arc::new(MemorySink::new(64, 1 << 14));
+        let mut sim = MsgSimulator::new(
+            cluster.clone(),
+            trace,
+            "MsgTest",
+            AlgorithmConfig::thrifty(),
+        );
+        sim.set_trace(SinkHandle::new(sink.clone()));
+        let report = sim.run(None).expect("no deadline");
+        assert!(report.counts.total_sleeps() > 0);
+        assert_eq!(sink.dropped(), 0);
+        let mut departs = 0;
+        for event in sink.drain_sorted() {
+            if let TraceEventKind::Depart { wake_latency, .. } = event.kind {
+                if event.thread != cluster.coordinator as u32 {
+                    departs += 1;
+                    let offset = cluster.release_offset(event.thread as u16);
+                    assert!(
+                        wake_latency >= offset,
+                        "node {} departed {wake_latency} after the release, before its \
+                         message arrived at {offset}",
+                        event.thread
+                    );
+                }
+            }
+        }
+        assert_eq!(departs, 63 * 40);
+    }
 
     #[test]
     fn default_cluster_is_valid() {

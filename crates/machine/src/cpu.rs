@@ -118,9 +118,9 @@ pub(crate) struct Cpus<X> {
     pub episode_release: Vec<Cycles>,
     pub p_compute: f64,
     pub p_spin: f64,
-    /// How long after the semantic release a CPU back from sleep can see
-    /// it.
-    release_lag: Cycles,
+    /// How long after the semantic release each CPU back from sleep can
+    /// see it.
+    release_lag: Vec<Cycles>,
     arrivals: Vec<u32>,
     episode_bits: Vec<Cycles>,
     prediction_error: OnlineStats,
@@ -130,17 +130,19 @@ pub(crate) struct Cpus<X> {
 
 impl<X> Cpus<X> {
     /// The CPUs of `trace`, all computing their first phase, under `algo`.
-    /// A CPU back from sleep sees the release `release_lag` after the last
-    /// check-in; `sink` receives the lifecycle's events and the algorithm's.
+    /// CPU `tid` back from sleep sees the release `release_lag[tid]` after
+    /// the last check-in; `sink` receives the lifecycle's events and the
+    /// algorithm's.
     pub fn new(
         trace: AppTrace,
         mut algo: BarrierAlgorithm,
         power: &PowerModel,
-        release_lag: Cycles,
+        release_lag: Vec<Cycles>,
         sink: SinkHandle,
     ) -> Self {
         algo.set_trace(sink.clone());
         let threads = trace.threads;
+        assert_eq!(release_lag.len(), threads, "one release lag per CPU");
         let episodes = trace.steps.len();
         let counts = BarrierEventCounts {
             sleeps_by_state: vec![0; algo.policy().table().len()],
@@ -419,7 +421,7 @@ impl<X> Cpus<X> {
             State::ExitingSleep => {
                 let step = self.cpu[tid].step;
                 let visible = self.released[step]
-                    .then(|| self.episode_release[step] + self.release_lag)
+                    .then(|| self.episode_release[step] + self.release_lag[tid])
                     .filter(|&visible| now >= visible);
                 if let Some(visible) = visible {
                     if now > visible {

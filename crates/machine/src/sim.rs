@@ -359,7 +359,8 @@ impl Simulator {
         // The flag is observable from the last check-in onward; the
         // algorithm shares the executor's sink, so semantic and physical
         // events interleave in one capture.
-        let mut cpus = Cpus::new(trace, algo, &cfg.power, Cycles::ZERO, cfg.trace.clone());
+        let lags = vec![Cycles::ZERO; trace.threads];
+        let mut cpus = Cpus::new(trace, algo, &cfg.power, lags, cfg.trace.clone());
         cpus.injector = injector;
         Simulator {
             cpus,
