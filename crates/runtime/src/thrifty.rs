@@ -710,6 +710,11 @@ mod tests {
             outs
         });
         for _ in 0..5 {
+            // Thread 1 checks in first in every episode, however the host
+            // schedules it: wait for its arrival, then stall 2 ms.
+            while barrier.inner.count.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
             std::thread::sleep(Duration::from_millis(2));
             barrier.wait(0, PC);
         }
