@@ -10,9 +10,10 @@
 //! * [`mesi`] — MESI line states, the full-map directory state, and sharer
 //!   bit-sets.
 //! * [`cache`] — set-associative write-back caches with LRU replacement, a
-//!   dirty-way index, so a deep-sleep cache flush visits only the lines it
-//!   writes back, and verified line ranges, so a steady-state working-set
-//!   rewrite costs one step per run fragment.
+//!   dirty-way index that counts dirty shared lines per page, so a
+//!   deep-sleep cache flush defers its write-backs without visiting them,
+//!   and verified line ranges, so a steady-state working-set rewrite, the
+//!   one after a flush included, costs one step per run fragment.
 //! * [`dir`] — the full-map sharer directory (dense window plus sparse
 //!   overflow).
 //! * [`network`] — the [`Interconnect`] choice: the hypercube latency model

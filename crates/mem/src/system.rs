@@ -31,7 +31,7 @@
 //!   dispatch delay when fanning out invalidations.
 
 use crate::addr::{Addr, LineAddr, MemLayout, NodeId};
-use crate::cache::{Cache, CacheConfig, Evicted};
+use crate::cache::{Cache, CacheConfig, Evicted, PAGE_RESIDUES};
 use crate::dir::Directory;
 use crate::mesi::{DirState, LineState, SharerSet};
 use crate::network::{Hypercube, Interconnect};
@@ -353,9 +353,15 @@ impl CoherentMemory {
         &self.stats
     }
 
-    /// Directory state of a line (for tests and invariant checks).
+    /// Directory state of a line (for tests and invariant checks): a line
+    /// its owner holds flushed is `Shared` by that owner alone.
     pub fn dir_state(&self, line: LineAddr) -> DirState {
-        self.dir.get(line)
+        match self.dir.get(line) {
+            DirState::Exclusive(owner) if self.nodes[owner.index()].l2.holds_flushed(line) => {
+                DirState::Shared(SharerSet::singleton(owner))
+            }
+            state => state,
+        }
     }
 
     /// The per-level cache states of `line` at `node` (L1, L2), without
@@ -446,6 +452,8 @@ impl CoherentMemory {
 
     /// The non-silent remainder of [`write`](Self::write), entered after the
     /// L1 probe (whose LRU bump already happened) returned `l1`.
+    // Kept out of line so the line-run loop keeps `t` in a register.
+    #[inline(never)]
     fn write_after_l1(
         &mut self,
         node: NodeId,
@@ -477,12 +485,10 @@ impl CoherentMemory {
     /// the dispatch layer: the L1's [`Cache::write_run`] writes each
     /// (overwhelmingly common) silent stretch of the run, one step per
     /// fragment it has already verified, without materializing an
-    /// [`Access`] per line. Only the lines it stops at take the per-line
-    /// path. On the hypercube, a line a flush left behind starts a
-    /// refill that upgrades it and the consecutive flushed lines after it
-    /// in one loop, stepping the completion once per line by a latency it
-    /// computes once per page. The sequence of coherence actions — and
-    /// thus every timestamp and counter — is identical to calling
+    /// [`Access`] per line, and a stretch the last flush left behind is
+    /// rewritten in one step per page. Only the lines they stop at take
+    /// the per-line path. The sequence of coherence actions — and thus
+    /// every timestamp and counter — is identical to calling
     /// [`write`](Self::write) once per line.
     pub fn write_line_run(&mut self, node: NodeId, base: Addr, lines: u32, now: Cycles) -> Cycles {
         self.stats.writes += lines as u64;
@@ -493,7 +499,18 @@ impl CoherentMemory {
         let mut line = base.line();
         let mut left = lines;
         while left > 0 {
-            let (written, l1) = self.nodes[node.index()].l1.write_run(line, left);
+            let l1 = &mut self.nodes[node.index()].l1;
+            let flushed = l1.take_flushed_run(line, left);
+            if flushed > 0 {
+                self.stats.l1_hits += silent;
+                let now = t + self.cfg.l1_round_trip * silent;
+                t = self.rewrite_flushed(node, line, flushed, now);
+                left -= flushed;
+                line = line.offset(flushed as u64);
+                silent = 0;
+                continue;
+            }
+            let (written, l1) = l1.write_run(line, left);
             left -= written;
             if l1.can_write_silently() {
                 silent += written as u64;
@@ -505,96 +522,64 @@ impl CoherentMemory {
             self.stats.l1_hits += silent;
             let stopped = line.offset(written as u64 - 1);
             let now = t + self.cfg.l1_round_trip * silent;
-            let (done, refilled) = self.write_run_line(node, stopped, l1, left, now);
-            t = done;
-            left -= refilled;
-            line = stopped.offset(1 + refilled as u64);
+            t = self.write_after_l1(node, stopped, l1, now).completion;
+            line = stopped.offset(1);
             silent = 0;
         }
         self.stats.l1_hits += silent;
         t + self.cfg.l1_round_trip * silent
     }
 
-    /// A non-silent write of a line run, with `left` lines of the run
-    /// after it. A line the L1 holds Shared while the directory lists
-    /// `node` as its only sharer (every line a flush left behind) goes
-    /// straight to [`upgrade`](Self::upgrade) with nobody to invalidate,
-    /// and on the hypercube [`refill`](Self::refill) continues with the
-    /// lines after it; any other line takes the per-line path. Returns the
-    /// completion and how many lines after `line` were refilled.
-    // Kept out of line so the silent-write loop keeps `t` in a register.
-    #[inline(never)]
-    fn write_run_line(
+    /// The owner's rewrite of `lines` flushed lines from `first`, which
+    /// its L1 has just stamped as written and taken out of its flushed
+    /// set, starting at `now`. Per line, a write of a flushed line is an
+    /// upgrade with nobody to invalidate that leaves both levels Modified
+    /// and the directory `Exclusive(node)`, as they are stored, so only
+    /// its cost is settled here: one directory transaction per line, the
+    /// L2 copies leave the flushed set, and the completion. On the
+    /// hypercube each line adds the sole-sharer upgrade latency of its
+    /// page's home; on the bus each line is a snoop-only bus transaction
+    /// that also refreshes the L2 copy's recency, so the L2 stamps the
+    /// lines and the bus settles its transactions in closed form.
+    fn rewrite_flushed(
         &mut self,
-        node: NodeId,
-        line: LineAddr,
-        l1: LineState,
-        left: u32,
-        now: Cycles,
-    ) -> (Cycles, u32) {
-        let sole = DirState::Shared(SharerSet::singleton(node));
-        if l1 != LineState::Shared || self.dir.get(line) != sole {
-            return (self.write_after_l1(node, line, l1, now).completion, 0);
-        }
-        self.stats.dir_transactions += 1;
-        self.dir.set(line, DirState::Exclusive(node));
-        let t = self.upgrade(node, line, SharerSet::EMPTY, now).0;
-        match self.link {
-            Link::Hypercube { net, .. } => self.refill(net, node, line, left, t),
-            // The bus's upgrade is a bus transaction and refreshes both
-            // levels' recency, so each line stays on the per-line path.
-            Link::Bus { .. } => (t, 0),
-        }
-    }
-
-    /// The post-flush refill on the hypercube. `first` was just upgraded,
-    /// completing at `now`; each of up to `left` lines after it that the
-    /// directory lists as `Shared({node})` and the L1 holds Shared is
-    /// upgraded in turn: the L1 claims it (the write's recency bump and
-    /// the upgrade in one scan), both levels and the directory make it
-    /// `Modified` at `node`, and its completion follows the previous one
-    /// by [`sole_upgrade_latency`](Self::sole_upgrade_latency), computed
-    /// once per page. The first line that fails a check is left untouched
-    /// for the caller. The lines from `first` on end up resident and
-    /// Modified, so the L1 records them as verified. Returns the last
-    /// completion and the number of lines refilled after `first`.
-    fn refill(
-        &mut self,
-        net: Hypercube,
         node: NodeId,
         first: LineAddr,
-        left: u32,
+        lines: u32,
         now: Cycles,
-    ) -> (Cycles, u32) {
-        let sole = DirState::Shared(SharerSet::singleton(node));
-        let end = first.offset(1 + left as u64);
-        let mut line = first.offset(1);
-        let mut t = now;
-        let mut page_end = line;
-        let mut step = Cycles::ZERO;
-        while line < end && self.dir.get(line) == sole {
-            let nc = &mut self.nodes[node.index()];
-            if !nc.l1.claim_shared(line) {
-                break;
+    ) -> Cycles {
+        self.stats.dir_transactions += lines as u64;
+        let l2 = &mut self.nodes[node.index()].l2;
+        l2.unflush(first, lines);
+        match self.link {
+            Link::Hypercube { net, .. } => {
+                let end = first.offset(lines as u64);
+                let mut t = now;
+                let mut line = first;
+                while line < end {
+                    let page_end = line.next_page().min(end);
+                    let step = self.sole_upgrade_latency(net, node, self.layout.home_of(line));
+                    t += step * (page_end.as_u64() - line.as_u64());
+                    line = page_end;
+                }
+                t
             }
-            assert!(
-                nc.l2.set_state(line, LineState::Modified),
-                "inclusion violated: {line} is in {node}'s L1 but absent from its L2"
-            );
-            self.dir.set(line, DirState::Exclusive(node));
-            if line >= page_end {
-                page_end = line.next_page();
-                step = self.sole_upgrade_latency(net, node, self.layout.home_of(line));
+            Link::Bus {
+                arbitration,
+                snoop,
+                ref mut free_at,
+            } => {
+                l2.stamp(first, lines as u64);
+                // After the first line, each upgrade is issued when the
+                // previous one completes, which also frees the bus.
+                let ready = now + self.cfg.l2_round_trip;
+                let first_done = bus_grant(free_at, arbitration, ready, snoop) + snoop;
+                let end = first_done
+                    + (self.cfg.l2_round_trip + arbitration + snoop) * (lines as u64 - 1);
+                *free_at = end;
+                end
             }
-            t += step;
-            line = line.offset(1);
         }
-        let refilled = line.as_u64() - first.as_u64() - 1;
-        self.stats.dir_transactions += refilled;
-        self.nodes[node.index()]
-            .l1
-            .record_verified(first.as_u64(), line.as_u64());
-        (t, refilled as u32)
     }
 
     /// Flushes `node`'s dirty **shared** lines to memory, as required
@@ -603,42 +588,43 @@ impl CoherentMemory {
     /// is not interrupted, so data are preserved); the directory records the
     /// node as a clean sharer, letting the cache controller acknowledge
     /// later invalidations on the sleeping CPU's behalf.
+    ///
+    /// The write-back is deferred: every dirty shared line the L2 holds
+    /// joins the caches' flushed sets without being visited, keeps its
+    /// stored state, and reports the flushed one until its owner rewrites
+    /// it or a transaction at its home looks the line up. Only the lines
+    /// the L1 dirtied over a clean L2 copy are downgraded here, one by one.
     pub fn flush_dirty_shared(&mut self, node: NodeId, now: Cycles) -> FlushOutcome {
-        // One pass over the dirty-way index of each level: the L1's dirty
-        // lines first (downgrading their L2 copies too), then whatever the
-        // L2 still holds dirty. Each line is visited once and the outcome
-        // is a count and the set of homes written to, so visiting order
-        // does not matter.
         let (layout, dir) = (&self.layout, &mut self.dir);
         let mut n = 0u64;
         let mut homes = SharerSet::EMPTY;
-        let mut write_back = |line: LineAddr| {
-            if line.base_addr().is_private() {
-                return false;
-            }
+        let NodeCaches { l1, l2 } = &mut self.nodes[node.index()];
+        l1.clean_silent(|line| {
+            assert!(
+                l2.set_state(line, LineState::Shared),
+                "inclusion violated: {line} is dirty in {node}'s L1 but absent from its L2"
+            );
             dir.set(line, DirState::Shared(SharerSet::singleton(node)));
             n += 1;
             homes.insert(layout.home_of(line));
-            true
-        };
-        let NodeCaches { l1, l2 } = &mut self.nodes[node.index()];
-        l1.clean_dirty(|line| {
-            let flushed = write_back(line);
-            if flushed {
-                assert!(
-                    l2.set_state(line, LineState::Shared),
-                    "inclusion violated: {line} is dirty in {node}'s L1 but absent from its L2"
-                );
-            }
-            flushed
         });
-        l2.clean_dirty(&mut write_back);
+        // Every other dirty shared line is Modified in the L2, counted by
+        // page: the count and the pages' homes are all the timing needs.
+        let (deferred, residues) = l2.unflushed_dirty();
+        n += deferred;
+        l1.defer_flush();
+        l2.defer_flush();
         self.stats.writebacks += n;
         self.stats.flushes += 1;
         self.stats.flushed_lines += n;
         let start = now + self.cfg.l2_round_trip;
         let end = match self.link {
             Link::Hypercube { net, .. } => {
+                for r in 0..PAGE_RESIDUES as u64 {
+                    if residues >> r & 1 == 1 {
+                        homes.insert(layout.home_of(layout.shared_addr(r, 0).line()));
+                    }
+                }
                 // Pipelined write-back stream: startup + per-line bus
                 // occupancy + the tail message reaching the farthest home.
                 let farthest = homes
@@ -652,15 +638,15 @@ impl CoherentMemory {
                 arbitration,
                 ref mut free_at,
                 ..
-            } => {
-                // Each write-back occupies one data phase.
-                let mut end = start;
-                for _ in 0..n {
-                    let grant = bus_grant(free_at, arbitration, end, self.cfg.mem_transfer);
-                    end = grant + self.cfg.mem_transfer;
-                }
-                end
+            } if n > 0 => {
+                // Each write-back occupies one data phase; after the first,
+                // each is issued as the previous one frees the bus.
+                let transfer = self.cfg.mem_transfer;
+                let first = bus_grant(free_at, arbitration, start, transfer) + transfer;
+                *free_at = first + (arbitration + transfer) * (n - 1);
+                *free_at
             }
+            Link::Bus { .. } => start,
         };
         FlushOutcome {
             lines: n as usize,
@@ -714,7 +700,7 @@ impl CoherentMemory {
     /// Write-back of a dirty line on eviction: memory becomes the only copy.
     fn writeback_to_home(&mut self, node: NodeId, line: LineAddr) {
         self.stats.writebacks += 1;
-        match self.dir_state(line) {
+        match self.dir.get(line) {
             DirState::Exclusive(owner) if owner == node => {
                 self.dir.set(line, DirState::Uncached);
             }
@@ -723,8 +709,10 @@ impl CoherentMemory {
     }
 
     /// Replacement hint for a clean eviction: the directory drops the node.
+    /// A flushed line's entry still names the node as its owner; the hint
+    /// leaves it `Uncached` all the same.
     fn drop_clean_holder(&mut self, node: NodeId, line: LineAddr) {
-        match self.dir_state(line) {
+        match self.dir.get(line) {
             DirState::Exclusive(owner) if owner == node => {
                 self.dir.set(line, DirState::Uncached);
             }
@@ -754,9 +742,29 @@ impl CoherentMemory {
         }
     }
 
+    /// The directory entry of `line` for a transaction at its home. An
+    /// owner that holds the line flushed is materialized first: its copies
+    /// and the entry become what the flush would have left, `Shared` by
+    /// the owner alone.
+    fn lookup(&mut self, line: LineAddr) -> DirState {
+        let state = self.dir.get(line);
+        let DirState::Exclusive(owner) = state else {
+            return state;
+        };
+        let nc = &mut self.nodes[owner.index()];
+        if !nc.l2.holds_flushed(line) {
+            return state;
+        }
+        nc.l1.set_state(line, LineState::Shared);
+        nc.l2.set_state(line, LineState::Shared);
+        let shared = DirState::Shared(SharerSet::singleton(owner));
+        self.dir.set(line, shared);
+        shared
+    }
+
     fn read_miss(&mut self, node: NodeId, line: LineAddr, now: Cycles) -> Access {
         self.stats.dir_transactions += 1;
-        let state = self.dir_state(line);
+        let state = self.lookup(line);
         let owner = match state {
             DirState::Exclusive(owner) => {
                 assert_ne!(owner, node, "missed a line the directory says we own");
@@ -854,7 +862,7 @@ impl CoherentMemory {
         upgrade: bool,
     ) -> Access {
         self.stats.dir_transactions += 1;
-        let state = self.dir_state(line);
+        let state = self.lookup(line);
         let owner = match state {
             DirState::Exclusive(owner) if owner == node => {
                 // The L2 held E while the L1 held S: a silent upgrade.
@@ -943,13 +951,7 @@ impl CoherentMemory {
     /// The upgrade of `line`, which `node` caches Shared, once the
     /// directory has made `node` its owner: every copy `targets` hold is
     /// invalidated and both of `node`'s levels end up Modified. Returns
-    /// the completion and the invalidations sent. A post-flush refill on
-    /// the hypercube takes it for the first line of each refilled stretch
-    /// only; the lines after that go through [`refill`](Self::refill).
-    // Inlined into both callers: as a call, returning an empty
-    // invalidation list through memory made each per-line refill (every
-    // one on the bus) about a quarter slower.
-    #[inline(always)]
+    /// the completion and the invalidations sent.
     fn upgrade(
         &mut self,
         node: NodeId,

@@ -315,11 +315,8 @@ enum CacheOp {
     Invalidate {
         line: usize,
     },
-    /// `clean_dirty`, flushing the lines whose number is a multiple of
-    /// `modulus`.
-    Clean {
-        modulus: u64,
-    },
+    /// `defer_flush`: every dirty shared line counts as flushed.
+    Flush,
 }
 
 /// Lines the differential test's ops name: three blocks of 16
@@ -354,7 +351,7 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
         1 => (line.clone(), valid_state())
             .prop_map(|(line, state)| CacheOp::SetState { line, state }),
         1 => line.prop_map(|line| CacheOp::Invalidate { line }),
-        1 => (1..4u64).prop_map(|modulus| CacheOp::Clean { modulus }),
+        1 => Just(CacheOp::Flush),
     ]
 }
 
@@ -374,17 +371,6 @@ fn write_run_by_lines(cache: &mut Cache, first: LineAddr, n: u32) -> (u32, LineS
         }
     }
     (n, before)
-}
-
-/// The lines `clean_dirty` flushes and declines, in visiting order.
-fn clean(cache: &mut Cache, modulus: u64) -> Vec<(LineAddr, bool)> {
-    let mut seen = Vec::new();
-    cache.clean_dirty(|line| {
-        let flush = line.as_u64().is_multiple_of(modulus);
-        seen.push((line, flush));
-        flush
-    });
-    seen
 }
 
 /// Nodes of the run-level differential test.
@@ -637,11 +623,10 @@ proptest! {
                         lines.invalidate(at(line)),
                         "{}", ctx
                     ),
-                    CacheOp::Clean { modulus } => prop_assert_eq!(
-                        clean(&mut runs, modulus),
-                        clean(&mut lines, modulus),
-                        "{}", ctx
-                    ),
+                    CacheOp::Flush => {
+                        runs.defer_flush();
+                        lines.defer_flush();
+                    }
                 }
                 prop_assert_eq!(runs.resident_lines(), lines.resident_lines(), "{}", ctx);
                 prop_assert!(runs.verified_is_exact(), "{}", ctx);
