@@ -281,6 +281,9 @@ impl Flushed {
     /// Way `i`, holding `line`, is about to change: it leaves the set.
     #[inline]
     fn forget(&mut self, i: usize, line: LineAddr) {
+        if self.bits.is_empty() {
+            return;
+        }
         let held = self.holds(i, line);
         let Some(word) = self.bits.get_mut(i / 64) else {
             return;
@@ -455,9 +458,9 @@ impl Cache {
         };
         set[i].last_used = tick;
         let before = set[i].state;
-        // A Modified line is already marked dirty, so only E -> M changes
-        // the index; keeping that rare case off the hit path keeps the
-        // scan free of slot arithmetic.
+        // A Modified line is already marked dirty, so only the rare
+        // E -> M changes the index, off the hit path; a Modified line the
+        // last flush left behind is not written at all.
         match before {
             LineState::Exclusive => self.dirty_exclusive(base + i),
             LineState::Modified => return self.reported(base + i),
@@ -535,6 +538,11 @@ impl Cache {
         self.flushed.rewrite(first.as_u64(), end);
         self.stamp(first, len);
         len as u32
+    }
+
+    /// `true` when the last flush left flushed runs to take.
+    pub(crate) fn has_flushed_runs(&self) -> bool {
+        !self.flushed.runs.is_empty()
     }
 
     /// The owner rewrote the `n` flushed lines from `first`, which this

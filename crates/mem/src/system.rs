@@ -452,8 +452,6 @@ impl CoherentMemory {
 
     /// The non-silent remainder of [`write`](Self::write), entered after the
     /// L1 probe (whose LRU bump already happened) returned `l1`.
-    // Kept out of line so the line-run loop keeps `t` in a register.
-    #[inline(never)]
     fn write_after_l1(
         &mut self,
         node: NodeId,
@@ -498,9 +496,15 @@ impl CoherentMemory {
         let mut silent = 0;
         let mut line = base.line();
         let mut left = lines;
+        // Only a node that flushed can have flushed runs to take.
+        let flushed_runs = self.nodes[node.index()].l1.has_flushed_runs();
         while left > 0 {
             let l1 = &mut self.nodes[node.index()].l1;
-            let flushed = l1.take_flushed_run(line, left);
+            let flushed = if flushed_runs {
+                l1.take_flushed_run(line, left)
+            } else {
+                0
+            };
             if flushed > 0 {
                 self.stats.l1_hits += silent;
                 let now = t + self.cfg.l1_round_trip * silent;
@@ -522,12 +526,25 @@ impl CoherentMemory {
             self.stats.l1_hits += silent;
             let stopped = line.offset(written as u64 - 1);
             let now = t + self.cfg.l1_round_trip * silent;
-            t = self.write_after_l1(node, stopped, l1, now).completion;
+            t = self.write_run_line(node, stopped, l1, now);
             line = stopped.offset(1);
             silent = 0;
         }
         self.stats.l1_hits += silent;
         t + self.cfg.l1_round_trip * silent
+    }
+
+    /// The completion of a line run's non-silent write of `line`.
+    // Kept out of line so the silent-write loop keeps `t` in a register.
+    #[inline(never)]
+    fn write_run_line(
+        &mut self,
+        node: NodeId,
+        line: LineAddr,
+        l1: LineState,
+        now: Cycles,
+    ) -> Cycles {
+        self.write_after_l1(node, line, l1, now).completion
     }
 
     /// The owner's rewrite of `lines` flushed lines from `first`, which
