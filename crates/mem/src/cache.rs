@@ -298,15 +298,27 @@ impl Flushed {
 
     /// Takes `[start, end)` out of the flushed runs.
     fn remove_runs(&mut self, start: u64, end: u64) {
-        let mut kept = Vec::new();
-        self.runs.retain(|&(s, e)| {
+        let mut i = 0;
+        while i < self.runs.len() {
+            let (s, e) = self.runs[i];
             if e <= start || end <= s {
-                return true;
+                i += 1;
+                continue;
             }
-            kept.extend([(s, start), (end, e)].into_iter().filter(|(a, b)| a < b));
-            false
-        });
-        self.runs.extend(kept);
+            match (s < start, end < e) {
+                (true, true) => {
+                    self.runs[i] = (s, start);
+                    self.runs.push((end, e));
+                }
+                (true, false) => self.runs[i] = (s, start),
+                (false, true) => self.runs[i] = (end, e),
+                (false, false) => {
+                    self.runs.swap_remove(i);
+                    continue;
+                }
+            }
+            i += 1;
+        }
     }
 
     /// The owner rewrote the flushed lines `[start, end)`.
