@@ -8,9 +8,24 @@
 //! The cache stores coherence state only — the machine layer tracks logical
 //! values (such as the barrier flag's sense) separately, so no data payload
 //! is simulated. A dirty-way index (one bit per way, set exactly while the
-//! way holds a `Modified` line) counts the dirty shared lines per page, so
-//! a deep-sleep flush learns how many lines it writes back, and to which
-//! homes, without visiting them.
+//! way holds a `Modified` line) is what a deep-sleep flush snapshots
+//! instead of visiting the lines it writes back.
+//!
+//! # Levels
+//!
+//! The level is part of the type: [`Cache<L1>`] and [`Cache<L2>`]. Both
+//! keep the ways, the dirty-way index, the flushed set and the run stamps.
+//! Besides those, each keeps only what its own readers use:
+//!
+//! * the L1 keeps the ways a silent write of an `Exclusive` line dirtied
+//!   (`Cache::clean_silent`), and the verified ranges and flushed runs
+//!   that let [`Cache::write_run`] write a run one fragment at a time;
+//! * the L2 keeps, per page residue, how many dirty shared lines it holds
+//!   that are not flushed yet, so a flush learns how many lines it writes
+//!   back, and to which homes, without visiting them.
+//!
+//! The methods that only one level's callers use exist only on that
+//! level's type.
 //!
 //! # Layout
 //!
@@ -38,27 +53,28 @@
 //!
 //! # Silent runs
 //!
-//! The compute phase's working-set rewrite ([`Cache::write_run`]) is, in
-//! steady state, one silent write after another. The cache keeps a few
-//! disjoint *verified* line ranges, each known to be resident and stored
-//! `Modified`: the per-line loop records every silent streak as one, and
-//! the methods that can end that guarantee (`insert`, `set_state`,
-//! `invalidate`) split the range they touch. A run fragment a verified
-//! range covers is written as one *stamp* `(first, len, tick0)`: line
-//! `first + j` was used at tick `tick0 + 1 + j`, exactly what `len` calls
-//! of [`Cache::write_access`] would have stored. A way's recency is the
-//! larger of its own `last_used` and the tick of the newest stamp covering
-//! its line; every later use stores a larger tick, so that maximum is the
-//! recency per-line writes would have left. Both lists are bounded and
-//! start empty, so a cache that never sees a run (every L2) allocates
-//! nothing. A flush turns the verified ranges into *flushed runs*, wholly
-//! flushed ranges that the owner's rewrite takes one run at a time
-//! (`Cache::take_flushed_run`).
+//! The compute phase's working-set rewrite ([`Cache::write_run`], on the
+//! L1) is, in steady state, one silent write after another. The L1 keeps
+//! a few disjoint *verified* line ranges, each known to be resident and
+//! stored `Modified`: the per-line loop records every silent streak as
+//! one, and the methods that can end that guarantee (`insert`,
+//! `set_state`, `invalidate`) split the range they touch. A run fragment
+//! a verified range covers is written as one *stamp* `(first, len,
+//! tick0)`: line `first + j` was used at tick `tick0 + 1 + j`, exactly
+//! what `len` calls of [`Cache::write_access`] would have stored. A way's
+//! recency is the larger of its own `last_used` and the tick of the newest
+//! stamp covering its line; every later use stores a larger tick, so that
+//! maximum is the recency per-line writes would have left. Both lists are
+//! bounded and start empty. A flush turns the verified ranges into
+//! *flushed runs*, wholly flushed ranges that the owner's rewrite takes
+//! one run at a time (`Cache::take_flushed_run`). The L2 stamps the lines
+//! of a flushed run its bus upgrades rewrite, and keeps no ranges.
 //!
 //! [`CoherentMemory::flush_dirty_shared`]: crate::CoherentMemory::flush_dirty_shared
 
 use crate::addr::{Addr, LineAddr, LINE_BYTES, PAGE_BYTES};
 use crate::mesi::LineState;
+use book::Book;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -139,7 +155,7 @@ impl Way {
     }
 }
 
-/// Most verified line ranges a cache keeps; recording one more drops the
+/// Most verified line ranges the L1 keeps; recording one more drops the
 /// oldest.
 const MAX_VERIFIED: usize = 8;
 /// Most stamps a cache keeps; adding one more folds the oldest into its
@@ -152,15 +168,23 @@ const PAGE_LINES: u64 = PAGE_BYTES / LINE_BYTES;
 /// home when the node count is a power of two.
 pub(crate) const PAGE_RESIDUES: usize = 64;
 
+/// The page residue of line number `line`.
+#[inline]
+fn page_residue(line: u64) -> usize {
+    (line / PAGE_LINES) as usize % PAGE_RESIDUES
+}
+
 /// The page residue of a shared line, `None` for a private one.
 #[inline]
 fn residue(line: LineAddr) -> Option<usize> {
-    let addr = line.base_addr();
-    (!addr.is_private()).then(|| (line.as_u64() / PAGE_LINES) as usize % PAGE_RESIDUES)
+    (!line.base_addr().is_private()).then(|| page_residue(line.as_u64()))
 }
 
-/// Dirty shared lines by page residue.
-type PageCounts = [u32; PAGE_RESIDUES];
+/// `true` when bit `i` of `bits` is set; bits past the end are clear.
+#[inline]
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
 
 /// The silent writes of a verified run fragment, recorded in one step:
 /// line `first + j` was used at tick `tick0 + 1 + j` for `j < len`.
@@ -186,6 +210,16 @@ impl Stamp {
     }
 }
 
+/// The tick the newest of `stamps` covering `line` gave it, 0 if none.
+#[inline]
+fn stamp_tick(stamps: &[Stamp], line: LineAddr) -> u64 {
+    stamps
+        .iter()
+        .rev()
+        .find_map(|s| s.tick_of(line))
+        .unwrap_or(0)
+}
+
 /// `Ok(end)` when a range `[_, end)` of `ranges` holds `line`, otherwise
 /// `Err(start)` of the next range above it (`u64::MAX` if none).
 #[inline]
@@ -201,9 +235,24 @@ fn range_at(ranges: &[(u64, u64)], line: u64) -> Result<u64, u64> {
     Err(next)
 }
 
-/// Takes the ranges that abut `[start, end)` out of `ranges` and returns
-/// `[start, end)` merged with them.
-fn absorb(ranges: &mut Vec<(u64, u64)>, mut start: u64, mut end: u64) -> (u64, u64) {
+/// Takes `[start, end)` out of the one of the disjoint `ranges` holding
+/// `start`, if any, which must hold all of it; keeps a remaining piece
+/// only while `ranges` has fewer than `cap` entries.
+fn cut(ranges: &mut Vec<(u64, u64)>, start: u64, end: u64, cap: usize) {
+    let Some(k) = ranges.iter().position(|&(s, e)| s <= start && start < e) else {
+        return;
+    };
+    let (s, e) = ranges.remove(k);
+    for piece in [(s, start), (end, e)] {
+        if piece.0 < piece.1 && ranges.len() < cap {
+            ranges.push(piece);
+        }
+    }
+}
+
+/// Adds `[start, end)`, disjoint from every one of `ranges`, to their back,
+/// merged with the ranges it abuts.
+fn absorb(ranges: &mut Vec<(u64, u64)>, mut start: u64, mut end: u64) {
     ranges.retain(|&(s, e)| {
         if e == start {
             start = s;
@@ -214,45 +263,12 @@ fn absorb(ranges: &mut Vec<(u64, u64)>, mut start: u64, mut end: u64) -> (u64, u
         }
         false
     });
-    (start, end)
-}
-
-/// The dirty-way index.
-#[derive(Debug, Clone)]
-struct DirtyIndex {
-    /// Bit `i` is set exactly when `ways[i]` holds a `Modified` line.
-    bits: Vec<u64>,
-    /// Of those, the ways a silent write of an `Exclusive` line made
-    /// `Modified` (only the L1's are read: their L2 copies are clean).
-    silent: Vec<u64>,
-    /// Dirty shared lines by page residue.
-    pages: PageCounts,
-}
-
-impl DirtyIndex {
-    /// Keeps slot `i`'s bits and the page counts current as its line
-    /// `line` goes from `from` to `to`.
-    #[inline]
-    fn mark(&mut self, i: usize, line: LineAddr, from: LineState, to: LineState) {
-        if from.is_dirty() == to.is_dirty() {
-            return;
-        }
-        let bit = 1u64 << (i % 64);
-        self.bits[i / 64] ^= bit;
-        self.silent[i / 64] &= !bit;
-        if let Some(r) = residue(line) {
-            if to.is_dirty() {
-                self.pages[r] += 1;
-            } else {
-                self.pages[r] -= 1;
-            }
-        }
-    }
+    ranges.push((start, end));
 }
 
 /// The lines the last flush wrote back without visiting them: each is
 /// stored `Modified` and counts as `Shared`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Flushed {
     /// The dirty-way index as the last flush found it (empty before the
     /// first): a marked way's line is flushed unless it is private, in
@@ -260,84 +276,144 @@ struct Flushed {
     bits: Vec<u64>,
     /// Line ranges rewritten by their owner since that flush.
     rewritten: Vec<(u64, u64)>,
-    /// Disjoint line ranges whose every line is flushed: the verified
-    /// ranges at that flush, less what left the set since.
-    runs: Vec<(u64, u64)>,
-    /// Flushed lines by page residue.
-    pages: PageCounts,
 }
 
 impl Flushed {
     /// `true` when way `i`, holding `line`, holds it flushed.
     #[inline]
     fn holds(&self, i: usize, line: LineAddr) -> bool {
-        self.bits
-            .get(i / 64)
-            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+        bit(&self.bits, i)
             && !line.base_addr().is_private()
             && range_at(&self.rewritten, line.as_u64()).is_err()
     }
+}
 
-    /// Way `i`, holding `line`, is about to change: it leaves the set.
-    #[inline]
-    fn forget(&mut self, i: usize, line: LineAddr) {
-        if self.bits.is_empty() {
-            return;
+/// The first cache level. It writes the compute phase's runs and tells the
+/// flush which dirty lines its L2 copies do not know about.
+#[derive(Debug, Clone, Copy)]
+pub struct L1;
+
+/// The second cache level. The flush counts its dirty shared lines.
+#[derive(Debug, Clone, Copy)]
+pub struct L2;
+
+/// A cache level, [`L1`] or [`L2`]: its bookkeeping type holds what only
+/// that level's readers use.
+pub trait Level: fmt::Debug + Clone {
+    /// What only this level's readers use.
+    #[doc(hidden)]
+    type Book: Book;
+}
+
+impl Level for L1 {
+    type Book = book::L1Book;
+}
+
+impl Level for L2 {
+    /// Dirty shared lines not flushed yet, by page residue.
+    type Book = [u32; PAGE_RESIDUES];
+}
+
+/// Each level's bookkeeping and how the code both levels share updates it.
+mod book {
+    use super::*;
+
+    /// The hooks the code both levels share calls at each change.
+    pub trait Book: fmt::Debug + Clone {
+        /// Empty bookkeeping for a cache of `words × 64` ways.
+        fn new(words: usize) -> Self;
+        /// Way `i`, holding `line`, became dirty (`dirty`) or clean.
+        fn flip(&mut self, i: usize, line: LineAddr, dirty: bool);
+        /// Way `i` has just been dirtied by a silent write of an
+        /// `Exclusive` line.
+        fn dirtied_silently(&mut self, _i: usize) {}
+        /// `line`, held flushed and dirty, left the flushed set.
+        fn unflushed(&mut self, line: u64);
+        /// The way holding `line` is about to change state or line.
+        fn unverify(&mut self, _line: u64) {}
+        /// A flush: every dirty shared line is now flushed.
+        fn flush(&mut self);
+    }
+
+    /// The L1's bookkeeping.
+    #[derive(Debug, Clone)]
+    pub struct L1Book {
+        /// The ways a silent write of an `Exclusive` line made `Modified`
+        /// (their L2 copies are clean).
+        pub silent: Vec<u64>,
+        /// Disjoint half-open line ranges `[start, end)` whose every line
+        /// is resident and stored `Modified`; the front one is dropped
+        /// first when full.
+        pub verified: Vec<(u64, u64)>,
+        /// Disjoint line ranges whose every line is flushed: the shared
+        /// verified ranges at the last flush, less what left the set since.
+        pub runs: Vec<(u64, u64)>,
+    }
+
+    impl Book for L1Book {
+        fn new(words: usize) -> Self {
+            L1Book {
+                silent: vec![0; words],
+                verified: Vec::new(),
+                runs: Vec::new(),
+            }
         }
-        let held = self.holds(i, line);
-        let Some(word) = self.bits.get_mut(i / 64) else {
-            return;
-        };
-        *word &= !(1u64 << (i % 64));
-        if let (true, Some(r)) = (held, residue(line)) {
-            self.pages[r] -= 1;
-            let line = line.as_u64();
-            self.remove_runs(line, line + 1);
+
+        #[inline]
+        fn flip(&mut self, i: usize, _: LineAddr, _: bool) {
+            self.silent[i / 64] &= !(1u64 << (i % 64));
+        }
+
+        fn dirtied_silently(&mut self, i: usize) {
+            self.silent[i / 64] |= 1u64 << (i % 64);
+        }
+
+        fn unflushed(&mut self, line: u64) {
+            cut(&mut self.runs, line, line + 1, usize::MAX);
+        }
+
+        fn unverify(&mut self, line: u64) {
+            cut(&mut self.verified, line, line + 1, MAX_VERIFIED);
+        }
+
+        fn flush(&mut self) {
+            self.runs.clone_from(&self.verified);
+            self.runs
+                .retain(|&(start, _)| !Addr::new(start * LINE_BYTES).is_private());
         }
     }
 
-    /// Takes `[start, end)` out of the flushed runs.
-    fn remove_runs(&mut self, start: u64, end: u64) {
-        let mut i = 0;
-        while i < self.runs.len() {
-            let (s, e) = self.runs[i];
-            if e <= start || end <= s {
-                i += 1;
-                continue;
-            }
-            match (s < start, end < e) {
-                (true, true) => {
-                    self.runs[i] = (s, start);
-                    self.runs.push((end, e));
-                }
-                (true, false) => self.runs[i] = (s, start),
-                (false, true) => self.runs[i] = (end, e),
-                (false, false) => {
-                    self.runs.swap_remove(i);
-                    continue;
-                }
-            }
-            i += 1;
+    /// The L2's bookkeeping: its dirty shared lines not flushed yet, by
+    /// page residue.
+    impl Book for [u32; PAGE_RESIDUES] {
+        fn new(_: usize) -> Self {
+            [0; PAGE_RESIDUES]
         }
-    }
 
-    /// The owner rewrote the flushed lines `[start, end)`.
-    fn rewrite(&mut self, start: u64, end: u64) {
-        self.remove_runs(start, end);
-        let mut line = start;
-        while line < end {
-            let stop = ((line / PAGE_LINES + 1) * PAGE_LINES).min(end);
-            self.pages[(line / PAGE_LINES) as usize % PAGE_RESIDUES] -= (stop - line) as u32;
-            line = stop;
+        #[inline]
+        fn flip(&mut self, _: usize, line: LineAddr, dirty: bool) {
+            if let Some(r) = residue(line) {
+                if dirty {
+                    self[r] += 1;
+                } else {
+                    self[r] -= 1;
+                }
+            }
         }
-        let merged = absorb(&mut self.rewritten, start, end);
-        self.rewritten.push(merged);
+
+        fn unflushed(&mut self, line: u64) {
+            self[page_residue(line)] += 1;
+        }
+
+        fn flush(&mut self) {
+            *self = [0; PAGE_RESIDUES];
+        }
     }
 }
 
 /// A single cache level.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<L: Level> {
     config: CacheConfig,
     /// `sets × assoc` slots; set `s` is the slice `[s*assoc, (s+1)*assoc)`.
     ways: Vec<Way>,
@@ -346,16 +422,16 @@ pub struct Cache {
     assoc: usize,
     /// Valid (non-`Invalid`) slots, kept incrementally so `len()` is O(1).
     valid: usize,
-    dirty: DirtyIndex,
+    /// The dirty-way index: bit `i` is set exactly when `ways[i]` holds a
+    /// `Modified` line.
+    dirty: Vec<u64>,
     flushed: Flushed,
     tick: u64,
-    /// Disjoint half-open line ranges `[start, end)` whose every line is
-    /// resident and stored `Modified`; the front one is dropped first when
-    /// full.
-    verified: Vec<(u64, u64)>,
     /// Run stamps, oldest first; a way's recency is the larger of its
     /// `last_used` and its line's newest stamp tick.
     stamps: Vec<Stamp>,
+    /// What only this level's readers use.
+    book: L::Book,
 }
 
 /// A line pushed out of the cache by [`Cache::insert`].
@@ -367,7 +443,7 @@ pub struct Evicted {
     pub state: LineState,
 }
 
-impl Cache {
+impl<L: Level> Cache<L> {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
@@ -379,20 +455,11 @@ impl Cache {
             set_mask: sets - 1,
             assoc,
             valid: 0,
-            dirty: DirtyIndex {
-                bits: vec![0; words],
-                silent: vec![0; words],
-                pages: [0; PAGE_RESIDUES],
-            },
-            flushed: Flushed {
-                bits: Vec::new(),
-                rewritten: Vec::new(),
-                runs: Vec::new(),
-                pages: [0; PAGE_RESIDUES],
-            },
+            dirty: vec![0; words],
+            flushed: Flushed::default(),
             tick: 0,
-            verified: Vec::new(),
             stamps: Vec::new(),
+            book: L::Book::new(words),
         }
     }
 
@@ -435,6 +502,32 @@ impl Cache {
         } else {
             way.state
         }
+    }
+
+    /// Keeps slot `i`'s dirty-way bit and this level's bookkeeping current
+    /// as its line `line` goes from `from` to `to`.
+    #[inline]
+    fn mark(&mut self, i: usize, line: LineAddr, from: LineState, to: LineState) {
+        if from.is_dirty() != to.is_dirty() {
+            self.dirty[i / 64] ^= 1u64 << (i % 64);
+            self.book.flip(i, line, to.is_dirty());
+        }
+    }
+
+    /// Slot `i`, holding `line`, takes `state`: `line` leaves the flushed
+    /// set, and unless it stays dirty, any verified range.
+    fn restate(&mut self, i: usize, line: LineAddr, state: LineState) {
+        if self.flushed.holds(i, line) {
+            self.book.unflushed(line.as_u64());
+        }
+        if let Some(word) = self.flushed.bits.get_mut(i / 64) {
+            *word &= !(1u64 << (i % 64));
+        }
+        if !state.is_dirty() {
+            self.book.unverify(line.as_u64());
+        }
+        let from = std::mem::replace(&mut self.ways[i].state, state);
+        self.mark(i, line, from, state);
     }
 
     /// The state of `line`, updating LRU recency. `Invalid` if absent.
@@ -487,122 +580,8 @@ impl Cache {
     fn dirty_exclusive(&mut self, i: usize) {
         let line = self.ways[i].line;
         self.ways[i].state = LineState::Modified;
-        self.dirty
-            .mark(i, line, LineState::Exclusive, LineState::Modified);
-        self.dirty.silent[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Writes the `n` consecutive lines from `first` until one is not
-    /// silent: the same as calling [`Cache::write_access`] on each line in
-    /// turn and stopping after the first whose returned state cannot be
-    /// written silently. Returns how many lines were written (the
-    /// non-silent one included) and the state the last of them had before
-    /// its write, so the caller finishes a non-silent line itself.
-    ///
-    /// A fragment a verified range covers costs one stamp; other lines
-    /// take the per-line probe, and each silent streak it finds is
-    /// recorded as a verified range. A flushed line is not silent: the
-    /// memory system takes a flushed run in one step before writing it.
-    pub fn write_run(&mut self, first: LineAddr, n: u32) -> (u32, LineState) {
-        let end = first.as_u64() + n as u64;
-        let mut line = first;
-        let mut before = LineState::Modified;
-        while line.as_u64() < end {
-            let stop = match self.verified_at(line) {
-                Ok(covered) => match range_at(&self.flushed.runs, line.as_u64()) {
-                    Err(next) => {
-                        let len = covered.min(end).min(next) - line.as_u64();
-                        self.stamp(line, len);
-                        line = line.offset(len);
-                        before = LineState::Modified;
-                        continue;
-                    }
-                    // A flushed line reports Shared: write it per line.
-                    Ok(_) => line.as_u64() + 1,
-                },
-                Err(next) => next.min(end),
-            };
-            let streak = line.as_u64();
-            while line.as_u64() < stop {
-                before = self.write_access(line);
-                if !before.can_write_silently() {
-                    self.record_verified(streak, line.as_u64());
-                    return ((line.as_u64() + 1 - first.as_u64()) as u32, before);
-                }
-                line = line.offset(1);
-            }
-            self.record_verified(streak, stop);
-        }
-        (n, before)
-    }
-
-    /// The owner's rewrite of the flushed run at `first`, up to `n` lines:
-    /// when `first` starts a stretch of a flushed run, writes that stretch
-    /// as one stamp (the recency the per-line writes would leave), takes
-    /// it out of the flushed set and returns its length. Returns 0, with
-    /// the cache untouched, when `first` is in no flushed run.
-    pub(crate) fn take_flushed_run(&mut self, first: LineAddr, n: u32) -> u32 {
-        let Ok(run_end) = range_at(&self.flushed.runs, first.as_u64()) else {
-            return 0;
-        };
-        let end = run_end.min(first.as_u64() + n as u64);
-        let len = end - first.as_u64();
-        self.flushed.rewrite(first.as_u64(), end);
-        self.stamp(first, len);
-        len as u32
-    }
-
-    /// `true` when the last flush left flushed runs to take.
-    pub(crate) fn has_flushed_runs(&self) -> bool {
-        !self.flushed.runs.is_empty()
-    }
-
-    /// The owner rewrote the `n` flushed lines from `first`, which this
-    /// cache holds flushed: they leave the flushed set in one step.
-    pub(crate) fn unflush(&mut self, first: LineAddr, n: u32) {
-        self.flushed
-            .rewrite(first.as_u64(), first.as_u64() + n as u64);
-    }
-
-    /// `Ok(end)` when a verified range `[_, end)` holds `line`, otherwise
-    /// `Err(start)` of the next verified range above it (`u64::MAX` if
-    /// none).
-    #[inline]
-    fn verified_at(&self, line: LineAddr) -> Result<u64, u64> {
-        range_at(&self.verified, line.as_u64())
-    }
-
-    /// Records `[start, end)`, just written silently and disjoint from
-    /// every verified range, as verified, merged with any range it abuts.
-    fn record_verified(&mut self, start: u64, end: u64) {
-        if start == end {
-            return;
-        }
-        let merged = absorb(&mut self.verified, start, end);
-        if self.verified.len() == MAX_VERIFIED {
-            self.verified.remove(0);
-        }
-        self.verified.push(merged);
-    }
-
-    /// Slot `i`, holding `line`, is about to change state or line: takes
-    /// `line` out of the verified range and the flushed set holding it.
-    fn unverify(&mut self, i: usize, line: LineAddr) {
-        self.flushed.forget(i, line);
-        let line = line.as_u64();
-        let Some(k) = self
-            .verified
-            .iter()
-            .position(|&(s, e)| s <= line && line < e)
-        else {
-            return;
-        };
-        let (start, end) = self.verified.remove(k);
-        for piece in [(start, line), (line + 1, end)] {
-            if piece.0 < piece.1 && self.verified.len() < MAX_VERIFIED {
-                self.verified.push(piece);
-            }
-        }
+        self.mark(i, line, LineState::Exclusive, LineState::Modified);
+        self.book.dirtied_silently(i);
     }
 
     /// Writes the `len` lines from `first`, all resident, as one stamp.
@@ -636,26 +615,10 @@ impl Cache {
         }
     }
 
-    /// The tick the newest stamp covering `line` gave it, 0 if none.
-    #[inline]
-    fn stamp_tick(stamps: &[Stamp], line: LineAddr) -> u64 {
-        stamps
-            .iter()
-            .rev()
-            .find_map(|s| s.tick_of(line))
-            .unwrap_or(0)
-    }
-
     /// The state of `line` without touching LRU state (a coherence probe).
     pub fn probe(&self, line: LineAddr) -> LineState {
         self.slot(line)
             .map_or(LineState::Invalid, |i| self.reported(i))
-    }
-
-    /// `true` when this cache holds `line` flushed.
-    pub(crate) fn holds_flushed(&self, line: LineAddr) -> bool {
-        !self.flushed.bits.is_empty()
-            && self.slot(line).is_some_and(|i| self.flushed.holds(i, line))
     }
 
     /// Inserts (or updates) `line` with `state`, evicting the LRU way if
@@ -677,15 +640,8 @@ impl Cache {
         let mut victim_used = u64::MAX;
         for (i, way) in set.iter().enumerate() {
             if way.holds(line) {
-                let i = base + i;
-                if state.is_dirty() {
-                    self.flushed.forget(i, line);
-                } else {
-                    self.unverify(i, line);
-                }
-                let from = std::mem::replace(&mut self.ways[i].state, state);
-                self.ways[i].last_used = tick;
-                self.dirty.mark(i, line, from, state);
+                self.restate(base + i, line, state);
+                self.ways[base + i].last_used = tick;
                 return None;
             }
             if !way.state.is_valid() {
@@ -697,7 +653,7 @@ impl Cache {
             let used = match stamps.last() {
                 // The newest stamp's ticks are the largest of any stamp.
                 Some(newest) if way.last_used < newest.tick0 + newest.len => {
-                    way.last_used.max(Self::stamp_tick(stamps, way.line))
+                    way.last_used.max(stamp_tick(stamps, way.line))
                 }
                 _ => way.last_used,
             };
@@ -708,27 +664,25 @@ impl Cache {
                 victim_idx = i;
             }
         }
-        let fresh = Way {
+        let i = base + free.unwrap_or(victim_idx);
+        let mut evicted = None;
+        if free.is_some() {
+            self.valid += 1;
+        } else {
+            let victim = self.ways[i].line;
+            evicted = Some(Evicted {
+                line: victim,
+                state: self.reported(i),
+            });
+            self.restate(i, victim, LineState::Invalid);
+        }
+        self.ways[i] = Way {
             line,
             state,
             last_used: tick,
         };
-        let i = base + free.unwrap_or(victim_idx);
-        if free.is_some() {
-            self.ways[i] = fresh;
-            self.dirty.mark(i, line, LineState::Invalid, state);
-            self.valid += 1;
-            return None;
-        }
-        let evicted = Evicted {
-            line: self.ways[i].line,
-            state: self.reported(i),
-        };
-        self.unverify(i, evicted.line);
-        let old = std::mem::replace(&mut self.ways[i], fresh);
-        self.dirty.mark(i, old.line, old.state, LineState::Invalid);
-        self.dirty.mark(i, line, LineState::Invalid, state);
-        Some(evicted)
+        self.mark(i, line, LineState::Invalid, state);
+        evicted
     }
 
     /// Changes the state of a resident line in place; returns `false` if
@@ -739,13 +693,7 @@ impl Cache {
         let Some(i) = self.slot(line) else {
             return false;
         };
-        if state.is_dirty() {
-            self.flushed.forget(i, line);
-        } else {
-            self.unverify(i, line);
-        }
-        let from = std::mem::replace(&mut self.ways[i].state, state);
-        self.dirty.mark(i, line, from, state);
+        self.restate(i, line, state);
         true
     }
 
@@ -754,112 +702,27 @@ impl Cache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineState> {
         let i = self.slot(line)?;
         let prior = self.reported(i);
-        self.unverify(i, line);
-        let from = std::mem::replace(&mut self.ways[i].state, LineState::Invalid);
-        self.dirty.mark(i, line, from, LineState::Invalid);
+        self.restate(i, line, LineState::Invalid);
         self.valid -= 1;
         Some(prior)
     }
 
-    /// Downgrades to `Shared` every shared line that a silent write of an
-    /// `Exclusive` copy made `Modified`, passing each to `write_back`;
-    /// forgets the rest of those writes (private lines, never flushed).
-    /// In the L1 these are the dirty lines whose L2 copy is still clean.
-    /// LRU state is untouched, and visiting order is slot order.
-    pub(crate) fn clean_silent(&mut self, mut write_back: impl FnMut(LineAddr)) {
-        for word in 0..self.dirty.silent.len() {
-            let mut bits = std::mem::take(&mut self.dirty.silent[word]);
-            while bits != 0 {
-                let i = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let line = self.ways[i].line;
-                if line.base_addr().is_private() {
-                    continue;
-                }
-                self.set_state(line, LineState::Shared);
-                write_back(line);
-            }
-        }
-    }
-
-    /// The flush's count: how many dirty shared lines this cache holds
-    /// that are not flushed already, and the page residues they fall in,
-    /// as a bit mask. Visits no line.
-    pub(crate) fn unflushed_dirty(&self) -> (u64, u64) {
-        let mut lines = 0;
-        let mut residues = 0u64;
-        for (r, (&dirty, &flushed)) in self.dirty.pages.iter().zip(&self.flushed.pages).enumerate()
-        {
-            if dirty > flushed {
-                lines += (dirty - flushed) as u64;
-                residues |= 1 << r;
-            }
-        }
-        (lines, residues)
-    }
-
     /// Flushes every dirty shared line without visiting it: the dirty-way
-    /// index becomes the flushed set, and the verified ranges, all
-    /// resident and Modified, its flushed runs.
+    /// index becomes the flushed set (and in the L1, the verified ranges,
+    /// all resident and Modified, its flushed runs).
     pub fn defer_flush(&mut self) {
-        let flushed = &mut self.flushed;
-        flushed.bits.clear();
-        flushed.bits.extend_from_slice(&self.dirty.bits);
-        flushed.rewritten.clear();
-        flushed.runs.clear();
-        flushed.runs.extend(
-            self.verified
-                .iter()
-                .filter(|&&(start, _)| !Addr::new(start * LINE_BYTES).is_private()),
-        );
-        flushed.pages = self.dirty.pages;
+        self.flushed.bits.clone_from(&self.dirty);
+        self.flushed.rewritten.clear();
+        self.book.flush();
     }
 
-    /// `true` when the dirty-way index marks exactly the `Modified` ways,
-    /// its page counts and the flushed set's count their lines, and every
-    /// flushed run holds only flushed lines — for invariant checks.
-    pub fn dirty_index_is_exact(&self) -> bool {
-        let bit = |bits: &[u64], i: usize| bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
-        let mut dirty = [0; PAGE_RESIDUES];
-        let mut flushed = [0; PAGE_RESIDUES];
-        for (i, w) in self.ways.iter().enumerate() {
-            if w.state.is_dirty() != bit(&self.dirty.bits, i)
-                || (bit(&self.dirty.silent, i) && !w.state.is_dirty())
-                || (bit(&self.flushed.bits, i) && !w.state.is_dirty())
-            {
-                return false;
-            }
-            if let Some(r) = residue(w.line).filter(|_| w.state.is_dirty()) {
-                dirty[r] += 1;
-                if self.flushed.holds(i, w.line) {
-                    flushed[r] += 1;
-                }
-            }
-        }
-        dirty == self.dirty.pages
-            && flushed == self.flushed.pages
-            && self.flushed.runs.iter().all(|&(start, end)| {
-                (start..end).all(|l| {
-                    let line = Addr::new(l * LINE_BYTES).line();
-                    self.slot(line).is_some_and(|i| self.flushed.holds(i, line))
-                })
-            })
-    }
-
-    /// `true` when every line of every verified range is resident and
-    /// stored `Modified`, and the ranges are disjoint — for invariant
-    /// checks.
-    pub fn verified_is_exact(&self) -> bool {
-        let mut ranges = self.verified.clone();
-        ranges.sort_unstable();
-        ranges.windows(2).all(|w| w[0].1 <= w[1].0)
-            && ranges.iter().all(|&(start, end)| {
-                start < end
-                    && (start..end).all(|l| {
-                        self.slot(Addr::new(l * LINE_BYTES).line())
-                            .is_some_and(|i| self.ways[i].state == LineState::Modified)
-                    })
-            })
+    /// `true` when the dirty-way index marks exactly the `Modified` ways
+    /// and the flushed set no other way.
+    fn dirty_bits_are_exact(&self) -> bool {
+        self.ways.iter().enumerate().all(|(i, w)| {
+            w.state.is_dirty() == bit(&self.dirty, i)
+                && (w.state.is_dirty() || !bit(&self.flushed.bits, i))
+        })
     }
 
     /// All valid lines with the states they report, sorted, for invariant
@@ -887,9 +750,192 @@ impl Cache {
     }
 }
 
-impl fmt::Display for Cache {
+impl Cache<L1> {
+    /// Writes the `n` consecutive lines from `first` until one is not
+    /// silent: the same as calling [`Cache::write_access`] on each line in
+    /// turn and stopping after the first whose returned state cannot be
+    /// written silently. Returns how many lines were written (the
+    /// non-silent one included) and the state the last of them had before
+    /// its write, so the caller finishes a non-silent line itself.
+    ///
+    /// A fragment a verified range covers costs one stamp; other lines
+    /// take the per-line probe, and each silent streak it finds is
+    /// recorded as a verified range. A flushed line is not silent: the
+    /// memory system takes a flushed run in one step before writing it.
+    pub fn write_run(&mut self, first: LineAddr, n: u32) -> (u32, LineState) {
+        let end = first.as_u64() + n as u64;
+        let mut line = first;
+        let mut before = LineState::Modified;
+        while line.as_u64() < end {
+            let stop = match range_at(&self.book.verified, line.as_u64()) {
+                Ok(covered) => match range_at(&self.book.runs, line.as_u64()) {
+                    Err(next) => {
+                        let len = covered.min(end).min(next) - line.as_u64();
+                        self.stamp(line, len);
+                        line = line.offset(len);
+                        before = LineState::Modified;
+                        continue;
+                    }
+                    // A flushed line reports Shared: write it per line.
+                    Ok(_) => line.as_u64() + 1,
+                },
+                Err(next) => next.min(end),
+            };
+            let streak = line.as_u64();
+            while line.as_u64() < stop {
+                before = self.write_access(line);
+                if !before.can_write_silently() {
+                    self.record_verified(streak, line.as_u64());
+                    return ((line.as_u64() + 1 - first.as_u64()) as u32, before);
+                }
+                line = line.offset(1);
+            }
+            self.record_verified(streak, stop);
+        }
+        (n, before)
+    }
+
+    /// The owner's rewrite of the flushed run at `first`, up to `n` lines:
+    /// when `first` starts a stretch of a flushed run, writes that stretch
+    /// as one stamp (the recency the per-line writes would leave), takes
+    /// it out of the flushed set and returns its length. Returns 0, with
+    /// the cache untouched, when `first` is in no flushed run.
+    pub(crate) fn take_flushed_run(&mut self, first: LineAddr, n: u32) -> u32 {
+        let Ok(run_end) = range_at(&self.book.runs, first.as_u64()) else {
+            return 0;
+        };
+        let (start, end) = (first.as_u64(), run_end.min(first.as_u64() + n as u64));
+        cut(&mut self.book.runs, start, end, usize::MAX);
+        absorb(&mut self.flushed.rewritten, start, end);
+        self.stamp(first, end - start);
+        (end - start) as u32
+    }
+
+    /// `true` when the last flush left flushed runs to take.
+    pub(crate) fn has_flushed_runs(&self) -> bool {
+        !self.book.runs.is_empty()
+    }
+
+    /// Records `[start, end)`, just written silently and disjoint from
+    /// every verified range, as verified, merged with any range it abuts.
+    fn record_verified(&mut self, start: u64, end: u64) {
+        if start == end {
+            return;
+        }
+        let verified = &mut self.book.verified;
+        absorb(verified, start, end);
+        if verified.len() > MAX_VERIFIED {
+            verified.remove(0);
+        }
+    }
+
+    /// Downgrades to `Shared` every shared line that a silent write of an
+    /// `Exclusive` copy made `Modified`, passing each to `write_back`;
+    /// forgets the rest of those writes (private lines, never flushed).
+    /// These are the dirty lines whose L2 copy is still clean. LRU state
+    /// is untouched, and visiting order is slot order.
+    pub(crate) fn clean_silent(&mut self, mut write_back: impl FnMut(LineAddr)) {
+        for word in 0..self.book.silent.len() {
+            let mut bits = std::mem::take(&mut self.book.silent[word]);
+            while bits != 0 {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let line = self.ways[i].line;
+                if line.base_addr().is_private() {
+                    continue;
+                }
+                self.set_state(line, LineState::Shared);
+                write_back(line);
+            }
+        }
+    }
+
+    /// `true` when the dirty-way index marks exactly the `Modified` ways,
+    /// the flushed set and the silent-write bits no other way, and every
+    /// flushed run holds only flushed lines — for invariant checks.
+    pub fn dirty_index_is_exact(&self) -> bool {
+        self.dirty_bits_are_exact()
+            && (0..self.ways.len())
+                .all(|i| self.ways[i].state.is_dirty() || !bit(&self.book.silent, i))
+            && self.book.runs.iter().all(|&(start, end)| {
+                (start..end).all(|l| {
+                    let line = Addr::new(l * LINE_BYTES).line();
+                    self.slot(line).is_some_and(|i| self.flushed.holds(i, line))
+                })
+            })
+    }
+
+    /// `true` when every line of every verified range is resident and
+    /// stored `Modified`, and the ranges are disjoint — for invariant
+    /// checks.
+    pub fn verified_is_exact(&self) -> bool {
+        let mut ranges = self.book.verified.clone();
+        ranges.sort_unstable();
+        ranges.windows(2).all(|w| w[0].1 <= w[1].0)
+            && ranges.iter().all(|&(start, end)| {
+                start < end
+                    && (start..end).all(|l| {
+                        self.slot(Addr::new(l * LINE_BYTES).line())
+                            .is_some_and(|i| self.ways[i].state == LineState::Modified)
+                    })
+            })
+    }
+}
+
+impl Cache<L2> {
+    /// The owner rewrote the `n` flushed lines from `first`, which this
+    /// cache holds flushed: they leave the flushed set in one step.
+    pub(crate) fn unflush(&mut self, first: LineAddr, n: u32) {
+        let (start, end) = (first.as_u64(), first.as_u64() + n as u64);
+        let mut line = start;
+        while line < end {
+            let stop = ((line / PAGE_LINES + 1) * PAGE_LINES).min(end);
+            self.book[page_residue(line)] += (stop - line) as u32;
+            line = stop;
+        }
+        absorb(&mut self.flushed.rewritten, start, end);
+    }
+
+    /// `true` when this cache holds `line` flushed.
+    pub(crate) fn holds_flushed(&self, line: LineAddr) -> bool {
+        !self.flushed.bits.is_empty()
+            && self.slot(line).is_some_and(|i| self.flushed.holds(i, line))
+    }
+
+    /// The flush's count: how many dirty shared lines this cache holds
+    /// that are not flushed already, and the page residues they fall in,
+    /// as a bit mask. Visits no line.
+    pub(crate) fn unflushed_dirty(&self) -> (u64, u64) {
+        let mut lines = 0;
+        let mut residues = 0u64;
+        for (r, &n) in self.book.iter().enumerate() {
+            if n > 0 {
+                lines += n as u64;
+                residues |= 1 << r;
+            }
+        }
+        (lines, residues)
+    }
+
+    /// `true` when the dirty-way index marks exactly the `Modified` ways,
+    /// the flushed set no other way, and the per-page count is that of the
+    /// dirty shared ways not flushed — for invariant checks.
+    pub fn dirty_index_is_exact(&self) -> bool {
+        let mut unflushed = [0; PAGE_RESIDUES];
+        for (i, w) in self.ways.iter().enumerate() {
+            if w.state.is_dirty() && !self.flushed.holds(i, w.line) {
+                if let Some(r) = residue(w.line) {
+                    unflushed[r] += 1;
+                }
+            }
+        }
+        self.dirty_bits_are_exact() && unflushed == self.book
+    }
+}
+
+impl<L: Level> fmt::Display for Cache<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let dirty: u32 = self.dirty.bits.iter().map(|w| w.count_ones()).sum();
+        let dirty: u32 = self.dirty.iter().map(|w| w.count_ones()).sum();
         write!(
             f,
             "{}B {}-way: {} lines resident ({} dirty)",
@@ -922,7 +968,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
         assert_eq!(c.access(line(1)), LineState::Invalid);
         assert!(c.insert(line(1), LineState::Shared).is_none());
         assert_eq!(c.access(line(1)), LineState::Shared);
@@ -935,7 +981,7 @@ mod tests {
         // 2-way: fill a set with lines A and B, touch A, insert C in the
         // same set: B must be the victim.
         let cfg = CacheConfig::new(2 * 64 * 2, 2); // 2 sets, 2-way
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L1>::new(cfg);
         let sets = cfg.sets();
         // Lines mapping to set 0 under the mixed index: choose multiples of sets.
         let a = line(0);
@@ -953,7 +999,7 @@ mod tests {
     #[test]
     fn dirty_eviction_reports_modified() {
         let cfg = CacheConfig::new(64 * 2, 2); // 1 set, 2-way
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L2>::new(cfg);
         c.insert(line(0), LineState::Modified);
         c.insert(line(1), LineState::Shared);
         let ev = c.insert(line(2), LineState::Exclusive).unwrap();
@@ -963,7 +1009,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_in_place() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
         c.insert(line(9), LineState::Exclusive);
         assert!(c.insert(line(9), LineState::Modified).is_none());
         assert_eq!(c.len(), 1);
@@ -972,7 +1018,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
         c.insert(line(4), LineState::Shared);
         assert_eq!(c.invalidate(line(4)), Some(LineState::Shared));
         assert_eq!(c.invalidate(line(4)), None);
@@ -981,7 +1027,7 @@ mod tests {
 
     #[test]
     fn set_state_transitions() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
         c.insert(line(7), LineState::Exclusive);
         assert!(c.set_state(line(7), LineState::Modified));
         assert_eq!(c.probe(line(7)), LineState::Modified);
@@ -989,9 +1035,9 @@ mod tests {
     }
 
     /// The lines the dirty-way index marks, sorted.
-    fn indexed_dirty(c: &Cache) -> Vec<LineAddr> {
+    fn indexed_dirty<L: Level>(c: &Cache<L>) -> Vec<LineAddr> {
         let mut out: Vec<LineAddr> = (0..c.ways.len())
-            .filter(|&i| c.dirty.bits[i / 64] >> (i % 64) & 1 == 1)
+            .filter(|&i| bit(&c.dirty, i))
             .map(|i| c.ways[i].line)
             .collect();
         out.sort_unstable();
@@ -1000,7 +1046,7 @@ mod tests {
 
     #[test]
     fn flushed_lines_report_shared_until_they_change() {
-        let mut c = Cache::new(CacheConfig::table1_l2());
+        let mut c = Cache::<L2>::new(CacheConfig::table1_l2());
         let private = Addr::new(1 << 63).line();
         c.insert(line(1), LineState::Modified);
         c.insert(line(2), LineState::Shared);
@@ -1031,7 +1077,7 @@ mod tests {
 
     #[test]
     fn clean_silent_downgrades_only_lines_dirtied_over_exclusive() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
         let private = Addr::new(1 << 63).line();
         c.insert(line(1), LineState::Exclusive);
         c.insert(line(2), LineState::Modified);
@@ -1052,7 +1098,7 @@ mod tests {
     #[test]
     fn dirty_index_follows_every_state_change() {
         let cfg = CacheConfig::new(64 * 2, 2); // 1 set, 2-way
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L2>::new(cfg);
         c.insert(line(0), LineState::Exclusive);
         assert!(indexed_dirty(&c).is_empty());
         c.write_access(line(0)); // E -> M
@@ -1075,7 +1121,7 @@ mod tests {
     #[test]
     fn stamped_run_is_recent_use_and_evictions_split_it() {
         let cfg = CacheConfig::new(64 * 2 * 2, 2); // 2 sets, 2-way
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L1>::new(cfg);
         for l in 0..4 {
             c.insert(line(l), LineState::Modified);
         }
@@ -1096,22 +1142,27 @@ mod tests {
 
     #[test]
     fn a_flushed_run_is_rewritten_in_one_step() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
+        // The L2 copies, which the memory system unflushes alongside.
+        let mut l2 = Cache::<L2>::new(CacheConfig::table1_l2());
         for l in 0..6 {
             c.insert(line(l), LineState::Modified);
+            l2.insert(line(l), LineState::Modified);
         }
         // Verify lines 0..6, then flush: they become one flushed run.
         assert_eq!(c.write_run(line(0), 6), (6, LineState::Modified));
         c.defer_flush();
+        l2.defer_flush();
         let mut per_line = c.clone();
         // Written line by line, a flushed line stops the run.
         assert_eq!(c.clone().write_run(line(0), 4), (1, LineState::Shared));
         assert_eq!(c.take_flushed_run(line(7), 2), 0, "not flushed");
         assert_eq!(c.take_flushed_run(line(2), 2), 2);
+        l2.unflush(line(2), 2);
         assert_eq!(c.write_run(line(0), 4), (1, LineState::Shared));
         assert_eq!(c.probe(line(2)), LineState::Modified);
         assert_eq!(c.probe(line(4)), LineState::Shared);
-        assert_eq!(c.unflushed_dirty(), (2, 1));
+        assert_eq!(l2.unflushed_dirty(), (2, 1));
         // The stamp is the recency per-line writes leave: two lines per
         // tick, in order.
         for l in 2..4 {
@@ -1122,18 +1173,16 @@ mod tests {
         assert_eq!(c.tick, per_line.tick + 1, "the write of line 0 ticks too");
         for l in 2..4 {
             let i = c.slot(line(l)).unwrap();
-            assert_eq!(
-                Cache::stamp_tick(&c.stamps, line(l)),
-                per_line.ways[i].last_used
-            );
+            assert_eq!(stamp_tick(&c.stamps, line(l)), per_line.ways[i].last_used);
         }
         assert!(c.dirty_index_is_exact() && c.verified_is_exact());
+        assert!(l2.dirty_index_is_exact());
     }
 
     #[test]
     fn probe_does_not_perturb_lru() {
         let cfg = CacheConfig::new(64 * 2, 2); // 1 set, 2-way
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L1>::new(cfg);
         c.insert(line(0), LineState::Shared);
         c.insert(line(1), LineState::Shared);
         c.probe(line(0)); // must NOT refresh line 0
@@ -1144,7 +1193,7 @@ mod tests {
     #[test]
     fn invalidated_slot_is_reused_before_eviction() {
         let cfg = CacheConfig::new(64 * 2, 2); // 1 set, 2-way
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L2>::new(cfg);
         c.insert(line(0), LineState::Shared);
         c.insert(line(1), LineState::Shared);
         c.invalidate(line(0));
@@ -1158,7 +1207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Invalid state")]
     fn inserting_invalid_panics() {
-        Cache::new(CacheConfig::table1_l1()).insert(line(0), LineState::Invalid);
+        Cache::<L1>::new(CacheConfig::table1_l1()).insert(line(0), LineState::Invalid);
     }
 
     #[test]
@@ -1170,7 +1219,7 @@ mod tests {
     #[test]
     fn capacity_is_respected() {
         let cfg = CacheConfig::table1_l1();
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<L1>::new(cfg);
         let capacity = (cfg.size_bytes() / LINE_BYTES) as usize;
         for i in 0..10_000 {
             c.insert(line(i), LineState::Shared);
@@ -1180,7 +1229,7 @@ mod tests {
 
     #[test]
     fn display_mentions_dirty_count() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::<L1>::new(CacheConfig::table1_l1());
         c.insert(line(0), LineState::Modified);
         assert!(c.to_string().contains("1 dirty"));
     }

@@ -9,11 +9,12 @@
 //!   policy (shared pages round-robin across nodes, private pages local).
 //! * [`mesi`] — MESI line states, the full-map directory state, and sharer
 //!   bit-sets.
-//! * [`cache`] — set-associative write-back caches with LRU replacement, a
-//!   dirty-way index that counts dirty shared lines per page, so a
-//!   deep-sleep cache flush defers its write-backs without visiting them,
-//!   and verified line ranges, so a steady-state working-set rewrite, the
-//!   one after a flush included, costs one step per run fragment.
+//! * [`cache`] — set-associative write-back caches with LRU replacement,
+//!   one type per level ([`Cache<L1>`], [`Cache<L2>`]). The L2 counts its
+//!   dirty shared lines per page, so a deep-sleep cache flush defers its
+//!   write-backs without visiting them, and the L1 keeps verified line
+//!   ranges, so a steady-state working-set rewrite, the one after a flush
+//!   included, costs one step per run fragment.
 //! * [`dir`] — the full-map sharer directory (dense window plus sparse
 //!   overflow).
 //! * [`network`] — the [`Interconnect`] choice: the hypercube latency model
@@ -55,7 +56,7 @@ pub mod network;
 pub mod system;
 
 pub use addr::{Addr, LineAddr, MemLayout, NodeId};
-pub use cache::{Cache, CacheConfig};
+pub use cache::{Cache, CacheConfig, L1, L2};
 pub use dir::Directory;
 pub use faults::{InvalidationFaultKind, InvalidationFaultRecord, InvalidationFaults};
 pub use mesi::{DirState, LineState, SharerSet};

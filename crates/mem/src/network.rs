@@ -48,7 +48,6 @@ pub enum Interconnect {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hypercube {
     nodes: u16,
-    dimension: u32,
     pin_to_pin: Cycles,
     marshal: Cycles,
     line_serialization: Cycles,
@@ -88,7 +87,6 @@ impl Hypercube {
         );
         Hypercube {
             nodes,
-            dimension: nodes.trailing_zeros(),
             pin_to_pin,
             marshal,
             line_serialization,
@@ -98,11 +96,6 @@ impl Hypercube {
     /// Number of nodes.
     pub fn nodes(&self) -> u16 {
         self.nodes
-    }
-
-    /// The cube's dimension (log2 of the node count).
-    pub fn dimension(&self) -> u32 {
-        self.dimension
     }
 
     /// Number of router hops between two nodes: the Hamming distance of
@@ -140,11 +133,6 @@ impl Hypercube {
         }
         self.control_latency(from, to) + self.line_serialization
     }
-
-    /// Worst-case hop count (the cube's diameter).
-    pub fn diameter(&self) -> u32 {
-        self.dimension
-    }
 }
 
 #[cfg(test)]
@@ -159,13 +147,6 @@ mod tests {
         assert_eq!(net.hops(NodeId::new(0), NodeId::new(63)), 6);
         assert_eq!(net.hops(NodeId::new(0b101010), NodeId::new(0b010101)), 6);
         assert_eq!(net.hops(NodeId::new(5), NodeId::new(4)), 1);
-    }
-
-    #[test]
-    fn diameter_is_dimension() {
-        assert_eq!(Hypercube::table1(64).diameter(), 6);
-        assert_eq!(Hypercube::table1(16).diameter(), 4);
-        assert_eq!(Hypercube::table1(1).diameter(), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   dispatch delay when fanning out invalidations.
 
 use crate::addr::{Addr, LineAddr, MemLayout, NodeId};
-use crate::cache::{Cache, CacheConfig, Evicted, PAGE_RESIDUES};
+use crate::cache::{Cache, CacheConfig, Evicted, L1, L2, PAGE_RESIDUES};
 use crate::dir::Directory;
 use crate::mesi::{DirState, LineState, SharerSet};
 use crate::network::{Hypercube, Interconnect};
@@ -242,8 +242,8 @@ pub struct MemStats {
 
 #[derive(Debug)]
 struct NodeCaches {
-    l1: Cache,
-    l2: Cache,
+    l1: Cache<L1>,
+    l2: Cache<L2>,
 }
 
 /// The configured [`Interconnect`] with its run-time model: the
@@ -379,12 +379,10 @@ impl CoherentMemory {
             .all(|nc| nc.l1.dirty_index_is_exact() && nc.l2.dirty_index_is_exact())
     }
 
-    /// `true` when every cache's verified line ranges hold only resident
+    /// `true` when every L1's verified line ranges hold only resident
     /// `Modified` lines — for invariant checks.
     pub fn verified_is_exact(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|nc| nc.l1.verified_is_exact() && nc.l2.verified_is_exact())
+        self.nodes.iter().all(|nc| nc.l1.verified_is_exact())
     }
 
     /// When the bus is next free (`None` on the hypercube), without
@@ -677,19 +675,13 @@ impl CoherentMemory {
     /// victim.
     fn fill_l1(&mut self, node: NodeId, line: LineAddr, state: LineState) {
         let nc = &mut self.nodes[node.index()];
-        if let Some(Evicted {
-            line: vl,
-            state: vs,
-        }) = nc.l1.insert(line, state)
-        {
-            if vs.is_dirty() {
-                // Fold the dirty data back into the (inclusive) L2 copy.
-                if !nc.l2.set_state(vl, LineState::Modified) {
-                    // L2 lost the line (its own eviction invalidated our L1
-                    // copy first, so this cannot normally happen); write back.
-                    self.writeback_to_home(node, vl);
-                }
-            }
+        if let Some(victim) = nc.l1.insert(line, state).filter(|v| v.state.is_dirty()) {
+            // Fold the dirty data back into the (inclusive) L2 copy.
+            let vl = victim.line;
+            assert!(
+                nc.l2.set_state(vl, LineState::Modified),
+                "inclusion violated: {vl} is dirty in {node}'s L1 but absent from its L2"
+            );
         }
     }
 
@@ -985,9 +977,10 @@ impl CoherentMemory {
                 let t_grant = now + self.sole_upgrade_latency(net, node, home);
                 let completion = t_grant.max(last_ack);
                 let nc = &mut self.nodes[node.index()];
-                if !nc.l2.set_state(line, LineState::Modified) {
-                    nc.l2.insert(line, LineState::Modified);
-                }
+                assert!(
+                    nc.l2.set_state(line, LineState::Modified),
+                    "inclusion violated: {node} upgrades {line}, which its L2 does not hold"
+                );
                 if !nc.l1.set_state(line, LineState::Modified) {
                     self.fill_l1(node, line, LineState::Modified);
                 }
@@ -1048,11 +1041,6 @@ impl CoherentMemory {
         targets: SharerSet,
         at: impl Fn(usize, NodeId) -> Cycles,
     ) -> Vec<Invalidation> {
-        if targets.is_empty() {
-            // The common refill after a flush: the writer was the only
-            // sharer, so there is nothing to fan out.
-            return Vec::new();
-        }
         let mut invalidations = Vec::with_capacity(targets.len());
         for (i, sharer) in targets.iter().enumerate() {
             let nc = &mut self.nodes[sharer.index()];
@@ -1384,15 +1372,16 @@ mod tests {
                 end_l2 = looped.write(node, base.offset(i * 64), end_l2).completion;
             }
             // A second block in the same L2 sets, written before the flush,
-            // so the refill's LRU bumps decide later victims.
+            // so the post-flush rewrite's LRU bumps decide later victims.
             let other = base.offset(128 * 64);
             let end_b2 = batched.write_line_run(node, other, 40, end_b2);
             for i in 0..40u64 {
                 end_l2 = looped.write(node, other.offset(i * 64), end_l2).completion;
             }
-            // Flush, then refill: every line the flush left behind is held
-            // Shared with this node as its only sharer, so the refill
-            // upgrades each of them with nobody to invalidate.
+            // Flush, then rewrite: every line the flush left behind reports
+            // Shared with this node as its only sharer, so each rewrite is
+            // an upgrade with nobody to invalidate. The batched side takes
+            // them one flushed run at a time, the looped side line by line.
             let f_b = batched.flush_dirty_shared(node, end_b2);
             let f_l = looped.flush_dirty_shared(node, end_l2);
             assert_eq!(f_b.lines, 80);
@@ -1427,7 +1416,7 @@ mod tests {
                 assert_eq!(batched.dir_state(line), looped.dir_state(line), "{cfg}");
             }
             // LRU order must match too: seven more lines per L2 set evict
-            // one line of each of those sets, the refilled (dirty) block's
+            // one line of each of those sets, the rewritten (dirty) block's
             // or the other (clean) one's, whichever was used least recently.
             let far = base.offset(256 * 64);
             let end_b4 = batched.write_line_run(node, far, 7 * 128, end_b3);

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use tb_mem::{
     AccessClass, Addr, Cache, CacheConfig, CoherentMemory, DirState, FlushOutcome, Hypercube,
-    Interconnect, LineAddr, LineState, MachineConfig, MemStats, NodeId, SharerSet,
+    Interconnect, LineAddr, LineState, MachineConfig, MemStats, NodeId, SharerSet, L1,
 };
 use tb_sim::Cycles;
 
@@ -362,7 +362,7 @@ fn line_after(line: LineAddr, k: u32) -> LineAddr {
 
 /// What `write_run(first, n)` must return: per-line `write_access` from
 /// `first`, stopping after the first line that is not silent.
-fn write_run_by_lines(cache: &mut Cache, first: LineAddr, n: u32) -> (u32, LineState) {
+fn write_run_by_lines(cache: &mut Cache<L1>, first: LineAddr, n: u32) -> (u32, LineState) {
     let mut before = LineState::Modified;
     for k in 0..n {
         before = cache.write_access(line_after(first, k));
@@ -575,7 +575,7 @@ proptest! {
             CacheConfig::table1_l1(),
         ];
         for cfg in geometries {
-            let (mut runs, mut lines) = (Cache::new(cfg), Cache::new(cfg));
+            let (mut runs, mut lines) = (Cache::<L1>::new(cfg), Cache::<L1>::new(cfg));
             let at = |i: usize| universe_line(&cfg, i);
             for (step, op) in ops.iter().enumerate() {
                 let ctx = format!("{}-way x {} sets, op {step} {op:?}", cfg.associativity(), cfg.sets());

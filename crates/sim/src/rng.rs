@@ -81,16 +81,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform draw in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "uniform_range requires lo < hi ({lo}..{hi})");
-        lo + self.uniform() * (hi - lo)
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -137,14 +127,6 @@ impl SimRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -202,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_range_bounds() {
-        let mut r = SimRng::new(4);
-        for _ in 0..1_000 {
-            let v = r.uniform_range(-2.0, 3.0);
-            assert!((-2.0..3.0).contains(&v));
-        }
-    }
-
-    #[test]
     fn normal_moments_approximately_correct() {
         let mut r = SimRng::new(11);
         let mut s = crate::stats::OnlineStats::new();
@@ -246,21 +219,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(r.below(7) < 7);
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(17);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "astronomically unlikely identity"
-        );
     }
 
     #[test]

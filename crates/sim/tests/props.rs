@@ -80,21 +80,6 @@ proptest! {
         prop_assert_ne!(a, c);
     }
 
-    /// Uniform draws stay in range; shuffles are permutations.
-    #[test]
-    fn rng_ranges_and_shuffles(seed in any::<u64>(), lo in -100.0f64..0.0, width in 0.1f64..100.0) {
-        let mut r = SimRng::new(seed);
-        for _ in 0..100 {
-            let v = r.uniform_range(lo, lo + width);
-            prop_assert!(v >= lo && v < lo + width);
-        }
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
     /// Cycles arithmetic: saturating subtraction and deltas agree.
     #[test]
     fn cycles_delta_consistency(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {

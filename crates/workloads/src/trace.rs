@@ -287,14 +287,6 @@ impl AppSpec {
         Ok(draw.build(&self.name, spread))
     }
 
-    /// Like [`AppSpec::generate`], but returns the trace behind an
-    /// [`Arc`](std::sync::Arc) so experiment harnesses can hand one
-    /// materialized trace to many concurrent consumers (the full config
-    /// matrix, replicated seeds) without cloning the step list.
-    pub fn generate_shared(&self, threads: usize, seed: u64) -> std::sync::Arc<AppTrace> {
-        std::sync::Arc::new(self.generate(threads, seed))
-    }
-
     /// Generates the trace with an explicit spread instead of the
     /// calibrated one.
     pub fn generate_with_spread(&self, threads: usize, seed: u64, spread: f64) -> AppTrace {
@@ -342,17 +334,6 @@ mod tests {
         let a = s.generate(16, 7);
         let b = s.generate(16, 7);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn generate_shared_matches_generate() {
-        let s = spec();
-        let owned = s.generate(8, 7);
-        let shared = s.generate_shared(8, 7);
-        assert_eq!(*shared, owned);
-        // Cloning the handle shares the allocation rather than the steps.
-        let other = std::sync::Arc::clone(&shared);
-        assert!(std::sync::Arc::ptr_eq(&shared, &other));
     }
 
     #[test]
