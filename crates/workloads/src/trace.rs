@@ -17,6 +17,28 @@
 //! interval (`max T`) stays stable (§3.2, Figure 3). The spread `w ∈ [0,1)`
 //! is calibrated by [`crate::calibrate`] so the trace's measured imbalance
 //! matches Table 2.
+//!
+//! # Exact imbalance
+//!
+//! A trace's imbalance is defined by f64 sums over its cycles, in step
+//! and then thread order: `stall += max − c` and `total += max` for each
+//! thread's compute time `c`, then `stall / total`. Every compute time is
+//! an integer, so while the total stays below 2^53 every partial sum of
+//! both is an integer below 2^53, exact in f64, and equal to the integer
+//! sum. The imbalance is therefore computed in integers and divided once,
+//! which gives the f64 result bit for bit; the Table 2 traces stay below
+//! 2·10^11 cycles. A total at or above 2^53 is summed in f64 in the
+//! defining order instead.
+//!
+//! A compute time `t` of at least one cycle is rounded half away from
+//! zero. On `[1, 2^52)` that is the floor of `t + 0.5`, which is exact or
+//! rounds to a value with the same floor. The floor is read off the bits
+//! of `t + 0.5 + 2^52`, the nearest integer to `t + 0.5` (the f64s in
+//! `[2^52, 2^53]` are exactly the integers), less one if that integer is
+//! above `t + 0.5`. No float-to-integer conversion is needed, so a loop
+//! over a draw's threads vectorizes. At and above 2^52 every f64 is an
+//! integer, so `t as u64` is the rounded value, and `as` saturates at
+//! `u64::MAX`.
 
 use crate::calibrate::{calibrate_spread, Unreachable};
 use crate::spec::{AppSpec, PhaseSpec, Variability};
@@ -66,8 +88,8 @@ impl AppTrace {
     /// barriers: total stall time over total CPU time.
     pub fn analytic_imbalance(&self) -> f64 {
         imbalance(self.steps.iter().map(|step| {
-            let max = step.max_compute().as_u64() as f64;
-            (max, step.compute.iter().map(|c| c.as_u64() as f64))
+            let max = step.max_compute().as_u64();
+            (max, step.compute.iter().map(|c| c.as_u64()))
         }))
     }
 
@@ -112,47 +134,73 @@ impl AppTrace {
 }
 
 /// Stall time over CPU time under ideal barriers. `steps` yields each
-/// step's slowest compute time and then every thread's, in cycles; the
-/// sums run over steps and then over each step's threads.
-fn imbalance<C>(steps: impl Iterator<Item = (f64, C)>) -> f64
+/// step's slowest compute time and then every thread's, in cycles. The
+/// result is that of f64 sums over steps and then over each step's
+/// threads (see the module documentation for why integer sums give it).
+fn imbalance<S, C>(steps: S) -> f64
 where
-    C: Iterator<Item = f64>,
+    S: Iterator<Item = (u64, C)> + Clone,
+    C: ExactSizeIterator<Item = u64>,
 {
-    let mut stall = 0.0;
-    let mut total = 0.0;
-    for (max, compute) in steps {
-        for c in compute {
-            stall += max - c;
+    // A step's compute sum wraps only if the total passes 2^64.
+    let (mut total, mut compute) = (0_u128, 0_u128);
+    for (max, cycles) in steps.clone() {
+        total += cycles.len() as u128 * u128::from(max);
+        compute += u128::from(cycles.fold(0, u64::wrapping_add));
+    }
+    if total == 0 {
+        return 0.0;
+    }
+    if total < 1 << 53 {
+        return (total - compute) as f64 / total as f64;
+    }
+    let (mut stall, mut total) = (0.0, 0.0);
+    for (max, cycles) in steps {
+        let max = max as f64;
+        for c in cycles {
+            stall += max - c as f64;
             total += max;
         }
     }
-    if total == 0.0 {
-        0.0
+    stall / total
+}
+
+/// 2^52: every f64 at or above it is an integer.
+pub(crate) const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+
+/// One thread's compute time in cycles before rounding: the step's `base`
+/// spread by `spread` around the thread's work share `x`, and at least one
+/// cycle. For a spread in `[0, 1]` it never decreases as `x` grows, so a
+/// step's largest share gives its slowest thread.
+fn unrounded_cycles(base: f64, spread: f64, x: f64) -> f64 {
+    (base * ((1.0 - spread) + spread * x)).max(1.0)
+}
+
+/// `t ≥ 1` cycles rounded half away from zero, saturating at `u64::MAX`.
+fn round_cycles(t: f64) -> u64 {
+    if t < INTEGRAL {
+        round_below_integral(t)
     } else {
-        stall / total
+        t as u64
     }
 }
 
-/// One thread's compute time in cycles: the step's `base` spread by
-/// `spread` around the thread's work share `x`, at least one cycle and
-/// rounded half away from zero. It comes back as the f64 the stored
-/// `u64` converts to (`as u64` saturates at `u64::MAX`, which converts to
-/// 2^64), so the imbalance sums see the same values from a draw as from
-/// the trace it builds. For a spread in `[0, 1]` it never decreases as
-/// `x` grows, so a step's largest share gives its slowest thread.
-fn compute_cycles(base: f64, spread: f64, x: f64) -> f64 {
-    let t = base * ((1.0 - spread) + spread * x);
-    t.max(1.0).round().min(u64::MAX as f64)
+/// [`round_cycles`] for `t` in `[1, 2^52)`, without a conversion (see the
+/// module documentation).
+fn round_below_integral(t: f64) -> u64 {
+    let half_up = t + 0.5;
+    let nearest = half_up + INTEGRAL;
+    (nearest.to_bits() - INTEGRAL.to_bits()) - u64::from(nearest - INTEGRAL > half_up)
 }
 
 /// The spread-independent part of one barrier episode.
-struct DrawnStep {
+pub(crate) struct DrawnStep {
     pc: u64,
     dirty_lines: u32,
     /// The phase's base interval, scaled for this instance, in cycles.
-    base: f64,
+    pub(crate) base: f64,
     /// The largest of the step's work shares.
-    peak: f64,
+    pub(crate) peak: f64,
 }
 
 /// Everything a trace takes from its random stream, before the spread is
@@ -219,7 +267,7 @@ impl Draw {
     }
 
     /// Each step with its threads' work shares.
-    fn steps(&self) -> impl Iterator<Item = (&DrawnStep, &[f64])> {
+    pub(crate) fn steps(&self) -> impl Iterator<Item = (&DrawnStep, &[f64])> + Clone {
         let n = self.threads;
         self.steps
             .iter()
@@ -227,26 +275,44 @@ impl Draw {
             .map(move |(i, step)| (step, &self.shares[i * n..(i + 1) * n]))
     }
 
+    /// Each step's slowest compute time and then every thread's at
+    /// `spread`, rounded by `round`.
+    fn cycles<'a>(
+        &'a self,
+        spread: f64,
+        round: impl Fn(f64) -> u64 + Copy + 'a,
+    ) -> impl Iterator<Item = (u64, impl ExactSizeIterator<Item = u64> + 'a)> + Clone {
+        self.steps().map(move |(step, shares)| {
+            let cycles = move |x| round(unrounded_cycles(step.base, spread, x));
+            (cycles(step.peak), shares.iter().map(move |&x| cycles(x)))
+        })
+    }
+
     /// The [`AppTrace::analytic_imbalance`] of the trace this draw builds
     /// at `spread`, without building it. `spread` must lie in `[0, 1]`.
     pub(crate) fn imbalance(&self, spread: f64) -> f64 {
-        imbalance(self.steps().map(|(step, shares)| {
-            let base = step.base;
-            let cycles = move |x| compute_cycles(base, spread, x);
-            (cycles(step.peak), shares.iter().map(move |&x| cycles(x)))
-        }))
+        // A base below 2^51 cycles, times its largest share, spreads to
+        // less than 2^52 cycles at any spread in [0, 1].
+        let below_integral = self
+            .steps
+            .iter()
+            .all(|step| step.base * step.peak.max(1.0) < 0.5 * INTEGRAL);
+        if below_integral {
+            imbalance(self.cycles(spread, round_below_integral))
+        } else {
+            imbalance(self.cycles(spread, round_cycles))
+        }
     }
 
     /// Builds the trace at `spread`.
     pub(crate) fn build(&self, app_name: &str, spread: f64) -> AppTrace {
         let steps = self
-            .steps()
-            .map(|(step, shares)| TraceStep {
+            .steps
+            .iter()
+            .zip(self.cycles(spread, round_cycles))
+            .map(|(step, (_, cycles))| TraceStep {
                 pc: step.pc,
-                compute: shares
-                    .iter()
-                    .map(|&x| Cycles::new(compute_cycles(step.base, spread, x) as u64))
-                    .collect(),
+                compute: cycles.map(Cycles::new).collect(),
                 dirty_lines: step.dirty_lines,
             })
             .collect();
@@ -255,6 +321,31 @@ impl Draw {
             threads: self.threads,
             steps,
             spread,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Draw {
+    /// A draw of one step per `(base, shares)` pair, for tests of what
+    /// evaluates a draw.
+    pub(crate) fn from_steps(steps: &[(f64, &[f64])]) -> Draw {
+        Draw {
+            threads: steps[0].1.len(),
+            steps: steps
+                .iter()
+                .map(|&(base, shares)| DrawnStep {
+                    pc: 0,
+                    dirty_lines: 0,
+                    base,
+                    peak: shares.iter().copied().fold(0.0, f64::max),
+                })
+                .collect(),
+            shares: steps
+                .iter()
+                .flat_map(|&(_, shares)| shares)
+                .copied()
+                .collect(),
         }
     }
 }
@@ -401,6 +492,27 @@ mod tests {
                 built.to_bits(),
                 "{spread}"
             );
+        }
+    }
+
+    #[test]
+    fn rounding_is_f64_round_from_one_cycle_to_saturation() {
+        let round = |t: f64| t.round().min(u64::MAX as f64) as u64;
+        let mut values = vec![INTEGRAL, 1e300, f64::INFINITY];
+        for k in 0..=64 {
+            let power = f64::powi(2.0, k);
+            for v in [power - 0.5, power, power + 0.5] {
+                values.extend([v.next_down(), v, v.next_up()]);
+            }
+        }
+        let mut rng = SimRng::new(1);
+        values.extend((0..100_000).map(|_| f64::powf(2.0, 53.0 * rng.uniform())));
+        values.extend((0..100_000).map(|_| rng.below(1 << 40) as f64 + 0.5));
+        for t in values.into_iter().filter(|&t| t >= 1.0) {
+            assert_eq!(round_cycles(t), round(t), "{t}");
+            if t < INTEGRAL {
+                assert_eq!(round_below_integral(t), round(t), "{t}");
+            }
         }
     }
 

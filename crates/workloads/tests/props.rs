@@ -234,6 +234,77 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// [`one_draw_calibration_matches_reference`] at 20,000 cases, for a
+    /// release build:
+    /// `cargo test --release -p tb-workloads --test props -- --ignored`.
+    #[test]
+    #[ignore]
+    fn one_draw_calibration_matches_reference_at_20k_cases(
+        spec in arb_spec(),
+        threads in 2usize..=64,
+        seed in any::<u64>(),
+    ) {
+        let got = spec.try_generate(threads, seed);
+        let want = reference::try_generate(&spec, threads, seed);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => prop_assert_eq!(g.spread.to_bits(), w.spread.to_bits()),
+            (Err(g), Err(w)) => prop_assert_eq!(g.max.to_bits(), w.max.to_bits()),
+            _ => {}
+        }
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// A spec of `phases` loop phases, each of `base` cycles with `variability`.
+fn spec_of(base: u64, variability: Variability, iterations: u32, target: f64) -> AppSpec {
+    AppSpec {
+        name: "Edge".into(),
+        problem_size: "edge".into(),
+        target_imbalance: target,
+        setup_phases: vec![PhaseSpec::new(
+            1,
+            Cycles::new(1),
+            0,
+            Variability::Stable { jitter: 0.3 },
+        )],
+        loop_phases: vec![PhaseSpec::new(10, Cycles::new(base), 0, variability)],
+        iterations,
+        skew: 2.0,
+    }
+}
+
+/// Calibration matches the reference where no closed-form bound applies:
+/// a phase growing elevenfold per iteration past `u64::MAX` cycles.
+#[test]
+fn saturating_spec_calibrates_to_reference_spread() {
+    let drift = Variability::Drift {
+        per_iter: 10.0,
+        jitter: 0.0,
+    };
+    let spec = spec_of(1 << 40, drift, 12, 0.16);
+    let got = spec.try_generate(8, 5).unwrap();
+    let want = reference::try_generate(&spec, 8, 5).unwrap();
+    assert_eq!(got.spread.to_bits(), want.spread.to_bits());
+    assert_eq!(got, want);
+}
+
+/// Calibration matches the reference when many compute times sit at the
+/// one-cycle floor, where a rounded time is up to a cycle from its
+/// unrounded one.
+#[test]
+fn one_cycle_floor_spec_calibrates_to_reference_spread() {
+    for (base, threads, seed) in [(2, 8, 1), (3, 16, 2), (4, 64, 3)] {
+        let spec = spec_of(base, Variability::Stable { jitter: 0.3 }, 40, 0.2);
+        let got = spec.try_generate(threads, seed).unwrap();
+        let want = reference::try_generate(&spec, threads, seed).unwrap();
+        assert_eq!(got.spread.to_bits(), want.spread.to_bits(), "{base}");
+        assert_eq!(got, want);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Generation is a pure function of (spec, threads, seed), unreachable
