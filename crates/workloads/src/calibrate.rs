@@ -97,8 +97,9 @@ impl std::error::Error for Unreachable {}
 
 /// Checks that the widest spread reaches `spec.target_imbalance` with
 /// `threads` threads at `seed`. This is the first step of a trace's
-/// calibration, and costs one trace draw and no bisection, so a caller can
-/// check a whole matrix before running any of it.
+/// calibration, and costs one trace draw, at most one evaluation of it and
+/// no bisection, so a caller can check a whole matrix before running any
+/// of it.
 pub fn check_reachable(spec: &AppSpec, threads: usize, seed: u64) -> Result<(), Unreachable> {
     let draw = Draw::new(spec, threads, seed);
     let bound = Bound::new(&draw, spec.target_imbalance);

@@ -257,7 +257,8 @@ proptest! {
     }
 }
 
-/// A spec of `phases` loop phases, each of `base` cycles with `variability`.
+/// A spec of a one-cycle setup phase and one loop phase of `base` cycles
+/// with `variability`.
 fn spec_of(base: u64, variability: Variability, iterations: u32, target: f64) -> AppSpec {
     AppSpec {
         name: "Edge".into(),
