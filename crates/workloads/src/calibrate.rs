@@ -48,7 +48,8 @@
 //! it always does for an unreachable target. The levels, and so the
 //! spread, are those of a bisection that evaluates every level. A draw
 //! with a negative scaled base, or one of 2^52 cycles or more, which could
-//! saturate, evaluates every level.
+//! saturate, evaluates every level, as does one with a work share above
+//! one.
 
 use crate::spec::AppSpec;
 use crate::trace::{Draw, INTEGRAL};
@@ -184,14 +185,15 @@ struct Bound {
 
 impl Bound {
     /// The bound of `draw` for `target`, or `None` when a scaled base is
-    /// negative or reaches 2^52 cycles.
+    /// negative or reaches 2^52 cycles, or a work share exceeds one (a
+    /// skew below zero, which only an unvalidated spec can have).
     fn new(draw: &Draw, target: f64) -> Option<Bound> {
         let n = draw.threads() as f64;
         let (mut a, mut bases, mut c, mut steps) = (0.0, 0.0, 0.0, 0.0);
         let mut min_base = f64::INFINITY;
         for (step, shares) in draw.steps() {
             let (base, peak) = (step.base, step.peak);
-            if !(0.0..INTEGRAL).contains(&base) {
+            if !(0.0..INTEGRAL).contains(&base) || !(0.0..=1.0).contains(&peak) {
                 return None;
             }
             a += base * (n * peak - shares.iter().sum::<f64>());
