@@ -36,7 +36,9 @@
 //! of `t + 0.5 + 2^52`, the nearest integer to `t + 0.5` (the f64s in
 //! `[2^52, 2^53]` are exactly the integers), less one if that integer is
 //! above `t + 0.5`. No float-to-integer conversion is needed, so a loop
-//! over a draw's threads vectorizes. At and above 2^52 every f64 is an
+//! over a draw's threads vectorizes. A draw checks once whether every
+//! compute time stays below 2^52 cycles at any spread; if so, its
+//! imbalance rounds with that alone. At and above 2^52 every f64 is an
 //! integer, so `t as u64` is the rounded value, and `as` saturates at
 //! `u64::MAX`.
 
@@ -212,6 +214,9 @@ pub(crate) struct Draw {
     steps: Vec<DrawnStep>,
     /// Work shares, `threads` per step, in step order.
     shares: Vec<f64>,
+    /// Whether every compute time stays below 2^52 cycles at any spread
+    /// in `[0, 1]`, so [`round_below_integral`] rounds them all.
+    below_integral: bool,
 }
 
 impl Draw {
@@ -223,6 +228,7 @@ impl Draw {
             threads,
             steps: Vec::with_capacity(instances),
             shares: Vec::with_capacity(instances * threads),
+            below_integral: false,
         };
         for (i, phase) in spec.setup_phases.iter().enumerate() {
             let rng = &mut root.derive("setup", i as u64);
@@ -234,7 +240,17 @@ impl Draw {
                 draw.push(phase, iter, spec.skew, rng);
             }
         }
+        draw.below_integral = draw.steps_below_integral();
         draw
+    }
+
+    /// Whether every step's base is below 2^51 cycles times its largest
+    /// share, which spreads to less than 2^52 cycles at any spread in
+    /// `[0, 1]`.
+    fn steps_below_integral(&self) -> bool {
+        self.steps
+            .iter()
+            .all(|step| step.base * step.peak.max(1.0) < 0.5 * INTEGRAL)
     }
 
     /// Draws one phase instance.
@@ -291,13 +307,7 @@ impl Draw {
     /// The [`AppTrace::analytic_imbalance`] of the trace this draw builds
     /// at `spread`, without building it. `spread` must lie in `[0, 1]`.
     pub(crate) fn imbalance(&self, spread: f64) -> f64 {
-        // A base below 2^51 cycles, times its largest share, spreads to
-        // less than 2^52 cycles at any spread in [0, 1].
-        let below_integral = self
-            .steps
-            .iter()
-            .all(|step| step.base * step.peak.max(1.0) < 0.5 * INTEGRAL);
-        if below_integral {
+        if self.below_integral {
             imbalance(self.cycles(spread, round_below_integral))
         } else {
             imbalance(self.cycles(spread, round_cycles))
@@ -330,7 +340,7 @@ impl Draw {
     /// A draw of one step per `(base, shares)` pair, for tests of what
     /// evaluates a draw.
     pub(crate) fn from_steps(steps: &[(f64, &[f64])]) -> Draw {
-        Draw {
+        let mut draw = Draw {
             threads: steps[0].1.len(),
             steps: steps
                 .iter()
@@ -346,7 +356,10 @@ impl Draw {
                 .flat_map(|&(_, shares)| shares)
                 .copied()
                 .collect(),
-        }
+            below_integral: false,
+        };
+        draw.below_integral = draw.steps_below_integral();
+        draw
     }
 }
 

@@ -191,27 +191,33 @@ mod reference {
     }
 }
 
+/// Calibrating `spec` over one draw gives the trace, spread bits included,
+/// that the forty-two-generation reference gives, and the same
+/// `Unreachable` error, `max` bits included, when no spread reaches the
+/// target.
+fn matches_reference(spec: &AppSpec, threads: usize, seed: u64) -> Result<(), TestCaseError> {
+    let got = spec.try_generate(threads, seed);
+    let want = reference::try_generate(spec, threads, seed);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => prop_assert_eq!(g.spread.to_bits(), w.spread.to_bits()),
+        (Err(g), Err(w)) => prop_assert_eq!(g.max.to_bits(), w.max.to_bits()),
+        _ => {}
+    }
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Calibrating over one draw gives the trace, spread bits included,
-    /// that the forty-two-generation reference gives, and the same
-    /// `Unreachable` error, `max` bits included, when no spread reaches the
-    /// target.
+    /// [`matches_reference`] at 128 cases.
     #[test]
     fn one_draw_calibration_matches_reference(
         spec in arb_spec(),
         threads in 2usize..=64,
         seed in any::<u64>(),
     ) {
-        let got = spec.try_generate(threads, seed);
-        let want = reference::try_generate(&spec, threads, seed);
-        match (&got, &want) {
-            (Ok(g), Ok(w)) => prop_assert_eq!(g.spread.to_bits(), w.spread.to_bits()),
-            (Err(g), Err(w)) => prop_assert_eq!(g.max.to_bits(), w.max.to_bits()),
-            _ => {}
-        }
-        prop_assert_eq!(got, want);
+        matches_reference(&spec, threads, seed)?;
     }
 
     /// At any explicit spread, generation matches the reference trace and
@@ -246,14 +252,7 @@ proptest! {
         threads in 2usize..=64,
         seed in any::<u64>(),
     ) {
-        let got = spec.try_generate(threads, seed);
-        let want = reference::try_generate(&spec, threads, seed);
-        match (&got, &want) {
-            (Ok(g), Ok(w)) => prop_assert_eq!(g.spread.to_bits(), w.spread.to_bits()),
-            (Err(g), Err(w)) => prop_assert_eq!(g.max.to_bits(), w.max.to_bits()),
-            _ => {}
-        }
-        prop_assert_eq!(got, want);
+        matches_reference(&spec, threads, seed)?;
     }
 }
 
