@@ -304,3 +304,59 @@ fn cluster_x1_json_digest_matches_fixture() {
         "X1's 64-node cluster reports drifted from tests/golden/cluster_x1_json.digest"
     );
 }
+
+/// The recorded events of three 8-node Ocean Thrifty cells, in time
+/// order, pinned by the FNV-1a digest of their JSONL export: under the
+/// `storm` and `lost-wakeup` fault scenarios, whose guard recoveries and
+/// injected faults the reports only count, and on the message-passing
+/// cluster. Each fixture line is `<cell> <digest>`.
+#[test]
+fn recorded_events_n8_match_fixture() {
+    use thrifty_barrier::core::{FaultPlan, SystemConfig};
+    use thrifty_barrier::machine::{run::PAPER_SEED, Cell, Harness, Substrate, Variant};
+    use thrifty_barrier::trace::export::to_jsonl;
+    use thrifty_barrier::workloads::AppSpec;
+
+    let ocean = Cell::new(
+        AppSpec::by_name("Ocean").unwrap(),
+        8,
+        PAPER_SEED,
+        SystemConfig::Thrifty,
+    );
+    let table = String::from_utf8(fixture("recorded_events_n8.digest")).unwrap();
+    let harness = Harness::serial().with_record(Some(1 << 16));
+    for line in table.lines() {
+        let (name, digest) = line.split_once(' ').expect("`<cell> <digest>` lines");
+        let cell = match name {
+            "cluster" => ocean.clone().with_variant(Variant {
+                substrate: Substrate::Cluster,
+                ..Variant::default()
+            }),
+            scenario => ocean
+                .clone()
+                .with_faults(FaultPlan::by_name(scenario, PAPER_SEED).expect("known scenario")),
+        };
+        let outcome = harness.run_cells_isolated(&[cell]).remove(0);
+        let summary = outcome
+            .report
+            .expect("cell completes")
+            .trace
+            .expect("recorded");
+        assert_eq!(summary.dropped, 0, "{name}: the recording lost events");
+        if name != "cluster" {
+            assert!(
+                summary.counts.guard_recoveries > 0,
+                "{name}: a guard rescues"
+            );
+            assert!(
+                summary.counts.faults_injected > 0,
+                "{name}: faults injected"
+            );
+        }
+        assert_eq!(
+            fnv1a64_hex(to_jsonl(&outcome.events).as_bytes()),
+            digest,
+            "{name}: recorded events drifted from tests/golden/recorded_events_n8.digest"
+        );
+    }
+}
