@@ -36,23 +36,27 @@
 //! the strongest form of the paper's portability claim: predict the BIT,
 //! derive their stall, pick a sleep state, and arm the hybrid wake-up, the
 //! external signal being the release message's NIC interrupt, the internal
-//! one a NIC timer. They also run the shared-memory machine's own per-CPU
-//! wait state machine: this module supplies only the messages (arrival
-//! delivery, the coordinator, the release broadcast and the poll grain).
-//! A node back from sleep sees the release once its own copy of the
-//! broadcast can have been delivered ([`ClusterConfig::release_offset`]
-//! after the last arrival landed); before that it polls out the residue. The coordinator itself never sleeps (it must
-//! service arrival messages); it polls, and its stall is charged as spin
-//! energy. There are no coherent caches, so the deep states' flush
-//! requirement is vacuous here: nothing is flushed.
+//! one a NIC timer. They also run the shared-memory machine's own
+//! per-CPU wait state machine and its event loop, deadline and livelock
+//! watchdog: this module supplies only the messages (arrival delivery, the
+//! coordinator, the release broadcast and the poll grain). A node back
+//! from sleep sees the release once its own copy of the broadcast can have
+//! been delivered ([`ClusterConfig::release_offset`] after the last
+//! arrival landed); before that it polls out the residue. The coordinator
+//! itself never sleeps (it must service arrival messages); it polls, and
+//! its stall is charged as spin energy. There are no coherent caches, so
+//! the deep states' flush requirement is vacuous here: nothing is flushed.
+//! No message is lost or delayed yet, so a cluster run injects no fault
+//! and arms no guard timer.
 //!
 //! A run yields the same [`RunReport`] as the shared-memory machine, with
 //! the same barrier event counts: polls are its `counts.spins`, and it
 //! fills the early arrivals, the sleeps by state, the internal and
 //! external wake-ups, the early and late wake-ups (at the residual check),
 //! the §3.3.3 cut-off trips and the skipped predictor updates. `flushes`
-//! and `flushed_lines` stay zero, and it records no per-instance records. With a sink set ([`MsgSimulator::set_trace`]) it
-//! emits the same trace events as the shared-memory machine, bar flushes.
+//! and `flushed_lines` stay zero, and it records no per-instance records.
+//! Given an enabled sink, it emits the same trace events as the
+//! shared-memory machine, bar flushes.
 //! In the harness, a cell runs here when its variant's substrate is
 //! [`Substrate::Cluster`](crate::harness::Substrate::Cluster).
 //!
@@ -61,11 +65,13 @@
 //! ```
 //! use tb_core::AlgorithmConfig;
 //! use tb_machine::cluster::{ClusterConfig, MsgSimulator};
+//! use tb_trace::SinkHandle;
 //! use tb_workloads::AppSpec;
 //!
 //! let trace = AppSpec::by_name("FMM").unwrap().generate(16, 7);
+//! let cluster = ClusterConfig::default_cluster(16);
 //! let run = |name, algo| {
-//!     MsgSimulator::new(ClusterConfig::default_cluster(16), trace.clone(), name, algo)
+//!     MsgSimulator::new(cluster.clone(), trace.clone(), name, algo, SinkHandle::disabled())
 //!         .run(None)
 //!         .unwrap()
 //! };
@@ -74,13 +80,12 @@
 //! assert!(thrifty.total_energy() < base.total_energy());
 //! ```
 
-use crate::cpu::{Cpus, Event, Settled, State};
+use crate::cpu::{CellError, Cpus, Deadline, Settled, State, Transport, DEFAULT_PROGRESS_BUDGET};
 use crate::report::RunReport;
-use crate::sim::{CellError, Deadline};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tb_core::{AlgorithmConfig, BarrierAlgorithm, SleepChoice};
-use tb_energy::{EnergyCategory, PowerModel};
+use tb_energy::EnergyCategory;
 use tb_sim::Cycles;
 use tb_trace::SinkHandle;
 use tb_workloads::AppTrace;
@@ -175,7 +180,7 @@ impl fmt::Display for ClusterConfig {
 
 /// The cluster's own events, beside the wait lifecycle's.
 #[derive(Debug, Clone, Copy)]
-enum MsgEvent {
+pub(crate) enum MsgEvent {
     /// An arrival message for `episode` reached the coordinator.
     Arrive { episode: usize },
     /// The release message of `episode` reached node `tid`.
@@ -192,7 +197,8 @@ pub struct MsgSimulator {
 
 impl MsgSimulator {
     /// Creates a simulator for `trace` on `cluster` under `algo_cfg`, whose
-    /// report is labelled `config_name`.
+    /// report is labelled `config_name` and whose events, the nodes' and
+    /// the algorithm's, go to `sink`.
     ///
     /// # Panics
     ///
@@ -203,6 +209,7 @@ impl MsgSimulator {
         trace: AppTrace,
         config_name: impl Into<String>,
         algo_cfg: AlgorithmConfig,
+        sink: SinkHandle,
     ) -> Self {
         cluster.validate();
         assert!(
@@ -218,139 +225,134 @@ impl MsgSimulator {
             .map(|tid| cluster.release_offset(tid))
             .collect();
         MsgSimulator {
-            cpus: Cpus::new(
-                trace,
-                algo,
-                &PowerModel::paper(),
-                lags,
-                SinkHandle::disabled(),
-            ),
+            cpus: Cpus::new(trace, algo, lags, sink),
             cluster,
             config_name: config_name.into(),
         }
     }
 
-    /// Sends the run's events, the nodes' and the algorithm's, to `trace`
-    /// (by default they go nowhere).
-    pub fn set_trace(&mut self, trace: SinkHandle) {
-        self.cpus.set_trace(trace);
-    }
-
-    fn coordinator(&self) -> usize {
-        self.cluster.coordinator as usize
-    }
-
     /// Runs to completion, or until `deadline` passes
     /// ([`CellError::Timeout`], noticed at the next poll of the wall clock,
-    /// every 1024 events). Polls are the report's `counts.spins`, and it
-    /// has no instance records.
+    /// every 1024 events) or the livelock watchdog trips
+    /// ([`CellError::Livelock`]). Polls are the report's `counts.spins`,
+    /// and it has no instance records.
     pub fn run(mut self, deadline: Option<Deadline>) -> Result<RunReport, CellError> {
-        self.cpus.start();
-        let mut events = 0u64;
-        while let Some((now, ev)) = self.cpus.queue.pop() {
-            if let Some(d) = &deadline {
-                d.poll(&mut events)?;
-            }
-            match ev {
-                Event::ComputeDone { tid } => self.on_compute_done(tid, now),
-                Event::TimerFired { tid, episode } => self.cpus.on_timer(tid, episode, now),
-                Event::TransitionDone { tid } => self.on_transition_done(tid, now),
-                Event::Substrate(MsgEvent::Arrive { episode }) => self.on_arrive(episode, now),
-                Event::Substrate(MsgEvent::ReleaseDelivered { tid, episode }) => {
-                    self.on_release_delivered(tid, episode, now)
-                }
-            }
-        }
-        debug_assert!(self.cpus.all_done());
+        let budget = Some(DEFAULT_PROGRESS_BUDGET);
+        self.cpus.run(&mut self.cluster, deadline, budget)?;
         Ok(self.cpus.into_report(self.config_name, Vec::new(), 0).0)
     }
+}
 
-    fn on_compute_done(&mut self, tid: usize, now: Cycles) {
-        let step = self.cpus.cpu[tid].step;
-        self.cpus.charge_compute(tid, now);
-        // Send the arrival message (free for the coordinator itself).
-        let delivered = self
-            .cluster
-            .delivery(tid as u16, self.cluster.coordinator, now, 0);
-        self.cpus
-            .schedule(delivered, MsgEvent::Arrive { episode: step });
-        if tid == self.coordinator() {
-            // The coordinator waits in a polling loop servicing arrivals;
-            // its own barrier bookkeeping happens as arrivals land.
-            self.cpus.cpu[tid].state = State::Spinning { since: now };
-            return;
-        }
-        // Early-arrival decision with the *unmodified* algorithm.
-        let decision = self.cpus.arrive_early(tid, now);
-        match decision.choice {
-            SleepChoice::Spin => self.cpus.spin(tid, now),
-            // No caches to flush in a message-passing node.
-            SleepChoice::Sleep { state, .. } => {
-                self.cpus
-                    .sleep(tid, state, false, decision.wakeup, now, now)
-            }
-        }
+impl ClusterConfig {
+    /// `tid` polls for the release of its barrier, already broadcast,
+    /// until its own copy is delivered.
+    fn poll_release(&self, cpus: &mut Cpus<MsgEvent>, tid: usize, now: Cycles) {
+        let episode = cpus.cpu[tid].step;
+        let at = now.max(cpus.episode_release[episode] + self.release_offset(tid as u16));
+        cpus.schedule(at, MsgEvent::ReleaseDelivered { tid, episode });
     }
 
-    fn on_arrive(&mut self, episode: usize, now: Cycles) {
-        if !self.cpus.check_in(episode) {
+    fn on_arrive(&self, cpus: &mut Cpus<MsgEvent>, episode: usize, now: Cycles) {
+        if !cpus.check_in(episode) {
             return;
         }
         // All arrived: the coordinator measures the BIT against its own
         // previous-release timestamp and broadcasts the release.
-        let coord = self.coordinator();
-        debug_assert_eq!(self.cpus.cpu[coord].step, episode);
-        self.cpus.release(coord, now);
-        for tid in (0..self.cpus.cpu.len()).filter(|&tid| tid != coord) {
-            let delivered = now + self.cluster.release_offset(tid as u16);
-            self.cpus
-                .schedule(delivered, MsgEvent::ReleaseDelivered { tid, episode });
+        let coord = self.coordinator as usize;
+        debug_assert_eq!(cpus.cpu[coord].step, episode);
+        cpus.release(coord, now);
+        for tid in (0..cpus.cpu.len()).filter(|&tid| tid != coord) {
+            let delivered = now + self.release_offset(tid as u16);
+            cpus.schedule(delivered, MsgEvent::ReleaseDelivered { tid, episode });
         }
         // Coordinator's own stall was a poll from its check-in to now.
-        if let State::Spinning { since } = self.cpus.cpu[coord].state {
-            self.cpus.ledger.cpu_mut(coord).record(
+        if let State::Spinning { since } = cpus.cpu[coord].state {
+            cpus.ledger.cpu_mut(coord).record(
                 EnergyCategory::Spin,
                 now.saturating_sub(since),
-                self.cpus.p_spin,
+                cpus.p_spin,
             );
         }
-        self.cpus.depart(coord, now, now);
+        cpus.depart(coord, now, now);
     }
 
-    fn on_release_delivered(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.cpus.cpu[tid].step != episode {
+    fn on_release_delivered(
+        &self,
+        cpus: &mut Cpus<MsgEvent>,
+        tid: usize,
+        episode: usize,
+        now: Cycles,
+    ) {
+        if cpus.cpu[tid].step != episode {
             return; // a second delivery to a node that already departed
         }
-        if let State::Spinning { since } = self.cpus.cpu[tid].state {
-            let seen = now + self.cluster.poll_grain;
-            self.cpus.ledger.cpu_mut(tid).record(
+        if let State::Spinning { since } = cpus.cpu[tid].state {
+            let seen = now + self.poll_grain;
+            cpus.ledger.cpu_mut(tid).record(
                 EnergyCategory::Spin,
                 seen.saturating_sub(since),
-                self.cpus.p_spin,
+                cpus.p_spin,
             );
-            self.cpus.depart(tid, seen, seen);
+            cpus.depart(tid, seen, seen);
         } else {
             // The NIC interrupt: wakes a sleeper whose wake-up it arms.
-            self.cpus.external_wake(tid, now);
+            cpus.external_wake(tid, now);
         }
     }
+}
 
-    fn on_transition_done(&mut self, tid: usize, now: Cycles) {
-        let step = self.cpus.cpu[tid].step;
-        match self.cpus.on_transition_done(tid, now) {
+/// The cluster's transport is its message timing.
+impl Transport for ClusterConfig {
+    type Event = MsgEvent;
+
+    fn compute_done(&mut self, cpus: &mut Cpus<MsgEvent>, tid: usize, now: Cycles) {
+        let step = cpus.cpu[tid].step;
+        cpus.charge_compute(tid, now);
+        // Send the arrival message (free for the coordinator itself).
+        let delivered = self.delivery(tid as u16, self.coordinator, now, 0);
+        cpus.schedule(delivered, MsgEvent::Arrive { episode: step });
+        if tid == self.coordinator as usize {
+            // The coordinator waits in a polling loop servicing arrivals;
+            // its own barrier bookkeeping happens as arrivals land.
+            cpus.cpu[tid].state = State::Spinning { since: now };
+            return;
+        }
+        // Early-arrival decision with the *unmodified* algorithm.
+        let decision = cpus.arrive_early(tid, now);
+        match decision.choice {
+            SleepChoice::Spin => cpus.spin(tid, now),
+            // No caches to flush in a message-passing node.
+            SleepChoice::Sleep { state, .. } => {
+                cpus.sleep(tid, state, false, decision.wakeup, now, now)
+            }
+        }
+        cpus.arm_guard(tid, now, decision.predicted_stall);
+    }
+
+    fn settled(&mut self, cpus: &mut Cpus<MsgEvent>, tid: usize, settled: Settled, now: Cycles) {
+        match settled {
             // A release *message* is observable on arrival: the node
             // departs once it can have been delivered (it woke the node,
             // or the timer raced it) …
-            Settled::Released => self.cpus.depart(tid, now, now),
+            Settled::Released => cpus.depart(tid, now, now),
             // … and polls for it otherwise, until its delivery when it is
             // already in flight.
-            Settled::ResidualSpin if self.cpus.released[step] => {
-                let at = self.cpus.episode_release[step] + self.cluster.release_offset(tid as u16);
-                let delivered = MsgEvent::ReleaseDelivered { tid, episode: step };
-                self.cpus.schedule(at, delivered);
-            }
-            Settled::ResidualSpin | Settled::Entered => {}
+            Settled::InFlight => self.poll_release(cpus, tid, now),
+            Settled::Waiting => {}
         }
+    }
+
+    fn on_event(&mut self, cpus: &mut Cpus<MsgEvent>, event: MsgEvent, now: Cycles) {
+        match event {
+            MsgEvent::Arrive { episode } => self.on_arrive(cpus, episode, now),
+            MsgEvent::ReleaseDelivered { tid, episode } => {
+                self.on_release_delivered(cpus, tid, episode, now)
+            }
+        }
+    }
+
+    fn rescue_spinner(&mut self, cpus: &mut Cpus<MsgEvent>, tid: usize, now: Cycles) {
+        self.poll_release(cpus, tid, now);
     }
 }
 
@@ -391,13 +393,13 @@ mod tests {
         let trace = app(40, 3000, 0.30).generate(64, 5);
         let cluster = ClusterConfig::default_cluster(64);
         let sink = Arc::new(MemorySink::new(64, 1 << 14));
-        let mut sim = MsgSimulator::new(
+        let sim = MsgSimulator::new(
             cluster.clone(),
             trace,
             "MsgTest",
             AlgorithmConfig::thrifty(),
+            SinkHandle::new(sink.clone()),
         );
-        sim.set_trace(SinkHandle::new(sink.clone()));
         let report = sim.run(None).expect("no deadline");
         assert!(report.counts.total_sleeps() > 0);
         assert_eq!(sink.dropped(), 0);
@@ -484,7 +486,13 @@ mod tests {
 
     fn simulator(trace: &AppTrace, cfg: AlgorithmConfig) -> MsgSimulator {
         let cluster = ClusterConfig::default_cluster(trace.threads as u16);
-        MsgSimulator::new(cluster, trace.clone(), "MsgTest", cfg)
+        MsgSimulator::new(
+            cluster,
+            trace.clone(),
+            "MsgTest",
+            cfg,
+            SinkHandle::disabled(),
+        )
     }
 
     fn run(trace: &AppTrace, cfg: AlgorithmConfig) -> RunReport {
@@ -602,6 +610,7 @@ mod tests {
             trace,
             "Baseline",
             AlgorithmConfig::baseline(),
+            SinkHandle::disabled(),
         );
     }
 }

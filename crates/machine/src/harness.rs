@@ -47,10 +47,11 @@
 //!   they are never retried.
 
 use crate::cluster::{ClusterConfig, MsgSimulator};
+pub use crate::cpu::CellError;
+use crate::cpu::Deadline;
 use crate::report::{pair_with_baselines, AggregateReport, RunReport, View};
 use crate::run::oracle_from_baseline;
-pub use crate::sim::CellError;
-use crate::sim::{try_simulate_faulted, Deadline, SimulatorConfig, TimeSharing};
+use crate::sim::{try_simulate_faulted, SimulatorConfig, TimeSharing};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -335,8 +336,7 @@ fn simulate_on(
                 "a cluster cell runs no fault plan, time-sharing or oracle"
             );
             let cluster = ClusterConfig::default_cluster(nodes);
-            let mut sim = MsgSimulator::new(cluster, trace.clone(), cfg.config_name, algo);
-            sim.set_trace(cfg.trace);
+            let sim = MsgSimulator::new(cluster, trace.clone(), cfg.config_name, algo, cfg.trace);
             return Ok((sim.run(deadline)?, FaultSummary::default()));
         }
     }

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! The full simulated machine: the paper's experimental platform.
 //!
-//! [`Simulator`] executes a workload trace on the CC-NUMA substrate
+//! [`simulate`] executes a workload trace on the CC-NUMA substrate
 //! (`tb-mem`) under one of the paper's barrier configurations (`tb-core`),
 //! accounting energy with the Wattch-derived power model (`tb-energy`).
 //! Each simulated processor is a state machine:
@@ -22,16 +22,20 @@
 //!
 //! Both simulators drive one copy of that per-CPU state machine (the
 //! private `cpu` module): the spin-or-sleep decision, the sleep entry,
-//! the timer and external wake-ups, the exit and the residual check, and
-//! departure, with their energy charges, counters and trace events. Each
-//! simulator supplies only its transport: the coherent barrier flag, or
-//! the cluster's messages.
+//! the timer and external wake-ups, the exit and the residual check, the
+//! guard timer that rescues a lost wake-up under a fault plan, and
+//! departure, with their energy charges, counters and trace events. The
+//! same module holds the one event loop of every run, which polls the
+//! [`Deadline`] and runs the livelock watchdog. Each simulator supplies
+//! only its transport: the coherent barrier flag, or the cluster's
+//! messages.
 //!
 //! * [`report`] — per-run results: wall-clock, the Compute / Spin /
 //!   Transition / Sleep energy and time breakdowns of Figures 5-6, barrier
 //!   event counts, prediction accuracy, and the per-instance records behind
 //!   Figure 3 and the oracle tables.
-//! * [`sim`] — the discrete-event executor itself.
+//! * [`sim`] — the directory machine (or bus SMP): the barrier over
+//!   coherent memory, and its configuration.
 //! * [`cluster`] — the same barrier on a message-passing cluster (the
 //!   paper's §1/§7 extension): a coordinator barrier whose release message
 //!   carries the measured interval time, reporting a [`RunReport`] too.
@@ -70,6 +74,7 @@ pub mod report;
 pub mod run;
 pub mod sim;
 
+pub use cpu::{CellError, Deadline, LivelockDiagnostics};
 pub use harness::{
     retry_backoff, AppMatrix, BaselineBundle, Cell, CellOutcome, Harness, Knob, Substrate,
     SupervisionPolicy, Variant,
@@ -78,7 +83,4 @@ pub use journal::{CellKey, JournalError, StoredOutcome, SweepJournal};
 pub use report::{
     aggregate, AggregateReport, BarrierEventCounts, CellCoverage, InstanceRecord, RunReport,
 };
-pub use sim::{
-    simulate, try_simulate_faulted, CellError, Deadline, LivelockDiagnostics, Simulator,
-    SimulatorConfig, TimeSharing, DEFAULT_PROGRESS_BUDGET,
-};
+pub use sim::{simulate, try_simulate_faulted, SimulatorConfig, TimeSharing};

@@ -1,9 +1,13 @@
-//! The discrete-event executor: workload trace × barrier algorithm ×
-//! coherent memory × energy model.
+//! The directory machine: workload trace × barrier algorithm × coherent
+//! memory × energy model.
 //!
 //! One barrier data structure serves the whole run (as in real barrier
 //! libraries): a lock/count line and a flag line on distinct shared pages.
 //! Barrier *sites* differ only by PC, which is what the predictor indexes.
+//! This module is that barrier's transport: how a check-in reaches the
+//! releaser and how the flag's release reaches the waiters. The wait
+//! lifecycle, the event loop, the deadline, the livelock watchdog and the
+//! guard timers are the private `cpu` module's, shared with the cluster.
 //!
 //! Modeling notes (see DESIGN.md §7):
 //!
@@ -17,11 +21,10 @@
 //!   the thread's dirty working set through the memory system, so deep
 //!   sleeps pay real flush time and real upgrade misses afterwards.
 
-use crate::cpu::{Cpus, Event, Settled, State};
+use crate::cpu::{CellError, Cpus, Deadline, Settled, State, Transport, DEFAULT_PROGRESS_BUDGET};
 use crate::report::{InstanceRecord, RunReport};
-use std::time::{Duration, Instant};
 use tb_core::{AlgorithmConfig, BarrierAlgorithm, FaultPlan, SleepChoice};
-use tb_energy::{EnergyCategory, PowerModel};
+use tb_energy::EnergyCategory;
 use tb_faults::{FaultInjector, FaultSummary};
 use tb_mem::{Addr, CoherentMemory, InvalidationFaults, LineAddr, MachineConfig, NodeId};
 use tb_sim::Cycles;
@@ -31,15 +34,6 @@ use tb_workloads::AppTrace;
 /// How long one spin-loop iteration takes to notice an invalidated flag
 /// and re-issue the load.
 const SPIN_GRAIN: Cycles = Cycles::from_nanos(4);
-/// Default livelock watchdog budget: how many events the simulator may
-/// process *since the last barrier departure* before declaring the run
-/// livelocked. Progress-relative (not total), so it is independent of
-/// trace length: a healthy run needs only O(threads) events between
-/// departures (a few per thread per episode), while a livelocked run
-/// cycles wedged guard timers without ever departing. 2^18 leaves three
-/// orders of magnitude of headroom at 64 nodes yet trips in milliseconds
-/// of host time.
-pub const DEFAULT_PROGRESS_BUDGET: u64 = 1 << 18;
 /// Lock hand-off cost between consecutive barrier check-ins (ticket
 /// transfer over the coherence protocol).
 const LOCK_HANDOFF: Cycles = Cycles::from_nanos(40);
@@ -51,18 +45,15 @@ const DIRTY_BASE_PAGE: u64 = 64;
 /// Pages reserved per thread for its working set (8 pages = 512 lines).
 const DIRTY_PAGES_PER_THREAD: u64 = 8;
 
-/// Executor configuration beyond the machine and algorithm configs.
+/// Executor configuration beyond the machine and algorithm configs. Every
+/// run draws the paper's (Wattch-derived) power, and its instance records
+/// observe thread 5, or the last thread of a smaller trace (Figure 3 uses
+/// "a randomly picked thread, the same one in all instances").
 #[derive(Debug, Clone)]
 pub struct SimulatorConfig {
     /// The hardware platform (Table 1, or a bus SMP via
     /// [`MachineConfig::bus_smp`]).
     pub machine: MachineConfig,
-    /// The power model (Wattch-derived).
-    pub power: PowerModel,
-    /// Which thread's compute/BST decomposition the instance records carry
-    /// (Figure 3 uses "a randomly picked thread, the same one in all
-    /// instances").
-    pub observed_thread: usize,
     /// Label stored in the report.
     pub config_name: String,
     /// Optional §3.4.1 time-sharing policy: instead of the thrifty
@@ -83,152 +74,11 @@ pub struct SimulatorConfig {
     /// the same handle.
     pub trace: SinkHandle,
     /// Livelock watchdog: the maximum number of events processed since the
-    /// last barrier departure before [`Simulator::run`] gives up with
-    /// [`CellError::Livelock`]. `None` disables the
-    /// watchdog. Counting events does not alter the schedule, so the
-    /// default budget is active even on fault-free runs.
+    /// last barrier departure before the run gives up with
+    /// [`CellError::Livelock`]. `None` disables the watchdog. Counting
+    /// events does not alter the schedule, so the default budget (2^18) is
+    /// active even on fault-free runs.
     pub progress_budget: Option<u64>,
-}
-
-/// What the livelock watchdog saw when it tripped: either the
-/// events-since-progress budget was exhausted (guard timers cycling with
-/// no departures) or the event queue drained with threads still waiting
-/// (`budget == 0`, `queue_len == 0` — every recovery path is dead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct LivelockDiagnostics {
-    /// Events processed since the last barrier departure.
-    pub events_since_progress: u64,
-    /// The budget those events exhausted (zero when the queue drained
-    /// instead).
-    pub budget: u64,
-    /// The earliest episode a live thread is stuck at.
-    pub episode: u64,
-    /// Pending events at the moment the watchdog tripped.
-    pub queue_len: u64,
-    /// Threads that had not finished their trace.
-    pub live_threads: u64,
-}
-
-impl std::fmt::Display for LivelockDiagnostics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.queue_len == 0 && self.budget == 0 {
-            write!(
-                f,
-                "event queue drained with {} live thread(s) stuck at episode {}",
-                self.live_threads, self.episode
-            )
-        } else {
-            write!(
-                f,
-                "no departure in {} events (budget {}); {} live thread(s) stuck at \
-                 episode {}, {} event(s) pending",
-                self.events_since_progress,
-                self.budget,
-                self.live_threads,
-                self.episode,
-                self.queue_len
-            )
-        }
-    }
-}
-
-/// Why a cell (one simulation attempt) failed to produce a report.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum CellError {
-    /// The simulation panicked; the payload is the panic message.
-    Panic(String),
-    /// The simulator's progress watchdog declared the run livelocked.
-    Livelock(LivelockDiagnostics),
-    /// The attempt ran past its wall-clock [`Deadline`]; the simulator
-    /// noticed at its next deadline poll and stopped.
-    Timeout {
-        /// The deadline that was exceeded, in milliseconds.
-        limit_ms: u64,
-    },
-    /// The cell killed `strikes` worker processes in a row and was
-    /// quarantined as poison by the multi-process sweep coordinator
-    /// (`tb-serve`): it is recorded in coverage and never dispatched
-    /// again. Only the coordinator produces this variant — an in-process
-    /// harness has no worker processes to lose.
-    Poisoned {
-        /// Consecutive worker deaths that condemned the cell.
-        strikes: u32,
-    },
-}
-
-impl CellError {
-    /// Whether a retry could plausibly succeed. Panics and timeouts are
-    /// treated as transient (OOM, scheduling jitter, host interference);
-    /// livelocks are deterministic — the same seed wedges the same guard
-    /// timers — so retrying one only wastes the budget. A poisoned cell
-    /// already exhausted its worker-death strikes, so it is final by
-    /// definition.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, CellError::Panic(_) | CellError::Timeout { .. })
-    }
-
-    /// Short machine-readable class name ("panic" / "livelock" /
-    /// "timeout" / "poisoned").
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CellError::Panic(_) => "panic",
-            CellError::Livelock(_) => "livelock",
-            CellError::Timeout { .. } => "timeout",
-            CellError::Poisoned { .. } => "poisoned",
-        }
-    }
-}
-
-impl std::fmt::Display for CellError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CellError::Panic(msg) => write!(f, "panic: {msg}"),
-            CellError::Livelock(d) => write!(f, "livelock: {d}"),
-            CellError::Timeout { limit_ms } => write!(f, "timeout after {limit_ms} ms"),
-            CellError::Poisoned { strikes } => {
-                write!(f, "poisoned after {strikes} worker deaths")
-            }
-        }
-    }
-}
-
-/// How many events the simulator processes between two looks at the
-/// wall clock when a [`Deadline`] is set: rare enough that the clock read
-/// is noise, frequent enough that an expired run stops within about a
-/// millisecond of host time.
-const DEADLINE_POLL_EVENTS: u64 = 1024;
-
-/// A wall-clock bound on one simulation attempt, checked cooperatively by
-/// the event loop every 1024 events. An expired run returns
-/// [`CellError::Timeout`] instead of finishing.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    at: Instant,
-    limit_ms: u64,
-}
-
-impl Deadline {
-    /// A deadline `limit` from now.
-    pub fn after(limit: Duration) -> Self {
-        Deadline {
-            at: Instant::now() + limit,
-            limit_ms: limit.as_millis() as u64,
-        }
-    }
-
-    /// Counts one event of a run, reading the wall clock on the first and
-    /// then every 1024th: a run past the deadline stops with
-    /// [`CellError::Timeout`].
-    pub(crate) fn poll(&self, events: &mut u64) -> Result<(), CellError> {
-        let expired = events.is_multiple_of(DEADLINE_POLL_EVENTS) && Instant::now() >= self.at;
-        *events += 1;
-        if expired {
-            return Err(CellError::Timeout {
-                limit_ms: self.limit_ms,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Parameters of the §3.4.1 time-sharing alternative.
@@ -242,12 +92,11 @@ pub struct TimeSharing {
 }
 
 impl SimulatorConfig {
-    /// Table 1 machine, paper power model.
-    pub fn paper(config_name: impl Into<String>) -> Self {
+    /// The Table 1 machine sized for `nodes` processors, with no
+    /// time-sharing, fault plan or trace sink.
+    pub fn paper_with_nodes(config_name: impl Into<String>, nodes: u16) -> Self {
         SimulatorConfig {
-            machine: MachineConfig::table1(),
-            power: PowerModel::paper(),
-            observed_thread: 5,
+            machine: MachineConfig::table1_with_nodes(nodes),
             config_name: config_name.into(),
             time_sharing: None,
             faults: None,
@@ -255,21 +104,11 @@ impl SimulatorConfig {
             progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
         }
     }
-
-    /// Same, but sized for `nodes` processors. The observed thread stays 5
-    /// unless the machine is too small to have one.
-    pub fn paper_with_nodes(config_name: impl Into<String>, nodes: u16) -> Self {
-        SimulatorConfig {
-            machine: MachineConfig::table1_with_nodes(nodes),
-            observed_thread: 5.min(nodes as usize - 1),
-            ..SimulatorConfig::paper(config_name)
-        }
-    }
 }
 
 /// The directory machine's own events, beside the wait lifecycle's.
 #[derive(Debug, Clone, Copy)]
-enum SimEvent {
+pub(crate) enum SimEvent {
     /// A spinner (or a yielded thread back on its CPU) reads the flag.
     Observe {
         tid: usize,
@@ -279,21 +118,17 @@ enum SimEvent {
         tid: usize,
         episode: usize,
     },
-    /// Watchdog armed at barrier entry under fault injection: if the episode
-    /// is released but this thread is still waiting (its wake-up was lost),
-    /// force a recovery; otherwise re-arm.
-    GuardTimer {
-        tid: usize,
-        episode: usize,
-    },
 }
 
-/// The discrete-event machine simulator.
+/// The directory machine's transport: the coherent memory holding the
+/// barrier's count and flag lines, and the instance records of its
+/// releases.
 #[derive(Debug)]
-pub struct Simulator {
-    cfg: SimulatorConfig,
-    cpus: Cpus<SimEvent>,
+pub(crate) struct Simulator {
     mem: CoherentMemory,
+    time_sharing: Option<TimeSharing>,
+    /// The thread whose compute time the instance records carry.
+    observed_thread: usize,
     lock_free_at: Cycles,
     count_addr: Addr,
     flag_addr: Addr,
@@ -302,155 +137,9 @@ pub struct Simulator {
     /// invalidation acknowledgments collected).
     episode_flip_done: Vec<Cycles>,
     instances: Vec<InstanceRecord>,
-    /// Guard-timer re-arm interval of each thread's episode (fault runs
-    /// only).
-    guard_intervals: Vec<Cycles>,
-    /// Livelock watchdog: events processed since the last departure.
-    events_since_progress: u64,
 }
 
 impl Simulator {
-    /// Creates a simulator for `trace` under `algo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has fewer nodes than the trace has threads,
-    /// if the algorithm was built for a different thread count, or if the
-    /// observed thread is out of range.
-    pub fn new(cfg: SimulatorConfig, trace: AppTrace, algo: BarrierAlgorithm) -> Self {
-        let threads = trace.threads;
-        assert!(
-            cfg.machine.nodes as usize >= threads,
-            "machine has {} nodes but the trace needs {threads}",
-            cfg.machine.nodes
-        );
-        assert_eq!(
-            algo.threads(),
-            threads,
-            "algorithm sized for {} threads, trace has {threads}",
-            algo.threads()
-        );
-        assert!(
-            cfg.observed_thread < threads,
-            "observed thread {} out of range",
-            cfg.observed_thread
-        );
-        let mut mem = CoherentMemory::directory(cfg.machine.clone());
-        let count_addr = mem.layout().shared_addr(COUNT_PAGE, 0);
-        let flag_addr = mem.layout().shared_addr(FLAG_PAGE, 0);
-        let injector = cfg.faults.as_ref().and_then(FaultInjector::from_plan);
-        if let Some(plan) = injector.as_ref().map(FaultInjector::plan) {
-            assert!(
-                cfg.time_sharing.is_none(),
-                "fault injection and §3.4.1 time-sharing are mutually exclusive \
-                 (yielded threads resume only via flag invalidations, which a \
-                 fault plan may drop)"
-            );
-            let mut inv_faults = InvalidationFaults::new(
-                plan.seed,
-                plan.lose_wakeup,
-                plan.delay_wakeup,
-                plan.delay_wakeup_mean_ns,
-            );
-            inv_faults.watch(flag_addr.line());
-            mem.set_faults(inv_faults);
-        }
-        let episodes = trace.steps.len();
-        // The flag is observable from the last check-in onward; the
-        // algorithm shares the executor's sink, so semantic and physical
-        // events interleave in one capture.
-        let lags = vec![Cycles::ZERO; trace.threads];
-        let mut cpus = Cpus::new(trace, algo, &cfg.power, lags, cfg.trace.clone());
-        cpus.injector = injector;
-        Simulator {
-            cpus,
-            lock_free_at: Cycles::ZERO,
-            count_addr,
-            flag_addr,
-            flag_line: flag_addr.line(),
-            episode_flip_done: vec![Cycles::MAX; episodes],
-            instances: Vec::with_capacity(episodes),
-            guard_intervals: vec![Cycles::ZERO; threads],
-            events_since_progress: 0,
-            cfg,
-            mem,
-        }
-    }
-
-    /// Runs the simulation to completion and returns the report together
-    /// with the injected-fault and recovery tallies. The summary rides next
-    /// to the report rather than inside it because the serialized
-    /// `RunReport` shape is frozen by golden fixtures; in fault-free runs
-    /// it is all zeros.
-    ///
-    /// The run stops early with a typed error when
-    ///
-    /// * the livelock watchdog trips ([`CellError::Livelock`]): either no
-    ///   barrier departure happened within the configured event budget, or
-    ///   the event queue drained with threads still waiting (a lost wake-up
-    ///   whose every recovery path — including the guard timer — is dead).
-    ///   Fault plans with `wedge_guard` provoke exactly this;
-    /// * `deadline` passes ([`CellError::Timeout`]), noticed at the next
-    ///   poll of the wall clock (every 1024 events).
-    ///
-    /// Neither check alters the event schedule, so a run that completes
-    /// is identical with or without them.
-    pub fn run(
-        mut self,
-        deadline: Option<Deadline>,
-    ) -> Result<(RunReport, FaultSummary), CellError> {
-        self.cpus.start();
-        let mut events = 0u64;
-        while let Some((now, ev)) = self.cpus.queue.pop() {
-            self.events_since_progress += 1;
-            if let Some(budget) = self.cfg.progress_budget {
-                if self.events_since_progress > budget {
-                    return Err(CellError::Livelock(self.livelock_diagnostics(budget)));
-                }
-            }
-            if let Some(d) = &deadline {
-                d.poll(&mut events)?;
-            }
-            match ev {
-                Event::ComputeDone { tid } => self.on_compute_done(tid, now),
-                Event::TimerFired { tid, episode } => self.cpus.on_timer(tid, episode, now),
-                Event::TransitionDone { tid } => self.on_transition_done(tid, now),
-                Event::Substrate(ev) => match ev {
-                    SimEvent::Observe { tid, episode } => self.on_observe(tid, episode, now),
-                    SimEvent::YieldNow { tid, episode } => self.on_yield_now(tid, episode, now),
-                    SimEvent::GuardTimer { tid, episode } => self.on_guard_timer(tid, episode, now),
-                },
-            }
-        }
-        // The termination oracle for fault runs: a lost wake-up that every
-        // recovery path failed to rescue drains the queue with a thread
-        // still waiting.
-        if !self.cpus.all_done() {
-            return Err(CellError::Livelock(self.livelock_diagnostics(0)));
-        }
-        let name = self.cfg.config_name;
-        Ok(self
-            .cpus
-            .into_report(name, self.instances, self.cfg.observed_thread))
-    }
-
-    /// Snapshot of the stuck state for the watchdog's error report.
-    fn livelock_diagnostics(&self, budget: u64) -> LivelockDiagnostics {
-        let live: Vec<_> = self
-            .cpus
-            .cpu
-            .iter()
-            .filter(|c| c.state != State::Done)
-            .collect();
-        LivelockDiagnostics {
-            events_since_progress: self.events_since_progress,
-            budget,
-            episode: live.iter().map(|c| c.step).min().unwrap_or(0) as u64,
-            queue_len: self.cpus.queue.len() as u64,
-            live_threads: live.len() as u64,
-        }
-    }
-
     fn node(&self, tid: usize) -> NodeId {
         NodeId::new(tid as u16)
     }
@@ -462,25 +151,187 @@ impl Simulator {
             .shared_addr(page, ((line_idx as u64) % 64) * 64)
     }
 
-    /// Arms the watchdog for a thread entering a wait state. Only fault
-    /// runs arm guards: a fault-free run's event schedule must stay
-    /// byte-identical with the plumbing present.
-    fn arm_guard(&mut self, tid: usize, episode: usize, now: Cycles, stall: Option<Cycles>) {
-        if self.cpus.injector.is_none() {
+    fn on_early_arrival(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, now: Cycles) {
+        let node = self.node(tid);
+        let step = cpus.cpu[tid].step;
+        let decision = cpus.arrive_early(tid, now);
+        if let Some(ts) = self.time_sharing {
+            // §3.4.1: spin briefly, then hand the CPU to another process.
+            self.mem.read(node, self.flag_addr, now);
+            cpus.spin(tid, now);
+            let yield_now = SimEvent::YieldNow { tid, episode: step };
+            cpus.schedule(now + ts.spin_before_yield, yield_now);
             return;
         }
-        let deadline = tb_faults::guard_deadline(now, stall);
-        self.guard_intervals[tid] = deadline.saturating_sub(now);
-        self.cpus
-            .schedule(deadline, SimEvent::GuardTimer { tid, episode });
+        match decision.choice {
+            SleepChoice::Spin => {
+                // Conventional path: pull a Shared copy of the flag and
+                // spin on it locally.
+                self.mem.read(node, self.flag_addr, now);
+                cpus.spin(tid, now);
+            }
+            SleepChoice::Sleep { state, needs_flush } => {
+                // Ideal (§5.1) has "no flushing overhead for any low-power
+                // sleep state": it flushes nothing, so the cache state and
+                // the post-flush upgrade misses are left untouched.
+                let t = if needs_flush && cpus.algo.config().flush_overhead {
+                    self.flush(cpus, tid, now)
+                } else {
+                    now
+                };
+                // The sleep() call programs the cache controller with the
+                // flag address: read the flag in (registering as sharer so
+                // the release invalidation reaches this node).
+                self.mem.read(node, self.flag_addr, t);
+                cpus.sleep(tid, state, needs_flush, decision.wakeup, t, now);
+            }
+        }
+        cpus.arm_guard(tid, now, decision.predicted_stall);
     }
 
-    // ---- event handlers ---------------------------------------------------
+    /// Writes `tid`'s dirty shared lines back before a non-snoopable sleep
+    /// that begins at `now`; returns when the write-back ends.
+    fn flush(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, now: Cycles) -> Cycles {
+        let f = self.mem.flush_dirty_shared(self.node(tid), now);
+        cpus.counts.flushes += 1;
+        cpus.counts.flushed_lines += f.lines as u64;
+        cpus.ledger
+            .cpu_mut(tid)
+            .record(EnergyCategory::Compute, f.duration, cpus.p_compute);
+        let step = cpus.cpu[tid].step;
+        let flush = TraceEventKind::Flush {
+            episode: step as u64,
+            pc: cpus.pc(step),
+            lines: f.lines as u64,
+            duration: f.duration,
+        };
+        cpus.emit(tid, now, flush);
+        now + f.duration
+    }
 
-    fn on_compute_done(&mut self, tid: usize, now: Cycles) {
+    fn on_last_arrival(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, now: Cycles) {
         let node = self.node(tid);
-        let step = self.cpus.cpu[tid].step;
-        let dirty = self.cpus.trace.steps[step].dirty_lines;
+        let step = cpus.cpu[tid].step;
+        let pc = cpus.pc(step);
+        let release = cpus.release(tid, now);
+        // Flip the flag: the coherence protocol invalidates every sharer.
+        // Under a fault plan the substrate may drop or delay some of the
+        // resulting wake-up signals; attribute those injections now.
+        let write = self.mem.write(node, self.flag_addr, now);
+        if cpus.injector.is_some() {
+            for rec in self.mem.drain_fault_log() {
+                let fault = match rec.kind {
+                    tb_mem::InvalidationFaultKind::Lost => FaultKind::LostWakeup,
+                    tb_mem::InvalidationFaultKind::Delayed(_) => FaultKind::DelayedWakeup,
+                };
+                cpus.faults.record(fault);
+                let episode = step as u64;
+                let injected = TraceEventKind::FaultInjected { episode, pc, fault };
+                cpus.emit(rec.node.index(), rec.at, injected);
+            }
+        }
+        self.episode_flip_done[step] = write.completion;
+        let observed_compute = cpus.trace.steps[step].compute[self.observed_thread];
+        self.instances.push(InstanceRecord {
+            pc,
+            site_instance: release.instance,
+            release_time: write.completion,
+            bit: release.measured_bit,
+            observed_compute,
+        });
+        // Deliver external wake-up signals.
+        for inv in &write.invalidations {
+            debug_assert_eq!(inv.line, self.flag_line);
+            let target = inv.node.index();
+            let observe = SimEvent::Observe {
+                tid: target,
+                episode: step,
+            };
+            match cpus.cpu[target].state {
+                State::Spinning { .. } => {
+                    cpus.schedule(inv.at + SPIN_GRAIN, observe);
+                }
+                State::Yielded { since } => {
+                    // The barrier is released, but the thread lacks a CPU
+                    // until the next scheduling-quantum boundary (§3.4.1:
+                    // "the barrier may be released but some threads may
+                    // not be able to resume execution").
+                    let ts = self.time_sharing.expect("yielded implies time-sharing");
+                    let waited = inv.at.saturating_sub(since).as_u64();
+                    let quanta = waited / ts.quantum.as_u64() + 1;
+                    cpus.schedule(since + ts.quantum * quanta, observe);
+                }
+                // A sleeper wakes if its controller watches the flag; a
+                // CPU already waking (first wins) schedules its own
+                // observation, and a stale sharer has nothing to wake.
+                _ => cpus.external_wake(target, inv.at),
+            }
+        }
+        // The releaser departs as soon as its write completes.
+        cpus.depart(tid, write.completion, write.completion);
+    }
+
+    /// The §3.4.1 spin budget expired: hand the CPU to another process.
+    fn on_yield_now(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, episode: usize, now: Cycles) {
+        if cpus.cpu[tid].step != episode {
+            return;
+        }
+        if let State::Spinning { since } = cpus.cpu[tid].state {
+            cpus.ledger.cpu_mut(tid).record(
+                EnergyCategory::Spin,
+                now.saturating_sub(since),
+                cpus.p_spin,
+            );
+            cpus.cpu[tid].state = State::Yielded { since: now };
+        }
+    }
+
+    fn on_observe(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, episode: usize, now: Cycles) {
+        // A spinner (initial or residual) sees the invalidated flag, misses,
+        // and fetches the flipped value. The event may be stale: the thread
+        // can have departed through the exit-transition path (or even be
+        // busy with a later episode) by the time it pops.
+        if cpus.cpu[tid].step != episode {
+            return;
+        }
+        let node = self.node(tid);
+        match cpus.cpu[tid].state {
+            State::Spinning { since } => {
+                let access = self.mem.read(node, self.flag_addr, now);
+                cpus.ledger.cpu_mut(tid).record(
+                    EnergyCategory::Spin,
+                    access.completion.saturating_sub(since),
+                    cpus.p_spin,
+                );
+                cpus.depart(tid, access.completion, access.completion);
+            }
+            State::Yielded { since } => {
+                // The quantum boundary arrived: the CPU comes back to this
+                // thread. The yielded window costs this application no
+                // energy (another process used the core usefully); it is
+                // accounted as zero-power Sleep time.
+                cpus.ledger.cpu_mut(tid).record(
+                    EnergyCategory::Sleep,
+                    now.saturating_sub(since),
+                    0.0,
+                );
+                let access = self.mem.read(node, self.flag_addr, now);
+                cpus.depart(tid, access.completion, access.completion);
+            }
+            _ => {
+                // Still exiting; the TransitionDone path will depart.
+            }
+        }
+    }
+}
+
+impl Transport for Simulator {
+    type Event = SimEvent;
+
+    fn compute_done(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, now: Cycles) {
+        let node = self.node(tid);
+        let step = cpus.cpu[tid].step;
+        let dirty = cpus.trace.steps[step].dirty_lines;
         // Rewrite the working set; the access latencies extend the compute
         // segment (this is where post-flush upgrade misses hurt). The dirty
         // lines are consecutive (`dirty_addr` strides one line at a time
@@ -497,291 +348,46 @@ impl Simulator {
         let access = self.mem.write(node, self.count_addr, grant);
         let checkin = access.completion;
         self.lock_free_at = checkin + LOCK_HANDOFF;
-        self.cpus.charge_compute(tid, checkin);
-        if self.cpus.check_in(step) {
-            self.on_last_arrival(tid, checkin);
+        cpus.charge_compute(tid, checkin);
+        if cpus.check_in(step) {
+            self.on_last_arrival(cpus, tid, checkin);
         } else {
-            self.on_early_arrival(tid, checkin);
+            self.on_early_arrival(cpus, tid, checkin);
         }
     }
 
-    fn on_early_arrival(&mut self, tid: usize, now: Cycles) {
-        let node = self.node(tid);
-        let step = self.cpus.cpu[tid].step;
-        let decision = self.cpus.arrive_early(tid, now);
-        if let Some(ts) = self.cfg.time_sharing {
-            // §3.4.1: spin briefly, then hand the CPU to another process.
-            self.mem.read(node, self.flag_addr, now);
-            self.cpus.spin(tid, now);
-            let yield_now = SimEvent::YieldNow { tid, episode: step };
-            self.cpus.schedule(now + ts.spin_before_yield, yield_now);
-            return;
-        }
-        match decision.choice {
-            SleepChoice::Spin => {
-                // Conventional path: pull a Shared copy of the flag and
-                // spin on it locally.
-                self.mem.read(node, self.flag_addr, now);
-                self.cpus.spin(tid, now);
-            }
-            SleepChoice::Sleep { state, needs_flush } => {
-                // Ideal (§5.1) has "no flushing overhead for any low-power
-                // sleep state": it flushes nothing, so the cache state and
-                // the post-flush upgrade misses are left untouched.
-                let t = if needs_flush && self.cpus.algo.config().flush_overhead {
-                    self.flush(tid, now)
-                } else {
-                    now
-                };
-                // The sleep() call programs the cache controller with the
-                // flag address: read the flag in (registering as sharer so
-                // the release invalidation reaches this node).
-                self.mem.read(node, self.flag_addr, t);
-                self.cpus
-                    .sleep(tid, state, needs_flush, decision.wakeup, t, now);
-            }
-        }
-        self.arm_guard(tid, step, now, decision.predicted_stall);
-    }
-
-    /// Writes `tid`'s dirty shared lines back before a non-snoopable sleep
-    /// that begins at `now`; returns when the write-back ends.
-    fn flush(&mut self, tid: usize, now: Cycles) -> Cycles {
-        let f = self.mem.flush_dirty_shared(self.node(tid), now);
-        let counts = &mut self.cpus.counts;
-        counts.flushes += 1;
-        counts.flushed_lines += f.lines as u64;
-        self.cpus.ledger.cpu_mut(tid).record(
-            EnergyCategory::Compute,
-            f.duration,
-            self.cpus.p_compute,
-        );
-        let step = self.cpus.cpu[tid].step;
-        let flush = TraceEventKind::Flush {
-            episode: step as u64,
-            pc: self.cpus.pc(step),
-            lines: f.lines as u64,
-            duration: f.duration,
-        };
-        self.cpus.emit(tid, now, flush);
-        now + f.duration
-    }
-
-    fn on_last_arrival(&mut self, tid: usize, now: Cycles) {
-        let node = self.node(tid);
-        let step = self.cpus.cpu[tid].step;
-        let pc = self.cpus.pc(step);
-        let release = self.cpus.release(tid, now);
-        // Flip the flag: the coherence protocol invalidates every sharer.
-        // Under a fault plan the substrate may drop or delay some of the
-        // resulting wake-up signals; attribute those injections now.
-        let write = self.mem.write(node, self.flag_addr, now);
-        if self.cpus.injector.is_some() {
-            for rec in self.mem.drain_fault_log() {
-                let fault = match rec.kind {
-                    tb_mem::InvalidationFaultKind::Lost => FaultKind::LostWakeup,
-                    tb_mem::InvalidationFaultKind::Delayed(_) => FaultKind::DelayedWakeup,
-                };
-                self.cpus.faults.record(fault);
-                let episode = step as u64;
-                let injected = TraceEventKind::FaultInjected { episode, pc, fault };
-                self.cpus.emit(rec.node.index(), rec.at, injected);
-            }
-        }
-        self.episode_flip_done[step] = write.completion;
-        let obs = self.cfg.observed_thread;
-        let observed_compute = self.cpus.trace.steps[step].compute[obs];
-        self.instances.push(InstanceRecord {
-            pc,
-            site_instance: release.instance,
-            release_time: write.completion,
-            bit: release.measured_bit,
-            observed_compute,
-        });
-        // Deliver external wake-up signals.
-        for inv in &write.invalidations {
-            debug_assert_eq!(inv.line, self.flag_line);
-            let target = inv.node.index();
-            let observe = SimEvent::Observe {
-                tid: target,
-                episode: step,
-            };
-            match self.cpus.cpu[target].state {
-                State::Spinning { .. } => {
-                    self.cpus.schedule(inv.at + SPIN_GRAIN, observe);
-                }
-                State::Yielded { since } => {
-                    // The barrier is released, but the thread lacks a CPU
-                    // until the next scheduling-quantum boundary (§3.4.1:
-                    // "the barrier may be released but some threads may
-                    // not be able to resume execution").
-                    let ts = self.cfg.time_sharing.expect("yielded implies time-sharing");
-                    let waited = inv.at.saturating_sub(since).as_u64();
-                    let quanta = waited / ts.quantum.as_u64() + 1;
-                    self.cpus.schedule(since + ts.quantum * quanta, observe);
-                }
-                // A sleeper wakes if its controller watches the flag; a
-                // CPU already waking (first wins) schedules its own
-                // observation, and a stale sharer has nothing to wake.
-                _ => self.cpus.external_wake(target, inv.at),
-            }
-        }
-        // The releaser departs as soon as its write completes.
-        self.depart(tid, write.completion, write.completion);
-    }
-
-    fn on_transition_done(&mut self, tid: usize, now: Cycles) {
-        let step = self.cpus.cpu[tid].step;
-        match self.cpus.on_transition_done(tid, now) {
-            Settled::Entered => {}
+    fn settled(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, settled: Settled, now: Cycles) {
+        let step = cpus.cpu[tid].step;
+        match settled {
+            Settled::Waiting => {}
             Settled::Released => {
                 // The residual check reads the flag; the wake-up timestamp
                 // annotated for §3.3.3 is the moment the CPU came back up.
                 let access = self.mem.read(self.node(tid), self.flag_addr, now);
-                self.depart(tid, now, access.completion);
+                cpus.depart(tid, now, access.completion);
             }
-            Settled::ResidualSpin if self.cpus.released[step] => {
-                // The release is already in flight (it was issued while
-                // this CPU was mid-transition), so no future invalidation
-                // will target this thread: observe once the flip's
-                // propagation completes.
+            // The release was issued while this CPU was mid-transition, so
+            // no future invalidation will target it: observe once the
+            // flip's propagation completes.
+            Settled::InFlight => {
                 let at = now.max(self.episode_flip_done[step]) + SPIN_GRAIN;
-                self.cpus
-                    .schedule(at, SimEvent::Observe { tid, episode: step });
-            }
-            // The release is still ahead, and under a fault plan its
-            // wake-up signal may be dropped: the residual spin needs its
-            // own watchdog.
-            Settled::ResidualSpin => self.arm_guard(tid, step, now, None),
-        }
-    }
-
-    /// The watchdog fired (fault runs only). If the barrier released but
-    /// this thread is still waiting — its wake-up signal was lost, or the
-    /// delivery is grossly late — force the recovery path; otherwise the
-    /// barrier is simply long, so re-arm and keep waiting.
-    fn on_guard_timer(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.cpus.cpu[tid].step != episode {
-            return; // stale guard from a departed episode
-        }
-        let pc = self.cpus.pc(episode);
-        // Fault (e): the firing guard may wedge — it neither rescues nor
-        // re-arms, killing the last recovery path for this thread. The
-        // harness-level watchdog, not the barrier, must catch what follows.
-        if self
-            .cpus
-            .injector
-            .as_mut()
-            .is_some_and(FaultInjector::wedge_guard)
-        {
-            self.cpus.faults.record(FaultKind::WedgedGuard);
-            let fault = FaultKind::WedgedGuard;
-            let wedged = TraceEventKind::FaultInjected {
-                episode: episode as u64,
-                pc,
-                fault,
-            };
-            self.cpus.emit(tid, now, wedged);
-            return;
-        }
-        let state = self.cpus.cpu[tid].state;
-        let waiting = matches!(
-            state,
-            State::Spinning { .. } | State::Sleeping { .. } | State::EnteringSleep { .. }
-        );
-        if !(waiting && self.cpus.released[episode]) {
-            // The barrier is simply long, or the thread is already waking
-            // (the transition's completion departs or re-arms): keep the
-            // watchdog alive, one interval further out.
-            if waiting || state == State::ExitingSleep {
-                let at = now + self.guard_intervals[tid];
-                self.cpus
-                    .schedule(at, SimEvent::GuardTimer { tid, episode });
-            }
-            return;
-        }
-        self.cpus.faults.guard_recoveries += 1;
-        let recovery = TraceEventKind::GuardRecovery {
-            episode: episode as u64,
-            pc,
-            slept: !matches!(state, State::Spinning { .. }),
-        };
-        self.cpus.emit(tid, now, recovery);
-        match state {
-            // The spinner never observed the flipped flag: its
-            // invalidation was dropped. Re-read the flag now.
-            State::Spinning { .. } => {
-                let observe = SimEvent::Observe { tid, episode };
-                self.cpus.schedule(now + SPIN_GRAIN, observe);
-            }
-            State::Sleeping { state, since } => self.cpus.begin_exit(tid, state, since, now),
-            State::EnteringSleep { state, .. } => {
-                self.cpus.cpu[tid].state = State::EnteringSleep {
-                    state,
-                    wake_pending: true,
-                };
-            }
-            _ => unreachable!("only a waiting thread is rescued"),
-        }
-    }
-
-    /// The §3.4.1 spin budget expired: hand the CPU to another process.
-    fn on_yield_now(&mut self, tid: usize, episode: usize, now: Cycles) {
-        if self.cpus.cpu[tid].step != episode {
-            return;
-        }
-        if let State::Spinning { since } = self.cpus.cpu[tid].state {
-            self.cpus.ledger.cpu_mut(tid).record(
-                EnergyCategory::Spin,
-                now.saturating_sub(since),
-                self.cpus.p_spin,
-            );
-            self.cpus.cpu[tid].state = State::Yielded { since: now };
-        }
-    }
-
-    fn on_observe(&mut self, tid: usize, episode: usize, now: Cycles) {
-        // A spinner (initial or residual) sees the invalidated flag, misses,
-        // and fetches the flipped value. The event may be stale: the thread
-        // can have departed through the exit-transition path (or even be
-        // busy with a later episode) by the time it pops.
-        if self.cpus.cpu[tid].step != episode {
-            return;
-        }
-        let node = self.node(tid);
-        match self.cpus.cpu[tid].state {
-            State::Spinning { since } => {
-                let access = self.mem.read(node, self.flag_addr, now);
-                self.cpus.ledger.cpu_mut(tid).record(
-                    EnergyCategory::Spin,
-                    access.completion.saturating_sub(since),
-                    self.cpus.p_spin,
-                );
-                self.depart(tid, access.completion, access.completion);
-            }
-            State::Yielded { since } => {
-                // The quantum boundary arrived: the CPU comes back to this
-                // thread. The yielded window costs this application no
-                // energy (another process used the core usefully); it is
-                // accounted as zero-power Sleep time.
-                self.cpus.ledger.cpu_mut(tid).record(
-                    EnergyCategory::Sleep,
-                    now.saturating_sub(since),
-                    0.0,
-                );
-                let access = self.mem.read(node, self.flag_addr, now);
-                self.depart(tid, access.completion, access.completion);
-            }
-            _ => {
-                // Still exiting; the TransitionDone path will depart.
+                cpus.schedule(at, SimEvent::Observe { tid, episode: step });
             }
         }
     }
 
-    /// Every departure is forward progress for the livelock watchdog.
-    fn depart(&mut self, tid: usize, wake_ts: Cycles, depart_time: Cycles) {
-        self.events_since_progress = 0;
-        self.cpus.depart(tid, wake_ts, depart_time);
+    fn on_event(&mut self, cpus: &mut Cpus<SimEvent>, event: SimEvent, now: Cycles) {
+        match event {
+            SimEvent::Observe { tid, episode } => self.on_observe(cpus, tid, episode, now),
+            SimEvent::YieldNow { tid, episode } => self.on_yield_now(cpus, tid, episode, now),
+        }
+    }
+
+    /// The spinner never observed the flipped flag: its invalidation was
+    /// dropped. It re-reads the flag now.
+    fn rescue_spinner(&mut self, cpus: &mut Cpus<SimEvent>, tid: usize, now: Cycles) {
+        let episode = cpus.cpu[tid].step;
+        cpus.schedule(now + SPIN_GRAIN, SimEvent::Observe { tid, episode });
     }
 }
 
@@ -806,8 +412,15 @@ pub fn simulate(
 /// Like [`simulate`], but also returns the run's [`FaultSummary`] — the
 /// injected-fault/recovery side-channel for fault-matrix sweeps — and
 /// reports a tripped watchdog or an expired `deadline` as a [`CellError`]
-/// instead of panicking. With no (or a disabled) fault plan the summary is
-/// all zeros and the report is byte-identical to [`simulate`]'s.
+/// instead of panicking. The summary rides next to the report rather
+/// than inside it because the serialized `RunReport` shape is frozen by
+/// golden fixtures. With no (or a disabled) fault plan the summary is all
+/// zeros and the report is byte-identical to [`simulate`]'s.
+///
+/// # Panics
+///
+/// Panics if the machine has fewer nodes than the trace has threads, or if
+/// an enabled fault plan comes with §3.4.1 time-sharing.
 pub fn try_simulate_faulted(
     cfg: SimulatorConfig,
     trace: &AppTrace,
@@ -815,16 +428,64 @@ pub fn try_simulate_faulted(
     oracle: Option<tb_core::RecordedBitOracle>,
     deadline: Option<Deadline>,
 ) -> Result<(RunReport, FaultSummary), CellError> {
-    let mut algo = BarrierAlgorithm::new(algo_cfg, trace.threads);
+    let threads = trace.threads;
+    assert!(
+        cfg.machine.nodes as usize >= threads,
+        "machine has {} nodes but the trace needs {threads}",
+        cfg.machine.nodes
+    );
+    let mut algo = BarrierAlgorithm::new(algo_cfg, threads);
     if let Some(oracle) = oracle {
         algo.install_oracle(oracle);
     }
-    Simulator::new(cfg, trace.clone(), algo).run(deadline)
+    let trace = trace.clone();
+    let episodes = trace.steps.len();
+    let mut mem = CoherentMemory::directory(cfg.machine);
+    let count_addr = mem.layout().shared_addr(COUNT_PAGE, 0);
+    let flag_addr = mem.layout().shared_addr(FLAG_PAGE, 0);
+    let injector = cfg.faults.as_ref().and_then(FaultInjector::from_plan);
+    if let Some(plan) = injector.as_ref().map(FaultInjector::plan) {
+        assert!(
+            cfg.time_sharing.is_none(),
+            "fault injection and §3.4.1 time-sharing are mutually exclusive \
+             (yielded threads resume only via flag invalidations, which a \
+             fault plan may drop)"
+        );
+        let mut inv_faults = InvalidationFaults::new(
+            plan.seed,
+            plan.lose_wakeup,
+            plan.delay_wakeup,
+            plan.delay_wakeup_mean_ns,
+        );
+        inv_faults.watch(flag_addr.line());
+        mem.set_faults(inv_faults);
+    }
+    // The flag is observable from the last check-in onward; the algorithm
+    // shares the executor's sink, so semantic and physical events
+    // interleave in one capture.
+    let lags = vec![Cycles::ZERO; threads];
+    let mut cpus = Cpus::new(trace, algo, lags, cfg.trace);
+    cpus.injector = injector;
+    let mut sim = Simulator {
+        mem,
+        time_sharing: cfg.time_sharing,
+        observed_thread: 5.min(threads - 1),
+        lock_free_at: Cycles::ZERO,
+        count_addr,
+        flag_addr,
+        flag_line: flag_addr.line(),
+        episode_flip_done: vec![Cycles::MAX; episodes],
+        instances: Vec::with_capacity(episodes),
+    };
+    cpus.run(&mut sim, deadline, cfg.progress_budget)?;
+    Ok(cpus.into_report(cfg.config_name, sim.instances, sim.observed_thread))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::{LivelockDiagnostics, DEADLINE_POLL_EVENTS};
+    use std::time::Duration;
     use tb_core::BarrierPc;
     use tb_workloads::{AppSpec, PhaseSpec, Variability};
 
@@ -846,16 +507,7 @@ mod tests {
     }
 
     fn cfg(name: &str) -> SimulatorConfig {
-        SimulatorConfig {
-            machine: MachineConfig::table1_with_nodes(16),
-            power: PowerModel::paper(),
-            observed_thread: 3,
-            config_name: name.into(),
-            time_sharing: None,
-            faults: None,
-            trace: SinkHandle::disabled(),
-            progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
-        }
+        SimulatorConfig::paper_with_nodes(name, 16)
     }
 
     fn run_faulted(
@@ -1207,8 +859,7 @@ mod tests {
     #[should_panic(expected = "machine has")]
     fn too_many_threads_rejected() {
         let trace = tiny_app(2, 100, 0.2).generate(32, 0);
-        let algo = BarrierAlgorithm::new(AlgorithmConfig::baseline(), 32);
-        let _ = Simulator::new(cfg("x"), trace, algo);
+        let _ = simulate(cfg("x"), &trace, AlgorithmConfig::baseline(), None);
     }
 
     // ---- fault injection + hardening --------------------------------------
@@ -1286,9 +937,7 @@ mod tests {
         let trace = tiny_app(8, 2000, 0.25).generate(16, 65);
         let mut c = cfg("Thrifty");
         c.progress_budget = Some(4);
-        let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
-        let err = Simulator::new(c, trace.clone(), algo)
-            .run(None)
+        let err = try_simulate_faulted(c, &trace, AlgorithmConfig::thrifty(), None, None)
             .expect_err("budget of 4 events cannot reach a departure");
         let CellError::Livelock(d) = err else {
             panic!("expected a livelock, got {err}");
@@ -1299,10 +948,7 @@ mod tests {
         // the watchdog restores the unchecked behavior.
         let mut c = cfg("Thrifty");
         c.progress_budget = None;
-        let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
-        let (r, _) = Simulator::new(c, trace, algo)
-            .run(None)
-            .expect("clean run completes without a watchdog");
+        let (r, _) = run_faulted(c, &trace, AlgorithmConfig::thrifty(), None);
         assert_eq!(r.counts.episodes, 8);
     }
 
@@ -1375,7 +1021,6 @@ mod tests {
             spin_before_yield: Cycles::from_micros(50),
             quantum: Cycles::from_millis(10),
         });
-        let algo = BarrierAlgorithm::new(AlgorithmConfig::baseline(), 16);
-        let _ = Simulator::new(c, trace, algo);
+        let _ = simulate(c, &trace, AlgorithmConfig::baseline(), None);
     }
 }

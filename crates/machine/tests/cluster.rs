@@ -6,6 +6,7 @@ use tb_energy::EnergyCategory;
 use tb_machine::cluster::{ClusterConfig, MsgSimulator};
 use tb_machine::RunReport;
 use tb_sim::Cycles;
+use tb_trace::SinkHandle;
 use tb_workloads::{AppSpec, AppTrace, PhaseSpec, Variability};
 
 fn arb_app() -> impl Strategy<Value = AppSpec> {
@@ -33,9 +34,15 @@ fn arb_app() -> impl Strategy<Value = AppSpec> {
 
 /// `trace` on `cluster` under `algo`.
 fn run(cluster: ClusterConfig, trace: &AppTrace, algo: AlgorithmConfig) -> RunReport {
-    MsgSimulator::new(cluster, trace.clone(), "MsgProp", algo)
-        .run(None)
-        .expect("no deadline")
+    MsgSimulator::new(
+        cluster,
+        trace.clone(),
+        "MsgProp",
+        algo,
+        SinkHandle::disabled(),
+    )
+    .run(None)
+    .expect("no deadline")
 }
 
 proptest! {

@@ -9,6 +9,7 @@ use tb_machine::sim::{simulate, SimulatorConfig, TimeSharing};
 use tb_machine::{aggregate, AggregateReport, CellError, RunReport};
 use tb_mem::MachineConfig;
 use tb_sim::Cycles;
+use tb_trace::SinkHandle;
 use tb_workloads::AppSpec;
 
 const NODES: u16 = 8;
@@ -203,6 +204,7 @@ fn cluster_cells_run_the_message_passing_simulator() {
             trace.clone(),
             name,
             algo,
+            SinkHandle::disabled(),
         )
         .run(None)
         .expect("no deadline")
